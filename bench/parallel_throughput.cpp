@@ -10,7 +10,7 @@
  * byte-identical across thread counts — the sweep asserts it.
  *
  * The random-access rows exercise the AtcIndex/AtcCursor API on the
- * lossless v3 container: `random_seek` measures seek + short-read
+ * lossless container: `random_seek` measures seek + short-read
  * latency at scattered offsets (reported as records/s over the reads;
  * first-touch cost is the containing-frame decode, repeats hit the
  * index's shared decoded-block cache), `seek_hot` revisits a small
@@ -285,8 +285,8 @@ main(int argc, char **argv)
                         base_read / s});
         rows.back().stages = stageDelta(snap0, registry.snapshot());
 
-        // Lossless decompression sweep: container v3's seekable frames
-        // let the reader decode blocks in the pool, so this is where
+        // Lossless decompression sweep: seekable frames let the
+        // reader decode blocks in the pool, so this is where
         // decode throughput must scale with the thread count.
         snap0 = registry.snapshot();
         t0 = Clock::now();
@@ -304,7 +304,7 @@ main(int argc, char **argv)
                         base_lossless_read / s});
         rows.back().stages = stageDelta(snap0, registry.snapshot());
 
-        // Random-access sweep over the lossless v3 container, via the
+        // Random-access sweep over the lossless container, via the
         // shared index + cursor API (no streaming reader in the way).
         auto index = core::AtcIndex::openOrThrow(lossless_ref);
         parallel::ThreadPool pool(t);

@@ -96,11 +96,10 @@ main()
             auto s1 = Clock::now();
             {
                 // The stream was written by LosslessWriter, so it uses
-                // the params' (v3/seekable) framing, not the legacy
-                // default.
+                // seekable framing, not the legacy default.
                 comp::decompressAll(comp::codecByName("bwc"),
                                     compressed.data(), compressed.size(),
-                                    params.frame_format);
+                                    comp::FrameFormat::Seekable);
             }
             auto s2 = Clock::now();
             {

@@ -4,18 +4,13 @@
  * and write the (regenerated) trace as raw 64-bit values on standard
  * output. The chunk suffix is auto-detected from INFO.<suffix>.
  *
- * Usage: atc2bin [-j N] [--container-version V]
- *                [--range BEGIN:END]... <dirname>
- *   -j N  decode with N worker threads; on v3 containers the lossless
- *         stream is decoded block-parallel (seekable frames)
- *   --container-version V
- *         require the input container to be format version V and fail
- *         otherwise — a guard for scripts that depend on v3's
- *         parallel-decode layout
+ * Usage: atc2bin [-j N] [--range BEGIN:END]... <dirname>
+ *   -j N  decode with N worker threads (frames or chunks decode
+ *         block-parallel ahead of the reader)
  *   --range BEGIN:END
  *         emit only the records [BEGIN, END) instead of the whole
- *         trace, decoded through the random-access cursor (on v3 only
- *         the frames covering the slice are decoded; with -j their
+ *         trace, decoded through the random-access cursor (only the
+ *         frames covering the slice are decoded; with -j their
  *         decode fans out on the thread pool). May repeat; ranges must
  *         be in increasing order and non-overlapping. Malformed,
  *         overlapping or out-of-range specs are rejected up front.
@@ -47,7 +42,6 @@
 
 #include "atc/atc.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/parallel_atc.hpp"
 #include "util/mmap.hpp"
 
 namespace {
@@ -107,7 +101,6 @@ main(int argc, char **argv)
 
     size_t threads = 1;
     size_t cache_bytes = core::kDefaultDecodedCacheBytes;
-    long expect_version = 0; // 0 = accept any
     std::string metrics_json;
     std::vector<std::pair<uint64_t, uint64_t>> ranges;
     const char *dir = nullptr;
@@ -170,19 +163,6 @@ main(int argc, char **argv)
                 bad_args = true;
             else
                 util::setDefaultIoMode(io);
-        } else if (std::strcmp(argv[i], "--container-version") == 0) {
-            if (i + 1 >= argc) {
-                bad_args = true;
-            } else {
-                char *end = nullptr;
-                expect_version = std::strtol(argv[++i], &end, 10);
-                // Garbage or out-of-range must not silently disable
-                // the guard this flag exists to provide.
-                if (end == argv[i] || *end != '\0' ||
-                    expect_version < core::kMinContainerVersion ||
-                    expect_version > core::kContainerVersion)
-                    bad_args = true;
-            }
         } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
             bad_args = true; // unknown option, not a directory
         } else {
@@ -191,7 +171,7 @@ main(int argc, char **argv)
     }
     if (dir == nullptr || bad_args) {
         std::fprintf(stderr,
-                     "usage: %s [-j N] [--container-version V] "
+                     "usage: %s [-j N] "
                      "[--cache BYTES[k|m|g]] [--io mmap|stdio] "
                      "[--metrics-json PATH] "
                      "[--range BEGIN:END]... <dirname>\n",
@@ -199,34 +179,20 @@ main(int argc, char **argv)
         return 2;
     }
 
+    auto opened =
+        core::AtcReader::open(dir, cache_bytes, threads > 1 ? threads : 0);
+    if (!opened.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     opened.status().message().c_str());
+        return 1;
+    }
+    std::unique_ptr<core::AtcReader> reader = opened.take();
+
     if (!ranges.empty()) {
-        // Random-access extraction: open the index directly (no
-        // streaming reader — that would start decoding the whole
-        // trace in the background) and run one readRange per spec.
+        // Random-access extraction: one readRange per spec through a
+        // cursor on the reader's pool (nothing decodes until asked).
         // Out-of-range specs come back as a Status from the cursor.
-        core::IndexOptions iopt;
-        iopt.cache_bytes = cache_bytes;
-        auto index = core::AtcIndex::open(dir, iopt);
-        if (!index.ok()) {
-            std::fprintf(stderr, "error: %s\n",
-                         index.status().message().c_str());
-            return 1;
-        }
-        if (expect_version != 0 &&
-            index.value()->version() != expect_version) {
-            std::fprintf(stderr,
-                         "error: container is format v%d, expected "
-                         "v%ld\n",
-                         int(index.value()->version()), expect_version);
-            return 1;
-        }
-        std::unique_ptr<parallel::ThreadPool> pool;
-        core::CursorOptions copt;
-        if (threads > 1) {
-            pool = std::make_unique<parallel::ThreadPool>(threads);
-            copt.pool = pool.get();
-        }
-        auto cursor = index.value()->cursor(copt);
+        auto cursor = reader->cursor();
         std::vector<uint64_t> slice;
         for (const auto &[begin, stop] : ranges) {
             util::Status s = cursor->readRange(begin, stop, slice);
@@ -245,45 +211,9 @@ main(int argc, char **argv)
         return finish();
     }
 
-    std::unique_ptr<core::AtcReader> serial;
-    std::unique_ptr<parallel::ParallelAtcReader> par;
-    if (threads > 1) {
-        parallel::ParallelOptions popt;
-        popt.threads = threads;
-        popt.cache_bytes = cache_bytes;
-        auto opened = parallel::ParallelAtcReader::open(dir, popt);
-        if (!opened.ok()) {
-            std::fprintf(stderr, "error: %s\n",
-                         opened.status().message().c_str());
-            return 1;
-        }
-        par = opened.take();
-    } else {
-        auto opened = core::AtcReader::open(dir, cache_bytes);
-        if (!opened.ok()) {
-            std::fprintf(stderr, "error: %s\n",
-                         opened.status().message().c_str());
-            return 1;
-        }
-        serial = opened.take();
-    }
-
-    if (expect_version != 0) {
-        uint8_t got = par ? par->containerVersion()
-                          : serial->containerVersion();
-        if (got != expect_version) {
-            std::fprintf(stderr,
-                         "error: container is format v%d, expected "
-                         "v%ld\n",
-                         int(got), expect_version);
-            return 1;
-        }
-    }
-
     std::vector<uint64_t> batch(1 << 16);
     for (;;) {
-        auto got = par ? par->tryRead(batch.data(), batch.size())
-                       : serial->tryRead(batch.data(), batch.size());
+        auto got = reader->tryRead(batch.data(), batch.size());
         if (!got.ok()) {
             std::fprintf(stderr, "error: %s\n",
                          got.status().message().c_str());

@@ -7,10 +7,9 @@
  *
  * Usage: atcinfo [--frames] [--metrics] [--io mmap|stdio] <dirname>
  *        [suffix]
- *   --frames  also print each chunk's v3 frame index: frame count and
+ *   --frames  also print each chunk's frame index: frame count and
  *             compressed/decompressed extents, straight from the
- *             AtcIndex scan (no payload is decoded). v1/v2 containers
- *             carry no frame index and report so.
+ *             AtcIndex scan (no payload is decoded).
  *   --metrics after the probe, print the active io source mode and the
  *             full obs registry snapshot in the shared atc_metrics
  *             text encoding (cache.*, io.* — including the zero-copy
@@ -79,11 +78,7 @@ main(int argc, char **argv)
             reader = std::make_unique<core::AtcReader>(dir);
 
         std::printf("container:  %s\n", dir.c_str());
-        std::printf("version:    %d%s\n",
-                    int(reader->containerVersion()),
-                    reader->containerVersion() >= 3
-                        ? " (seekable frames, block-parallel decode)"
-                        : "");
+        std::printf("version:    %d\n", int(reader->containerVersion()));
         std::printf("mode:       %s\n",
                     reader->mode() == core::Mode::Lossy
                         ? "lossy ('k')"
@@ -108,35 +103,24 @@ main(int argc, char **argv)
                         ? 8.0 * static_cast<double>(total_bytes) /
                               static_cast<double>(reader->count())
                         : 0.0);
-        std::printf("seek:       %s\n",
-                    reader->index()->nativeSeek()
-                        ? "native (frame index / interval trace)"
-                        : "decode-and-skip fallback (v1/v2 lossless)");
 
         if (frames) {
             const auto &index = *reader->index();
             for (uint32_t id = 0; id < index.chunkCount(); ++id) {
-                const comp::StreamLayout *layout = index.chunkLayout(id);
-                if (layout == nullptr) {
-                    std::printf("chunk %-4u  no frame index "
-                                "(container v%d)\n",
-                                id, int(reader->containerVersion()));
-                    continue;
-                }
+                const comp::StreamLayout &layout = index.chunkLayout(id);
                 uint64_t comp_total =
-                    layout->comp_starts.back() - layout->comp_starts[0];
+                    layout.comp_starts.back() - layout.comp_starts[0];
                 std::printf("chunk %-4u  %5zu frames, %llu -> %llu "
                             "bytes (x%.2f)%s\n",
-                            id, layout->frames.size(),
+                            id, layout.frames.size(),
                             static_cast<unsigned long long>(
-                                layout->rawTotal()),
+                                layout.rawTotal()),
                             static_cast<unsigned long long>(comp_total),
                             comp_total
-                                ? static_cast<double>(
-                                      layout->rawTotal()) /
+                                ? static_cast<double>(layout.rawTotal()) /
                                       static_cast<double>(comp_total)
                                 : 0.0,
-                            layout->indexed ? "" : " [index missing]");
+                            layout.indexed ? "" : " [index missing]");
             }
         }
 
@@ -183,7 +167,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(cs.entries),
                         cs.entries == 1 ? "y" : "ies");
         }
-    } catch (const util::Error &e) {
+    } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }

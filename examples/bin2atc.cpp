@@ -3,13 +3,8 @@
  * CLI mirroring the paper's Figure 6: read raw 64-bit values from
  * standard input and write an ATC-compressed directory.
  *
- * Usage: bin2atc [-j N] [--container-version V] <dirname> [c|k]
- *        [codec-spec]
+ * Usage: bin2atc [-j N] <dirname> [c|k] [codec-spec]
  *   -j N        compress with N worker threads (default 1 = serial)
- *   --container-version V
- *               container format version to write (default 3:
- *               seekable framing for block-parallel decode; 2/1
- *               reproduce the older layouts)
  *   --block BYTES
  *               codec block (= seekable frame) size; k/m/g suffixes.
  *               Smaller frames cost compression ratio but shrink the
@@ -52,8 +47,8 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [-j N] [--container-version V] "
-                 "[--block BYTES] [--buffer ADDRS] [--io mmap|stdio] "
+                 "usage: %s [-j N] [--block BYTES] [--buffer ADDRS] "
+                 "[--io mmap|stdio] "
                  "[--metrics-json PATH] <dirname> [c|k] [codec-spec]\n",
                  argv0);
     return 2;
@@ -107,7 +102,6 @@ main(int argc, char **argv)
     using namespace atc;
 
     size_t threads = 1;
-    long container_version = atc::core::kContainerVersion;
     size_t codec_block = 0;
     size_t buffer_addrs = 0;
     std::string metrics_json;
@@ -123,13 +117,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--buffer") == 0) {
             if (i + 1 >= argc || !parseSize(argv[++i], buffer_addrs))
                 return usage(argv[0]);
-        } else if (std::strcmp(argv[i], "--container-version") == 0) {
-            if (i + 1 >= argc)
-                return usage(argv[0]);
-            char *end = nullptr;
-            container_version = std::strtol(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0')
-                return usage(argv[0]);
         } else if (std::strcmp(argv[i], "--io") == 0) {
             util::IoMode io;
             if (i + 1 >= argc || !util::parseIoMode(argv[++i], io))
@@ -144,13 +131,6 @@ main(int argc, char **argv)
     }
     if (positional.empty())
         return usage(argv[0]);
-    if (container_version < core::kMinContainerVersion ||
-        container_version > core::kContainerVersion) {
-        std::fprintf(stderr, "container version must be %d..%d\n",
-                     int(core::kMinContainerVersion),
-                     int(core::kContainerVersion));
-        return 2;
-    }
 
     const char mode = positional.size() > 1 ? positional[1][0] : 'k';
     if (mode != 'c' && mode != 'k') {
@@ -161,7 +141,6 @@ main(int argc, char **argv)
 
     core::AtcOptions options;
     options.mode = mode == 'k' ? core::Mode::Lossy : core::Mode::Lossless;
-    options.container_version = static_cast<uint8_t>(container_version);
     if (positional.size() > 2)
         options.pipeline.codec = positional[2];
     if (codec_block != 0)

@@ -10,12 +10,8 @@
  * hand-written per-stage loops. With -j N the compressors are the
  * parallel drivers (byte-identical containers, N worker threads).
  *
- * Usage: trace_pipeline [-j N] [--container-version V] [benchmark]
- *        [addresses]
+ * Usage: trace_pipeline [-j N] [benchmark] [addresses]
  *   -j N       compress/decompress with N worker threads
- *   --container-version V
- *              container format to write (default 3; v3's seekable
- *              frames enable block-parallel lossless decode)
  *   --metrics-json PATH
  *              before exiting, dump the obs registry snapshot (stage
  *              timings over the whole run) to PATH as JSON
@@ -88,7 +84,6 @@ main(int argc, char **argv)
     using namespace atc;
 
     size_t threads = 1;
-    long container_version = core::kContainerVersion;
     std::string metrics_json;
     std::vector<const char *> positional;
     for (int i = 1; i < argc; ++i) {
@@ -105,25 +100,6 @@ main(int argc, char **argv)
         } else if (std::strncmp(argv[i], "-j", 2) == 0 &&
                    argv[i][2] != '\0') {
             threads = std::strtoull(argv[i] + 2, nullptr, 10);
-        } else if (std::strcmp(argv[i], "--container-version") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "usage: %s [-j N] [--container-version V] "
-                             "[benchmark] [addresses]\n",
-                             argv[0]);
-                return 2;
-            }
-            char *end = nullptr;
-            container_version = std::strtol(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0' ||
-                container_version < core::kMinContainerVersion ||
-                container_version > core::kContainerVersion) {
-                std::fprintf(stderr,
-                             "container version must be %d..%d\n",
-                             int(core::kMinContainerVersion),
-                             int(core::kContainerVersion));
-                return 2;
-            }
         } else {
             positional.push_back(argv[i]);
         }
@@ -152,9 +128,9 @@ main(int argc, char **argv)
             return 2;
         }
         std::printf("Corpus %s: generating %zu addresses "
-                    "(%zu thread%s, container v%d)\n",
+                    "(%zu thread%s)\n",
                     src.value()->describe().c_str(), count, threads,
-                    threads == 1 ? "" : "s", int(container_version));
+                    threads == 1 ? "" : "s");
         std::printf("  corpus generators emit miss streams directly; "
                     "L1 filter skipped\n");
         addrs.reserve(count);
@@ -165,11 +141,9 @@ main(int argc, char **argv)
     } else {
         bench = &trace::benchmarkByName(name);
         std::printf("Benchmark %s (class %s): collecting %zu "
-                    "cache-filtered addresses (%zu thread%s, container "
-                    "v%d)\n",
+                    "cache-filtered addresses (%zu thread%s)\n",
                     bench->name.c_str(), bench->klass.c_str(), count,
-                    threads, threads == 1 ? "" : "s",
-                    int(container_version));
+                    threads, threads == 1 ? "" : "s");
         std::printf("  filter: two 32 KB / 4-way / LRU / 64 B L1 caches "
                     "(I and D)\n");
 
@@ -190,8 +164,6 @@ main(int argc, char **argv)
     core::AtcOptions lossless_opt;
     lossless_opt.mode = core::Mode::Lossless;
     lossless_opt.pipeline.buffer_addrs = count / 10;
-    lossless_opt.container_version =
-        static_cast<uint8_t>(container_version);
     Compressor lossless =
         makeCompressor(lossless_store, lossless_opt, threads);
 
@@ -199,8 +171,6 @@ main(int argc, char **argv)
     lossy_opt.mode = core::Mode::Lossy;
     lossy_opt.lossy.interval_len = count / 100;
     lossy_opt.pipeline.buffer_addrs = count / 100;
-    lossy_opt.container_version =
-        static_cast<uint8_t>(container_version);
     Compressor lossy = makeCompressor(lossy_store, lossy_opt, threads);
 
     trace::VectorTraceSource source(addrs);
@@ -223,21 +193,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(ls.intervals));
 
     // Verify the regenerated length (always preserved) by draining the
-    // reader as a TraceSource — the parallel reader when -j asked.
+    // reader as a TraceSource — decoding on a pool when -j asked.
     size_t n = 0;
     {
-        std::unique_ptr<trace::TraceSource> reader;
-        if (threads > 1) {
-            parallel::ParallelOptions popt;
-            popt.threads = threads;
-            reader = std::make_unique<parallel::ParallelAtcReader>(
-                lossy_store, popt);
-        } else {
-            reader = std::make_unique<core::AtcReader>(lossy_store);
-        }
+        core::AtcReader reader(lossy_store, core::kDefaultDecodedCacheBytes,
+                               threads > 1 ? threads : 0);
         uint64_t buf[4096];
         size_t got;
-        while ((got = reader->read(buf, 4096)) != 0)
+        while ((got = reader.read(buf, 4096)) != 0)
             n += got;
     }
     std::printf("  lossy regeneration: %zu addresses (%s)\n", n,

@@ -1,6 +1,7 @@
 #include "atc/atc.hpp"
 
 #include "atc/info.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/status.hpp"
 
 namespace atc::core {
@@ -9,19 +10,7 @@ AtcWriter::AtcWriter(ChunkStore &store, const AtcOptions &options)
     : store_(&store), options_(options),
       codec_(comp::makeCodec(options.pipeline.codec))
 {
-    // writeContainerInfo's limit, enforced up front so a bad spec fails
-    // at construction rather than after everything has been compressed.
-    ATC_CHECK(codec_.spec.size() < 256,
-              "codec spec too long for INFO preamble");
-    applyContainerVersion(options_.container_version, options_.pipeline);
-    options_.lossy.chunk_params = options_.pipeline;
-    if (options_.mode == Mode::Lossless) {
-        chunk_sink_ = store_->createChunk(0);
-        lossless_ = std::make_unique<LosslessWriter>(options_.pipeline,
-                                                     *chunk_sink_);
-    } else {
-        lossy_ = std::make_unique<LossyEncoder>(options_.lossy, *store_);
-    }
+    init();
 }
 
 AtcWriter::AtcWriter(const std::string &dir, const AtcOptions &options)
@@ -30,9 +19,16 @@ AtcWriter::AtcWriter(const std::string &dir, const AtcOptions &options)
       store_(owned_store_.get()), options_(options),
       codec_(comp::makeCodec(options.pipeline.codec))
 {
+    init();
+}
+
+void
+AtcWriter::init()
+{
+    // writeContainerInfo's limit, enforced up front so a bad spec fails
+    // at construction rather than after everything has been compressed.
     ATC_CHECK(codec_.spec.size() < 256,
               "codec spec too long for INFO preamble");
-    applyContainerVersion(options_.container_version, options_.pipeline);
     options_.lossy.chunk_params = options_.pipeline;
     if (options_.mode == Mode::Lossless) {
         chunk_sink_ = store_->createChunk(0);
@@ -46,21 +42,15 @@ AtcWriter::AtcWriter(const std::string &dir, const AtcOptions &options)
 util::StatusOr<std::unique_ptr<AtcWriter>>
 AtcWriter::open(ChunkStore &store, const AtcOptions &options)
 {
-    try {
-        return std::make_unique<AtcWriter>(store, options);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus(
+        [&] { return std::make_unique<AtcWriter>(store, options); });
 }
 
 util::StatusOr<std::unique_ptr<AtcWriter>>
 AtcWriter::open(const std::string &dir, const AtcOptions &options)
 {
-    try {
-        return std::make_unique<AtcWriter>(dir, options);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus(
+        [&] { return std::make_unique<AtcWriter>(dir, options); });
 }
 
 AtcWriter::~AtcWriter() = default;
@@ -84,22 +74,6 @@ AtcWriter::lossyStats() const
 }
 
 void
-AtcWriter::writeInfo()
-{
-    if (options_.mode == Mode::Lossless) {
-        writeContainerInfo(*store_, codec_, options_.container_version,
-                           options_.mode, options_.pipeline, count_,
-                           nullptr, 0, nullptr);
-    } else {
-        writeContainerInfo(*store_, codec_, options_.container_version,
-                           options_.mode, options_.pipeline, count_,
-                           &options_.lossy,
-                           lossy_->stats().chunks_created,
-                           &lossy_->records());
-    }
-}
-
-void
 AtcWriter::close()
 {
     if (closed_)
@@ -107,22 +81,23 @@ AtcWriter::close()
     if (lossless_) {
         lossless_->finish();
         chunk_sink_->flush();
+        writeContainerInfo(*store_, codec_, options_.mode,
+                           options_.pipeline, count_, nullptr, 0,
+                           nullptr);
     } else {
         lossy_->finish();
+        writeContainerInfo(*store_, codec_, options_.mode,
+                           options_.pipeline, count_, &options_.lossy,
+                           lossy_->stats().chunks_created,
+                           &lossy_->records());
     }
-    writeInfo();
     closed_ = true;
 }
 
 util::Status
 AtcWriter::tryClose()
 {
-    try {
-        close();
-        return util::Status();
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] { close(); });
 }
 
 namespace {
@@ -137,51 +112,60 @@ indexOptions(size_t cache_bytes)
 
 } // namespace
 
-AtcReader::AtcReader(ChunkStore &store, size_t cache_bytes)
-    : index_(AtcIndex::openOrThrow(store, indexOptions(cache_bytes))),
-      cursor_(index_->cursor())
+AtcReader::AtcReader(std::shared_ptr<const AtcIndex> index,
+                     size_t threads)
+    : pool_(threads == 0 ? nullptr
+                         : std::make_shared<parallel::ThreadPool>(threads)),
+      index_(std::move(index)), cursor_(cursor())
 {
 }
 
-AtcReader::AtcReader(const std::string &dir, size_t cache_bytes)
-    : index_(AtcIndex::openOrThrow(
-          std::make_unique<DirectoryStore>(dir,
-                                           detectContainerSuffix(dir)),
-          indexOptions(cache_bytes))),
-      cursor_(index_->cursor())
+AtcReader::AtcReader(ChunkStore &store, size_t cache_bytes,
+                     size_t threads)
+    : AtcReader(AtcIndex::openOrThrow(store, indexOptions(cache_bytes)),
+                threads)
+{
+}
+
+AtcReader::AtcReader(const std::string &dir, size_t cache_bytes,
+                     size_t threads)
+    : AtcReader(dir, detectContainerSuffix(dir), cache_bytes, threads)
 {
 }
 
 AtcReader::AtcReader(const std::string &dir, const std::string &suffix,
-                     size_t cache_bytes)
-    : index_(AtcIndex::openOrThrow(
-          std::make_unique<DirectoryStore>(dir, suffix),
-          indexOptions(cache_bytes))),
-      cursor_(index_->cursor())
+                     size_t cache_bytes, size_t threads)
+    : AtcReader(AtcIndex::openOrThrow(
+                    std::make_unique<DirectoryStore>(dir, suffix),
+                    indexOptions(cache_bytes)),
+                threads)
 {
 }
 
 util::StatusOr<std::unique_ptr<AtcReader>>
-AtcReader::open(ChunkStore &store, size_t cache_bytes)
+AtcReader::open(ChunkStore &store, size_t cache_bytes, size_t threads)
 {
-    try {
-        return std::make_unique<AtcReader>(store, cache_bytes);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] {
+        return std::make_unique<AtcReader>(store, cache_bytes, threads);
+    });
 }
 
 util::StatusOr<std::unique_ptr<AtcReader>>
-AtcReader::open(const std::string &dir, size_t cache_bytes)
+AtcReader::open(const std::string &dir, size_t cache_bytes,
+                size_t threads)
 {
-    try {
-        return std::make_unique<AtcReader>(dir, cache_bytes);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] {
+        return std::make_unique<AtcReader>(dir, cache_bytes, threads);
+    });
 }
 
 AtcReader::~AtcReader() = default;
+
+std::unique_ptr<AtcCursor>
+AtcReader::cursor() const
+{
+    return std::make_unique<AtcCursor>(index_, pool_);
+}
 
 size_t
 AtcReader::read(uint64_t *out, size_t n)
@@ -195,11 +179,7 @@ AtcReader::read(uint64_t *out, size_t n)
 util::StatusOr<size_t>
 AtcReader::tryRead(uint64_t *out, size_t n)
 {
-    try {
-        return read(out, n);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] { return read(out, n); });
 }
 
 } // namespace atc::core

@@ -57,12 +57,6 @@ struct AtcOptions
     LosslessParams pipeline;
     /** Lossy-mode parameters (chunk_params is overridden by pipeline). */
     LossyParams lossy;
-    /** Container format version to write. v3 (the default) uses
-     *  seekable chunk framing enabling block-parallel decode; v2/v1
-     *  reproduce the older layouts for downgrade-compatible output.
-     *  The pipeline's frame_format/crc_trailer knobs are derived from
-     *  this at construction. Readers auto-detect the version. */
-    uint8_t container_version = kContainerVersion;
 };
 
 /** Compressing side of the ATC container. */
@@ -117,7 +111,7 @@ class AtcWriter : public trace::TraceSink
     const LossyStats &lossyStats() const;
 
   private:
-    void writeInfo();
+    void init();
 
     std::unique_ptr<ChunkStore> owned_store_;
     ChunkStore *store_;
@@ -137,12 +131,13 @@ class AtcWriter : public trace::TraceSink
 /**
  * Decompressing side; mode is auto-detected from INFO.
  *
- * Since the random-access redesign this is a thin driver over the
- * cursor internals: opening a reader opens a shared AtcIndex and reads
- * through one AtcCursor positioned at record 0, so sequential decode
- * and random access share one code path. index() exposes the snapshot
- * for sharing; cursor() mints additional independent read positions
- * over the same open container.
+ * A thin driver over the read engine: opening a reader opens a shared
+ * AtcIndex and reads through one AtcCursor positioned at record 0, so
+ * sequential decode and random access share one code path. With
+ * threads > 0 the reader owns a pool of that many workers, and its
+ * cursor — and every cursor minted by cursor() — decodes through a
+ * readahead window on it (see index.hpp). index() exposes the snapshot
+ * for sharing.
  */
 class AtcReader : public trace::TraceSource
 {
@@ -154,12 +149,14 @@ class AtcReader : public trace::TraceSource
      *        (directory-opened readers have no such caveat: their
      *        index owns the store)
      * @param cache_bytes budget of the index's shared decoded-block
-     *        cache (decoded frames in lossless v3, decompressed chunks
-     *        in lossy mode; 0 disables it) — see IndexOptions
+     *        cache (decoded frames in lossless mode, decompressed
+     *        chunks in lossy mode; 0 disables it) — see IndexOptions
+     * @param threads decode workers; 0 decodes on the caller's thread
      * @throws util::Error on missing/corrupt INFO
      */
     explicit AtcReader(ChunkStore &store,
-                       size_t cache_bytes = kDefaultDecodedCacheBytes);
+                       size_t cache_bytes = kDefaultDecodedCacheBytes,
+                       size_t threads = 0);
 
     /**
      * Read from a directory container, auto-detecting the chunk-file
@@ -169,24 +166,28 @@ class AtcReader : public trace::TraceSource
      * @throws util::Error when no INFO file is found or INFO is corrupt
      */
     explicit AtcReader(const std::string &dir,
-                       size_t cache_bytes = kDefaultDecodedCacheBytes);
+                       size_t cache_bytes = kDefaultDecodedCacheBytes,
+                       size_t threads = 0);
 
     /**
      * Read from a directory container with an explicit suffix (only
      * needed when several containers share one directory).
      */
     AtcReader(const std::string &dir, const std::string &suffix,
-              size_t cache_bytes = kDefaultDecodedCacheBytes);
+              size_t cache_bytes = kDefaultDecodedCacheBytes,
+              size_t threads = 0);
 
     /** Non-throwing constructor wrapper. */
     static util::StatusOr<std::unique_ptr<AtcReader>> open(
         ChunkStore &store,
-        size_t cache_bytes = kDefaultDecodedCacheBytes);
+        size_t cache_bytes = kDefaultDecodedCacheBytes,
+        size_t threads = 0);
 
     /** Non-throwing constructor wrapper (directory, auto-detect). */
     static util::StatusOr<std::unique_ptr<AtcReader>> open(
         const std::string &dir,
-        size_t cache_bytes = kDefaultDecodedCacheBytes);
+        size_t cache_bytes = kDefaultDecodedCacheBytes,
+        size_t threads = 0);
 
     ~AtcReader() override;
 
@@ -231,16 +232,17 @@ class AtcReader : public trace::TraceSource
     }
 
     /**
-     * Mint an independent seekable cursor over the same container.
-     * Cursors share the (immutable) index but hold private decode
-     * state; see index.hpp for the thread-safety rules.
+     * Mint an independent seekable cursor over the same container,
+     * decoding on this reader's pool. Cursors share the (immutable)
+     * index and the pool but hold private decode state, so they may
+     * outlive the reader; see index.hpp for the thread-safety rules.
      */
-    std::unique_ptr<AtcCursor> cursor() const
-    {
-        return index_->cursor();
-    }
+    std::unique_ptr<AtcCursor> cursor() const;
 
   private:
+    AtcReader(std::shared_ptr<const AtcIndex> index, size_t threads);
+
+    std::shared_ptr<parallel::ThreadPool> pool_;
     std::shared_ptr<const AtcIndex> index_;
     std::unique_ptr<AtcCursor> cursor_;
 };

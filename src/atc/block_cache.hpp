@@ -7,7 +7,7 @@
  * cursors over one container decoded the same working set twice.
  * BlockCache is the shared substrate fixing both: one instance hangs
  * off an AtcIndex and every AtcCursor minted from it reads through it.
- * Lossless v3 cursors cache decoded frames keyed by (chunk, frame);
+ * Lossless cursors cache decoded frames keyed by (chunk, frame);
  * lossy cursors cache decoded chunks keyed by chunk id. The budget is
  * in *bytes* (the old knob counted chunks, which made the footprint
  * proportional to interval_len — 80 MiB per entry at paper scale).

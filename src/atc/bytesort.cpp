@@ -131,7 +131,8 @@ TransformEncoder::TransformEncoder(Transform transform, size_t buffer_addrs,
                                    util::ByteSink &out)
     : transform_(transform), capacity_(buffer_addrs), out_(out)
 {
-    ATC_CHECK(capacity_ > 0, "bytesort buffer must be nonempty");
+    ATC_CHECK(capacity_ > 0 && capacity_ <= kMaxBufferAddrs,
+              "bytesort buffer size out of range");
     buffer_.reserve(capacity_);
 }
 
@@ -233,8 +234,9 @@ TransformEncoder::finish()
     finished_ = true;
 }
 
-TransformDecoder::TransformDecoder(Transform transform, util::ByteSource &in)
-    : transform_(transform), in_(in)
+TransformDecoder::TransformDecoder(Transform transform, util::ByteSource &in,
+                                   uint64_t max_buffer)
+    : transform_(transform), in_(in), max_buffer_(max_buffer)
 {
 }
 
@@ -261,6 +263,10 @@ TransformDecoder::refill()
         done_ = true;
         return false;
     }
+    ATC_CHECK(n <= max_buffer_,
+              "corrupt bytesort frame header (buffer length " +
+                  std::to_string(n) + " exceeds the buffer size " +
+                  std::to_string(max_buffer_) + ")");
 
     TransformMetrics &m = transformMetrics();
     m.decode_buffers.inc();

@@ -13,7 +13,10 @@
  *
  * Streaming framing: the trace is cut into buffers of at most B
  * addresses; each buffer is emitted as varint(n) followed by its 8
- * planes; a 0 varint (or end of stream) terminates.
+ * planes; a 0 varint (or end of stream) terminates. The decoder checks
+ * every n against the buffer size B it is given (INFO records it), so
+ * a crafted length fails as corruption instead of sizing an
+ * allocation.
  */
 
 #ifndef ATC_ATC_BYTESORT_HPP_
@@ -44,6 +47,10 @@ enum class Transform : uint8_t
     Delta = 3,
 };
 
+/** Largest transform buffer B a writer may use and a reader accepts
+ *  (the paper's "big" buffer is 10M addresses). */
+constexpr uint64_t kMaxBufferAddrs = uint64_t(1) << 30;
+
 /** Buffer-level forward bytesort: 8*n bytes, MSB plane first. */
 std::vector<uint8_t> bytesortForward(const uint64_t *addrs, size_t n);
 
@@ -65,8 +72,10 @@ class TransformEncoder
   public:
     /**
      * @param transform    transform applied to each buffer
-     * @param buffer_addrs buffer capacity B in addresses (paper: 1M/10M)
+     * @param buffer_addrs buffer capacity B in addresses (paper: 1M/10M),
+     *                     at most kMaxBufferAddrs
      * @param out          destination byte sink
+     * @throws util::Error on a buffer size outside [1, kMaxBufferAddrs]
      */
     TransformEncoder(Transform transform, size_t buffer_addrs,
                      util::ByteSink &out);
@@ -99,10 +108,13 @@ class TransformDecoder
 {
   public:
     /**
-     * @param transform transform used when encoding
-     * @param in        source byte stream
+     * @param transform  transform used when encoding
+     * @param in         source byte stream
+     * @param max_buffer buffer size B used when encoding; a buffer
+     *                   header claiming more is rejected as corrupt
      */
-    TransformDecoder(Transform transform, util::ByteSource &in);
+    TransformDecoder(Transform transform, util::ByteSource &in,
+                     uint64_t max_buffer = kMaxBufferAddrs);
 
     /**
      * Produce up to @p n addresses — the primary (hot-path) entry.
@@ -122,6 +134,7 @@ class TransformDecoder
 
     Transform transform_;
     util::ByteSource &in_;
+    uint64_t max_buffer_;
     std::vector<uint64_t> buffer_;
     size_t pos_ = 0;
     bool done_ = false;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <deque>
 #include <future>
+#include <type_traits>
 
 #include "parallel/thread_pool.hpp"
 
@@ -31,61 +32,66 @@ expectedRawBytes(uint64_t count, uint64_t buffer_addrs)
 }
 
 /**
- * Serves the decompressed bytes of frames [first, frames.size()) of a
- * scanned Seekable stream, one frame at a time, through the index's
- * shared decoded-frame cache: a cached frame is served without
- * touching its payload (the underlying source just skips it), a miss
- * decodes-and-inserts, so a working set of seek targets stays
- * decode-free across every cursor sharing the index. @p src must be
- * positioned at frame @p first's header (comp_starts[first]).
+ * One block of a readahead window: already resident (a cache hit), or
+ * still decoding — on a pool, or deferred to get() on the caller's
+ * thread when there is none.
  */
-class FrameStreamSource : public util::ByteSource
+template <typename T>
+struct Pending
 {
-  public:
-    FrameStreamSource(const AtcIndex &index, uint32_t chunk_id,
-                      std::unique_ptr<util::ByteSource> src, size_t first)
-        : index_(index), chunk_id_(chunk_id), src_(std::move(src)),
-          next_(first)
-    {}
+    uint64_t key = 0;
+    typename BlockCache<T>::Ptr ready;
+    std::future<std::vector<T>> decoded;
 
-    size_t
-    read(uint8_t *data, size_t n) override
+    /** Wait for the block (rethrowing its decode error); a fresh
+     *  decode is added to @p cache only when @p populate. */
+    const typename BlockCache<T>::Ptr &
+    get(BlockCache<T> &cache, bool populate)
     {
-        size_t got = 0;
-        while (got < n) {
-            if (!block_ || pos_ == block_->size()) {
-                if (!refill())
-                    break;
-                continue;
-            }
-            size_t avail = block_->size() - pos_;
-            size_t take = (n - got) < avail ? (n - got) : avail;
-            std::memcpy(data + got, block_->data() + pos_, take);
-            got += take;
-            pos_ += take;
+        if (!ready) {
+            std::vector<T> block = decoded.get();
+            ready = populate ? cache.put(key, std::move(block))
+                             : std::make_shared<const std::vector<T>>(
+                                   std::move(block));
         }
-        return got;
+        return ready;
     }
-
-  private:
-    bool
-    refill()
-    {
-        if (next_ >= index_.chunkLayout(chunk_id_)->frames.size())
-            return false;
-        block_ = index_.decodedFrame(chunk_id_, next_, *src_);
-        ++next_;
-        pos_ = 0;
-        return true;
-    }
-
-    const AtcIndex &index_;
-    uint32_t chunk_id_;
-    std::unique_ptr<util::ByteSource> src_;
-    size_t next_;
-    BlockCache<uint8_t>::Ptr block_;
-    size_t pos_ = 0;
 };
+
+/**
+ * Wait out the pooled decodes still pending in @p slots. They may read
+ * a store the index only borrows, which the caller is free to release
+ * once the cursor is gone. (Without a pool, decodes are deferred and
+ * simply never run.)
+ */
+template <typename Slots>
+void
+settle(Slots &slots, const parallel::ThreadPool *pool)
+{
+    if (pool == nullptr)
+        return;
+    for (auto &p : slots)
+        if (p.decoded.valid())
+            p.decoded.wait();
+}
+
+/** Run @p fn on @p pool, or — without one — when its future is read. */
+template <typename F>
+auto
+launch(parallel::ThreadPool *pool, F fn)
+    -> std::future<std::invoke_result_t<F>>
+{
+    if (pool != nullptr)
+        return pool->async(std::move(fn));
+    return std::async(std::launch::deferred, std::move(fn));
+}
+
+/** @return how many blocks a cursor over @p pool decodes ahead. */
+size_t
+windowDepth(const parallel::ThreadPool *pool)
+{
+    return pool != nullptr ? 2 * pool->size() : 0;
+}
 
 /** @return the interval record containing record offset @p rec. */
 size_t
@@ -127,15 +133,21 @@ fillRecords(ReadFn &&read, std::vector<uint64_t> &out, const char *what)
     }
 }
 
-} // namespace
-
-namespace {
+/** @return the lossy decoder parameters recorded in @p info. */
+LossyParams
+lossyParams(const ContainerInfo &info)
+{
+    LossyParams params;
+    params.chunk_params = info.pipeline;
+    params.interval_len = info.interval_len;
+    params.epsilon = info.epsilon;
+    return params;
+}
 
 /** Frames are many and small (a codec block each) — shard for
  *  concurrency; chunks are few and large (interval_len * 8 bytes) and
  *  touched once per interval switch — a single shard avoids budget
- *  fragmentation entirely and makes the readRange prefetch planner's
- *  whole-budget arithmetic exact. */
+ *  fragmentation entirely. */
 constexpr size_t kFrameCacheShards = 8;
 constexpr size_t kChunkCacheShards = 1;
 
@@ -174,15 +186,11 @@ AtcIndex::load()
                   "record count (corrupt container)");
     }
 
-    if (info_.pipeline.frame_format != comp::FrameFormat::Seekable)
-        return; // v1/v2: no frame index; cursors decode-and-skip
-
     uint32_t chunks = chunkCount();
     layouts_.reserve(chunks);
     for (uint32_t id = 0; id < chunks; ++id) {
         auto src = store_->openChunk(id);
-        layouts_.push_back(
-            comp::scanSeekableStream(*src, info_.pipeline.crc_trailer));
+        layouts_.push_back(comp::scanSeekableStream(*src));
     }
 
     // Cross-check the scanned layouts against the INFO-recorded
@@ -215,37 +223,27 @@ AtcIndex::load()
 util::StatusOr<std::shared_ptr<const AtcIndex>>
 AtcIndex::open(ChunkStore &store, const IndexOptions &iopt)
 {
-    try {
-        return openOrThrow(store, iopt);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] { return openOrThrow(store, iopt); });
 }
 
 util::StatusOr<std::shared_ptr<const AtcIndex>>
 AtcIndex::open(const std::string &dir, const IndexOptions &iopt)
 {
-    try {
-        auto store = std::make_unique<DirectoryStore>(
-            dir, detectContainerSuffix(dir));
-        return std::shared_ptr<const AtcIndex>(
-            openOrThrow(std::move(store), iopt));
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] {
+        return openOrThrow(std::make_unique<DirectoryStore>(
+                               dir, detectContainerSuffix(dir)),
+                           iopt);
+    });
 }
 
 util::StatusOr<std::shared_ptr<const AtcIndex>>
 AtcIndex::open(const std::string &dir, const std::string &suffix,
                const IndexOptions &iopt)
 {
-    try {
-        auto store = std::make_unique<DirectoryStore>(dir, suffix);
-        return std::shared_ptr<const AtcIndex>(
-            openOrThrow(std::move(store), iopt));
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] {
+        return openOrThrow(std::make_unique<DirectoryStore>(dir, suffix),
+                           iopt);
+    });
 }
 
 std::shared_ptr<const AtcIndex>
@@ -271,44 +269,12 @@ AtcIndex::cursor(const CursorOptions &copt) const
     return std::make_unique<AtcCursor>(shared_from_this(), copt);
 }
 
-bool
-AtcIndex::nativeSeek() const
-{
-    // Lossy seeks resolve through the interval trace alone, so every
-    // version seeks natively at interval granularity; lossless needs
-    // the v3 frame index.
-    return info_.mode == Mode::Lossy || !layouts_.empty();
-}
-
 uint32_t
 AtcIndex::chunkCount() const
 {
     return info_.mode == Mode::Lossless
                ? 1
                : static_cast<uint32_t>(info_.chunk_count);
-}
-
-const comp::StreamLayout *
-AtcIndex::chunkLayout(uint32_t id) const
-{
-    if (id >= layouts_.size())
-        return nullptr;
-    return &layouts_[id];
-}
-
-BlockCache<uint8_t>::Ptr
-AtcIndex::decodedFrame(uint32_t chunk_id, size_t f,
-                       util::ByteSource &src) const
-{
-    const comp::StreamLayout &layout = layouts_[chunk_id];
-    ATC_ASSERT(f < layout.frames.size());
-    uint64_t key = BlockCache<uint8_t>::frameKey(chunk_id, f);
-    if (BlockCache<uint8_t>::Ptr hit = frame_cache_.get(key)) {
-        src.skip(layout.comp_starts[f + 1] - layout.comp_starts[f]);
-        return hit;
-    }
-    return frame_cache_.put(
-        key, comp::decodeIndexedFrame(*codec_.codec, src, layout, f));
 }
 
 uint64_t
@@ -332,54 +298,381 @@ AtcIndex::bufferRawOffset(uint64_t b) const
     return b * (util::varintLen(buffer) + 8 * buffer);
 }
 
+/**
+ * The lossless read engine: serves the decoded bytes of frames
+ * [first, end) of the chunk stream, in order. Each frame resolves
+ * through the shared cache: a hit skips the payload; a miss has its
+ * payload read (zero-copy on mapped chunks) and decoded on the pool,
+ * or on the caller's thread when there is none. A pass from frame 0
+ * (@p full) accumulates the CRC-32 of everything it serves for
+ * verifyEnd() and never adds to the cache; any other pass does.
+ */
+class AtcCursor::FrameSource : public util::ByteSource
+{
+  public:
+    FrameSource(std::shared_ptr<const AtcIndex> index,
+                parallel::ThreadPool *pool, size_t first, size_t end,
+                bool full)
+        : index_(std::move(index)), layout_(index_->chunkLayout(0)),
+          pool_(pool),
+          ahead_(pool != nullptr ? windowDepth(pool) + 1 : 0),
+          next_(first), end_(end), full_(full)
+    {}
+
+    ~FrameSource() override { settle(window_, pool_); }
+
+    FrameSource(const FrameSource &) = delete;
+    FrameSource &operator=(const FrameSource &) = delete;
+
+    size_t
+    read(uint8_t *data, size_t n) override
+    {
+        size_t got = 0;
+        while (got < n && available()) {
+            size_t take = std::min(n - got, block_->size() - pos_);
+            std::memcpy(data + got, block_->data() + pos_, take);
+            got += take;
+            consume(take);
+        }
+        return got;
+    }
+
+    void
+    skip(uint64_t n) override
+    {
+        while (n > 0) {
+            ATC_CHECK(available(), "byte source truncated");
+            size_t take = static_cast<size_t>(
+                std::min<uint64_t>(n, block_->size() - pos_));
+            n -= take;
+            consume(take);
+        }
+    }
+
+    /**
+     * Full passes only, once the transform terminator has been read:
+     * no raw bytes may follow it, and the CRC-32 of every byte served
+     * must match the stream's trailer.
+     */
+    void
+    verifyEnd()
+    {
+        if (!full_ || verified_)
+            return;
+        uint8_t extra;
+        ATC_CHECK(read(&extra, 1) == 0,
+                  "trailing data after the transform terminator");
+        ATC_CHECK(layout_.indexed,
+                  "chunk stream CRC trailer missing or truncated");
+        ATC_CHECK(crc_.value() == layout_.crc,
+                  "chunk payload CRC mismatch (corrupt container)");
+        verified_ = true;
+    }
+
+  private:
+    /** @return true when the current block has bytes left, moving to
+     *  the next frame as needed; false at the end of the range. A
+     *  failed frame fails every later call too, so a retry can never
+     *  resume past the frame it lost. */
+    bool
+    available()
+    {
+        if (failed_)
+            std::rethrow_exception(failed_);
+        while (!block_) {
+            topUp();
+            if (window_.empty())
+                return false;
+            try {
+                block_ = window_.front().get(index_->frameCache(), !full_);
+            } catch (...) {
+                failed_ = std::current_exception();
+                throw;
+            }
+            pos_ = 0;
+            if (full_)
+                crc_.update(block_->data(), block_->size());
+            if (block_->empty())
+                retire();
+        }
+        return true;
+    }
+
+    /** Advance past @p n served bytes of the current frame. */
+    void
+    consume(size_t n)
+    {
+        pos_ += n;
+        if (pos_ == block_->size())
+            retire();
+    }
+
+    /** Drop the exhausted front frame; with a pool, queue the next
+     *  one at once, so the pool refills while the caller transforms. */
+    void
+    retire()
+    {
+        block_.reset();
+        window_.pop_front();
+        if (ahead_ > 0)
+            topUp();
+    }
+
+    /** Queue frames until the window is full or the range ends. */
+    void
+    topUp()
+    {
+        while (window_.size() < 1 + ahead_ && next_ < end_) {
+            size_t f = next_++;
+            Pending<uint8_t> p;
+            p.key = BlockCache<uint8_t>::frameKey(0, f);
+            try {
+                if (!src_) {
+                    src_ = index_->store().openChunk(0);
+                    src_->skip(layout_.comp_starts[f]);
+                }
+                p.ready = index_->frameCache().get(p.key);
+                if (p.ready) {
+                    src_->skip(layout_.comp_starts[f + 1] -
+                               layout_.comp_starts[f]);
+                } else {
+                    p.decoded = launch(
+                        pool_,
+                        [index = index_,
+                         raw_size = static_cast<size_t>(
+                             layout_.frames[f].raw_size),
+                         payload = comp::fetchIndexedFramePayload(
+                             *src_, layout_, f)]() {
+                            std::vector<uint8_t> block;
+                            comp::decodeSeekableFrame(
+                                *index->codec().codec, payload.data,
+                                payload.size, raw_size, block);
+                            return block;
+                        });
+                }
+            } catch (...) {
+                // Surface a bad header when its frame is reached, not
+                // while frames before it are still being served.
+                std::promise<std::vector<uint8_t>> failed;
+                failed.set_exception(std::current_exception());
+                p.decoded = failed.get_future();
+                next_ = end_;
+            }
+            window_.push_back(std::move(p));
+        }
+    }
+
+    std::shared_ptr<const AtcIndex> index_;
+    const comp::StreamLayout &layout_;
+    parallel::ThreadPool *pool_;
+    /** Frames queued behind the one being read: the window, plus one.
+     *  Transform buffers end mid-frame, so the reader sits on a partly
+     *  read frame through every inverse transform; the pool needs the
+     *  window's worth queued beyond the next frame to stay busy. */
+    size_t ahead_;
+    size_t next_; ///< next frame to queue
+    size_t end_;
+    bool full_;
+    /** Chunk source positioned at frame next_; opened on first use,
+     *  so a cursor that is built and then seeked reads nothing. */
+    std::unique_ptr<util::ByteSource> src_;
+    /** Front: the frame being read; then up to ahead_ more. */
+    std::deque<Pending<uint8_t>> window_;
+    /** The front frame's bytes once resolved; null when exhausted. */
+    BlockCache<uint8_t>::Ptr block_;
+    size_t pos_ = 0;
+    util::Crc32 crc_;
+    bool verified_ = false;
+    std::exception_ptr failed_;
+};
+
+/**
+ * The lossy readahead window: the distinct chunks of interval record i,
+ * being regenerated, and of the windowDepth(pool) records behind it,
+ * decoding on the pool ahead of the interval that needs them. A chunk
+ * leaves the window once no record in that span refers to it; the
+ * shared cache is read first and, when @p populate, filled as chunks
+ * are used.
+ */
+class AtcCursor::ChunkWindow
+{
+  public:
+    ChunkWindow(std::shared_ptr<const AtcIndex> index,
+                parallel::ThreadPool *pool, size_t end_record,
+                bool populate)
+        : index_(std::move(index)), pool_(pool),
+          depth_(windowDepth(pool)), end_(end_record),
+          populate_(populate)
+    {}
+
+    ~ChunkWindow() { settle(slots_, pool_); }
+
+    ChunkWindow(const ChunkWindow &) = delete;
+    ChunkWindow &operator=(const ChunkWindow &) = delete;
+
+    /** @return the decoded chunk of interval record @p i. */
+    BlockCache<uint64_t>::Ptr
+    fetch(size_t i)
+    {
+        const std::vector<IntervalRecord> &records = index_->info().records;
+        size_t stop = std::max(i + 1, std::min(end_, i + 1 + depth_));
+        auto upcoming = [&](uint64_t id) {
+            for (size_t r = i; r < stop; ++r)
+                if (records[r].chunk_id == id)
+                    return true;
+            return false;
+        };
+        std::erase_if(slots_, [&](Pending<uint64_t> &p) {
+            if (upcoming(p.key))
+                return false;
+            if (pool_ != nullptr && p.decoded.valid())
+                p.decoded.wait(); // see settle()
+            return true;
+        });
+        BlockCache<uint64_t> &cache = index_->chunkCache();
+        for (size_t r = i; r < stop; ++r)
+            if (find(records[r].chunk_id) == nullptr)
+                slots_.push_back(schedule(cache, records[r].chunk_id));
+        return find(records[i].chunk_id)->get(cache, populate_);
+    }
+
+  private:
+    Pending<uint64_t> *
+    find(uint64_t id)
+    {
+        for (Pending<uint64_t> &p : slots_)
+            if (p.key == id)
+                return &p;
+        return nullptr;
+    }
+
+    Pending<uint64_t>
+    schedule(BlockCache<uint64_t> &cache, uint32_t id)
+    {
+        Pending<uint64_t> p;
+        p.key = id;
+        p.ready = cache.get(id);
+        if (!p.ready)
+            p.decoded = launch(pool_, [index = index_, id]() {
+                return decodeChunkPayload(index->info().pipeline,
+                                          index->store(), id);
+            });
+        return p;
+    }
+
+    std::shared_ptr<const AtcIndex> index_;
+    parallel::ThreadPool *pool_;
+    size_t depth_;
+    size_t end_;
+    bool populate_;
+    std::vector<Pending<uint64_t>> slots_;
+};
+
 AtcCursor::AtcCursor(std::shared_ptr<const AtcIndex> index,
                      const CursorOptions &copt)
     : index_(std::move(index)), pool_(copt.pool)
 {
-    const ContainerInfo &info = index_->info();
-    if (info.mode == Mode::Lossless) {
-        resetSequential();
-    } else {
-        LossyParams params;
-        params.chunk_params = info.pipeline;
-        params.interval_len = info.interval_len;
-        params.epsilon = info.epsilon;
-        // All cursors over one index decode chunks through the shared
-        // cache, so a working set warmed by any of them serves all.
-        lossy_ = std::make_unique<LossyDecoder>(params, index_->store(),
-                                                &info.records,
-                                                &index_->chunkCache());
-    }
+    start(0);
+}
+
+AtcCursor::AtcCursor(std::shared_ptr<const AtcIndex> index,
+                     std::shared_ptr<parallel::ThreadPool> pool)
+    : index_(std::move(index)), pool_owner_(std::move(pool)),
+      pool_(pool_owner_.get())
+{
+    start(0);
 }
 
 AtcCursor::~AtcCursor() = default;
 
 void
-AtcCursor::resetSequential()
+AtcCursor::start(uint64_t rec)
 {
-    // The from-the-start pipeline is the plain LosslessReader, so a
-    // cursor that never seeks (or re-seeks to 0) keeps the full
-    // sequential behavior — including CRC-trailer verification, which
-    // a mid-stream seek necessarily forfeits.
+    if (index_->mode() == Mode::Lossy)
+        startLossy(rec);
+    else
+        startLossless(rec);
+}
+
+void
+AtcCursor::startLossless(uint64_t rec)
+{
     transform_.reset();
-    frame_src_.reset();
-    sequential_.reset();
-    chunk_src_ = index_->store().openChunk(0);
-    sequential_ = std::make_unique<LosslessReader>(
-        index_->info().pipeline, *chunk_src_);
-    pos_ = 0;
+    frames_.reset();
+    pos_ = rec;
+    if (rec == index_->size() && rec != 0)
+        return; // positioned at end: nothing left to decode
+
+    // Record -> containing transform buffer -> raw byte offset ->
+    // containing frame (binary search) -> compressed byte offset.
+    // Only the frames from there on are ever decoded.
+    const comp::StreamLayout &layout = index_->chunkLayout(0);
+    const LosslessParams &pipeline = index_->info().pipeline;
+    uint64_t b = index_->bufferOf(rec);
+    uint64_t raw_off = index_->bufferRawOffset(b);
+    ATC_CHECK(raw_off < layout.rawTotal(),
+              "container truncated: record " + std::to_string(rec) +
+                  " lies past the indexed frames");
+    size_t f = layout.frameContaining(raw_off);
+    frames_ = std::make_unique<FrameSource>(
+        index_, pool_, f, layout.frames.size(), rec == 0);
+    // Discard the tail of the frame that precedes the buffer start,
+    // then the records that precede the target inside its buffer.
+    frames_->skip(raw_off - layout.raw_starts[f]);
+    transform_ = std::make_unique<TransformDecoder>(
+        pipeline.transform, *frames_, pipeline.buffer_addrs);
+    pos_ = b * pipeline.buffer_addrs;
+    discardRecords(
+        [this](uint64_t *out, size_t take) { return read(out, take); },
+        rec - pos_, "container truncated while seeking");
+}
+
+std::unique_ptr<LossyDecoder>
+AtcCursor::lossyDecoder(std::unique_ptr<ChunkWindow> &window,
+                        size_t end_record, bool populate) const
+{
+    // All cursors over one index decode chunks through the shared
+    // cache, so a working set warmed by any of them serves all; a
+    // pooled cursor reaches it through its readahead window.
+    LossyDecoder::ChunkFetch fetch;
+    window.reset();
+    if (pool_ != nullptr) {
+        window = std::make_unique<ChunkWindow>(index_, pool_, end_record,
+                                               populate);
+        fetch = [w = window.get()](size_t i) { return w->fetch(i); };
+    }
+    return std::make_unique<LossyDecoder>(
+        lossyParams(index_->info()), index_->store(),
+        &index_->info().records, &index_->chunkCache(), std::move(fetch));
+}
+
+void
+AtcCursor::startLossy(uint64_t rec)
+{
+    // Land on the boundary of the interval containing the request —
+    // the documented lossy approximation. tell() reports the landing
+    // point, which is never past the request.
+    const std::vector<uint64_t> &starts = index_->recordStarts();
+    size_t records = index_->info().records.size();
+    size_t i = rec == index_->size() ? records
+                                     : recordContaining(starts, rec);
+    lossy_.reset(); // it reads through the window about to be replaced
+    lossy_ = lossyDecoder(chunks_, records, i != 0);
+    lossy_->seekRecord(i);
+    pos_ = rec == index_->size() ? rec : starts[i];
 }
 
 size_t
-AtcCursor::readImpl(uint64_t *out, size_t n)
+AtcCursor::read(uint64_t *out, size_t n)
 {
     size_t got = 0;
-    if (lossy_)
+    if (lossy_) {
         got = lossy_->read(out, n);
-    else if (sequential_)
-        got = sequential_->read(out, n);
-    else if (transform_)
+    } else if (transform_) {
         got = transform_->read(out, n);
+        if (got == 0 && n > 0)
+            frames_->verifyEnd();
+    }
     pos_ += got;
     // A clean end before the INFO-recorded count means chunk data is
     // missing — fail loudly rather than return a shortened trace.
@@ -392,20 +685,6 @@ AtcCursor::readImpl(uint64_t *out, size_t n)
     return got;
 }
 
-size_t
-AtcCursor::read(uint64_t *out, size_t n)
-{
-    return readImpl(out, n);
-}
-
-void
-AtcCursor::skipRecords(uint64_t n)
-{
-    discardRecords(
-        [this](uint64_t *out, size_t take) { return readImpl(out, take); },
-        n, "container truncated while seeking");
-}
-
 util::Status
 AtcCursor::seek(uint64_t record_index)
 {
@@ -413,292 +692,40 @@ AtcCursor::seek(uint64_t record_index)
         return util::Status::error(
             "seek out of range: record " + std::to_string(record_index) +
             " exceeds trace size " + std::to_string(index_->size()));
-    try {
-        if (lossy_)
-            seekLossy(record_index);
-        else if (index_->chunkLayout(0) != nullptr)
-            seekLossless(record_index);
-        else
-            seekLosslessFallback(record_index);
-        return util::Status();
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
-}
-
-void
-AtcCursor::seekLossless(uint64_t rec)
-{
-    if (rec == 0) {
-        resetSequential();
-        return;
-    }
-    if (rec == index_->size()) {
-        // Positioned at end: nothing left to decode.
-        transform_.reset();
-        frame_src_.reset();
-        sequential_.reset();
-        chunk_src_.reset();
-        pos_ = rec;
-        return;
-    }
-
-    // Record -> containing transform buffer -> raw byte offset ->
-    // containing frame (binary search) -> compressed byte offset.
-    // Only the frames from there on are ever decoded.
-    const comp::StreamLayout &layout = *index_->chunkLayout(0);
-    uint64_t b = index_->bufferOf(rec);
-    uint64_t raw_off = index_->bufferRawOffset(b);
-    ATC_CHECK(raw_off < layout.rawTotal(),
-              "container truncated: record " + std::to_string(rec) +
-                  " lies past the indexed frames");
-    size_t f = layout.frameContaining(raw_off);
-
-    auto src = index_->store().openChunk(0);
-    src->skip(layout.comp_starts[f]);
-    auto frames = std::make_unique<FrameStreamSource>(
-        *index_, 0, std::move(src), f);
-    // Discard the tail of the frame that precedes the buffer start,
-    // then the records that precede the target inside its buffer.
-    frames->skip(raw_off - layout.raw_starts[f]);
-    sequential_.reset();
-    chunk_src_.reset();
-    transform_ = std::make_unique<TransformDecoder>(
-        index_->info().pipeline.transform, *frames);
-    frame_src_ = std::move(frames);
-    pos_ = b * index_->info().pipeline.buffer_addrs;
-    skipRecords(rec - pos_);
-}
-
-void
-AtcCursor::seekLosslessFallback(uint64_t rec)
-{
-    // v1/v2: frames carry no compressed extents, so the only way to
-    // reach a record is to decode everything before it. Backward seeks
-    // restart the stream; forward seeks decode-and-skip.
-    if (rec < pos_ || !sequential_)
-        resetSequential();
-    skipRecords(rec - pos_);
-}
-
-void
-AtcCursor::seekLossy(uint64_t rec)
-{
-    // Land on the boundary of the interval containing the request —
-    // the documented lossy approximation. tell() reports the landing
-    // point, which is never past the request.
-    const std::vector<uint64_t> &starts = index_->recordStarts();
-    if (rec == index_->size()) {
-        lossy_->seekRecord(index_->info().records.size());
-        pos_ = rec;
-        return;
-    }
-    size_t i = recordContaining(starts, rec);
-    lossy_->seekRecord(i);
-    pos_ = starts[i];
-}
-
-std::vector<uint8_t>
-AtcCursor::decodeFrames(size_t first, size_t last)
-{
-    const comp::StreamLayout &layout = *index_->chunkLayout(0);
-    auto src = index_->store().openChunk(0);
-    src->skip(layout.comp_starts[first]);
-
-    // Every frame resolves through the shared cache: hits are served
-    // in place (payload skipped), misses decode — on the pool when one
-    // is borrowed — and are inserted so the next range or seek over
-    // the same region decodes nothing.
-    std::vector<uint8_t> out;
-    out.reserve(static_cast<size_t>(layout.raw_starts[last + 1] -
-                                    layout.raw_starts[first]));
-    if (pool_ == nullptr) {
-        // Serial: append frame by frame; a block is released as soon
-        // as it is copied out, so peak memory stays out + one frame
-        // (plus whatever the cache itself retains, which is bounded).
-        for (size_t f = first; f <= last; ++f) {
-            BlockCache<uint8_t>::Ptr block =
-                index_->decodedFrame(0, f, *src);
-            out.insert(out.end(), block->begin(), block->end());
-        }
-        return out;
-    }
-    std::vector<BlockCache<uint8_t>::Ptr> blocks(last - first + 1);
-    {
-        // Fan only the misses out: the compressed bytes are read
-        // serially (cheap), the per-frame codec decode — the dominant
-        // cost — runs in the pool, and the futures resolve in
-        // submission order for in-order reassembly.
-        struct Pending
-        {
-            size_t slot;
-            uint64_t key;
-            std::future<std::vector<uint8_t>> decoded;
-        };
-        BlockCache<uint8_t> &cache = index_->frameCache();
-        std::shared_ptr<const comp::Codec> codec = index_->codec().codec;
-        std::deque<Pending> pending;
-        for (size_t f = first; f <= last; ++f) {
-            uint64_t key = BlockCache<uint8_t>::frameKey(0, f);
-            if (BlockCache<uint8_t>::Ptr hit = cache.get(key)) {
-                src->skip(layout.comp_starts[f + 1] -
-                          layout.comp_starts[f]);
-                blocks[f - first] = std::move(hit);
-                continue;
-            }
-            // Zero-copy on mapped chunks: the payload borrows the
-            // mapping (pinned by the FramePayload's keepalive), so the
-            // pooled task decodes straight off the page cache.
-            comp::FramePayload payload =
-                comp::fetchIndexedFramePayload(*src, layout, f);
-            size_t raw_size =
-                static_cast<size_t>(layout.frames[f].raw_size);
-            pending.push_back(
-                {f - first, key,
-                 pool_->async([codec, raw_size,
-                               payload = std::move(payload)]() {
-                     std::vector<uint8_t> block;
-                     comp::decodeSeekableFrame(*codec, payload.data,
-                                               payload.size, raw_size,
-                                               block);
-                     return block;
-                 })});
-        }
-        for (Pending &p : pending)
-            blocks[p.slot] = cache.put(p.key, p.decoded.get());
-    }
-    for (BlockCache<uint8_t>::Ptr &block : blocks) {
-        out.insert(out.end(), block->begin(), block->end());
-        block.reset(); // release as copied — bound peak memory
-    }
-    return out;
+    return util::toStatus([&] { start(record_index); });
 }
 
 void
 AtcCursor::rangeLossless(uint64_t begin, uint64_t end,
                          std::vector<uint64_t> &out)
 {
-    const ContainerInfo &info = index_->info();
-    uint64_t want = end - begin;
-
-    const comp::StreamLayout *layout = index_->chunkLayout(0);
-    if (layout == nullptr) {
-        // v1/v2 fallback: an independent decode-and-skip pass.
-        auto src = index_->store().openChunk(0);
-        LosslessReader reader(info.pipeline, *src);
-        auto read = [&reader](uint64_t *o, size_t n) {
-            return reader.read(o, n);
-        };
-        discardRecords(read, begin, "container truncated inside the range");
-        out.resize(static_cast<size_t>(want));
-        fillRecords(read, out, "container truncated inside the range");
-        return;
-    }
-
     // Covering transform buffers -> covering frames; decode exactly
-    // those frames (in the pool when one is attached), inverse-
-    // transform, and slice the requested records out.
+    // those frames, inverse-transform, and slice the requested records
+    // out. The cursor's own stream is left untouched.
+    const LosslessParams &pipeline = index_->info().pipeline;
+    const comp::StreamLayout &layout = index_->chunkLayout(0);
     uint64_t b0 = index_->bufferOf(begin);
     uint64_t b1 = index_->bufferOf(end - 1);
     uint64_t raw0 = index_->bufferRawOffset(b0);
     uint64_t raw1 = index_->bufferRawOffset(b1) +
                     util::varintLen(index_->bufferLen(b1)) +
                     8 * index_->bufferLen(b1);
-    ATC_CHECK(raw1 <= layout->rawTotal(),
+    ATC_CHECK(raw1 <= layout.rawTotal(),
               "container truncated: range lies past the indexed frames");
-    size_t f0 = layout->frameContaining(raw0);
-    size_t f1 = layout->frameContaining(raw1 - 1);
+    size_t f0 = layout.frameContaining(raw0);
+    size_t f1 = layout.frameContaining(raw1 - 1);
 
-    std::vector<uint8_t> raw = decodeFrames(f0, f1);
-    util::MemorySource mem(raw.data(), raw.size());
-    mem.skip(raw0 - layout->raw_starts[f0]);
-    TransformDecoder transform(info.pipeline.transform, mem);
+    FrameSource frames(index_, pool_, f0, f1 + 1, false);
+    frames.skip(raw0 - layout.raw_starts[f0]);
+    TransformDecoder transform(pipeline.transform, frames,
+                               pipeline.buffer_addrs);
     auto read = [&transform](uint64_t *o, size_t n) {
         return transform.read(o, n);
     };
-    discardRecords(read, begin - b0 * info.pipeline.buffer_addrs,
+    discardRecords(read, begin - b0 * pipeline.buffer_addrs,
                    "container truncated inside the range");
-    out.resize(static_cast<size_t>(want));
+    out.resize(static_cast<size_t>(end - begin));
     fillRecords(read, out, "container truncated inside the range");
-}
-
-void
-AtcCursor::prefetchLossyChunks(uint64_t begin, uint64_t end)
-{
-    // Decode the distinct covering chunks the shared cache is missing
-    // on the pool, mirroring the lossless pooled-frame path: chunk
-    // payloads are independent, so only the insertion is serialized.
-    // Skipped without a pool or with the cache disabled (nowhere to
-    // publish a decode the assembly loop could reuse).
-    if (pool_ == nullptr || !index_->chunkCache().enabled())
-        return;
-    const std::vector<uint64_t> &starts = index_->recordStarts();
-    const std::vector<IntervalRecord> &records = index_->info().records;
-    size_t i0 = recordContaining(starts, begin);
-    size_t i1 = recordContaining(starts, end - 1);
-
-    // Plan only as many distinct missing chunks as the cache can
-    // retain: a chunk the budget cannot hold would be decoded on the
-    // pool, dropped unstored by put(), and decoded a second time by
-    // the assembly loop — worse than no prefetch. Whatever is skipped
-    // here simply decodes on demand, exactly once. The planning is
-    // exact because the chunk cache is single-shard (planned inserts
-    // go to the LRU front, so they evict stale residents, never each
-    // other) and an interval's length equals its chunk's decoded
-    // length (validated on read).
-    BlockCache<uint64_t> &cache = index_->chunkCache();
-    std::vector<uint32_t> ids, counted;
-    uint64_t budget = cache.capacityBytes();
-    uint64_t planned = 0;
-    for (size_t i = i0; i <= i1; ++i) {
-        uint32_t id = records[i].chunk_id;
-        if (std::find(counted.begin(), counted.end(), id) !=
-            counted.end())
-            continue;
-        uint64_t bytes = records[i].length * sizeof(uint64_t);
-        if (cache.get(id) != nullptr) {
-            // Already-resident covering chunk: the get() refreshed it
-            // to the LRU front, and counting it against the budget
-            // keeps planned inserts from evicting it mid-assembly.
-            counted.push_back(id);
-            planned += bytes;
-            continue;
-        }
-        if (planned + bytes > budget)
-            continue;
-        counted.push_back(id);
-        ids.push_back(id);
-        planned += bytes;
-    }
-
-    struct Pending
-    {
-        uint32_t id;
-        std::future<std::vector<uint64_t>> decoded;
-    };
-    std::deque<Pending> pending;
-    ChunkStore *store = &index_->store();
-    for (uint32_t id : ids)
-        pending.push_back(
-            {id, pool_->async([store, id,
-                               params = index_->info().pipeline]() {
-                 return decodeChunkPayload(params, *store, id);
-             })});
-    // Drain every future even when one decode fails: the tasks borrow
-    // the store through a raw pointer, and an abandoned future would
-    // leave a queued task free to run after the index — and the store
-    // it may own — is gone.
-    std::exception_ptr error;
-    for (Pending &p : pending) {
-        try {
-            cache.put(p.id, p.decoded.get());
-        } catch (...) {
-            if (!error)
-                error = std::current_exception();
-        }
-    }
-    if (error)
-        std::rethrow_exception(error);
 }
 
 void
@@ -707,47 +734,22 @@ AtcCursor::rangeLossy(uint64_t begin, uint64_t end,
 {
     // Unlike seek(), extraction is record-exact: decode the intervals
     // covering the range (whole chunks — the lossy unit of decode) and
-    // slice. The covering chunks are pool-decoded into the shared
-    // cache first, so the cursor's decoder below mostly assembles from
-    // cache hits; its position is restored afterwards.
-    prefetchLossyChunks(begin, end);
+    // slice, through a decoder of its own so the cursor's stream is
+    // left untouched.
     const std::vector<uint64_t> &starts = index_->recordStarts();
-    uint64_t save = pos_;
-
-    auto read = [this](uint64_t *o, size_t n) {
-        return lossy_->read(o, n);
+    size_t i0 = recordContaining(starts, begin);
+    size_t i1 = recordContaining(starts, end - 1);
+    std::unique_ptr<ChunkWindow> window;
+    std::unique_ptr<LossyDecoder> decoder =
+        lossyDecoder(window, i1 + 1, true);
+    decoder->seekRecord(i0);
+    auto read = [&decoder](uint64_t *o, size_t n) {
+        return decoder->read(o, n);
     };
-    try {
-        size_t i0 = recordContaining(starts, begin);
-        lossy_->seekRecord(i0);
-        discardRecords(read, begin - starts[i0],
-                       "container truncated inside the range");
-        out.resize(static_cast<size_t>(end - begin));
-        fillRecords(read, out, "container truncated inside the range");
-
-        // Restore the streaming position (boundary + in-interval skip).
-        if (save == index_->size()) {
-            lossy_->seekRecord(index_->info().records.size());
-            return;
-        }
-        size_t ri = recordContaining(starts, save);
-        lossy_->seekRecord(ri);
-        discardRecords(read, save - starts[ri],
-                       "container truncated restoring the cursor");
-    } catch (...) {
-        // Keep tell() truthful when the extraction (or the exact
-        // restore) fails mid-way: park the decoder on the boundary of
-        // the interval containing the saved position — a pure state
-        // reset that cannot itself fail — and move pos_ there too.
-        if (save == index_->size()) {
-            lossy_->seekRecord(index_->info().records.size());
-        } else {
-            size_t ri = recordContaining(starts, save);
-            lossy_->seekRecord(ri);
-            pos_ = starts[ri];
-        }
-        throw;
-    }
+    discardRecords(read, begin - starts[i0],
+                   "container truncated inside the range");
+    out.resize(static_cast<size_t>(end - begin));
+    fillRecords(read, out, "container truncated inside the range");
 }
 
 util::Status
@@ -762,15 +764,12 @@ AtcCursor::readRange(uint64_t begin, uint64_t end,
     out.clear();
     if (begin == end)
         return util::Status();
-    try {
+    return util::toStatus([&] {
         if (lossy_)
             rangeLossy(begin, end, out);
         else
             rangeLossless(begin, end, out);
-        return util::Status();
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    });
 }
 
 } // namespace atc::core

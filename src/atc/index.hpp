@@ -1,10 +1,11 @@
 /**
  * @file
- * Random-access read API over ATC containers.
+ * The read engine over ATC containers: every decode — sequential,
+ * seek and ranged, serial and pooled — runs through AtcCursor.
  *
  * AtcIndex is an immutable, open-once snapshot of everything needed to
  * locate a record without decoding the records before it: the parsed
- * INFO stream, every chunk's v3 frame index (scanned from the seekable
+ * INFO stream, every chunk's frame index (scanned from the seekable
  * frame headers without touching payloads, then validated against the
  * stored end-of-stream index), and — in lossy mode — the cumulative
  * record offsets of the interval trace. One AtcIndex may be shared by
@@ -13,13 +14,28 @@
  * AtcCursor is the trace::TraceCursor implementation minted from an
  * AtcIndex. Cursors are cheap: each holds only its own decode state,
  * so a consumer wanting several independent read positions opens
- * several cursors. seek() on a lossless v3 container binary-searches
- * the frame index and decodes only from the containing frame onward;
- * on lossy containers it lands on the containing interval boundary
- * (the paper's lossy semantics make positions inside an imitated
- * interval approximations anyway — tell() reports where the cursor
- * actually landed). v1/v2 containers carry no frame index, so their
- * cursors fall back to decode-and-skip behind the same API.
+ * several cursors. seek() on a lossless container binary-searches the
+ * frame index and decodes only from the containing frame onward; on
+ * lossy containers it lands on the containing interval boundary (the
+ * paper's lossy semantics make positions inside an imitated interval
+ * approximations anyway — tell() reports where the cursor actually
+ * landed).
+ *
+ * A cursor with a thread pool decodes through one bounded, ordered
+ * readahead window that keeps 2 x pool-size blocks decoding ahead of
+ * the one being read: the next frames of the lossless stream (the
+ * caller reads their payloads zero-copy, the pool decodes them, the
+ * caller runs the inverse transform; one frame more, as the reader
+ * sits mid-frame through each transform), or the chunks of the next
+ * intervals in lossy mode. read() and readRange() both use it.
+ * Without a pool, blocks decode on demand on the caller's thread.
+ *
+ * Cache policy: a pass that starts at record 0 is a full scan, which
+ * verifies the lossless stream's CRC-32 trailer and reads the shared
+ * decoded-block cache without adding to it (a scan must not churn the
+ * seek working set; a serial lossy scan still caches chunks, which is
+ * how imitated intervals reuse them). Passes started by a seek, and
+ * every readRange(), both read and fill the cache.
  *
  * Thread-safety rules:
  *  - AtcIndex: immutable, share freely (its ChunkStore must stay
@@ -30,9 +46,11 @@
  *    index; see IndexOptions::cache_bytes.
  *  - AtcCursor: confined to one thread at a time; concurrent use of
  *    *different* cursors over one AtcIndex is supported and tested.
- *  - A cursor keeps its AtcIndex alive (shared ownership) but only
- *    borrows the optional thread pool — the pool must outlive the
- *    cursor.
+ *  - A cursor keeps its AtcIndex alive (shared ownership). A pool
+ *    passed through CursorOptions is borrowed and must outlive the
+ *    cursor; cursors minted by AtcReader::cursor() share the reader's
+ *    pool instead, so they may outlive the reader. A pooled cursor must
+ *    not be used from a task running on its own pool.
  */
 
 #ifndef ATC_ATC_INDEX_HPP_
@@ -62,9 +80,8 @@ class AtcCursor;
 /** Knobs of a cursor minted by AtcIndex::cursor(). */
 struct CursorOptions
 {
-    /** Borrowed pool; when set, readRange() fans the decode of the
-     *  covering frames (lossless v3) or covering chunks (lossy) out
-     *  to it. Must outlive the cursor. */
+    /** Borrowed pool; when set, the cursor decodes through a readahead
+     *  window on it (see the file comment). Must outlive the cursor. */
     parallel::ThreadPool *pool = nullptr;
 };
 
@@ -72,7 +89,7 @@ struct CursorOptions
 struct IndexOptions
 {
     /** Budget of the shared decoded-block cache, in bytes (0 disables
-     *  it). Lossless v3 indexes cache decoded codec frames keyed by
+     *  it). Lossless indexes cache decoded codec frames keyed by
      *  (chunk, frame); lossy indexes cache decoded chunks keyed by
      *  chunk id. Every cursor minted from the index reads through the
      *  same cache, so repeated seeks into a cache-resident working set
@@ -86,9 +103,9 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
   public:
     /**
      * Open over an existing store (borrowed; must outlive the index
-     * and stay unmodified). Reads INFO and, on v3 containers, scans
-     * and validates every chunk's frame index — payloads are skipped,
-     * never decoded, so open cost is I/O over headers only.
+     * and stay unmodified). Reads INFO, then scans and validates every
+     * chunk's frame index — payloads are skipped, never decoded, so
+     * open cost is I/O over headers only.
      */
     static util::StatusOr<std::shared_ptr<const AtcIndex>> open(
         ChunkStore &store, const IndexOptions &iopt = {});
@@ -133,22 +150,15 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
     /** @return the container format version. */
     uint8_t version() const { return info_.version; }
 
-    /**
-     * @return true when seeks resolve through the v3 frame index
-     * (lossless) or the interval trace (lossy) without decoding
-     * skipped data; false means cursors decode-and-skip (v1/v2
-     * lossless).
-     */
-    bool nativeSeek() const;
-
     /** @return number of chunks in the container. */
     uint32_t chunkCount() const;
 
-    /**
-     * @return chunk @p id's scanned frame layout, or nullptr when the
-     * container predates seekable framing (v1/v2).
-     */
-    const comp::StreamLayout *chunkLayout(uint32_t id) const;
+    /** @return chunk @p id's scanned frame layout (@p id must be below
+     *  chunkCount()). */
+    const comp::StreamLayout &chunkLayout(uint32_t id) const
+    {
+        return layouts_[id];
+    }
 
     /** @return cumulative record start offsets of the interval trace
      *  (records().size() + 1 entries); empty in lossless mode. */
@@ -169,7 +179,7 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
     // the otherwise-immutable snapshot; sharing the index across
     // threads shares them too.
 
-    /** @return the decoded-frame cache (lossless v3 cursors). */
+    /** @return the decoded-frame cache (lossless cursors). */
     BlockCache<uint8_t> &frameCache() const { return frame_cache_; }
 
     /** @return the decoded-chunk cache (lossy cursors). */
@@ -187,17 +197,6 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
         return info_.mode == Mode::Lossy ? chunk_cache_.stats()
                                          : frame_cache_.stats();
     }
-
-    /**
-     * Fetch the decoded bytes of frame @p f of chunk @p chunk_id
-     * through the shared cache: a hit skips the frame in @p src
-     * without touching its payload; a miss decodes through
-     * comp::decodeIndexedFrame and inserts the result. @p src must be
-     * positioned at the frame's header and is left just past the
-     * frame either way, so sequential callers stay aligned.
-     */
-    BlockCache<uint8_t>::Ptr decodedFrame(uint32_t chunk_id, size_t f,
-                                          util::ByteSource &src) const;
 
     // ---- lossless transform-buffer geometry (derived from INFO) ----
     // The raw (pre-codec) stream is a sequence of self-contained
@@ -229,7 +228,7 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
     ChunkStore *store_;
     ContainerInfo info_;
     comp::ConfiguredCodec codec_;
-    /** v3 only: one scanned layout per chunk, indexed by chunk id. */
+    /** One scanned layout per chunk, indexed by chunk id. */
     std::vector<comp::StreamLayout> layouts_;
     /** Lossy only: record_starts_[i] = first record of interval i. */
     std::vector<uint64_t> record_starts_;
@@ -245,6 +244,11 @@ class AtcCursor : public trace::TraceCursor
   public:
     AtcCursor(std::shared_ptr<const AtcIndex> index,
               const CursorOptions &copt);
+
+    /** A cursor that shares ownership of @p pool (may be null). */
+    AtcCursor(std::shared_ptr<const AtcIndex> index,
+              std::shared_ptr<parallel::ThreadPool> pool);
+
     ~AtcCursor() override;
 
     AtcCursor(const AtcCursor &) = delete;
@@ -263,34 +267,33 @@ class AtcCursor : public trace::TraceCursor
     const std::shared_ptr<const AtcIndex> &index() const { return index_; }
 
   private:
-    void resetSequential();
-    void seekLossless(uint64_t rec);
-    void seekLosslessFallback(uint64_t rec);
-    void seekLossy(uint64_t rec);
-    void skipRecords(uint64_t n);
-    size_t readImpl(uint64_t *out, size_t n);
+    class FrameSource;
+    class ChunkWindow;
+
+    void start(uint64_t rec);
+    void startLossless(uint64_t rec);
+    void startLossy(uint64_t rec);
+    std::unique_ptr<LossyDecoder> lossyDecoder(
+        std::unique_ptr<ChunkWindow> &window, size_t end_record,
+        bool populate) const;
     void rangeLossless(uint64_t begin, uint64_t end,
                        std::vector<uint64_t> &out);
     void rangeLossy(uint64_t begin, uint64_t end,
                     std::vector<uint64_t> &out);
-    void prefetchLossyChunks(uint64_t begin, uint64_t end);
-    std::vector<uint8_t> decodeFrames(size_t first, size_t last);
 
     std::shared_ptr<const AtcIndex> index_;
+    std::shared_ptr<parallel::ThreadPool> pool_owner_;
     parallel::ThreadPool *pool_;
     uint64_t pos_ = 0;
 
-    // Lossless state: either the sequential pipeline (LosslessReader,
-    // CRC-verifying — active from construction and after seek(0)) or
-    // the mid-stream pipeline built by a v3 seek. The codec itself is
-    // the index's (shared, stateless).
-    std::unique_ptr<util::ByteSource> chunk_src_;
-    std::unique_ptr<LosslessReader> sequential_;
-    std::unique_ptr<util::ByteSource> frame_src_;
+    // Lossless: decoded frames from the current position onward, and
+    // the inverse transform over them (both null at end of trace).
+    std::unique_ptr<FrameSource> frames_;
     std::unique_ptr<TransformDecoder> transform_;
 
-    // Lossy state: shared interval trace, shared chunk cache (both
-    // owned by the index).
+    // Lossy: the interval regenerator, fed by the readahead window
+    // when the cursor has a pool.
+    std::unique_ptr<ChunkWindow> chunks_;
     std::unique_ptr<LossyDecoder> lossy_;
 };
 

@@ -69,39 +69,23 @@ readRecord(util::ByteSource &src)
 } // namespace
 
 void
-applyContainerVersion(uint8_t version, LosslessParams &pipeline)
-{
-    ATC_CHECK(version >= kMinContainerVersion &&
-                  version <= kContainerVersion,
-              "unsupported ATC container version " +
-                  std::to_string(version));
-    pipeline.frame_format = version >= 3 ? comp::FrameFormat::Seekable
-                                         : comp::FrameFormat::Legacy;
-    pipeline.crc_trailer = version >= 2;
-}
-
-void
 writeContainerInfo(ChunkStore &store, const comp::ConfiguredCodec &codec,
-                   uint8_t version, Mode mode,
-                   const LosslessParams &pipeline, uint64_t count,
-                   const LossyParams *lossy, uint64_t chunks_created,
+                   Mode mode, const LosslessParams &pipeline,
+                   uint64_t count, const LossyParams *lossy,
+                   uint64_t chunks_created,
                    const std::vector<IntervalRecord> *records)
 {
-    ATC_CHECK(version >= kMinContainerVersion &&
-                  version <= kContainerVersion,
-              "unsupported ATC container version " +
-                  std::to_string(version));
     auto info = store.createInfo();
 
     // Uncompressed preamble. The canonical codec spec is persisted so a
     // reader reconstructs the exact codec configuration on open.
     info->write(reinterpret_cast<const uint8_t *>(kMagic), 4);
-    info->writeByte(version);
+    info->writeByte(kContainerVersion);
     info->writeByte(static_cast<uint8_t>(mode));
     writeString(*info, codec.spec);
 
-    // Compressed payload — always legacy-framed, whatever the chunk
-    // streams use: it is tiny and read serially on open.
+    // Compressed payload — legacy-framed, unlike the chunk streams: it
+    // is tiny and read serially on open.
     comp::StreamCompressor payload(*codec.codec, *info,
                                    codec.blockOr(pipeline.codec_block),
                                    comp::FrameFormat::Legacy);
@@ -136,10 +120,10 @@ readContainerInfo(ChunkStore &store)
     ATC_CHECK(std::memcmp(magic, kMagic, 4) == 0, "not an ATC container");
     uint8_t version;
     info->readExact(&version, 1);
-    ATC_CHECK(version >= kMinContainerVersion &&
-                  version <= kContainerVersion,
+    ATC_CHECK(version == kContainerVersion,
               "unsupported ATC container version " +
-                  std::to_string(version));
+                  std::to_string(version) + " (only v" +
+                  std::to_string(kContainerVersion) + " is read)");
     out.version = version;
     uint8_t mode;
     info->readExact(&mode, 1);
@@ -164,23 +148,30 @@ readContainerInfo(ChunkStore &store)
     ATC_CHECK(transform <= 3, "corrupt ATC transform id");
 
     out.pipeline.transform = static_cast<Transform>(transform);
-    out.pipeline.buffer_addrs =
-        static_cast<size_t>(util::readVarint(payload));
+    uint64_t buffer_addrs = util::readVarint(payload);
+    // The bound every transform-buffer length in the chunk streams is
+    // checked against, so it must itself be one a writer could use.
+    ATC_CHECK(buffer_addrs >= 1 && buffer_addrs <= kMaxBufferAddrs,
+              "corrupt ATC transform buffer size");
+    out.pipeline.buffer_addrs = static_cast<size_t>(buffer_addrs);
     out.pipeline.codec = codec.spec;
-    // The version decides how the chunk streams are framed, so every
-    // consumer of this pipeline (serial, parallel, per-chunk lossy)
-    // sees the right layout.
-    applyContainerVersion(version, out.pipeline);
     out.count = util::readVarint(payload);
 
     if (out.mode == Mode::Lossless)
         return out;
 
     out.interval_len = util::readVarint(payload);
+    ATC_CHECK(out.interval_len >= 1, "corrupt ATC interval length");
     out.epsilon = std::bit_cast<double>(util::readLE<uint64_t>(payload));
     out.chunk_count = util::readVarint(payload);
+    // One record per interval: the count is fixed by what INFO already
+    // states, so a crafted varint can neither size an allocation nor
+    // drive the parse loop past the real trace.
     uint64_t record_count = util::readVarint(payload);
-    out.records.reserve(record_count);
+    ATC_CHECK(record_count == out.count / out.interval_len +
+                                  (out.count % out.interval_len != 0),
+              "interval record count disagrees with the INFO record "
+              "count (corrupt container)");
     for (uint64_t i = 0; i < record_count; ++i) {
         out.records.push_back(readRecord(payload));
         ATC_CHECK(out.records.back().chunk_id < out.chunk_count,

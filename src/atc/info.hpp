@@ -1,29 +1,22 @@
 /**
  * @file
- * The container INFO wire format, factored out of the serial driver so
- * every pipeline driver (AtcWriter and the parallel writer/reader in
- * src/parallel/) produces and parses byte-identical metadata.
+ * The container INFO wire format, shared by both writers (AtcWriter and
+ * ParallelAtcWriter) so they emit byte-identical metadata, and parsed
+ * once per container by AtcIndex.
  *
  * Layout: an uncompressed preamble (magic, version, mode, codec spec)
  * followed by a codec-compressed payload holding the pipeline
  * parameters, the address count and — in lossy mode — the interval
  * trace (chunk/imitate records with byte translations).
  *
- * Version history:
- *  - v1: PR 1 layout.
- *  - v2: chunk streams carry a CRC-32 trailer of the decompressed
- *        payload (see LosslessWriter); INFO itself is unchanged, but
- *        the version byte is bumped so v1 readers do not misparse.
- *  - v3: chunk streams use seekable framing — every frame header also
- *        records the compressed byte length, and each stream ends with
- *        a frame index before the CRC trailer — so readers can locate
- *        frame boundaries without decoding and decode blocks in
- *        parallel. The INFO payload itself stays legacy-framed in all
- *        versions (it is tiny and always read serially).
- *
- * Readers accept every version in [kMinContainerVersion,
- * kContainerVersion]; writers pick one via AtcOptions.container_version
- * (default kContainerVersion).
+ * The version byte stays in the preamble so that containers written by
+ * older releases fail loudly: readers accept v3 only, where every chunk
+ * stream uses seekable framing (each frame header records the
+ * compressed byte length, and the stream ends with a frame index and a
+ * CRC-32 trailer — see LosslessWriter). v1 (no CRC trailer) and v2
+ * (legacy framing) are rejected as "unsupported ATC container version".
+ * The INFO payload itself stays legacy-framed: it is tiny and always
+ * read serially.
  */
 
 #ifndef ATC_ATC_INFO_HPP_
@@ -47,23 +40,13 @@ enum class Mode : uint8_t
     Lossy = 1,
 };
 
-/** Oldest container version readers still accept. */
-constexpr uint8_t kMinContainerVersion = 1;
-
-/** Newest container version; the default for writers. */
+/** The one container version writers emit and readers accept. */
 constexpr uint8_t kContainerVersion = 3;
-
-/**
- * Map @p version onto the chunk-stream layout knobs of @p pipeline
- * (frame format, CRC trailer presence).
- * @throws util::Error on a version outside the supported range
- */
-void applyContainerVersion(uint8_t version, LosslessParams &pipeline);
 
 /** Everything a reader learns from a container's INFO stream. */
 struct ContainerInfo
 {
-    /** Container format version (1..kContainerVersion). */
+    /** Container format version (always kContainerVersion). */
     uint8_t version = kContainerVersion;
     Mode mode = Mode::Lossless;
     /** Canonical codec spec recorded in the preamble. */
@@ -84,26 +67,25 @@ struct ContainerInfo
  * Serialize and store the INFO stream.
  * @param store   destination container
  * @param codec   configured codec compressing the payload
- * @param version container format version to record (1..kContainerVersion)
  * @param mode    container mode
  * @param pipeline transform + codec parameters to persist
  * @param count   total values written
  * @param lossy   lossy parameters; required in lossy mode, else null
  * @param chunks_created number of chunks emitted (lossy mode)
  * @param records interval trace; required in lossy mode, else null
- * @throws util::Error on I/O failure, a bad version, or an over-long
- *         codec spec
+ * @throws util::Error on I/O failure or an over-long codec spec
  */
 void writeContainerInfo(ChunkStore &store,
-                        const comp::ConfiguredCodec &codec,
-                        uint8_t version, Mode mode,
+                        const comp::ConfiguredCodec &codec, Mode mode,
                         const LosslessParams &pipeline, uint64_t count,
                         const LossyParams *lossy, uint64_t chunks_created,
                         const std::vector<IntervalRecord> *records);
 
 /**
- * Parse the INFO stream of @p store.
- * @throws util::Error on missing/corrupt/mismatched INFO data
+ * Parse the INFO stream of @p store. Every length it holds is checked
+ * against what INFO itself states before anything is sized by it.
+ * @throws util::Error on missing/corrupt/mismatched INFO data or a
+ *         version other than kContainerVersion
  */
 ContainerInfo readContainerInfo(ChunkStore &store);
 

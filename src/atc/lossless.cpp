@@ -6,13 +6,13 @@ namespace atc::core {
 
 LosslessWriter::LosslessWriter(const LosslessParams &params,
                                util::ByteSink &out)
-    : out_(out), crc_trailer_(params.crc_trailer)
+    : out_(out)
 {
     comp::ConfiguredCodec cc = comp::makeCodec(params.codec);
     codec_ = cc.codec;
     codec_stage_ = std::make_unique<comp::StreamCompressor>(
         *codec_, out, cc.blockOr(params.codec_block),
-        params.frame_format);
+        comp::FrameFormat::Seekable);
     transform_ = std::make_unique<TransformEncoder>(
         params.transform, params.buffer_addrs, *codec_stage_);
 }
@@ -28,23 +28,22 @@ LosslessWriter::finish()
 {
     transform_->finish();
     codec_stage_->finish();
-    // Integrity trailer (v2+): CRC-32 of the raw transformed byte
-    // stream, after the codec terminator (and, in Seekable framing,
-    // the frame index) so frame parsing is unchanged.
-    if (crc_trailer_)
-        util::writeLE<uint32_t>(out_, codec_stage_->crc());
+    // Integrity trailer: CRC-32 of the raw transformed byte stream,
+    // after the codec terminator and frame index so frame parsing is
+    // unchanged.
+    util::writeLE<uint32_t>(out_, codec_stage_->crc());
 }
 
 LosslessReader::LosslessReader(const LosslessParams &params,
                                util::ByteSource &in)
-    : in_(in), crc_trailer_(params.crc_trailer)
+    : in_(in)
 {
     comp::ConfiguredCodec cc = comp::makeCodec(params.codec);
     codec_ = cc.codec;
     codec_stage_ = std::make_unique<comp::StreamDecompressor>(
-        *codec_, in, params.frame_format);
-    transform_ = std::make_unique<TransformDecoder>(params.transform,
-                                                    *codec_stage_);
+        *codec_, in, comp::FrameFormat::Seekable);
+    transform_ = std::make_unique<TransformDecoder>(
+        params.transform, *codec_stage_, params.buffer_addrs);
 }
 
 void
@@ -52,13 +51,11 @@ LosslessReader::verifyTrailer()
 {
     // The transform terminator must be the last raw bytes: draining the
     // codec stage past it both detects trailing garbage and consumes
-    // the codec end-of-stream marker (plus the v3 frame index),
+    // the codec end-of-stream marker (plus the frame index),
     // positioning in_ at the trailer.
     uint8_t extra;
     ATC_CHECK(codec_stage_->read(&extra, 1) == 0,
               "trailing data after the transform terminator");
-    if (!crc_trailer_)
-        return; // v1 streams end at the codec terminator
     uint8_t trailer[4];
     size_t got = 0;
     while (got < 4) {

@@ -8,15 +8,12 @@
  * registry spec (e.g. "bwc", "lzh", "bwc:block=900k") and constructed
  * through comp::CodecRegistry, so back ends stay pluggable.
  *
- * Streams end (container v2 and later) with a little-endian CRC-32
- * trailer of the raw (transformed, pre-codec) byte stream, written
- * after the codec terminator — and, in Seekable framing (v3), after
- * the frame index. The reader verifies it once the stream is drained,
- * so corruption is loud even under codecs without per-block checksums
- * ("store") and under truncation at frame boundaries. The
- * frame_format/crc_trailer knobs in LosslessParams select the layout;
- * container code derives them from the version via
- * core::applyContainerVersion().
+ * Streams use seekable framing (see compress/stream.hpp) and end with
+ * a little-endian CRC-32 trailer of the raw (transformed, pre-codec)
+ * byte stream, written after the frame index. The reader verifies it
+ * once the stream is drained, so corruption is loud even under codecs
+ * without per-block checksums ("store") and under truncation at frame
+ * boundaries.
  */
 
 #ifndef ATC_ATC_LOSSLESS_HPP_
@@ -41,13 +38,6 @@ struct LosslessParams
     std::string codec = "bwc";
     /** Codec block size; a `block=` spec parameter overrides this. */
     size_t codec_block = comp::kDefaultBlockSize;
-    /** Stream framing: Seekable (container v3) records per-frame
-     *  compressed lengths plus an end-of-stream frame index, enabling
-     *  block-parallel decode; Legacy matches container v1/v2. Derived
-     *  from the container version by applyContainerVersion(). */
-    comp::FrameFormat frame_format = comp::FrameFormat::Seekable;
-    /** Whether streams end with the CRC-32 trailer (v2 and later). */
-    bool crc_trailer = true;
 };
 
 /** Streaming lossless compressor into a byte sink. */
@@ -78,7 +68,6 @@ class LosslessWriter
     std::shared_ptr<const comp::Codec> codec_;
     std::unique_ptr<comp::StreamCompressor> codec_stage_;
     std::unique_ptr<TransformEncoder> transform_;
-    bool crc_trailer_ = true;
 };
 
 /** Streaming lossless decompressor from a byte source. */
@@ -86,8 +75,8 @@ class LosslessReader
 {
   public:
     /**
-     * @param params parameters used to write the stream (buffer size is
-     *               not needed; frames are self-describing)
+     * @param params parameters used to write the stream (the buffer
+     *               size bounds every transform-buffer header)
      * @param in     source (e.g. a chunk file)
      * @throws util::Error on a malformed or unknown codec spec
      */
@@ -114,7 +103,6 @@ class LosslessReader
     std::shared_ptr<const comp::Codec> codec_;
     std::unique_ptr<comp::StreamDecompressor> codec_stage_;
     std::unique_ptr<TransformDecoder> transform_;
-    bool crc_trailer_ = true;
     bool verified_ = false;
 };
 

@@ -211,12 +211,13 @@ LossyDecoder::LossyDecoder(const LossyParams &params, ChunkStore &store,
 
 LossyDecoder::LossyDecoder(const LossyParams &params, ChunkStore &store,
                            const std::vector<IntervalRecord> *records,
-                           ChunkCache *cache)
+                           ChunkCache *cache, ChunkFetch fetch)
     : params_(params), store_(store), records_(records),
       owned_cache_(cache == nullptr ? std::make_unique<ChunkCache>(
                                           params.decoder_cache_bytes)
                                     : nullptr),
-      cache_(cache == nullptr ? owned_cache_.get() : cache)
+      cache_(cache == nullptr ? owned_cache_.get() : cache),
+      fetch_(std::move(fetch))
 {
     ATC_ASSERT(records_ != nullptr);
 }
@@ -251,7 +252,14 @@ LossyDecoder::nextInterval()
 {
     if (record_idx_ >= records_->size())
         return false;
-    const IntervalRecord &rec = (*records_)[record_idx_++];
+    const IntervalRecord &rec = (*records_)[record_idx_];
+    if (fetch_) {
+        // Asked every interval, so the fetch can keep its readahead
+        // moving even through a run of intervals sharing one chunk.
+        current_chunk_ = fetch_(record_idx_);
+        current_id_ = rec.chunk_id;
+    }
+    ++record_idx_;
     const std::vector<uint64_t> &chunk = loadChunk(rec.chunk_id);
     ATC_CHECK(chunk.size() == rec.length,
               "interval record length mismatch");

@@ -15,7 +15,8 @@
  * The decoder regenerates the address stream from chunks + records,
  * reading decompressed chunks through a BlockCache — either a shared
  * one (an AtcIndex's, so every cursor over the container reuses one
- * working set) or a private instance.
+ * working set) or a private instance — or from a caller-supplied
+ * fetch (a pooled cursor's readahead window).
  */
 
 #ifndef ATC_ATC_LOSSY_HPP_
@@ -163,10 +164,9 @@ class LossyEncoder
 /**
  * Decompress chunk @p id of @p store in full through the per-chunk
  * lossless pipeline of @p params. The one whole-chunk decode used by
- * every lossy consumer (LossyDecoder, the cursor's pooled readRange
- * prefetch, the parallel reader), so they reject corrupt chunks
- * identically. Thread-safe for concurrent calls (openChunk must be —
- * see ChunkStore).
+ * every lossy consumer (LossyDecoder and the pooled cursor's readahead
+ * window), so they reject corrupt chunks identically. Thread-safe for
+ * concurrent calls (openChunk must be — see ChunkStore).
  */
 std::vector<uint64_t> decodeChunkPayload(const LosslessParams &params,
                                          ChunkStore &store, uint32_t id);
@@ -177,6 +177,10 @@ class LossyDecoder
   public:
     /** Cache of decompressed chunks, keyed by chunk id. */
     using ChunkCache = BlockCache<uint64_t>;
+
+    /** Supplies the decompressed chunk of interval record
+     *  @p record_idx, in place of the cache lookup + inline decode. */
+    using ChunkFetch = std::function<ChunkCache::Ptr(size_t record_idx)>;
 
     /**
      * @param params  parameters used at encode time (chunk pipeline,
@@ -197,10 +201,12 @@ class LossyDecoder
      * the records held by an AtcIndex): @p records must outlive the
      * decoder. Imitation translations can run to 2 KiB per record, so
      * cursors sharing one index must not copy the trace per cursor.
+     * When @p fetch is set, every interval's chunk comes from it and
+     * @p cache is not consulted.
      */
     LossyDecoder(const LossyParams &params, ChunkStore &store,
                  const std::vector<IntervalRecord> *records,
-                 ChunkCache *cache = nullptr);
+                 ChunkCache *cache = nullptr, ChunkFetch fetch = nullptr);
 
     // records_ may point at the sibling owned_records_, so the
     // compiler-generated copy/move would leave the copy dangling.
@@ -250,6 +256,7 @@ class LossyDecoder
     ChunkCache *cache_;
     ChunkCache::Ptr current_chunk_;
     uint32_t current_id_ = 0;
+    ChunkFetch fetch_;
 
     std::vector<uint64_t> interval_;
     size_t pos_ = 0;

@@ -213,7 +213,7 @@ StreamLayout::frameContaining(uint64_t raw_off) const
 }
 
 StreamLayout
-scanSeekableStream(util::ByteSource &src, bool crc_trailer)
+scanSeekableStream(util::ByteSource &src)
 {
     StreamLayout layout;
     layout.raw_starts.push_back(0);
@@ -224,11 +224,8 @@ scanSeekableStream(util::ByteSource &src, bool crc_trailer)
         FrameScan scan = readSeekableFrameHeader(src, entry);
         if (scan == FrameScan::Terminator) {
             readFrameIndex(src, layout.frames);
+            layout.crc = util::readLE<uint32_t>(src);
             layout.indexed = true;
-            if (crc_trailer) {
-                layout.crc = util::readLE<uint32_t>(src);
-                layout.has_crc = true;
-            }
             break;
         }
         if (scan == FrameScan::EndOfData)
@@ -245,43 +242,18 @@ scanSeekableStream(util::ByteSource &src, bool crc_trailer)
     return layout;
 }
 
-namespace {
-
-/**
- * Read frame @p f's header and validate it against the scanned layout
- * — the shared front half of the indexed-frame fetches.
- */
-void
-checkIndexedFrameHeader(util::ByteSource &src, const StreamLayout &layout,
-                        size_t f, FrameIndexEntry &entry)
+FramePayload
+fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
+                         size_t f)
 {
     ATC_ASSERT(f < layout.frames.size());
+    FrameIndexEntry entry;
     FrameScan scan = readSeekableFrameHeader(src, entry);
     ATC_CHECK(scan == FrameScan::Frame &&
                   entry.raw_size == layout.frames[f].raw_size &&
                   entry.comp_size == layout.frames[f].comp_size,
               "frame header disagrees with the scanned index "
               "(container modified while indexed?)");
-}
-
-} // namespace
-
-void
-readIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
-                        size_t f, std::vector<uint8_t> &comp)
-{
-    FrameIndexEntry entry;
-    checkIndexedFrameHeader(src, layout, f, entry);
-    comp.resize(static_cast<size_t>(entry.comp_size));
-    src.readExact(comp.data(), comp.size());
-}
-
-FramePayload
-fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
-                         size_t f)
-{
-    FrameIndexEntry entry;
-    checkIndexedFrameHeader(src, layout, f, entry);
     FramePayload p;
     p.size = static_cast<size_t>(entry.comp_size);
     if (const uint8_t *span = src.view(p.size)) {
@@ -293,18 +265,6 @@ fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
         p.data = p.owned.data();
     }
     return p;
-}
-
-std::vector<uint8_t>
-decodeIndexedFrame(const Codec &codec, util::ByteSource &src,
-                   const StreamLayout &layout, size_t f)
-{
-    std::vector<uint8_t> out;
-    FramePayload p = fetchIndexedFramePayload(src, layout, f);
-    decodeSeekableFrame(codec, p.data, p.size,
-                        static_cast<size_t>(layout.frames[f].raw_size),
-                        out);
-    return out;
 }
 
 StreamCompressor::StreamCompressor(const Codec &codec, util::ByteSink &sink,

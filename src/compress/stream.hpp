@@ -4,10 +4,10 @@
  *
  * Two frame formats share one stream grammar:
  *
- * - Legacy (container v1/v2): each frame is `varint(n + 1)` followed by
- *   the codec's representation of an n-byte block. Readers must decode
- *   a frame to find the next one.
- * - Seekable (container v3): each frame header additionally records the
+ * - Legacy (the container INFO payload): each frame is `varint(n + 1)`
+ *   followed by the codec's representation of an n-byte block. Readers
+ *   must decode a frame to find the next one.
+ * - Seekable (every chunk stream): each frame header also records the
  *   compressed byte length — `varint(n + 1)` `varint(c)` followed by
  *   exactly c codec bytes — so a scanner can walk frame boundaries
  *   without decoding, and workers can decode frames independently. The
@@ -39,8 +39,8 @@ namespace atc::comp {
 /** Stream frame format (see the file comment). */
 enum class FrameFormat : uint8_t
 {
-    Legacy = 0,   ///< v1/v2: decompressed block length only
-    Seekable = 1, ///< v3: + compressed length and end-of-stream index
+    Legacy = 0,   ///< INFO payload: decompressed block length only
+    Seekable = 1, ///< chunks: + compressed length and end-of-stream index
 };
 
 /** One frame's sizes, as recorded in a Seekable stream's index. */
@@ -87,9 +87,9 @@ FrameScan readSeekableFrameHeader(util::ByteSource &src,
 /**
  * Decode one Seekable frame payload, enforcing that the codec consumes
  * exactly @p comp_size bytes and produces exactly @p raw_size bytes.
- * The single validation point for frames: the serial decompressor and
- * the parallel reader's pooled decode tasks both call it, so serial
- * and parallel readers reject identical corruption.
+ * The single validation point for frames: StreamDecompressor and the
+ * cursor's read engine both call it, so every reader rejects identical
+ * corruption.
  * @throws util::Error on any disagreement with the declared sizes
  */
 void decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
@@ -122,13 +122,13 @@ struct StreamLayout
     /** In-stream byte offset of each frame's *header*;
      *  frames.size() + 1 entries (last = offset of the terminator). */
     std::vector<uint64_t> comp_starts;
-    /** True when the terminator + frame index were present (a clean
-     *  end-of-data before them leaves this false — a truncated but
-     *  tolerated stream; readers report the shortfall downstream). */
+    /** True when the terminator, frame index and CRC-32 trailer were
+     *  present (a clean end-of-data before them leaves this false — a
+     *  truncated but tolerated stream; readers report the shortfall
+     *  downstream). */
     bool indexed = false;
-    /** CRC-32 trailer, valid when @ref has_crc. */
+    /** CRC-32 trailer of the raw stream, valid when @ref indexed. */
     uint32_t crc = 0;
-    bool has_crc = false;
 
     /** @return total decompressed bytes across all frames. */
     uint64_t rawTotal() const { return raw_starts.back(); }
@@ -143,25 +143,12 @@ struct StreamLayout
 /**
  * Scan a Seekable stream's frame headers from @p src (positioned at
  * the first frame), skipping every payload, and validate the stored
- * end-of-stream index against the headers actually seen. When
- * @p crc_trailer is set the trailing CRC-32 is captured too.
- * @throws util::Error on corrupt headers, a truncated payload or any
- *         header/index disagreement
+ * end-of-stream index against the headers actually seen, capturing
+ * the CRC-32 trailer that follows it.
+ * @throws util::Error on corrupt headers, a truncated payload, index
+ *         or trailer, or any header/index disagreement
  */
-StreamLayout scanSeekableStream(util::ByteSource &src, bool crc_trailer);
-
-/**
- * Read frame @p f's compressed payload from @p src — which must be
- * positioned at that frame's header (layout.comp_starts[f]) — into
- * @p comp, re-validating the header against the scanned @p layout.
- * The one frame-fetch used by every consumer of a StreamLayout (the
- * cursor's mid-stream pipelines and the parallel scanner), so they
- * all reject a stream that changed since the scan identically.
- * @throws util::Error on truncation or any header/layout disagreement
- */
-void readIndexedFramePayload(util::ByteSource &src,
-                             const StreamLayout &layout, size_t f,
-                             std::vector<uint8_t> &comp);
+StreamLayout scanSeekableStream(util::ByteSource &src);
 
 /**
  * One frame's compressed payload, zero-copy when the source can serve
@@ -180,32 +167,19 @@ struct FramePayload
 };
 
 /**
- * readIndexedFramePayload without the copy when @p src supports
- * view(): validates the header identically, then borrows the payload
- * span in place (falling back to an owned read). The fetch used by the
- * pooled decoders — the cursor's frame pipeline and the parallel
- * scanner — so mapped containers decode straight off the page cache.
+ * Read frame @p f's compressed payload from @p src — which must be
+ * positioned at that frame's header (layout.comp_starts[f]) and is
+ * left just past the frame — re-validating the header against the
+ * scanned @p layout, so a stream that changed since the scan is
+ * rejected. Zero-copy when @p src supports view(): the payload span is
+ * borrowed in place (falling back to an owned read), so mapped
+ * containers decode straight off the page cache. The one frame fetch
+ * of the cursor's read engine.
  * @throws util::Error on truncation or any header/layout disagreement
  */
 FramePayload fetchIndexedFramePayload(util::ByteSource &src,
                                       const StreamLayout &layout,
                                       size_t f);
-
-/**
- * Read and decode frame @p f of a scanned Seekable stream in one step
- * (readIndexedFramePayload + decodeSeekableFrame). @p src must be
- * positioned at the frame's header (layout.comp_starts[f]) and is left
- * just past the frame. This is the serial frame-decode entry point the
- * random-access paths funnel through — cursor seeks and the shared
- * decoded-block cache fill — so every consumer rejects a stream that
- * changed since the scan identically. (Pooled decoders split the two
- * steps: payloads are read serially, decodeSeekableFrame runs on the
- * pool.)
- */
-std::vector<uint8_t> decodeIndexedFrame(const Codec &codec,
-                                        util::ByteSource &src,
-                                        const StreamLayout &layout,
-                                        size_t f);
 
 /** Accumulates bytes and emits codec frames into a sink. */
 class StreamCompressor : public util::ByteSink
@@ -215,7 +189,7 @@ class StreamCompressor : public util::ByteSink
      * @param codec      block codec (must outlive the compressor)
      * @param sink       destination (must outlive the compressor)
      * @param block_size bytes per block; larger blocks compress better
-     * @param format     frame format (Legacy matches container v1/v2)
+     * @param format     frame format (Legacy is the INFO payload's)
      */
     StreamCompressor(const Codec &codec, util::ByteSink &sink,
                      size_t block_size = kDefaultBlockSize,

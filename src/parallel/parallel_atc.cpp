@@ -1,36 +1,11 @@
 #include "parallel/parallel_atc.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "atc/info.hpp"
 #include "obs/metrics.hpp"
 
 namespace atc::parallel {
-
-namespace {
-
-/** Addresses per batch pushed by the lossless prefetch worker. */
-constexpr size_t kReadBatch = 64 * 1024;
-
-size_t
-resolveLookahead(const ParallelOptions &popt)
-{
-    if (popt.lookahead != 0)
-        return popt.lookahead;
-    return 2 * resolveThreads(popt.threads);
-}
-
-core::IndexOptions
-indexOptions(const ParallelOptions &popt)
-{
-    core::IndexOptions iopt;
-    iopt.cache_bytes = popt.cache_bytes;
-    return iopt;
-}
-
-} // namespace
 
 /** ByteSink adapter routing transform output into the block slicer. */
 class LosslessBlockSink : public util::ByteSink
@@ -55,8 +30,8 @@ ParallelAtcWriter::ParallelAtcWriter(core::ChunkStore &store,
                                      const ParallelOptions &popt)
     : store_(&store), options_(options),
       codec_(comp::makeCodec(options.pipeline.codec)),
-      lookahead_(resolveLookahead(popt)),
-      pool_(popt.threads, std::max<size_t>(lookahead_, 1))
+      lookahead_(2 * resolveThreads(popt.threads)),
+      pool_(popt.threads, lookahead_)
 {
     init();
 }
@@ -68,8 +43,8 @@ ParallelAtcWriter::ParallelAtcWriter(const std::string &dir,
           dir, core::containerSuffix(options.pipeline.codec))),
       store_(owned_store_.get()), options_(options),
       codec_(comp::makeCodec(options.pipeline.codec)),
-      lookahead_(resolveLookahead(popt)),
-      pool_(popt.threads, std::max<size_t>(lookahead_, 1))
+      lookahead_(2 * resolveThreads(popt.threads)),
+      pool_(popt.threads, lookahead_)
 {
     init();
 }
@@ -79,8 +54,6 @@ ParallelAtcWriter::init()
 {
     ATC_CHECK(codec_.spec.size() < 256,
               "codec spec too long for INFO preamble");
-    core::applyContainerVersion(options_.container_version,
-                                options_.pipeline);
     options_.lossy.chunk_params = options_.pipeline;
     if (options_.mode == core::Mode::Lossless) {
         chunk_sink_ = store_->createChunk(0);
@@ -104,11 +77,9 @@ ParallelAtcWriter::open(core::ChunkStore &store,
                         const core::AtcOptions &options,
                         const ParallelOptions &popt)
 {
-    try {
+    return util::toStatus([&] {
         return std::make_unique<ParallelAtcWriter>(store, options, popt);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    });
 }
 
 util::StatusOr<std::unique_ptr<ParallelAtcWriter>>
@@ -116,11 +87,9 @@ ParallelAtcWriter::open(const std::string &dir,
                         const core::AtcOptions &options,
                         const ParallelOptions &popt)
 {
-    try {
+    return util::toStatus([&] {
         return std::make_unique<ParallelAtcWriter>(dir, options, popt);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    });
 }
 
 ParallelAtcWriter::~ParallelAtcWriter()
@@ -216,12 +185,12 @@ ParallelAtcWriter::dispatchBlock()
     // comp::encodeFrame — the same serialization the serial
     // StreamCompressor uses — so containers stay byte-identical.
     std::shared_ptr<const comp::Codec> codec = codec_.codec;
-    comp::FrameFormat format = options_.pipeline.frame_format;
     pending_blocks_.push_back(
-        pool_.async([codec, format, raw = std::move(raw)]() {
+        pool_.async([codec, raw = std::move(raw)]() {
             comp::FrameIndexEntry entry;
-            std::vector<uint8_t> frame = comp::encodeFrame(
-                *codec, raw.data(), raw.size(), format, &entry);
+            std::vector<uint8_t> frame =
+                comp::encodeFrame(*codec, raw.data(), raw.size(),
+                                  comp::FrameFormat::Seekable, &entry);
             return EncodedFrame{std::move(frame), entry};
         }));
     drainBlocks(lookahead_);
@@ -234,8 +203,7 @@ ParallelAtcWriter::drainBlocks(size_t keep)
         EncodedFrame frame = pending_blocks_.front().get();
         pending_blocks_.pop_front();
         chunk_sink_->write(frame.first.data(), frame.first.size());
-        if (options_.pipeline.frame_format == comp::FrameFormat::Seekable)
-            frame_index_.push_back(frame.second);
+        frame_index_.push_back(frame.second);
     }
 }
 
@@ -289,18 +257,15 @@ ParallelAtcWriter::close()
         if (!block_buf_.empty())
             dispatchBlock();
         drainBlocks(0);
-        // Stream terminator, frame index (v3) and CRC trailer (v2+),
-        // exactly as the serial LosslessWriter emits them.
-        comp::writeStreamEnd(*chunk_sink_,
-                             options_.pipeline.frame_format,
+        // Stream terminator, frame index and CRC trailer, exactly as
+        // the serial LosslessWriter emits them.
+        comp::writeStreamEnd(*chunk_sink_, comp::FrameFormat::Seekable,
                              frame_index_);
-        if (options_.pipeline.crc_trailer)
-            util::writeLE<uint32_t>(*chunk_sink_, raw_crc_.value());
+        util::writeLE<uint32_t>(*chunk_sink_, raw_crc_.value());
         chunk_sink_->flush();
-        core::writeContainerInfo(*store_, codec_,
-                                 options_.container_version,
-                                 options_.mode, options_.pipeline,
-                                 count_, nullptr, 0, nullptr);
+        core::writeContainerInfo(*store_, codec_, options_.mode,
+                                 options_.pipeline, count_, nullptr, 0,
+                                 nullptr);
     } else {
         // The trailing partial interval (if any) goes through the same
         // pooled-signature path; draining in order first keeps the
@@ -310,10 +275,9 @@ ParallelAtcWriter::close()
         drainSignatures(0);
         lossy_->finish();
         drainChunks(0);
-        core::writeContainerInfo(*store_, codec_,
-                                 options_.container_version,
-                                 options_.mode, options_.pipeline,
-                                 count_, &options_.lossy,
+        core::writeContainerInfo(*store_, codec_, options_.mode,
+                                 options_.pipeline, count_,
+                                 &options_.lossy,
                                  lossy_->stats().chunks_created,
                                  &lossy_->records());
     }
@@ -323,12 +287,7 @@ ParallelAtcWriter::close()
 util::Status
 ParallelAtcWriter::tryClose()
 {
-    try {
-        close();
-        return util::Status();
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus([&] { close(); });
 }
 
 const core::LossyStats &
@@ -340,415 +299,31 @@ ParallelAtcWriter::lossyStats() const
 
 ParallelAtcReader::ParallelAtcReader(core::ChunkStore &store,
                                      const ParallelOptions &popt)
-    : index_(core::AtcIndex::openOrThrow(store, indexOptions(popt))),
-      store_(&store), lookahead_(resolveLookahead(popt)),
-      pool_(std::make_unique<ThreadPool>(
-          popt.threads, std::max<size_t>(lookahead_, 1)))
+    : core::AtcReader(store, popt.cache_bytes,
+                      resolveThreads(popt.threads))
 {
-    start();
 }
 
 ParallelAtcReader::ParallelAtcReader(const std::string &dir,
                                      const ParallelOptions &popt)
-    : index_(core::AtcIndex::openOrThrow(
-          std::make_unique<core::DirectoryStore>(
-              dir, core::detectContainerSuffix(dir)),
-          indexOptions(popt))),
-      store_(&index_->store()), lookahead_(resolveLookahead(popt)),
-      pool_(std::make_unique<ThreadPool>(
-          popt.threads, std::max<size_t>(lookahead_, 1)))
+    : core::AtcReader(dir, popt.cache_bytes, resolveThreads(popt.threads))
 {
-    start();
-}
-
-std::unique_ptr<core::AtcCursor>
-ParallelAtcReader::cursor() const
-{
-    core::CursorOptions copt;
-    copt.pool = pool_.get();
-    return index_->cursor(copt);
 }
 
 util::StatusOr<std::unique_ptr<ParallelAtcReader>>
 ParallelAtcReader::open(core::ChunkStore &store,
                         const ParallelOptions &popt)
 {
-    try {
-        return std::make_unique<ParallelAtcReader>(store, popt);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus(
+        [&] { return std::make_unique<ParallelAtcReader>(store, popt); });
 }
 
 util::StatusOr<std::unique_ptr<ParallelAtcReader>>
 ParallelAtcReader::open(const std::string &dir,
                         const ParallelOptions &popt)
 {
-    try {
-        return std::make_unique<ParallelAtcReader>(dir, popt);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
-}
-
-ParallelAtcReader::~ParallelAtcReader()
-{
-    // Unblock a prefetch worker stuck in push() before joining: either
-    // side closing the channel is enough to end the stream. The v3
-    // scanner joins before the pool so its pending async() submissions
-    // resolve while workers are still alive.
-    if (batches_)
-        batches_->close();
-    if (frames_)
-        frames_->close();
-    if (scanner_.joinable())
-        scanner_.join();
-    pool_.reset();
-}
-
-/**
- * ByteSource serving the decoded frames of a seekable stream in scan
- * order: pops one future at a time from the reader's bounded channel,
- * accumulating the CRC of the reassembled raw stream. Decode-worker
- * exceptions rethrow here (on the consuming thread) via future::get;
- * scanner-side errors rethrow through the reader's scan_error_ once
- * the channel drains.
- */
-class DecodedFrameSource : public util::ByteSource
-{
-  public:
-    explicit DecodedFrameSource(ParallelAtcReader &reader)
-        : reader_(reader)
-    {}
-
-    size_t
-    read(uint8_t *data, size_t n) override
-    {
-        size_t got = 0;
-        while (got < n) {
-            if (pos_ == current_.size()) {
-                if (done_)
-                    break;
-                std::future<std::vector<uint8_t>> next;
-                if (!reader_.frames_->pop(next)) {
-                    done_ = true;
-                    if (reader_.scan_error_)
-                        std::rethrow_exception(reader_.scan_error_);
-                    break;
-                }
-                current_ = next.get(); // rethrows decode-worker errors
-                crc_.update(current_.data(), current_.size());
-                pos_ = 0;
-                continue;
-            }
-            size_t avail = current_.size() - pos_;
-            size_t take = (n - got) < avail ? (n - got) : avail;
-            std::memcpy(data + got, current_.data() + pos_, take);
-            got += take;
-            pos_ += take;
-        }
-        return got;
-    }
-
-    /** @return CRC-32 of the reassembled raw stream so far. */
-    uint32_t crc() const { return crc_.value(); }
-
-  private:
-    ParallelAtcReader &reader_;
-    std::vector<uint8_t> current_;
-    size_t pos_ = 0;
-    util::Crc32 crc_;
-    bool done_ = false;
-};
-
-void
-ParallelAtcReader::startSeekableLossless()
-{
-    frames_ = std::make_unique<
-        Channel<std::future<std::vector<uint8_t>>>>(
-        std::max<size_t>(lookahead_, 1));
-    auto source = std::make_unique<DecodedFrameSource>(*this);
-    transform_dec_ = std::make_unique<core::TransformDecoder>(
-        info().pipeline.transform, *source);
-    frame_source_ = std::move(source);
-    // The index captured (and validated) the end-of-stream frame
-    // index and CRC trailer at open, so the scanner never has to read
-    // past the last frame.
-    const comp::StreamLayout *layout = index_->chunkLayout(0);
-    if (layout != nullptr && layout->has_crc)
-        stored_crc_ = layout->crc;
-    // A dedicated scanner thread (not a pool worker): it blocks on
-    // decode-task futures and channel pushes, so parking it in the
-    // pool could starve the decoders it feeds.
-    scanner_ = std::thread([this] { scanFrames(); });
-}
-
-void
-ParallelAtcReader::scanFrames()
-{
-    try {
-        // Thin driver over the shared index: walk the scanned layout,
-        // re-reading each header only as a cheap cross-check that the
-        // stream still matches the snapshot.
-        const comp::StreamLayout &layout = *index_->chunkLayout(0);
-        auto src = store_->openChunk(0);
-        core::BlockCache<uint8_t> &cache = index_->frameCache();
-        for (size_t f = 0; f < layout.frames.size(); ++f) {
-            // Consult (but never populate — a full scan would churn
-            // the cursors' working set) the shared decoded-frame
-            // cache: a hit skips the payload and ships a ready future.
-            if (core::BlockCache<uint8_t>::Ptr hit = cache.get(
-                    core::BlockCache<uint8_t>::frameKey(0, f))) {
-                src->skip(layout.comp_starts[f + 1] -
-                          layout.comp_starts[f]);
-                std::promise<std::vector<uint8_t>> ready;
-                ready.set_value(std::vector<uint8_t>(*hit));
-                if (!frames_->push(ready.get_future()))
-                    return; // consumer abandoned the stream
-                continue;
-            }
-            // Zero-copy on mapped chunks: the payload borrows the
-            // mapping, which the FramePayload's keepalive pins past
-            // this scanner's source (the futures outlive it, crossing
-            // the channel to the consumer thread). Memory-store
-            // payloads borrow the store, which the documented reader
-            // contract keeps alive and immutable.
-            comp::FramePayload payload =
-                comp::fetchIndexedFramePayload(*src, layout, f);
-
-            std::shared_ptr<const comp::Codec> c = index_->codec().codec;
-            size_t raw_size =
-                static_cast<size_t>(layout.frames[f].raw_size);
-            auto decoded =
-                pool_->async([c, raw_size,
-                              payload = std::move(payload)]() {
-                    std::vector<uint8_t> raw;
-                    comp::decodeSeekableFrame(*c, payload.data,
-                                              payload.size,
-                                              raw_size, raw);
-                    return raw;
-                });
-            if (!frames_->push(std::move(decoded)))
-                return; // consumer abandoned the stream
-        }
-    } catch (...) {
-        // Published before close(): the channel mutex orders it ahead
-        // of the consumer observing end-of-channel.
-        scan_error_ = std::current_exception();
-    }
-    frames_->close();
-}
-
-void
-ParallelAtcReader::start()
-{
-    if (info().mode == core::Mode::Lossless) {
-        if (info().pipeline.frame_format == comp::FrameFormat::Seekable) {
-            startSeekableLossless();
-            return;
-        }
-        batches_ = std::make_unique<Channel<std::vector<uint64_t>>>(
-            std::max<size_t>(lookahead_, 1));
-        producer_ = pool_->async([this] {
-            try {
-                auto src = store_->openChunk(0);
-                core::LosslessReader reader(info().pipeline, *src);
-                std::vector<uint64_t> buf(kReadBatch);
-                for (;;) {
-                    size_t got = reader.read(buf.data(), buf.size());
-                    if (got == 0)
-                        break;
-                    std::vector<uint64_t> batch(buf.begin(),
-                                                buf.begin() + got);
-                    if (!batches_->push(std::move(batch)))
-                        return; // consumer abandoned the stream
-                }
-            } catch (...) {
-                // Wake the consumer before surfacing the error via the
-                // producer future.
-                batches_->close();
-                throw;
-            }
-            batches_->close();
-        });
-        return;
-    }
-    cache_cap_ = std::max<size_t>(8, lookahead_ + 1);
-    scheduleAhead();
-}
-
-void
-ParallelAtcReader::scheduleAhead()
-{
-    size_t end = std::min(record_idx_ + lookahead_ + 1,
-                          info().records.size());
-    for (size_t i = record_idx_; i < end; ++i) {
-        uint32_t id = info().records[i].chunk_id;
-        auto it = decodes_.find(id);
-        if (it == decodes_.end()) {
-            // Consult the shared decoded-chunk cache first (a cursor
-            // may have warmed it); like the lossless scanner, the
-            // sequential pass never populates it.
-            if (core::BlockCache<uint64_t>::Ptr hit =
-                    index_->chunkCache().get(id)) {
-                // ChunkPtr and the cache's Ptr are the same type, so
-                // the immutable block is shared, never copied.
-                std::promise<ChunkPtr> ready;
-                ready.set_value(std::move(hit));
-                decodes_.emplace(id, ready.get_future().share());
-            } else {
-                decodes_.emplace(
-                    id, pool_->async([this, id]() -> ChunkPtr {
-                                return std::make_shared<
-                                    std::vector<uint64_t>>(
-                                    core::decodeChunkPayload(
-                                        info().pipeline, *store_, id));
-                            }).share());
-            }
-        }
-        // Keep everything in the window at the recent end of the LRU so
-        // eviction only ever hits chunks outside it.
-        lru_.remove(id);
-        lru_.push_front(id);
-    }
-    while (decodes_.size() > cache_cap_ && !lru_.empty()) {
-        uint32_t victim = lru_.back();
-        lru_.pop_back();
-        decodes_.erase(victim);
-    }
-}
-
-ParallelAtcReader::ChunkPtr
-ParallelAtcReader::loadChunk(uint32_t id)
-{
-    auto it = decodes_.find(id);
-    ATC_ASSERT(it != decodes_.end()); // scheduleAhead covers the window
-    return it->second.get();          // rethrows worker-side errors
-}
-
-bool
-ParallelAtcReader::nextInterval()
-{
-    if (record_idx_ >= info().records.size())
-        return false;
-    scheduleAhead();
-    const core::IntervalRecord &rec = info().records[record_idx_++];
-    ChunkPtr chunk = loadChunk(rec.chunk_id);
-    ATC_CHECK(chunk->size() == rec.length,
-              "interval record length mismatch");
-
-    interval_.resize(rec.length);
-    if (rec.kind == core::IntervalRecord::Kind::Chunk ||
-        rec.trans.plane_mask == 0) {
-        std::copy(chunk->begin(), chunk->end(), interval_.begin());
-    } else {
-        for (size_t i = 0; i < chunk->size(); ++i)
-            interval_[i] = rec.trans.apply((*chunk)[i]);
-    }
-    pos_ = 0;
-    return true;
-}
-
-size_t
-ParallelAtcReader::readSeekableLossless(uint64_t *out, size_t n)
-{
-    // The caller thread runs only the cheap inverse transform; frame
-    // decode happens in the pool, ordered by the scan sequence.
-    size_t got = transform_dec_->read(out, n);
-    if (got == 0 && n > 0 && !stream_verified_) {
-        uint8_t extra;
-        ATC_CHECK(frame_source_->read(&extra, 1) == 0,
-                  "trailing data after the transform terminator");
-        if (info().pipeline.crc_trailer) {
-            auto &fs = static_cast<DecodedFrameSource &>(*frame_source_);
-            ATC_CHECK(fs.crc() == stored_crc_,
-                      "chunk payload CRC mismatch (corrupt container)");
-        }
-        stream_verified_ = true;
-    }
-    return got;
-}
-
-size_t
-ParallelAtcReader::readLossless(uint64_t *out, size_t n)
-{
-    if (transform_dec_)
-        return readSeekableLossless(out, n);
-    size_t got = 0;
-    while (got < n) {
-        if (batch_pos_ == batch_.size()) {
-            if (drained_)
-                break;
-            if (!batches_->pop(batch_)) {
-                drained_ = true;
-                batch_.clear();
-                batch_pos_ = 0;
-                if (producer_.valid())
-                    producer_.get(); // surface decode errors
-                break;
-            }
-            batch_pos_ = 0;
-            continue;
-        }
-        size_t avail = batch_.size() - batch_pos_;
-        size_t take = (n - got) < avail ? (n - got) : avail;
-        std::copy(batch_.begin() +
-                      static_cast<std::ptrdiff_t>(batch_pos_),
-                  batch_.begin() +
-                      static_cast<std::ptrdiff_t>(batch_pos_ + take),
-                  out + got);
-        got += take;
-        batch_pos_ += take;
-    }
-    return got;
-}
-
-size_t
-ParallelAtcReader::readLossy(uint64_t *out, size_t n)
-{
-    size_t got = 0;
-    while (got < n) {
-        if (pos_ == interval_.size()) {
-            if (!nextInterval())
-                break;
-            continue; // an empty interval record is possible
-        }
-        size_t avail = interval_.size() - pos_;
-        size_t take = (n - got) < avail ? (n - got) : avail;
-        std::copy(interval_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  interval_.begin() +
-                      static_cast<std::ptrdiff_t>(pos_ + take),
-                  out + got);
-        got += take;
-        pos_ += take;
-    }
-    return got;
-}
-
-size_t
-ParallelAtcReader::read(uint64_t *out, size_t n)
-{
-    size_t got = info().mode == core::Mode::Lossless
-                     ? readLossless(out, n)
-                     : readLossy(out, n);
-    delivered_ += got;
-    if (got == 0 && n > 0)
-        ATC_CHECK(delivered_ == info().count,
-                  "container truncated: INFO records " +
-                      std::to_string(info().count) +
-                      " values but only " + std::to_string(delivered_) +
-                      " could be decoded");
-    return got;
-}
-
-util::StatusOr<size_t>
-ParallelAtcReader::tryRead(uint64_t *out, size_t n)
-{
-    try {
-        return read(out, n);
-    } catch (const util::Error &e) {
-        return util::Status::error(e.what());
-    }
+    return util::toStatus(
+        [&] { return std::make_unique<ParallelAtcReader>(dir, popt); });
 }
 
 } // namespace atc::parallel

@@ -640,7 +640,10 @@ TraceServer::handleJob(const Job &job)
             executeClose(session, req, frame);
             break;
         }
-    } catch (const util::Error &e) {
+    } catch (const std::exception &e) {
+        // Any failure — a util::Error or a std::exception from a
+        // hostile container — answers this request with `internal`;
+        // the worker, and every other session, keeps serving.
         encodeErrorResponse(frame, req.op, Wire::kInternal,
                             req.request_id, e.what());
         counters_.request_errors.fetch_add(1,

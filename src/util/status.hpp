@@ -16,6 +16,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace atc::util {
@@ -126,6 +127,32 @@ class StatusOr
     Status status_;
     std::optional<T> value_;
 };
+
+/**
+ * Run @p fn and report what it throws as an error Status: the one
+ * boundary between the throwing internals and the Status API. Any
+ * std::exception is converted (util::Error, and also std::bad_alloc or
+ * std::length_error from a length the input lied about), so no failure
+ * escapes an open()/try*() entry point. A void @p fn yields a Status,
+ * any other a StatusOr of its result.
+ */
+template <typename F>
+auto
+toStatus(F &&fn)
+{
+    using R = std::invoke_result_t<F>;
+    using Out = std::conditional_t<std::is_void_v<R>, Status, StatusOr<R>>;
+    try {
+        if constexpr (std::is_void_v<R>) {
+            fn();
+            return Status();
+        } else {
+            return Out(fn());
+        }
+    } catch (const std::exception &e) {
+        return Out(Status::error(e.what()));
+    }
+}
 
 [[noreturn]] void assertFail(const char *expr, const char *file, int line);
 

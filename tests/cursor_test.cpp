@@ -3,8 +3,8 @@
  * Random-access API tests: AtcIndex open/validation, AtcCursor seek
  * edges (record 0, last record, exact buffer/frame and interval
  * boundaries, seek past end), seek+read parity against a sequential
- * reference at every tested offset, v1/v2 decode-and-skip fallback
- * parity, readRange record-exactness in both modes, a decode-counting
+ * reference at every tested offset, readRange record-exactness in both
+ * modes, a decode-counting
  * codec proving that a v3 readRange decodes only the frames covering
  * the slice (and that opening an index decodes nothing), corrupt-index
  * rejection at open, and N threads sharing one AtcIndex through
@@ -85,15 +85,10 @@ reference(core::MemoryStore &store)
 
 // ------------------------------------------------------------- lossless
 
-class LosslessSeek : public testing::TestWithParam<uint8_t>
-{
-};
-
-TEST_P(LosslessSeek, SeekReadParityAtEveryTestedOffset)
+TEST(LosslessSeek, SeekReadParityAtEveryTestedOffset)
 {
     auto trace = makeTrace(10'000, 21);
     auto opt = makeOptions(core::Mode::Lossless);
-    opt.container_version = GetParam();
     auto store = writeContainer(trace, opt);
     auto ref = reference(store);
     ASSERT_EQ(ref, trace);
@@ -102,7 +97,6 @@ TEST_P(LosslessSeek, SeekReadParityAtEveryTestedOffset)
     ASSERT_TRUE(index.ok()) << index.status().message();
     auto cursor = index.value()->cursor();
     EXPECT_EQ(cursor->size(), trace.size());
-    EXPECT_EQ(index.value()->nativeSeek(), GetParam() >= 3);
 
     // Edges: first, last, end, exact transform-buffer boundaries
     // (buffer_addrs = 777) and a spread of interior offsets — forward
@@ -140,11 +134,10 @@ TEST_P(LosslessSeek, SeekReadParityAtEveryTestedOffset)
     EXPECT_EQ(trace::collect(*cursor), ref);
 }
 
-TEST_P(LosslessSeek, ReadRangeMatchesSequentialSlices)
+TEST(LosslessSeek, ReadRangeMatchesSequentialSlices)
 {
     auto trace = makeTrace(8'000, 22);
     auto opt = makeOptions(core::Mode::Lossless);
-    opt.container_version = GetParam();
     auto store = writeContainer(trace, opt);
 
     auto index = core::AtcIndex::open(store);
@@ -179,10 +172,6 @@ TEST_P(LosslessSeek, ReadRangeMatchesSequentialSlices)
     ASSERT_EQ(cursor->read(&v, 1), 1u);
     EXPECT_EQ(v, trace[5000]);
 }
-
-INSTANTIATE_TEST_SUITE_P(Versions, LosslessSeek,
-                         testing::Values(uint8_t(1), uint8_t(2),
-                                         uint8_t(3)));
 
 // --------------------------------------------------------------- lossy
 
@@ -365,7 +354,7 @@ TEST(RangedDecode, OnePercentSliceDecodesOnlyCoveringFrames)
     // uses — and returns bytes identical to the sequential decode.
     uint64_t begin = 50'000, end = 51'000;
     const auto &idx = *index.value();
-    const comp::StreamLayout &layout = *idx.chunkLayout(0);
+    const comp::StreamLayout &layout = idx.chunkLayout(0);
     uint64_t b0 = idx.bufferOf(begin), b1 = idx.bufferOf(end - 1);
     uint64_t raw0 = idx.bufferRawOffset(b0);
     uint64_t raw1 = idx.bufferRawOffset(b1 + 1);

@@ -2,8 +2,7 @@
  * @file
  * Tests for the zero-copy source layer: MappedFile, MmapSource, the
  * openFileSource fallback policy, and byte parity of mmap-backed
- * container reads against the buffered stdio path across container
- * versions and modes.
+ * container reads against the buffered stdio path in both modes.
  */
 
 #include <gtest/gtest.h>
@@ -216,36 +215,30 @@ TEST(MappedFile, SparseFileBeyondTwoGiB)
 }
 #endif
 
-TEST(MmapParity, ContainersDecodeIdenticallyAcrossVersionsAndModes)
+TEST(MmapParity, ContainersDecodeIdenticallyInBothModes)
 {
     auto trace = syntheticTrace(30000);
-    for (int version = int(core::kMinContainerVersion);
-         version <= int(core::kContainerVersion); ++version) {
-        for (bool lossy : {false, true}) {
-            std::string dir = testing::TempDir() + "/atc_mmap_parity_v" +
-                              std::to_string(version) +
-                              (lossy ? "_lossy" : "_lossless");
-            fs::remove_all(dir);
-            core::AtcOptions opt;
-            opt.container_version = static_cast<uint8_t>(version);
-            opt.mode = lossy ? core::Mode::Lossy : core::Mode::Lossless;
-            opt.lossy.interval_len = 5000;
-            opt.pipeline.buffer_addrs = 4096;
-            {
-                core::AtcWriter writer(dir, opt);
-                writer.write(trace.data(), trace.size());
-                writer.close();
-            }
-
-            auto mmap_out = readAll(dir, util::IoMode::kMmap);
-            auto stdio_out = readAll(dir, util::IoMode::kStdio);
-            EXPECT_EQ(mmap_out, stdio_out)
-                << "v" << version << (lossy ? " lossy" : " lossless");
-            EXPECT_EQ(mmap_out.size(), trace.size());
-            if (!lossy)
-                EXPECT_EQ(mmap_out, trace);
-            fs::remove_all(dir);
+    for (bool lossy : {false, true}) {
+        std::string dir = testing::TempDir() + "/atc_mmap_parity" +
+                          (lossy ? "_lossy" : "_lossless");
+        fs::remove_all(dir);
+        core::AtcOptions opt;
+        opt.mode = lossy ? core::Mode::Lossy : core::Mode::Lossless;
+        opt.lossy.interval_len = 5000;
+        opt.pipeline.buffer_addrs = 4096;
+        {
+            core::AtcWriter writer(dir, opt);
+            writer.write(trace.data(), trace.size());
+            writer.close();
         }
+
+        auto mmap_out = readAll(dir, util::IoMode::kMmap);
+        auto stdio_out = readAll(dir, util::IoMode::kStdio);
+        EXPECT_EQ(mmap_out, stdio_out) << (lossy ? "lossy" : "lossless");
+        EXPECT_EQ(mmap_out.size(), trace.size());
+        if (!lossy)
+            EXPECT_EQ(mmap_out, trace);
+        fs::remove_all(dir);
     }
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file
  * Parallel subsystem tests: channel/pool primitives, parallel-vs-serial
- * byte identity of containers (v2 and v3 framing), round trips across
- * thread counts and container versions, mid-stream cancellation
- * without deadlock, v3 seekable-framing corruption probes (mismatched
- * compressed lengths, truncated/corrupt frame index), a structural
- * proof that v3 lossless decode overlaps frame decodes, and the
- * integrity satellites (CRC trailer verification, empty/truncated
+ * byte identity of containers, pooled-reader round trips across thread
+ * counts (the shared block cache off, so only the readahead window
+ * feeds the pool), the pooled full scan's cache policy, mid-stream
+ * cancellation without deadlock, cursors outliving their reader,
+ * rejection of pre-v3 containers, seekable-framing corruption probes
+ * (mismatched compressed lengths, truncated/corrupt frame index), a
+ * structural proof that lossless decode overlaps frame decodes, and
+ * the integrity satellites (CRC trailer verification, empty/truncated
  * chunk files).
  */
 
@@ -284,7 +286,6 @@ TEST(ParallelAtc, AbandonedWriterDoesNotDeadlock)
         core::MemoryStore store;
         parallel::ParallelOptions popt;
         popt.threads = 4;
-        popt.lookahead = 2;
         auto opt = makeOptions(core::Mode::Lossy, addrs.size());
         parallel::ParallelAtcWriter writer(store, opt, popt);
         writer.write(addrs.data(), addrs.size() / 2);
@@ -293,7 +294,7 @@ TEST(ParallelAtc, AbandonedWriterDoesNotDeadlock)
     SUCCEED();
 }
 
-TEST(ParallelAtc, AbandonedReaderDoesNotDeadlock)
+TEST_P(ThreadSweep, AbandonedReaderDoesNotDeadlock)
 {
     auto addrs = makeTrace(60'000, 42);
     auto lossless = writeSerial(
@@ -302,17 +303,87 @@ TEST(ParallelAtc, AbandonedReaderDoesNotDeadlock)
         addrs, makeOptions(core::Mode::Lossy, addrs.size()));
     for (int round = 0; round < 3; ++round) {
         for (core::MemoryStore *store : {&lossless, &lossy}) {
-            parallel::ParallelOptions popt;
-            popt.threads = 4;
-            popt.lookahead = 1; // keep the prefetch worker blocked
-            parallel::ParallelAtcReader reader(*store, popt);
+            core::AtcReader reader(*store, 0, GetParam());
             uint64_t buf[256];
             ASSERT_GT(reader.read(buf, 256), 0u);
-            // Abandon mid-stream: destruction must unblock the
-            // prefetch worker and join without deadlock.
+            // A pooled cursor with its own window in flight, too.
+            auto cursor = reader.cursor();
+            ASSERT_TRUE(cursor->seek(addrs.size() / 3).ok());
+            ASSERT_GT(cursor->read(buf, 256), 0u);
+            // Abandon both mid-stream: the windows still hold pending
+            // decodes, and destruction must not wait on them forever.
         }
     }
     SUCCEED();
+}
+
+TEST_P(ThreadSweep, PooledReaderRoundTripsWithCacheOff)
+{
+    // cache_bytes = 0: the readahead window alone keeps the pool fed.
+    auto addrs = makeTrace(80'000, 33);
+    for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
+        auto store = writeSerial(addrs, makeOptions(mode, addrs.size()));
+        core::AtcReader serial(store);
+        std::vector<uint64_t> expect = trace::collect(serial);
+        if (mode == core::Mode::Lossless)
+            EXPECT_EQ(expect, addrs);
+        core::AtcReader pooled(store, 0, GetParam());
+        EXPECT_EQ(trace::collect(pooled), expect) << int(mode);
+    }
+}
+
+TEST_P(ThreadSweep, FullPooledScanDoesNotFillTheFrameCache)
+{
+    auto addrs = makeTrace(60'000, 34);
+    auto store = writeSerial(
+        addrs, makeOptions(core::Mode::Lossless, addrs.size()));
+    core::AtcReader reader(store, core::kDefaultDecodedCacheBytes,
+                           GetParam());
+    // Warm a seek working set, then scan the whole trace.
+    std::vector<uint64_t> slice;
+    ASSERT_TRUE(reader.cursor()->readRange(20'000, 30'000, slice).ok());
+    core::BlockCacheStats before = reader.index()->frameCache().stats();
+    ASSERT_GT(before.entries, 0u);
+    EXPECT_EQ(trace::collect(reader), addrs);
+    core::BlockCacheStats after = reader.index()->frameCache().stats();
+    EXPECT_LE(after.entries, before.entries);
+    EXPECT_LE(after.bytes, before.bytes);
+    EXPECT_EQ(after.insertions, before.insertions);
+    EXPECT_GT(after.hits, before.hits); // ...but it did read the cache
+}
+
+TEST_P(ThreadSweep, CursorsOutliveTheirReader)
+{
+    // Cursors minted by a pooled reader share its pool, so they stay
+    // usable — mid-window, too — after the reader is gone.
+    auto addrs = makeTrace(60'000, 35);
+    for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
+        auto store = writeSerial(addrs, makeOptions(mode, addrs.size()));
+        core::AtcReader serial(store);
+        std::vector<uint64_t> expect = trace::collect(serial);
+
+        auto reader = std::make_unique<core::AtcReader>(
+            store, core::kDefaultDecodedCacheBytes, GetParam());
+        auto cursor = reader->cursor();
+        uint64_t buf[512];
+        ASSERT_EQ(cursor->read(buf, 512), 512u);
+        reader.reset();
+
+        std::vector<uint64_t> rest(expect.size() - 512);
+        size_t got = 0;
+        while (got < rest.size()) {
+            size_t n = cursor->read(rest.data() + got, rest.size() - got);
+            ASSERT_GT(n, 0u);
+            got += n;
+        }
+        EXPECT_TRUE(std::equal(rest.begin(), rest.end(),
+                               expect.begin() + 512))
+            << int(mode);
+        std::vector<uint64_t> slice;
+        ASSERT_TRUE(cursor->readRange(1000, 41'000, slice).ok());
+        EXPECT_TRUE(std::equal(slice.begin(), slice.end(),
+                               expect.begin() + 1000));
+    }
 }
 
 // ------------------------------------------------- integrity satellites
@@ -485,69 +556,35 @@ TEST(Integrity, TruncatedContainerReportsCount)
 
 // ------------------------------------------------- container versions
 
-TEST(ContainerVersions, AllVersionsRoundTripBothModesBothReaders)
+TEST(ContainerVersions, UnsupportedVersionsRejected)
 {
-    auto addrs = makeTrace(30'000, 71);
-    for (uint8_t version : {uint8_t(1), uint8_t(2), uint8_t(3)}) {
-        for (core::Mode mode :
-             {core::Mode::Lossless, core::Mode::Lossy}) {
-            auto opt = makeOptions(mode, addrs.size());
-            opt.container_version = version;
-            auto store = writeSerial(addrs, opt);
-
-            core::AtcReader serial(store);
-            EXPECT_EQ(serial.containerVersion(), version);
-            std::vector<uint64_t> expect = trace::collect(serial);
-            if (mode == core::Mode::Lossless)
-                EXPECT_EQ(expect, addrs);
-            else
-                EXPECT_EQ(expect.size(), addrs.size());
-
-            parallel::ParallelOptions popt;
-            popt.threads = 4;
-            parallel::ParallelAtcReader par(store, popt);
-            EXPECT_EQ(par.containerVersion(), version);
-            EXPECT_EQ(trace::collect(par), expect)
-                << "version " << int(version) << " mode " << int(mode);
+    // The version byte follows the 4-byte magic. v1/v2 chunk streams
+    // are no longer readable, so their INFO must fail open loudly.
+    auto addrs = makeTrace(5'000, 71);
+    auto store = writeSerial(
+        addrs, makeOptions(core::Mode::Lossless, addrs.size()));
+    ASSERT_EQ(store.infoBytes().at(4), core::kContainerVersion);
+    for (uint8_t version : {uint8_t(1), uint8_t(2), uint8_t(4)}) {
+        core::MemoryStore old;
+        {
+            auto info = store.infoBytes();
+            info[4] = version;
+            auto sink = old.createInfo();
+            sink->write(info.data(), info.size());
+            auto chunk = old.createChunk(0);
+            chunk->write(store.chunkBytes(0).data(),
+                         store.chunkBytes(0).size());
         }
+        auto reader = core::AtcReader::open(old);
+        ASSERT_FALSE(reader.ok()) << int(version);
+        EXPECT_NE(reader.status().message().find(
+                      "unsupported ATC container version"),
+                  std::string::npos)
+            << reader.status().message();
     }
 }
 
-TEST_P(ThreadSweep, DowngradeContainersByteIdentical)
-{
-    // Downgrade-compatible output: the parallel writer must reproduce
-    // the v1 (no CRC trailer) and v2 (legacy framing + trailer)
-    // layouts byte-for-byte too; v3 is covered by the default-version
-    // identity test above.
-    auto addrs = makeTrace(50'000, 72);
-    for (uint8_t version : {uint8_t(1), uint8_t(2)}) {
-        auto opt = makeOptions(core::Mode::Lossless, addrs.size());
-        opt.container_version = version;
-        auto serial = writeSerial(addrs, opt);
-        auto par = writeParallel(addrs, opt, GetParam());
-        SCOPED_TRACE("container v" + std::to_string(version));
-        expectStoresIdentical(serial, par);
-    }
-}
-
-TEST(ContainerVersions, V3FramingIsSelfDescribing)
-{
-    // v2 and v3 containers of one trace differ only in framing, and
-    // both readers pick the layout from INFO without caller hints.
-    auto addrs = makeTrace(30'000, 73);
-    auto v2_opt = makeOptions(core::Mode::Lossless, addrs.size());
-    v2_opt.container_version = 2;
-    auto v3_opt = makeOptions(core::Mode::Lossless, addrs.size());
-    v3_opt.container_version = 3;
-    auto v2 = writeSerial(addrs, v2_opt);
-    auto v3 = writeSerial(addrs, v3_opt);
-    EXPECT_NE(v2.chunkBytes(0), v3.chunkBytes(0));
-    core::AtcReader r2(v2), r3(v3);
-    EXPECT_EQ(trace::collect(r2), addrs);
-    EXPECT_EQ(trace::collect(r3), addrs);
-}
-
-// ------------------------------------------- v3 corruption detection
+// ---------------------------------------- seekable corruption detection
 
 /** Drain @p store through the serial reader; return the failure. */
 util::Status
@@ -598,7 +635,7 @@ varintAt(const std::vector<uint8_t> &bytes, size_t &pos)
 TEST(SeekableIntegrity, MismatchedCompressedLengthRejected)
 {
     // Bump the first frame's declared compressed length by one: the
-    // codec consumes fewer bytes than declared, which a v3 reader must
+    // codec consumes fewer bytes than declared, which a reader must
     // reject as corruption instead of silently resyncing.
     auto addrs = makeTrace(20'000, 81);
     auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
@@ -663,11 +700,11 @@ TEST(SeekableIntegrity, CorruptFrameIndexEntryRejected)
         << failure.message();
 }
 
-TEST(SeekableIntegrity, ParallelReaderReportsCrcMismatch)
+TEST_P(ThreadSweep, PooledReadReportsCrcMismatch)
 {
     // Payload corruption under "store" (no per-block checksum) must be
     // caught by the CRC trailer verified across the *reassembled*
-    // stream in the block-parallel reader.
+    // stream of a pooled sequential read.
     auto addrs = makeTrace(30'000, 84);
     auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
@@ -675,9 +712,8 @@ TEST(SeekableIntegrity, ParallelReaderReportsCrcMismatch)
     chunk[chunk.size() / 2] ^= 0x01;
     auto bad = withChunk0(store, chunk);
 
-    parallel::ParallelOptions popt;
-    popt.threads = 4;
-    parallel::ParallelAtcReader reader(bad, popt);
+    core::AtcReader reader(bad, core::kDefaultDecodedCacheBytes,
+                           GetParam());
     std::vector<uint64_t> buf(4096);
     util::Status failure;
     for (;;) {
@@ -744,8 +780,8 @@ TEST(SeekableDecode, FramesDecodeConcurrently)
     popt.threads = 4;
     parallel::ParallelAtcReader reader(store, popt);
     EXPECT_EQ(trace::collect(reader), addrs);
-    // The structural claim of container v3: several compressed frames
-    // in flight at once (v1/v2 framing forces exactly one).
+    // The structural claim of seekable framing: several compressed
+    // frames in flight at once.
     EXPECT_GE(SleepyStoreCodec::max_in_flight.load(), 2)
         << "block-parallel decode did not overlap frame decodes";
 }

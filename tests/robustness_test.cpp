@@ -152,6 +152,73 @@ TEST(Robustness, MissingChunkFileThrows)
     EXPECT_THROW(drain(bad), util::Error);
 }
 
+/**
+ * A "store"-codec lossless container whose first transform-buffer
+ * length varint is overwritten in place with 2^61 + 1 (nine bytes):
+ * the frame sizes still agree with the index, but 8 * n wraps and a
+ * buffer of n records cannot be allocated.
+ */
+core::MemoryStore
+craftedBufferLength()
+{
+    core::MemoryStore base;
+    core::AtcOptions opt;
+    opt.mode = core::Mode::Lossless;
+    opt.pipeline.codec = "store";
+    opt.pipeline.buffer_addrs = 1000;
+    {
+        core::AtcWriter w(base, opt);
+        for (uint64_t i = 0; i < 5000; ++i)
+            w.code(0x10000000 + 64 * i);
+        w.close();
+    }
+    std::vector<uint8_t> chunk = base.chunkBytes(0);
+    util::MemorySource header(chunk.data(), chunk.size());
+    util::readVarint(header); // raw size + 1
+    util::readVarint(header); // compressed size
+    size_t at = chunk.size() - header.remaining();
+    std::vector<uint8_t> varint;
+    util::VectorSink sink(varint);
+    util::writeVarint(sink, (uint64_t(1) << 61) + 1);
+    EXPECT_EQ(varint.size(), 9u);
+    std::copy(varint.begin(), varint.end(), chunk.begin() + at);
+
+    core::MemoryStore out;
+    auto info = out.createInfo();
+    info->write(base.infoBytes().data(), base.infoBytes().size());
+    auto csink = out.createChunk(0);
+    csink->write(chunk.data(), chunk.size());
+    return out;
+}
+
+TEST(Robustness, CraftedBufferLengthIsAnErrorNotAnAbort)
+{
+    auto bad = craftedBufferLength();
+    for (size_t threads : {size_t(0), size_t(2)}) {
+        auto reader = core::AtcReader::open(bad, 0, threads);
+        util::Status failure;
+        if (!reader.ok()) {
+            failure = reader.status();
+        } else {
+            uint64_t buf[64];
+            auto r = reader.value()->tryRead(buf, 64);
+            ASSERT_FALSE(r.ok()) << threads;
+            failure = r.status();
+
+            std::vector<uint64_t> out;
+            util::Status range =
+                reader.value()->cursor()->readRange(0, 10, out);
+            ASSERT_FALSE(range.ok());
+            EXPECT_NE(range.message().find("buffer length"),
+                      std::string::npos)
+                << range.message();
+        }
+        EXPECT_NE(failure.message().find("buffer length"),
+                  std::string::npos)
+            << failure.message();
+    }
+}
+
 TEST(DeltaTransform, RoundTripStreaming)
 {
     util::Rng rng(3);

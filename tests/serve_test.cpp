@@ -399,6 +399,63 @@ TEST(Serve, ErrorStatusGrid)
     server.stop();
 }
 
+/**
+ * A "store"-codec container whose first transform-buffer length varint
+ * is overwritten in place with 2^61 + 1: the index opens (every frame
+ * size still agrees), but decoding the buffer once killed the daemon.
+ */
+core::MemoryStore
+craftedBufferLength(const std::vector<uint64_t> &trace)
+{
+    core::AtcOptions opt = makeOptions(core::Mode::Lossless, "store");
+    core::MemoryStore base = writeContainer(trace, opt);
+    std::vector<uint8_t> chunk = base.chunkBytes(0);
+    util::MemorySource header(chunk.data(), chunk.size());
+    util::readVarint(header); // raw size + 1
+    util::readVarint(header); // compressed size
+    size_t at = chunk.size() - header.remaining();
+    std::vector<uint8_t> varint;
+    util::VectorSink sink(varint);
+    util::writeVarint(sink, (uint64_t(1) << 61) + 1);
+    std::copy(varint.begin(), varint.end(), chunk.begin() + at);
+
+    core::MemoryStore out;
+    auto info = out.createInfo();
+    info->write(base.infoBytes().data(), base.infoBytes().size());
+    auto csink = out.createChunk(0);
+    csink->write(chunk.data(), chunk.size());
+    return out;
+}
+
+TEST(Serve, CraftedContainerFailsOneRequestNotTheDaemon)
+{
+    auto trace = makeTrace(5'000, 25);
+    auto good = writeContainer(trace, makeOptions(core::Mode::Lossless));
+    auto bad = craftedBufferLength(trace);
+
+    TraceServer server;
+    ASSERT_TRUE(server.addContainer("bad", bad).ok());
+    startServer(server, good);
+
+    ServeClient hostile = connectOrDie(server);
+    auto remote = hostile.open("bad");
+    ASSERT_TRUE(remote.ok()) << remote.status().message();
+    std::vector<uint64_t> out;
+    util::Status st = hostile.readRange(remote.value().handle, 0, 100, out);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("internal"), std::string::npos)
+        << st.message();
+
+    // A second client is served as if nothing happened.
+    ServeClient other = connectOrDie(server);
+    auto healthy = other.open("t");
+    ASSERT_TRUE(healthy.ok()) << healthy.status().message();
+    ASSERT_TRUE(other.readRange(healthy.value().handle, 0, 100, out).ok());
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), trace.begin()));
+    EXPECT_TRUE(hostile.ping().ok());
+    server.stop();
+}
+
 /** Build a raw frame: length prefix + header + body. */
 std::vector<uint8_t>
 rawFrame(uint8_t version, uint8_t opcode, uint16_t flags, uint32_t id,
