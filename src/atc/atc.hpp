@@ -135,8 +135,8 @@ class AtcWriter : public trace::TraceSink
  * AtcIndex and reads through one AtcCursor positioned at record 0, so
  * sequential decode and random access share one code path. With
  * threads > 0 the reader owns a pool of that many workers, and its
- * cursor — and every cursor minted by cursor() — decodes through a
- * readahead window on it (see index.hpp). index() exposes the snapshot
+ * cursor — and every cursor minted by cursor() — decodes full passes
+ * and ranges through a readahead window on it (see index.hpp). index() exposes the snapshot
  * for sharing.
  */
 class AtcReader : public trace::TraceSource

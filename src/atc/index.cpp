@@ -42,14 +42,25 @@ struct Pending
     uint64_t key = 0;
     typename BlockCache<T>::Ptr ready;
     std::future<std::vector<T>> decoded;
+    /** The decode's error, kept: a future yields it only once, and a
+     *  retried read must see the same failure, not resume past it. */
+    std::exception_ptr failed;
 
     /** Wait for the block (rethrowing its decode error); a fresh
      *  decode is added to @p cache only when @p populate. */
     const typename BlockCache<T>::Ptr &
     get(BlockCache<T> &cache, bool populate)
     {
+        if (failed)
+            std::rethrow_exception(failed);
         if (!ready) {
-            std::vector<T> block = decoded.get();
+            std::vector<T> block;
+            try {
+                block = decoded.get();
+            } catch (...) {
+                failed = std::current_exception();
+                throw;
+            }
             ready = populate ? cache.put(key, std::move(block))
                              : std::make_shared<const std::vector<T>>(
                                    std::move(block));
@@ -302,8 +313,9 @@ AtcIndex::bufferRawOffset(uint64_t b) const
  * The lossless read engine: serves the decoded bytes of frames
  * [first, end) of the chunk stream, in order. Each frame resolves
  * through the shared cache: a hit skips the payload; a miss has its
- * payload read (zero-copy on mapped chunks) and decoded on the pool,
- * or on the caller's thread when there is none. A pass from frame 0
+ * payload read (zero-copy on mapped chunks) and decoded on @p pool,
+ * ahead of the reader, or — when @p pool is null — on the caller's
+ * thread as the reader reaches it. A pass from frame 0
  * (@p full) accumulates the CRC-32 of everything it serves for
  * verifyEnd() and never adds to the cache; any other pass does.
  */
@@ -372,23 +384,15 @@ class AtcCursor::FrameSource : public util::ByteSource
   private:
     /** @return true when the current block has bytes left, moving to
      *  the next frame as needed; false at the end of the range. A
-     *  failed frame fails every later call too, so a retry can never
-     *  resume past the frame it lost. */
+     *  failed frame stays at the front, failing every later call. */
     bool
     available()
     {
-        if (failed_)
-            std::rethrow_exception(failed_);
         while (!block_) {
             topUp();
             if (window_.empty())
                 return false;
-            try {
-                block_ = window_.front().get(index_->frameCache(), !full_);
-            } catch (...) {
-                failed_ = std::current_exception();
-                throw;
-            }
+            block_ = window_.front().get(index_->frameCache(), !full_);
             pos_ = 0;
             if (full_)
                 crc_.update(block_->data(), block_->size());
@@ -483,16 +487,15 @@ class AtcCursor::FrameSource : public util::ByteSource
     size_t pos_ = 0;
     util::Crc32 crc_;
     bool verified_ = false;
-    std::exception_ptr failed_;
 };
 
 /**
- * The lossy readahead window: the distinct chunks of interval record i,
+ * The lossy chunk supply: the distinct chunks of interval record i,
  * being regenerated, and of the windowDepth(pool) records behind it,
- * decoding on the pool ahead of the interval that needs them. A chunk
- * leaves the window once no record in that span refers to it; the
- * shared cache is read first and, when @p populate, filled as chunks
- * are used.
+ * decoding on the pool ahead of the interval that needs them (without
+ * a pool, just record i's, decoded on demand). A chunk leaves the
+ * window once no record in that span refers to it; the shared cache is
+ * read first and, when @p populate, filled as chunks are used.
  */
 class AtcCursor::ChunkWindow
 {
@@ -614,8 +617,11 @@ AtcCursor::startLossless(uint64_t rec)
               "container truncated: record " + std::to_string(rec) +
                   " lies past the indexed frames");
     size_t f = layout.frameContaining(raw_off);
+    // Only a full pass is known to read on: a seek may read a handful
+    // of records, so it decodes on demand and queues nothing ahead.
     frames_ = std::make_unique<FrameSource>(
-        index_, pool_, f, layout.frames.size(), rec == 0);
+        index_, rec == 0 ? pool_ : nullptr, f, layout.frames.size(),
+        rec == 0);
     // Discard the tail of the frame that precedes the buffer start,
     // then the records that precede the target inside its buffer.
     frames_->skip(raw_off - layout.raw_starts[f]);
@@ -629,21 +635,17 @@ AtcCursor::startLossless(uint64_t rec)
 
 std::unique_ptr<LossyDecoder>
 AtcCursor::lossyDecoder(std::unique_ptr<ChunkWindow> &window,
-                        size_t end_record, bool populate) const
+                        parallel::ThreadPool *pool, size_t end_record,
+                        bool populate) const
 {
     // All cursors over one index decode chunks through the shared
-    // cache, so a working set warmed by any of them serves all; a
-    // pooled cursor reaches it through its readahead window.
-    LossyDecoder::ChunkFetch fetch;
-    window.reset();
-    if (pool_ != nullptr) {
-        window = std::make_unique<ChunkWindow>(index_, pool_, end_record,
-                                               populate);
-        fetch = [w = window.get()](size_t i) { return w->fetch(i); };
-    }
+    // cache, so a working set warmed by any of them serves all.
+    window = std::make_unique<ChunkWindow>(index_, pool, end_record,
+                                           populate);
     return std::make_unique<LossyDecoder>(
         lossyParams(index_->info()), index_->store(),
-        &index_->info().records, &index_->chunkCache(), std::move(fetch));
+        &index_->info().records, &index_->chunkCache(),
+        [w = window.get()](size_t i) { return w->fetch(i); });
 }
 
 void
@@ -656,8 +658,11 @@ AtcCursor::startLossy(uint64_t rec)
     size_t records = index_->info().records.size();
     size_t i = rec == index_->size() ? records
                                      : recordContaining(starts, rec);
+    // As in startLossless, only a full pass decodes ahead; it is also
+    // the one pass that leaves the cache alone (see the file comment).
+    parallel::ThreadPool *pool = i == 0 ? pool_ : nullptr;
     lossy_.reset(); // it reads through the window about to be replaced
-    lossy_ = lossyDecoder(chunks_, records, i != 0);
+    lossy_ = lossyDecoder(chunks_, pool, records, pool == nullptr);
     lossy_->seekRecord(i);
     pos_ = rec == index_->size() ? rec : starts[i];
 }
@@ -741,7 +746,7 @@ AtcCursor::rangeLossy(uint64_t begin, uint64_t end,
     size_t i1 = recordContaining(starts, end - 1);
     std::unique_ptr<ChunkWindow> window;
     std::unique_ptr<LossyDecoder> decoder =
-        lossyDecoder(window, i1 + 1, true);
+        lossyDecoder(window, pool_, i1 + 1, true);
     decoder->seekRecord(i0);
     auto read = [&decoder](uint64_t *o, size_t n) {
         return decoder->read(o, n);

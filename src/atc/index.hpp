@@ -22,13 +22,16 @@
  * landed).
  *
  * A cursor with a thread pool decodes through one bounded, ordered
- * readahead window that keeps 2 x pool-size blocks decoding ahead of
- * the one being read: the next frames of the lossless stream (the
- * caller reads their payloads zero-copy, the pool decodes them, the
- * caller runs the inverse transform; one frame more, as the reader
- * sits mid-frame through each transform), or the chunks of the next
- * intervals in lossy mode. read() and readRange() both use it.
- * Without a pool, blocks decode on demand on the caller's thread.
+ * readahead window wherever the blocks ahead are known to be read: a
+ * pass from record 0 keeps 2 x pool-size blocks decoding ahead of the
+ * one being read — the next frames of the lossless stream (the caller
+ * reads their payloads zero-copy, the pool decodes them, the caller
+ * runs the inverse transform; one frame more, as the reader sits
+ * mid-frame through each transform), or the chunks of the next
+ * intervals in lossy mode — and readRange() decodes its covering
+ * blocks the same way, never past the range. A pass started by a seek
+ * may read only a few records, so it decodes on demand on the caller's
+ * thread, as every pass of a cursor without a pool does.
  *
  * Cache policy: a pass that starts at record 0 is a full scan, which
  * verifies the lossless stream's CRC-32 trailer and reads the shared
@@ -80,8 +83,9 @@ class AtcCursor;
 /** Knobs of a cursor minted by AtcIndex::cursor(). */
 struct CursorOptions
 {
-    /** Borrowed pool; when set, the cursor decodes through a readahead
-     *  window on it (see the file comment). Must outlive the cursor. */
+    /** Borrowed pool; when set, full passes and readRange() decode
+     *  through a readahead window on it (see the file comment). Must
+     *  outlive the cursor. */
     parallel::ThreadPool *pool = nullptr;
 };
 
@@ -274,8 +278,8 @@ class AtcCursor : public trace::TraceCursor
     void startLossless(uint64_t rec);
     void startLossy(uint64_t rec);
     std::unique_ptr<LossyDecoder> lossyDecoder(
-        std::unique_ptr<ChunkWindow> &window, size_t end_record,
-        bool populate) const;
+        std::unique_ptr<ChunkWindow> &window, parallel::ThreadPool *pool,
+        size_t end_record, bool populate) const;
     void rangeLossless(uint64_t begin, uint64_t end,
                        std::vector<uint64_t> &out);
     void rangeLossy(uint64_t begin, uint64_t end,
@@ -291,8 +295,7 @@ class AtcCursor : public trace::TraceCursor
     std::unique_ptr<FrameSource> frames_;
     std::unique_ptr<TransformDecoder> transform_;
 
-    // Lossy: the interval regenerator, fed by the readahead window
-    // when the cursor has a pool.
+    // Lossy: the interval regenerator, fed by its chunk window.
     std::unique_ptr<ChunkWindow> chunks_;
     std::unique_ptr<LossyDecoder> lossy_;
 };

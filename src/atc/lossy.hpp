@@ -16,7 +16,7 @@
  * reading decompressed chunks through a BlockCache — either a shared
  * one (an AtcIndex's, so every cursor over the container reuses one
  * working set) or a private instance — or from a caller-supplied
- * fetch (a pooled cursor's readahead window).
+ * fetch (an AtcCursor's chunk window).
  */
 
 #ifndef ATC_ATC_LOSSY_HPP_
@@ -164,8 +164,7 @@ class LossyEncoder
 /**
  * Decompress chunk @p id of @p store in full through the per-chunk
  * lossless pipeline of @p params. The one whole-chunk decode used by
- * every lossy consumer (LossyDecoder and the pooled cursor's readahead
- * window), so they reject corrupt chunks identically. Thread-safe for
+ * every lossy consumer (LossyDecoder and the cursor's chunk window), so they reject corrupt chunks identically. Thread-safe for
  * concurrent calls (openChunk must be — see ChunkStore).
  */
 std::vector<uint64_t> decodeChunkPayload(const LosslessParams &params,

@@ -649,8 +649,8 @@ TraceServer::handleJob(const Job &job)
         counters_.request_errors.fetch_add(1,
                                            std::memory_order_relaxed);
     }
-    sendFrame(session, frame);
-    Wire status = frameStatus(frame);
+    // Account for the request before its response can reach the
+    // client, so a STAT or METRICS sent after it always sees it done.
     uint64_t total_us = 0;
     if (req.arrival_ns != 0) {
         uint64_t now = obs::nowNs();
@@ -659,6 +659,12 @@ TraceServer::handleJob(const Job &job)
             reqHist(req.op).record(total_us);
         }
     }
+    if (isHeavy(req.op)) {
+        counters_.inflight_heavy.fetch_sub(1, std::memory_order_relaxed);
+        serveObs().inflight.dec();
+    }
+    sendFrame(session, frame);
+    Wire status = frameStatus(frame);
     logf(status == Wire::kOk ? LogLevel::kDebug : LogLevel::kInfo,
          "session=%llu op=%s status=%s us=%llu",
          static_cast<unsigned long long>(session.id), opName(req.op),
@@ -829,8 +835,6 @@ void
 TraceServer::finishHeavy(const std::shared_ptr<Session> &session,
                          uint64_t records)
 {
-    counters_.inflight_heavy.fetch_sub(1, std::memory_order_relaxed);
-    serveObs().inflight.dec();
     {
         std::lock_guard<std::mutex> lock(session->adm_mu);
         session->inflight -= 1;

@@ -259,8 +259,7 @@ TEST(StatusRead, MissingChunkSurfacesAsStatus)
         // copy no chunks
     }
     // The index scan rejects the missing chunk at open() — as a
-    // Status, never an exception; a v1/v2 container would surface it
-    // on the first tryRead instead.
+    // Status, never an exception.
     auto r = core::AtcReader::open(bad);
     if (r.ok()) {
         uint64_t buf[256];

@@ -4,16 +4,17 @@
  * edges (record 0, last record, exact buffer/frame and interval
  * boundaries, seek past end), seek+read parity against a sequential
  * reference at every tested offset, readRange record-exactness in both
- * modes, a decode-counting
- * codec proving that a v3 readRange decodes only the frames covering
- * the slice (and that opening an index decodes nothing), corrupt-index
+ * modes, a decode-counting codec proving that readRange decodes only
+ * the frames covering the slice (and that opening an index decodes
+ * nothing), corrupt-index
  * rejection at open, and N threads sharing one AtcIndex through
  * private cursors (the TSan target). The shared decoded-block cache
  * suite proves results are budget-independent (disabled/tiny/large),
  * that repeated seeks into a cache-resident working set decode zero
- * frames, that eviction races under a starved budget stay coherent
- * (TSan again), and that a pooled lossy readRange fans covering-chunk
- * decodes onto worker threads while staying record-exact.
+ * frames (pooled cursors too), that eviction races under a starved
+ * budget stay coherent (TSan again), and that a pooled lossy readRange
+ * fans covering-chunk decodes onto worker threads while staying
+ * record-exact.
  */
 
 #include <algorithm>
@@ -632,16 +633,22 @@ TEST(SeekHot, CacheResidentWorkingSetDecodesZeroFrames)
     ASSERT_GT(index->frameCache().stats().entries, 0u);
 
     // Hot: the working set is cache-resident — repeated seeks decode
-    // zero frames, from this cursor and from a second cursor sharing
-    // the index (that is what "shared" buys).
+    // zero frames, from this cursor, from a second cursor sharing the
+    // index (that is what "shared" buys), and from a pooled cursor
+    // (a pass started by a seek queues no frames ahead).
     auto cursor2 = index->cursor();
+    parallel::ThreadPool pool(4);
+    core::CursorOptions copt;
+    copt.pool = &pool;
+    auto pooled = index->cursor(copt);
     CountingCodec::decodes = 0;
     for (int round = 0; round < 3; ++round) {
         for (uint64_t off : offsets) {
-            ASSERT_TRUE(cursor->seek(off).ok());
-            ASSERT_EQ(cursor->read(buf, 500), 500u);
-            ASSERT_TRUE(cursor2->seek(off).ok());
-            ASSERT_EQ(cursor2->read(buf, 500), 500u);
+            for (core::AtcCursor *c :
+                 {cursor.get(), cursor2.get(), pooled.get()}) {
+                ASSERT_TRUE(c->seek(off).ok());
+                ASSERT_EQ(c->read(buf, 500), 500u);
+            }
         }
     }
     EXPECT_EQ(CountingCodec::decodes.load(), 0u);

@@ -8,8 +8,8 @@
  * rejection of pre-v3 containers, seekable-framing corruption probes
  * (mismatched compressed lengths, truncated/corrupt frame index), a
  * structural proof that lossless decode overlaps frame decodes, and
- * the integrity satellites (CRC trailer verification, empty/truncated
- * chunk files).
+ * the integrity satellites (CRC trailer verification, a pooled chunk
+ * error repeated on retry, empty/truncated chunk files).
  */
 
 #include <atomic>
@@ -306,9 +306,10 @@ TEST_P(ThreadSweep, AbandonedReaderDoesNotDeadlock)
             core::AtcReader reader(*store, 0, GetParam());
             uint64_t buf[256];
             ASSERT_GT(reader.read(buf, 256), 0u);
-            // A pooled cursor with its own window in flight, too.
+            // A pooled cursor with its own window in flight, too (a
+            // pass from record 0 decodes ahead; one after a seek would
+            // not).
             auto cursor = reader.cursor();
-            ASSERT_TRUE(cursor->seek(addrs.size() / 3).ok());
             ASSERT_GT(cursor->read(buf, 256), 0u);
             // Abandon both mid-stream: the windows still hold pending
             // decodes, and destruction must not wait on them forever.
@@ -532,7 +533,7 @@ TEST(Integrity, TruncatedContainerReportsCount)
     }
     // The index cross-checks the scanned chunk layout against the
     // INFO count at open, so the mismatch is rejected before any
-    // decode; a v1/v2 container would surface it at end of stream.
+    // decode.
     auto reader = core::AtcReader::open(frankenstein);
     util::Status failure;
     if (!reader.ok()) {
@@ -558,8 +559,8 @@ TEST(Integrity, TruncatedContainerReportsCount)
 
 TEST(ContainerVersions, UnsupportedVersionsRejected)
 {
-    // The version byte follows the 4-byte magic. v1/v2 chunk streams
-    // are no longer readable, so their INFO must fail open loudly.
+    // The version byte follows the 4-byte magic. Only v3 is read, so
+    // any other version must fail open loudly.
     auto addrs = makeTrace(5'000, 71);
     auto store = writeSerial(
         addrs, makeOptions(core::Mode::Lossless, addrs.size()));
@@ -731,6 +732,45 @@ TEST_P(ThreadSweep, PooledReadReportsCrcMismatch)
     EXPECT_TRUE(failure.message().find("CRC") != std::string::npos ||
                 failure.message().find("mismatch") != std::string::npos)
         << failure.message();
+}
+
+TEST_P(ThreadSweep, PooledLossyReadRepeatsItsChunkError)
+{
+    // A chunk that fails to decode in the readahead window must fail
+    // every retry with the same error, not with a spent future's.
+    auto addrs = makeTrace(40'000, 85);
+    auto opt = makeOptions(core::Mode::Lossy, addrs.size(), "store");
+    opt.lossy.epsilon = 0.0; // every interval becomes a chunk
+    auto store = writeSerial(addrs, opt);
+    ASSERT_GT(store.chunkCount(), 3u);
+    core::MemoryStore bad;
+    {
+        auto sink = bad.createInfo();
+        sink->write(store.infoBytes().data(), store.infoBytes().size());
+        for (uint32_t id = 0; id < store.chunkCount(); ++id) {
+            auto chunk = store.chunkBytes(id);
+            if (id == 2)
+                chunk[chunk.size() / 2] ^= 0x01;
+            auto csink = bad.createChunk(id);
+            csink->write(chunk.data(), chunk.size());
+        }
+    }
+
+    core::AtcReader reader(bad, 0, GetParam());
+    std::vector<uint64_t> buf(4096);
+    util::Status first;
+    for (;;) {
+        auto r = reader.tryRead(buf.data(), buf.size());
+        if (!r.ok()) {
+            first = r.status();
+            break;
+        }
+        ASSERT_NE(r.value(), 0u) << "corrupt chunk went unnoticed";
+    }
+    ASSERT_FALSE(first.ok());
+    auto again = reader.tryRead(buf.data(), buf.size());
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().message(), first.message());
 }
 
 // --------------------------------------- block-parallel decode proof
