@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks for the computational kernels: SA-IS/BWT, MTF, RLE,
  * the byte-plane histograms behind lossy signatures, bytesort, the
- * cache filter and the stack simulator. These are the knobs behind
+ * cache filter, the stack simulator and the CRC-32 that checks every
+ * codec block and every lossless stream. These are the knobs behind
  * Table 2's throughput numbers and the targets of the hot-loop tuning.
  *
  * Self-contained: timed with bench_common's bestOfK (steady clock,
@@ -30,6 +31,7 @@
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "compress/stream.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -175,6 +177,13 @@ main(int argc, char **argv)
         for (uint64_t a : addrs)
             sim.access(a >> 6);
         if (sim.missCount(8) == 0)
+            std::abort();
+    });
+
+    // Integrity: every codec block and the whole lossless stream are
+    // checksummed on both the write and the read side.
+    runKernel(rows, "crc32", kBytes, [&] {
+        if (util::crc32(text.data(), text.size()) == 0)
             std::abort();
     });
 

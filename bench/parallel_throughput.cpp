@@ -7,7 +7,11 @@
  * at increasing thread counts and reports wall-clock throughput plus
  * speedup over one thread, as JSON (for the CI perf-trajectory
  * artifact) and as a human-readable table on stderr. Containers are
- * byte-identical across thread counts — the sweep asserts it.
+ * byte-identical across thread counts — the sweep asserts it. The
+ * full-read rows (`lossy_decompress`, `lossless_decompress`) count the
+ * reader's caller, which decodes while it waits, among their threads:
+ * t threads are t - 1 pool workers plus the caller, so their one-thread
+ * row is the serial reader.
  *
  * The random-access rows exercise the AtcIndex/AtcCursor API on the
  * lossless container: `random_seek` measures seek + short-read
@@ -268,11 +272,14 @@ main(int argc, char **argv)
         if (t == threads.front())
             lossless_ref = std::move(lossless_store);
 
-        // Lossy decompression sweep (prefetching reader).
+        // Lossy decompression sweep (prefetching reader). A pooled
+        // reader's caller decodes too — it runs queued pool tasks while
+        // it waits — so the read rows count it among their t decoding
+        // threads: t - 1 workers, and t = 1 is the pool-less reader.
         snap0 = registry.snapshot();
         t0 = Clock::now();
         {
-            parallel::ParallelAtcReader r(reference, popt);
+            core::AtcReader r(reference, popt.cache_bytes, t - 1);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -291,7 +298,7 @@ main(int argc, char **argv)
         snap0 = registry.snapshot();
         t0 = Clock::now();
         {
-            parallel::ParallelAtcReader r(lossless_ref, popt);
+            core::AtcReader r(lossless_ref, popt.cache_bytes, t - 1);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }

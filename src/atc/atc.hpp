@@ -136,8 +136,9 @@ class AtcWriter : public trace::TraceSink
  * sequential decode and random access share one code path. With
  * threads > 0 the reader owns a pool of that many workers, and its
  * cursor — and every cursor minted by cursor() — decodes full passes
- * and ranges through a readahead window on it (see index.hpp). index() exposes the snapshot
- * for sharing.
+ * and ranges through a readahead window on it, the reading thread
+ * decoding alongside the workers while it waits (see index.hpp).
+ * index() exposes the snapshot for sharing.
  */
 class AtcReader : public trace::TraceSource
 {

@@ -1,8 +1,11 @@
 #include "atc/bytesort.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/status.hpp"
 
 namespace atc::core {
@@ -67,38 +70,47 @@ bytesortForward(const uint64_t *addrs, size_t n)
 std::vector<uint64_t>
 bytesortInverse(const uint8_t *bytes, size_t n)
 {
-    std::vector<uint64_t> addrs(n, 0);
+    std::vector<uint64_t> addrs(n), scratch(n);
+    bytesortInverse(bytes, n, addrs.data(), scratch.data());
+    return addrs;
+}
+
+void
+bytesortInverse(const uint8_t *bytes, size_t n, uint64_t *addrs,
+                uint64_t *scratch)
+{
     if (n == 0)
-        return addrs;
+        return;
 
-    // idx[s] = original position of the address at rank s of the
-    // current sorted order; plane j is stored in that order.
-    std::vector<uint32_t> idx(n), next(n);
-    for (size_t i = 0; i < n; ++i)
-        idx[i] = static_cast<uint32_t>(i);
-
-    for (int j = 0; j < 8; ++j) {
+    // Undo the encoder's sorts last to first. Plane j lists byte j of
+    // every address in sort order j; the encoder's stable sort by that
+    // byte sent rank s of order j to rank start[plane[s]]++ of order
+    // j+1. So once `from` holds bytes j+1..7 of every address in order
+    // j+1, one gather through the same running starts yields bytes
+    // j..7 in order j — order 0 being the original sequence. Seven
+    // gathers alternate between the arrays and end in @p addrs.
+    uint64_t *from = scratch;
+    uint64_t *to = addrs;
+    const uint8_t *last = bytes + 7 * n;
+    for (size_t s = 0; s < n; ++s)
+        from[s] = last[s];
+    for (int j = 6; j >= 0; --j) {
         const uint8_t *plane = bytes + static_cast<size_t>(j) * n;
         int shift = 8 * (7 - j);
+        uint32_t cnt[256] = {};
         for (size_t s = 0; s < n; ++s)
-            addrs[idx[s]] |= static_cast<uint64_t>(plane[s]) << shift;
-        if (j < 7) {
-            // Replay the encoder's stable sort on the index array.
-            uint32_t cnt[256] = {};
-            for (size_t s = 0; s < n; ++s)
-                cnt[plane[s]]++;
-            uint32_t start[256];
-            uint32_t sum = 0;
-            for (int c = 0; c < 256; ++c) {
-                start[c] = sum;
-                sum += cnt[c];
-            }
-            for (size_t s = 0; s < n; ++s)
-                next[start[plane[s]]++] = idx[s];
-            idx.swap(next);
+            cnt[plane[s]]++;
+        uint32_t start[256];
+        uint32_t sum = 0;
+        for (int c = 0; c < 256; ++c) {
+            start[c] = sum;
+            sum += cnt[c];
         }
+        for (size_t s = 0; s < n; ++s)
+            to[s] = from[start[plane[s]]++] |
+                    static_cast<uint64_t>(plane[s]) << shift;
+        std::swap(from, to);
     }
-    return addrs;
 }
 
 std::vector<uint8_t>
@@ -117,14 +129,22 @@ unshuffleForward(const uint64_t *addrs, size_t n)
 std::vector<uint64_t>
 unshuffleInverse(const uint8_t *bytes, size_t n)
 {
-    std::vector<uint64_t> addrs(n, 0);
-    for (int j = 0; j < 8; ++j) {
+    std::vector<uint64_t> addrs(n);
+    unshuffleInverse(bytes, n, addrs.data());
+    return addrs;
+}
+
+void
+unshuffleInverse(const uint8_t *bytes, size_t n, uint64_t *addrs)
+{
+    for (size_t i = 0; i < n; ++i)
+        addrs[i] = static_cast<uint64_t>(bytes[i]) << 56;
+    for (int j = 1; j < 8; ++j) {
         const uint8_t *plane = bytes + static_cast<size_t>(j) * n;
         int shift = 8 * (7 - j);
         for (size_t i = 0; i < n; ++i)
             addrs[i] |= static_cast<uint64_t>(plane[i]) << shift;
     }
-    return addrs;
 }
 
 TransformEncoder::TransformEncoder(Transform transform, size_t buffer_addrs,
@@ -175,6 +195,62 @@ transformMetrics()
         r.counter("atc.transform.decode_buffers"),
     };
     return m;
+}
+
+/** @return how many buffers a decoder over @p pool inverse-transforms
+ *  ahead of the one being served (0 without a pool). */
+size_t
+ringDepth(const parallel::ThreadPool *pool)
+{
+    // The inverse transform is about a quarter of a buffer's decode
+    // work (the codec frames are the rest), so one buffer ahead per
+    // four decoding threads — the workers plus the helping caller —
+    // keeps pace. Each buffer ahead holds its planes, addresses and
+    // a scratch array, 8 bytes per address apiece.
+    if (pool == nullptr)
+        return 0;
+    return std::max<size_t>(1, (pool->size() + 1) / 4);
+}
+
+/**
+ * Inverse-transform one buffer: @p planes (8n bytes) to @p out (n
+ * addresses); @p scratch holds n entries for Transform::Bytesort.
+ * Runs on the decoder's thread or as a pool task.
+ */
+void
+invert(Transform transform, const uint8_t *planes, size_t n, uint64_t *out,
+       uint64_t *scratch)
+{
+    if (transform == Transform::None) {
+        // Raw little-endian words: a copy, not transform compute.
+        for (size_t i = 0; i < n; ++i) {
+            uint64_t a = 0;
+            for (int k = 7; k >= 0; --k)
+                a = a << 8 | planes[8 * i + k];
+            out[i] = a;
+        }
+        return;
+    }
+    obs::StageTimer t(transformMetrics().decode_us);
+    switch (transform) {
+      case Transform::Unshuffle:
+        unshuffleInverse(planes, n, out);
+        break;
+      case Transform::Bytesort:
+        bytesortInverse(planes, n, out, scratch);
+        break;
+      case Transform::Delta: {
+          unshuffleInverse(planes, n, out);
+          uint64_t prev = 0;
+          for (size_t i = 0; i < n; ++i) {
+              out[i] += prev;
+              prev = out[i];
+          }
+          break;
+      }
+      default:
+        ATC_ASSERT(false && "unreachable transform");
+    }
 }
 
 }  // namespace
@@ -235,22 +311,27 @@ TransformEncoder::finish()
 }
 
 TransformDecoder::TransformDecoder(Transform transform, util::ByteSource &in,
-                                   uint64_t max_buffer)
-    : transform_(transform), in_(in), max_buffer_(max_buffer)
+                                   uint64_t max_buffer,
+                                   parallel::ThreadPool *pool)
+    : transform_(transform), in_(in), max_buffer_(max_buffer), pool_(pool),
+      depth_(ringDepth(pool))
 {
 }
 
-bool
-TransformDecoder::refill()
+TransformDecoder::~TransformDecoder()
 {
-    if (done_)
-        return false;
+    // Pool tasks write into the ring's arrays.
+    for (Slot &slot : ring_)
+        if (slot.inverted.valid())
+            pool_->wait(slot.inverted);
+}
 
+bool
+TransformDecoder::readBuffer(Slot &slot)
+{
     uint8_t first;
-    if (in_.read(&first, 1) == 0) {
-        done_ = true;
+    if (in_.read(&first, 1) == 0)
         return false;
-    }
     uint64_t n = first & 0x7F;
     int shift = 7;
     while (first & 0x80) {
@@ -259,45 +340,89 @@ TransformDecoder::refill()
         shift += 7;
         ATC_CHECK(shift <= 63, "corrupt bytesort frame header");
     }
-    if (n == 0) {
-        done_ = true;
+    if (n == 0)
         return false;
-    }
     ATC_CHECK(n <= max_buffer_,
               "corrupt bytesort frame header (buffer length " +
                   std::to_string(n) + " exceeds the buffer size " +
                   std::to_string(max_buffer_) + ")");
 
-    TransformMetrics &m = transformMetrics();
-    m.decode_buffers.inc();
-    if (transform_ == Transform::None) {
-        buffer_.resize(n);
-        for (uint64_t &a : buffer_)
-            a = util::readLE<uint64_t>(in_);
-    } else {
-        std::vector<uint8_t> planes(8 * n);
-        in_.readExact(planes.data(), planes.size());
-        obs::StageTimer t(m.decode_us);
-        switch (transform_) {
-          case Transform::Unshuffle:
-            buffer_ = unshuffleInverse(planes.data(), n);
-            break;
-          case Transform::Bytesort:
-            buffer_ = bytesortInverse(planes.data(), n);
-            break;
-          case Transform::Delta: {
-              buffer_ = unshuffleInverse(planes.data(), n);
-              uint64_t prev = 0;
-              for (uint64_t &a : buffer_) {
-                  a += prev;
-                  prev = a;
-              }
-              break;
-          }
-          default:
-            ATC_ASSERT(false && "unreachable transform");
+    transformMetrics().decode_buffers.inc();
+    slot.planes.resize(8 * n);
+    in_.readExact(slot.planes.data(), slot.planes.size());
+    slot.addrs.resize(n);
+    if (transform_ == Transform::Bytesort)
+        slot.scratch.resize(n);
+    return true;
+}
+
+void
+TransformDecoder::launch(Slot &slot)
+{
+    auto task = [transform = transform_, planes = slot.planes.data(),
+                 n = slot.addrs.size(), out = slot.addrs.data(),
+                 scratch = slot.scratch.data()] {
+        invert(transform, planes, n, out, scratch);
+    };
+    if (pool_ != nullptr)
+        slot.inverted = pool_->asyncHelping(task);
+    else
+        task();
+}
+
+void
+TransformDecoder::topUp()
+{
+    while (!done_ && ring_.size() < 1 + depth_) {
+        ring_.push_back(std::exchange(spare_, {}));
+        Slot &slot = ring_.back();
+        try {
+            if (!readBuffer(slot)) {
+                done_ = true;
+                ring_.pop_back();
+                return;
+            }
+            launch(slot);
+        } catch (...) {
+            // Buffers before this one are still served first; the
+            // error surfaces when the reader reaches it.
+            slot.failed = std::current_exception();
+            done_ = true;
         }
     }
+}
+
+bool
+TransformDecoder::refill()
+{
+    if (current_) {
+        // The front buffer is served; the next one read reuses its
+        // arrays.
+        spare_ = std::move(ring_.front());
+        ring_.pop_front();
+        current_ = false;
+    }
+    topUp();
+    if (ring_.empty())
+        return false;
+    Slot &front = ring_.front();
+    if (front.failed)
+        std::rethrow_exception(front.failed);
+    if (front.inverted.valid()) {
+        try {
+            pool_->wait(front.inverted);
+            front.inverted.get();
+        } catch (...) {
+            front.failed = std::current_exception();
+            throw;
+        }
+    }
+    if (depth_ == 0) {
+        // Without a ring, hold just the addresses being served.
+        front.planes = {};
+        front.scratch = {};
+    }
+    current_ = true;
     pos_ = 0;
     return true;
 }
@@ -307,13 +432,14 @@ TransformDecoder::read(uint64_t *out, size_t n)
 {
     size_t got = 0;
     while (got < n) {
-        if (pos_ == buffer_.size()) {
+        if (!current_ || pos_ == ring_.front().addrs.size()) {
             if (!refill())
                 break;
         }
-        size_t avail = buffer_.size() - pos_;
+        const std::vector<uint64_t> &buffer = ring_.front().addrs;
+        size_t avail = buffer.size() - pos_;
         size_t take = (n - got) < avail ? (n - got) : avail;
-        std::memcpy(out + got, buffer_.data() + pos_,
+        std::memcpy(out + got, buffer.data() + pos_,
                     take * sizeof(uint64_t));
         got += take;
         pos_ += take;

@@ -17,6 +17,17 @@
  * every n against the buffer size B it is given (INFO records it), so
  * a crafted length fails as corruption instead of sizing an
  * allocation.
+ *
+ * Decoding with a thread pool: the decoder's caller still parses every
+ * buffer header and reads every plane from its source, in order, but
+ * the inverse transform of each buffer runs as a pool task while the
+ * caller reads the buffers after it — one buffer ahead of the one being
+ * served per four decoding threads (the pool's workers plus the
+ * caller). A caller that must wait for a buffer runs queued pool tasks
+ * meanwhile (ThreadPool::wait()). The ring's plane, address and scratch
+ * arrays are recycled from buffer to buffer, so a pass allocates them
+ * once. Without a pool every buffer is read and inverse-transformed on
+ * the caller's thread when the reader reaches it.
  */
 
 #ifndef ATC_ATC_BYTESORT_HPP_
@@ -24,9 +35,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <exception>
+#include <future>
 #include <vector>
 
 #include "util/bytestream.hpp"
+
+namespace atc::parallel {
+class ThreadPool;
+} // namespace atc::parallel
 
 namespace atc::core {
 
@@ -57,11 +75,21 @@ std::vector<uint8_t> bytesortForward(const uint64_t *addrs, size_t n);
 /** Buffer-level inverse bytesort. @p bytes must hold 8*n bytes. */
 std::vector<uint64_t> bytesortInverse(const uint8_t *bytes, size_t n);
 
+/**
+ * Allocation-free inverse bytesort: writes the n addresses to @p out,
+ * using @p scratch (n entries) as the second array of its gathers.
+ */
+void bytesortInverse(const uint8_t *bytes, size_t n, uint64_t *out,
+                     uint64_t *scratch);
+
 /** Buffer-level byte-unshuffling (no sorting). */
 std::vector<uint8_t> unshuffleForward(const uint64_t *addrs, size_t n);
 
 /** Inverse of unshuffleForward. */
 std::vector<uint64_t> unshuffleInverse(const uint8_t *bytes, size_t n);
+
+/** Allocation-free inverse of unshuffleForward into @p out. */
+void unshuffleInverse(const uint8_t *bytes, size_t n, uint64_t *out);
 
 /**
  * Streaming encoder: buffers addresses and emits framed, transformed
@@ -112,12 +140,23 @@ class TransformDecoder
      * @param in         source byte stream
      * @param max_buffer buffer size B used when encoding; a buffer
      *                   header claiming more is rejected as corrupt
+     * @param pool       when set, inverse transforms run on it, ahead
+     *                   of the reader (see the file comment); borrowed,
+     *                   must outlive the decoder
      */
     TransformDecoder(Transform transform, util::ByteSource &in,
-                     uint64_t max_buffer = kMaxBufferAddrs);
+                     uint64_t max_buffer = kMaxBufferAddrs,
+                     parallel::ThreadPool *pool = nullptr);
+
+    /** Waits out the inverse transforms still running on the pool. */
+    ~TransformDecoder();
+
+    TransformDecoder(const TransformDecoder &) = delete;
+    TransformDecoder &operator=(const TransformDecoder &) = delete;
 
     /**
      * Produce up to @p n addresses — the primary (hot-path) entry.
+     * A failed buffer fails this and every later call with its error.
      * @return addresses produced; 0 means end of trace
      */
     size_t read(uint64_t *out, size_t n);
@@ -130,14 +169,36 @@ class TransformDecoder
     bool decode(uint64_t *out) { return read(out, 1) == 1; }
 
   private:
+    /** One transform buffer of the ring: its planes as read, and its
+     *  addresses once inverse-transformed (or the error that stopped
+     *  it, kept so that a retry reports it again). */
+    struct Slot
+    {
+        std::vector<uint8_t> planes;
+        std::vector<uint64_t> scratch; ///< bytesort's second array, n
+        std::vector<uint64_t> addrs;
+        std::future<void> inverted; ///< pending pool task, if any
+        std::exception_ptr failed;
+    };
+
     bool refill();
+    void topUp();
+    bool readBuffer(Slot &slot);
+    void launch(Slot &slot);
 
     Transform transform_;
     util::ByteSource &in_;
     uint64_t max_buffer_;
-    std::vector<uint64_t> buffer_;
+    parallel::ThreadPool *pool_;
+    size_t depth_;
+    /** Front: the buffer being served once current_; then the buffers
+     *  read ahead, in order. */
+    std::deque<Slot> ring_;
+    bool current_ = false;
     size_t pos_ = 0;
-    bool done_ = false;
+    bool done_ = false; ///< terminator, end of input, or an error read
+    /** The last buffer served, whose arrays the next buffer read reuses. */
+    Slot spare_;
 };
 
 } // namespace atc::core

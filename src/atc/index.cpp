@@ -46,16 +46,19 @@ struct Pending
      *  retried read must see the same failure, not resume past it. */
     std::exception_ptr failed;
 
-    /** Wait for the block (rethrowing its decode error); a fresh
-     *  decode is added to @p cache only when @p populate. */
+    /** Wait for the block (rethrowing its decode error), running
+     *  queued tasks of @p pool meanwhile; a fresh decode is added to
+     *  @p cache only when @p populate. */
     const typename BlockCache<T>::Ptr &
-    get(BlockCache<T> &cache, bool populate)
+    get(BlockCache<T> &cache, bool populate, parallel::ThreadPool *pool)
     {
         if (failed)
             std::rethrow_exception(failed);
         if (!ready) {
             std::vector<T> block;
             try {
+                if (pool != nullptr)
+                    pool->wait(decoded);
                 block = decoded.get();
             } catch (...) {
                 failed = std::current_exception();
@@ -70,20 +73,20 @@ struct Pending
 };
 
 /**
- * Wait out the pooled decodes still pending in @p slots. They may read
- * a store the index only borrows, which the caller is free to release
- * once the cursor is gone. (Without a pool, decodes are deferred and
- * simply never run.)
+ * Wait out the pooled decodes still pending in @p slots, helping the
+ * pool meanwhile. They may read a store the index only borrows, which
+ * the caller is free to release once the cursor is gone. (Without a
+ * pool, decodes are deferred and simply never run.)
  */
 template <typename Slots>
 void
-settle(Slots &slots, const parallel::ThreadPool *pool)
+settle(Slots &slots, parallel::ThreadPool *pool)
 {
     if (pool == nullptr)
         return;
     for (auto &p : slots)
         if (p.decoded.valid())
-            p.decoded.wait();
+            pool->wait(p.decoded);
 }
 
 /** Run @p fn on @p pool, or — without one — when its future is read. */
@@ -93,7 +96,7 @@ launch(parallel::ThreadPool *pool, F fn)
     -> std::future<std::invoke_result_t<F>>
 {
     if (pool != nullptr)
-        return pool->async(std::move(fn));
+        return pool->asyncHelping(std::move(fn));
     return std::async(std::launch::deferred, std::move(fn));
 }
 
@@ -314,8 +317,9 @@ AtcIndex::bufferRawOffset(uint64_t b) const
  * [first, end) of the chunk stream, in order. Each frame resolves
  * through the shared cache: a hit skips the payload; a miss has its
  * payload read (zero-copy on mapped chunks) and decoded on @p pool,
- * ahead of the reader, or — when @p pool is null — on the caller's
- * thread as the reader reaches it. A pass from frame 0
+ * ahead of the reader (which runs queued pool tasks while it waits for
+ * one), or — when @p pool is null — on the caller's thread as the
+ * reader reaches it. A pass from frame 0
  * (@p full) accumulates the CRC-32 of everything it serves for
  * verifyEnd() and never adds to the cache; any other pass does.
  */
@@ -392,7 +396,8 @@ class AtcCursor::FrameSource : public util::ByteSource
             topUp();
             if (window_.empty())
                 return false;
-            block_ = window_.front().get(index_->frameCache(), !full_);
+            block_ = window_.front().get(index_->frameCache(), !full_,
+                                         pool_);
             pos_ = 0;
             if (full_)
                 crc_.update(block_->data(), block_->size());
@@ -529,14 +534,14 @@ class AtcCursor::ChunkWindow
             if (upcoming(p.key))
                 return false;
             if (pool_ != nullptr && p.decoded.valid())
-                p.decoded.wait(); // see settle()
+                pool_->wait(p.decoded); // see settle()
             return true;
         });
         BlockCache<uint64_t> &cache = index_->chunkCache();
         for (size_t r = i; r < stop; ++r)
             if (find(records[r].chunk_id) == nullptr)
                 slots_.push_back(schedule(cache, records[r].chunk_id));
-        return find(records[i].chunk_id)->get(cache, populate_);
+        return find(records[i].chunk_id)->get(cache, populate_, pool_);
     }
 
   private:
@@ -618,15 +623,16 @@ AtcCursor::startLossless(uint64_t rec)
                   " lies past the indexed frames");
     size_t f = layout.frameContaining(raw_off);
     // Only a full pass is known to read on: a seek may read a handful
-    // of records, so it decodes on demand and queues nothing ahead.
-    frames_ = std::make_unique<FrameSource>(
-        index_, rec == 0 ? pool_ : nullptr, f, layout.frames.size(),
-        rec == 0);
+    // of records, so it decodes on demand and queues nothing ahead. A
+    // full pass decodes frames and inverse-transforms buffers ahead.
+    parallel::ThreadPool *pool = rec == 0 ? pool_ : nullptr;
+    frames_ = std::make_unique<FrameSource>(index_, pool, f,
+                                            layout.frames.size(), rec == 0);
     // Discard the tail of the frame that precedes the buffer start,
     // then the records that precede the target inside its buffer.
     frames_->skip(raw_off - layout.raw_starts[f]);
     transform_ = std::make_unique<TransformDecoder>(
-        pipeline.transform, *frames_, pipeline.buffer_addrs);
+        pipeline.transform, *frames_, pipeline.buffer_addrs, pool);
     pos_ = b * pipeline.buffer_addrs;
     discardRecords(
         [this](uint64_t *out, size_t take) { return read(out, take); },

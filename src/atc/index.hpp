@@ -25,11 +25,17 @@
  * readahead window wherever the blocks ahead are known to be read: a
  * pass from record 0 keeps 2 x pool-size blocks decoding ahead of the
  * one being read — the next frames of the lossless stream (the caller
- * reads their payloads zero-copy, the pool decodes them, the caller
- * runs the inverse transform; one frame more, as the reader sits
- * mid-frame through each transform), or the chunks of the next
- * intervals in lossy mode — and readRange() decodes its covering
- * blocks the same way, never past the range. A pass started by a seek
+ * reads their payloads zero-copy, the pool decodes them; one frame
+ * more, as the reader sits mid-frame through each transform buffer),
+ * or the chunks of the next intervals in lossy mode — and readRange()
+ * decodes its covering blocks the same way, never past the range. A
+ * lossless pass from record 0 also inverse-transforms on the pool: the
+ * caller parses each transform buffer's header and reads its planes
+ * (CRC included) in order, and the inverse transforms of the buffers
+ * after the one being served run as pool tasks (TransformDecoder, see
+ * bytesort.hpp). A caller that must wait for a block or a buffer runs
+ * queued pool tasks meanwhile (ThreadPool::wait()), so it decodes
+ * alongside the workers instead of idling. A pass started by a seek
  * may read only a few records, so it decodes on demand on the caller's
  * thread, as every pass of a cursor without a pool does.
  *
@@ -84,8 +90,10 @@ class AtcCursor;
 struct CursorOptions
 {
     /** Borrowed pool; when set, full passes and readRange() decode
-     *  through a readahead window on it (see the file comment). Must
-     *  outlive the cursor. */
+     *  through a readahead window on it, and the cursor's caller runs
+     *  queued tasks of it while waiting (see the file comment), so it
+     *  must hold only tasks that finish on their own. Must outlive the
+     *  cursor. */
     parallel::ThreadPool *pool = nullptr;
 };
 

@@ -19,26 +19,39 @@ ThreadPool::ThreadPool(size_t threads, size_t queue_capacity)
     workers_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         workers_.emplace_back([this] {
-            auto &reg = obs::Registry::global();
-            static obs::Histogram &queue_wait =
-                reg.histogram("pool.queue_wait_us");
-            static obs::Counter &busy_us =
-                reg.counter("pool.worker_busy_us");
-            static obs::Counter &tasks_run = reg.counter("pool.tasks");
             Task task;
-            while (tasks_.pop(task)) {
-                if (task.enqueue_ns != 0) {
-                    uint64_t now = obs::nowNs();
-                    if (now != 0)
-                        queue_wait.record(
-                            (now - task.enqueue_ns) / 1000);
-                }
-                tasks_run.inc();
-                obs::StageTimer busy_t(busy_us);
-                task.fn();
-            }
+            while (tasks_.pop(task))
+                run(task, false);
         });
     }
+}
+
+void
+ThreadPool::run(Task &task, bool on_caller)
+{
+    struct Metrics {
+        obs::Histogram &queue_wait;
+        obs::Counter &worker_busy_us;
+        obs::Counter &worker_tasks;
+        obs::Counter &caller_busy_us;
+        obs::Counter &caller_tasks;
+    };
+    auto &reg = obs::Registry::global();
+    static Metrics m{
+        reg.histogram("pool.queue_wait_us"),
+        reg.counter("pool.worker_busy_us"),
+        reg.counter("pool.tasks"),
+        reg.counter("pool.caller_busy_us"),
+        reg.counter("pool.caller_tasks"),
+    };
+    if (task.enqueue_ns != 0) {
+        uint64_t now = obs::nowNs();
+        if (now != 0)
+            m.queue_wait.record((now - task.enqueue_ns) / 1000);
+    }
+    (on_caller ? m.caller_tasks : m.worker_tasks).inc();
+    obs::StageTimer busy_t(on_caller ? m.caller_busy_us : m.worker_busy_us);
+    task.fn();
 }
 
 ThreadPool::~ThreadPool()
@@ -50,6 +63,30 @@ bool
 ThreadPool::submit(std::function<void()> task)
 {
     return tasks_.push(Task{std::move(task), obs::nowNs()});
+}
+
+bool
+ThreadPool::submitHelping(std::function<void()> task)
+{
+    Task item{std::move(task), obs::nowNs()};
+    while (!tasks_.tryPush(std::move(item))) {
+        // Full (or closed): make room by running the oldest task here.
+        // An empty queue just now means the workers took everything,
+        // so the next push has room — unless the pool is shut down.
+        if (!runOne() && tasks_.closed())
+            return false;
+    }
+    return true;
+}
+
+bool
+ThreadPool::runOne()
+{
+    Task task;
+    if (!tasks_.tryPop(task))
+        return false;
+    run(task, true);
+    return true;
 }
 
 void

@@ -9,6 +9,15 @@
  * ordered reassembly keep their futures in a deque and resolve them in
  * submission order.
  *
+ * A caller that waits on its own tasks' results need not idle: wait()
+ * runs queued tasks on the calling thread (runOne()) until the future
+ * it waits for is ready, and asyncHelping() does the same instead of
+ * blocking on a full queue. The pooled read engine (atc/index.hpp)
+ * waits this way, so its caller decodes alongside the workers. Any
+ * queued task may run on such a caller, so a pool that callers help
+ * must hold only tasks that finish on their own — not, say, the serve
+ * daemon's long-lived drain loops (job_queue.hpp).
+ *
  * Destruction closes the task channel, runs the tasks already queued,
  * and joins the workers; abandoned futures never deadlock because
  * workers block only on the channel, never on callers.
@@ -17,6 +26,7 @@
 #ifndef ATC_PARALLEL_THREAD_POOL_HPP_
 #define ATC_PARALLEL_THREAD_POOL_HPP_
 
+#include <chrono>
 #include <functional>
 #include <future>
 #include <memory>
@@ -65,31 +75,78 @@ class ThreadPool
     auto
     async(F fn) -> std::future<std::invoke_result_t<F>>
     {
-        using R = std::invoke_result_t<F>;
-        // packaged_task is move-only; std::function requires copyable
-        // targets, so the task rides in a shared_ptr.
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::move(fn));
-        std::future<R> future = task->get_future();
-        if (!submit([task] { (*task)(); }))
-            util::raise("thread pool is shut down");
-        return future;
+        return package(std::move(fn), &ThreadPool::submit);
+    }
+
+    /**
+     * async() for a caller that waits on the result itself: while the
+     * queue is full it runs queued tasks (runOne()) instead of blocking.
+     * @throws util::Error when the pool is shutting down
+     */
+    template <typename F>
+    auto
+    asyncHelping(F fn) -> std::future<std::invoke_result_t<F>>
+    {
+        return package(std::move(fn), &ThreadPool::submitHelping);
+    }
+
+    /**
+     * Run the oldest queued task on the calling thread, if any.
+     * @return false when the queue was empty
+     */
+    bool runOne();
+
+    /** Block until @p future is ready, running queued tasks on the
+     *  calling thread while any are queued. */
+    template <typename T>
+    void
+    wait(const std::future<T> &future)
+    {
+        while (future.wait_for(std::chrono::seconds(0)) !=
+               std::future_status::ready) {
+            if (!runOne()) {
+                future.wait(); // the rest is running on the workers
+                return;
+            }
+        }
     }
 
     /** Close the queue, finish queued tasks, and join (idempotent). */
     void shutdown();
 
   private:
-    // Tasks carry their enqueue timestamp so the worker that dequeues
+    template <typename F, typename Submit>
+    auto
+    package(F fn, Submit submit) -> std::future<std::invoke_result_t<F>>
+    {
+        using R = std::invoke_result_t<F>;
+        // packaged_task is move-only; std::function requires copyable
+        // targets, so the task rides in a shared_ptr.
+        auto task =
+            std::make_shared<std::packaged_task<R()>>(std::move(fn));
+        std::future<R> future = task->get_future();
+        if (!(this->*submit)([task] { (*task)(); }))
+            util::raise("thread pool is shut down");
+        return future;
+    }
+
+    bool submitHelping(std::function<void()> task);
+
+    // Tasks carry their enqueue timestamp so the thread that dequeues
     // one can record queue latency (pool.queue_wait_us) before running
-    // it; execution time lands in pool.worker_busy_us. Note the serve
-    // daemon's attachWorkers drain loops are single long-lived tasks,
-    // so for the daemon busy time covers the whole drain, not one
-    // request (the serve layer has its own per-request histograms).
+    // it; execution time lands in pool.worker_busy_us, or in
+    // pool.caller_busy_us for a task a waiting caller ran (runOne()).
+    // Note the serve daemon's attachWorkers drain loops are single
+    // long-lived tasks, so for the daemon busy time covers the whole
+    // drain, not one request (the serve layer has its own per-request
+    // histograms).
     struct Task {
         std::function<void()> fn;
         uint64_t enqueue_ns = 0;
     };
+
+    static void run(Task &task, bool on_caller);
+
     Channel<Task> tasks_;
     std::vector<std::thread> workers_;
 };

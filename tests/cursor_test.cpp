@@ -13,14 +13,12 @@
  * that repeated seeks into a cache-resident working set decode zero
  * frames (pooled cursors too), that eviction races under a starved
  * budget stay coherent (TSan again), and that a pooled lossy readRange
- * fans covering-chunk decodes onto worker threads while staying
+ * fans covering-chunk decodes out as pool tasks while staying
  * record-exact.
  */
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -29,6 +27,7 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "compress/codec.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/parallel_atc.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
@@ -252,8 +251,7 @@ TEST(LossySeek, ReadRangeIsRecordExactAndPositionPreserving)
 
 // --------------------------------------------- decode-counting codec
 
-/** "store" wrapper counting decompressBlock calls process-wide, and
- *  recording which threads ran them (proof of pool fan-out). */
+/** "store" wrapper counting decompressBlock calls process-wide. */
 class CountingCodec : public comp::Codec
 {
   public:
@@ -271,40 +269,22 @@ class CountingCodec : public comp::Codec
                     std::vector<uint8_t> &out) const override
     {
         ++decodes;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            threads.insert(std::this_thread::get_id());
-        }
         out.resize(raw_size);
         in.readExact(out.data(), out.size());
     }
 
-    static void
-    resetThreads()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        threads.clear();
-    }
-
-    /** @return true when any decode ran off the calling thread. */
-    static bool
-    decodedOffThread()
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (const std::thread::id &id : threads)
-            if (id != std::this_thread::get_id())
-                return true;
-        return false;
-    }
-
     static std::atomic<uint64_t> decodes;
-    static std::mutex mu;
-    static std::set<std::thread::id> threads;
 };
 
 std::atomic<uint64_t> CountingCodec::decodes{0};
-std::mutex CountingCodec::mu;
-std::set<std::thread::id> CountingCodec::threads;
+
+/** @return pool tasks run so far, by workers and by helping callers. */
+int64_t
+poolTasksRun()
+{
+    obs::Snapshot snap = obs::Registry::global().snapshot();
+    return snap.value("pool.tasks") + snap.value("pool.caller_tasks");
+}
 
 void
 registerCountingCodec()
@@ -697,15 +677,25 @@ TEST(PooledRange, LossyRangeSpanningManyChunksUsesPoolStaysExact)
     copt.pool = &pool;
     auto pooled = index->cursor(copt);
 
-    // Cold: the distinct covering chunks decode on the pool (proved by
-    // the codec seeing worker threads), record-exactly.
-    CountingCodec::resetThreads();
+    // Cold: every distinct covering chunk decodes as a pool task (run
+    // by a worker or by the caller helping while it waits; proved by
+    // the pool's task counters), record-exactly.
+    const auto &starts = index->recordStarts();
+    auto containing = [&](uint64_t rec) {
+        return std::upper_bound(starts.begin(), starts.end(), rec) -
+               starts.begin() - 1;
+    };
+    int64_t covering = containing(8'499) - containing(500) + 1;
+    ASSERT_GE(covering, 4);
+    int64_t tasks_before = poolTasksRun();
     std::vector<uint64_t> out;
     ASSERT_TRUE(pooled->readRange(500, 8'500, out).ok());
     ASSERT_EQ(out.size(), 8'000u);
     for (size_t i = 0; i < out.size(); ++i)
         ASSERT_EQ(out[i], ref[500 + i]);
-    EXPECT_TRUE(CountingCodec::decodedOffThread());
+    if (obs::enabled()) {
+        EXPECT_GE(poolTasksRun() - tasks_before, covering);
+    }
 
     // Warm: the covering chunks are cache-resident — nothing decodes.
     uint64_t before = CountingCodec::decodes.load();

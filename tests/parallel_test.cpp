@@ -9,13 +9,18 @@
  * (mismatched compressed lengths, truncated/corrupt frame index), a
  * structural proof that lossless decode overlaps frame decodes, and
  * the integrity satellites (CRC trailer verification, a pooled chunk
- * error repeated on retry, empty/truncated chunk files).
+ * or frame error repeated on retry, empty/truncated chunk files), and
+ * the caller helping its pool: runOne(), asyncHelping() on a full
+ * queue, shutdown while a caller helps, and a pooled full read that
+ * completes with the pool's only worker parked.
  */
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -116,6 +121,83 @@ TEST(ThreadPool, ShutdownRunsQueuedTasks)
             pool.submit([&ran] { ++ran; });
     }
     EXPECT_EQ(ran.load(), 32);
+}
+
+/** Occupy @p pool's only worker until @p gate opens. */
+void
+parkTheWorker(parallel::ThreadPool &pool, std::latch &gate,
+              std::atomic<int> *ran = nullptr)
+{
+    std::atomic<bool> parked{false};
+    pool.submit([&parked, &gate, ran] {
+        parked = true;
+        gate.wait();
+        if (ran != nullptr)
+            ++*ran;
+    });
+    while (!parked)
+        std::this_thread::yield();
+}
+
+TEST(ThreadPool, RunOneRunsAQueuedTaskOnTheCaller)
+{
+    parallel::ThreadPool pool(1, 8);
+    std::latch gate(1);
+    parkTheWorker(pool, gate);
+    EXPECT_FALSE(pool.runOne()) << "the queue is empty";
+
+    std::thread::id ran_on;
+    auto result = pool.async([&ran_on] {
+        ran_on = std::this_thread::get_id();
+        return 42;
+    });
+    EXPECT_TRUE(pool.runOne());
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    EXPECT_EQ(result.get(), 42);
+    EXPECT_FALSE(pool.runOne());
+    gate.count_down();
+}
+
+TEST(ThreadPool, AsyncHelpingRunsTasksInsteadOfBlockingOnAFullQueue)
+{
+    // One parked worker and a two-slot queue: plain async() would
+    // block on the third task forever.
+    parallel::ThreadPool pool(1, 2);
+    std::latch gate(1);
+    parkTheWorker(pool, gate);
+    std::vector<std::future<int>> results;
+    for (int i = 0; i < 8; ++i)
+        results.push_back(pool.asyncHelping([i] { return i; }));
+    for (int i = 0; i < 8; ++i) {
+        pool.wait(results[i]);
+        EXPECT_EQ(results[i].get(), i);
+    }
+    gate.count_down();
+}
+
+TEST(ThreadPool, ShutdownWhileACallerHelpsRunsEveryTask)
+{
+    std::atomic<int> ran{0};
+    parallel::ThreadPool pool(1, 64);
+    std::latch gate(1);
+    parkTheWorker(pool, gate, &ran);
+    for (int i = 0; i < 32; ++i)
+        pool.submit([&ran] {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            ++ran;
+        });
+    auto last = pool.async([&ran] { ++ran; });
+    // The helper drains the queue through wait() while shutdown()
+    // closes it and waits for the parked worker.
+    std::thread helper([&] { pool.wait(last); });
+    std::thread closer([&] { pool.shutdown(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    gate.count_down();
+    helper.join();
+    closer.join();
+    EXPECT_EQ(ran.load(), 1 + 32 + 1);
+    EXPECT_FALSE(pool.runOne());
+    EXPECT_THROW(pool.asyncHelping([] {}), util::Error);
 }
 
 // --------------------------------------------------------- test fixtures
@@ -771,6 +853,67 @@ TEST_P(ThreadSweep, PooledLossyReadRepeatsItsChunkError)
     auto again = reader.tryRead(buf.data(), buf.size());
     ASSERT_FALSE(again.ok());
     EXPECT_EQ(again.status().message(), first.message());
+}
+
+TEST_P(ThreadSweep, PooledLosslessReadRepeatsItsFrameError)
+{
+    // A corrupt frame mid-stream fails the pass when the reader reaches
+    // it, after the buffers before it are served, and every retry with
+    // the same error, not with a spent future's.
+    auto addrs = makeTrace(60'000, 86);
+    auto opt = makeOptions(core::Mode::Lossless, addrs.size());
+    auto store = writeSerial(addrs, opt);
+    auto chunk = store.chunkBytes(0);
+    chunk[chunk.size() / 2] ^= 0x01;
+    auto bad = withChunk0(store, chunk);
+
+    core::AtcReader reader(bad, 0, GetParam());
+    std::vector<uint64_t> buf(4096);
+    uint64_t served = 0;
+    util::Status first;
+    for (;;) {
+        auto r = reader.tryRead(buf.data(), buf.size());
+        if (!r.ok()) {
+            first = r.status();
+            break;
+        }
+        ASSERT_NE(r.value(), 0u) << "corrupt frame went unnoticed";
+        served += r.value();
+    }
+    ASSERT_FALSE(first.ok());
+    EXPECT_GT(served, 0u) << "buffers before the bad frame are served";
+    for (int retry = 0; retry < 2; ++retry) {
+        auto again = reader.tryRead(buf.data(), buf.size());
+        ASSERT_FALSE(again.ok());
+        EXPECT_EQ(again.status().message(), first.message());
+    }
+}
+
+TEST(ThreadPool, PooledFullReadCompletesWhileTheOnlyWorkerIsBlocked)
+{
+    // The caller of a pooled full pass runs the queued frame decodes
+    // and inverse transforms itself while it waits for them: with the
+    // pool's one worker parked, the pass still completes.
+    auto addrs = makeTrace(60'000, 87);
+    auto opt = makeOptions(core::Mode::Lossless, addrs.size());
+    auto store = writeSerial(addrs, opt);
+    core::IndexOptions iopt;
+    iopt.cache_bytes = 0;
+    auto index = core::AtcIndex::openOrThrow(store, iopt);
+
+    parallel::ThreadPool pool(1);
+    std::latch gate(1);
+    parkTheWorker(pool, gate);
+    core::CursorOptions copt;
+    copt.pool = &pool;
+    auto cursor = index->cursor(copt);
+    std::vector<uint64_t> out(addrs.size() + 1);
+    size_t got = 0;
+    while (size_t n = cursor->read(out.data() + got, out.size() - got))
+        got += n;
+    gate.count_down();
+    out.resize(got);
+    EXPECT_EQ(out, addrs);
 }
 
 // --------------------------------------- block-parallel decode proof

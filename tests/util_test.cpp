@@ -266,6 +266,50 @@ TEST(Crc32, DetectsSingleBitFlip)
     EXPECT_NE(base, util::crc32(data.data(), data.size()));
 }
 
+/** The textbook bit-at-a-time CRC-32, the reference for the tables. */
+uint32_t
+bitwiseCrc32(const uint8_t *data, size_t n)
+{
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return ~c;
+}
+
+TEST(Crc32, SliceBy8MatchesBitwiseAtEveryLengthAndAlignment)
+{
+    // Lengths 0..67 cover the 8-byte main loop with every tail length;
+    // start offsets 0..7 cover every alignment of its loads.
+    util::Rng rng(32);
+    std::vector<uint8_t> data(8 + 67);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.below(256));
+    for (size_t align = 0; align < 8; ++align)
+        for (size_t len = 0; len <= 67; ++len)
+            EXPECT_EQ(util::crc32(data.data() + align, len),
+                      bitwiseCrc32(data.data() + align, len))
+                << "align " << align << " len " << len;
+}
+
+TEST(Crc32, UpdateSplitAtEveryOffsetMatchesOneShot)
+{
+    util::Rng rng(33);
+    std::vector<uint8_t> data(1024);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.below(256));
+    uint32_t whole = util::crc32(data.data(), data.size());
+    EXPECT_EQ(whole, bitwiseCrc32(data.data(), data.size()));
+    for (size_t cut = 0; cut <= data.size(); ++cut) {
+        util::Crc32 crc;
+        crc.update(data.data(), cut);
+        crc.update(data.data() + cut, data.size() - cut);
+        EXPECT_EQ(crc.value(), whole) << "split at " << cut;
+    }
+}
+
 TEST(Rng, DeterministicForSeed)
 {
     util::Rng a(42), b(42);
