@@ -67,50 +67,116 @@ bytesortForward(const uint64_t *addrs, size_t n)
     return out;
 }
 
+namespace {
+
+/** @p start[c] = rank of the first byte c of @p plane in the encoder's
+ *  stable sort by that plane. */
+void
+planeStarts(const uint8_t *plane, size_t n, uint32_t start[256])
+{
+    uint32_t cnt[256] = {};
+    for (size_t s = 0; s < n; ++s)
+        cnt[plane[s]]++;
+    uint32_t sum = 0;
+    for (int c = 0; c < 256; ++c) {
+        start[c] = sum;
+        sum += cnt[c];
+    }
+}
+
+template <int K>
+uint64_t
+loadBytes(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < K; ++i)
+        v |= static_cast<uint64_t>(p[i]) << (8 * i);
+    return v;
+}
+
+template <int K>
+void
+storeBytes(uint8_t *p, uint64_t v)
+{
+    for (int i = 0; i < K; ++i)
+        p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/**
+ * Undo the encoder's sort by @p plane (plane j = 7 - K) into whole
+ * words: @p from packs bytes j+1..7 of every address, K bytes each,
+ * in sort order j+1; @p to receives bytes j..7 in order j.
+ */
+template <int K>
+void
+unsortToWords(const uint8_t *plane, size_t n, const uint8_t *from,
+              uint64_t *to)
+{
+    uint32_t start[256];
+    planeStarts(plane, n, start);
+    for (size_t s = 0; s < n; ++s)
+        to[s] = loadBytes<K>(from + size_t{K} * start[plane[s]]++) |
+                static_cast<uint64_t>(plane[s]) << (8 * K);
+}
+
+/**
+ * Undo the encoder's sort by @p plane (plane j = 8 - K) into K packed
+ * bytes per address, written over the planes from @p plane on: @p from
+ * holds bytes j+1..7 of every address in order j+1. Running the
+ * stable sort's ranks backwards from the end of each byte's range,
+ * address s is written to bytes [K s, K s + K) only after plane bytes
+ * s..n-1 have been read, so it never overwrites a byte still needed.
+ */
+template <int K>
+void
+unsortToPacked(uint8_t *plane, size_t n, const uint64_t *from)
+{
+    uint32_t end[256];
+    planeStarts(plane, n, end);
+    for (int c = 0; c < 255; ++c)
+        end[c] = end[c + 1];
+    end[255] = static_cast<uint32_t>(n);
+    for (size_t s = n; s-- > 0;) {
+        uint8_t b = plane[s];
+        storeBytes<K>(plane + size_t{K} * s,
+                      from[--end[b]] |
+                          static_cast<uint64_t>(b) << (8 * (K - 1)));
+    }
+}
+
+} // namespace
+
 std::vector<uint64_t>
 bytesortInverse(const uint8_t *bytes, size_t n)
 {
-    std::vector<uint64_t> addrs(n), scratch(n);
-    bytesortInverse(bytes, n, addrs.data(), scratch.data());
+    std::vector<uint8_t> planes(bytes, bytes + 8 * n);
+    std::vector<uint64_t> addrs(n);
+    bytesortInverseInPlace(planes.data(), n, addrs.data());
     return addrs;
 }
 
 void
-bytesortInverse(const uint8_t *bytes, size_t n, uint64_t *addrs,
-                uint64_t *scratch)
+bytesortInverseInPlace(uint8_t *planes, size_t n, uint64_t *addrs)
 {
+    // Undo the encoder's sorts last to first. Plane j lists byte j of
+    // every address in sort order j, and the encoder's stable sort by
+    // that byte sent rank s of order j to rank start[plane[s]]++ of
+    // order j+1. So from bytes j+1..7 of every address in order j+1,
+    // one gather through the same ranks yields bytes j..7 in order j;
+    // order 0 is the original sequence. Plane 7 is already bytes 7..7
+    // in order 7. The partial addresses alternate between @p addrs
+    // (whole words) and the planes already consumed (packed), so no
+    // third array is needed.
     if (n == 0)
         return;
-
-    // Undo the encoder's sorts last to first. Plane j lists byte j of
-    // every address in sort order j; the encoder's stable sort by that
-    // byte sent rank s of order j to rank start[plane[s]]++ of order
-    // j+1. So once `from` holds bytes j+1..7 of every address in order
-    // j+1, one gather through the same running starts yields bytes
-    // j..7 in order j — order 0 being the original sequence. Seven
-    // gathers alternate between the arrays and end in @p addrs.
-    uint64_t *from = scratch;
-    uint64_t *to = addrs;
-    const uint8_t *last = bytes + 7 * n;
-    for (size_t s = 0; s < n; ++s)
-        from[s] = last[s];
-    for (int j = 6; j >= 0; --j) {
-        const uint8_t *plane = bytes + static_cast<size_t>(j) * n;
-        int shift = 8 * (7 - j);
-        uint32_t cnt[256] = {};
-        for (size_t s = 0; s < n; ++s)
-            cnt[plane[s]]++;
-        uint32_t start[256];
-        uint32_t sum = 0;
-        for (int c = 0; c < 256; ++c) {
-            start[c] = sum;
-            sum += cnt[c];
-        }
-        for (size_t s = 0; s < n; ++s)
-            to[s] = from[start[plane[s]]++] |
-                    static_cast<uint64_t>(plane[s]) << shift;
-        std::swap(from, to);
-    }
+    auto plane = [planes, n](size_t j) { return planes + j * n; };
+    unsortToWords<1>(plane(6), n, plane(7), addrs);
+    unsortToPacked<3>(plane(5), n, addrs);
+    unsortToWords<3>(plane(4), n, plane(5), addrs);
+    unsortToPacked<5>(plane(3), n, addrs);
+    unsortToWords<5>(plane(2), n, plane(3), addrs);
+    unsortToPacked<7>(plane(1), n, addrs);
+    unsortToWords<7>(plane(0), n, plane(1), addrs);
 }
 
 std::vector<uint8_t>
@@ -205,21 +271,19 @@ ringDepth(const parallel::ThreadPool *pool)
     // The inverse transform is about a quarter of a buffer's decode
     // work (the codec frames are the rest), so one buffer ahead per
     // four decoding threads — the workers plus the helping caller —
-    // keeps pace. Each buffer ahead holds its planes, addresses and
-    // a scratch array, 8 bytes per address apiece.
+    // keeps pace. Each buffer ahead holds its planes and addresses, 8
+    // bytes per address apiece.
     if (pool == nullptr)
         return 0;
     return std::max<size_t>(1, (pool->size() + 1) / 4);
 }
 
 /**
- * Inverse-transform one buffer: @p planes (8n bytes) to @p out (n
- * addresses); @p scratch holds n entries for Transform::Bytesort.
- * Runs on the decoder's thread or as a pool task.
+ * Inverse-transform one buffer: @p planes (8n bytes, clobbered) to
+ * @p out (n addresses). Runs on the decoder's thread or as a pool task.
  */
 void
-invert(Transform transform, const uint8_t *planes, size_t n, uint64_t *out,
-       uint64_t *scratch)
+invert(Transform transform, uint8_t *planes, size_t n, uint64_t *out)
 {
     if (transform == Transform::None) {
         // Raw little-endian words: a copy, not transform compute.
@@ -237,7 +301,7 @@ invert(Transform transform, const uint8_t *planes, size_t n, uint64_t *out,
         unshuffleInverse(planes, n, out);
         break;
       case Transform::Bytesort:
-        bytesortInverse(planes, n, out, scratch);
+        bytesortInverseInPlace(planes, n, out);
         break;
       case Transform::Delta: {
           unshuffleInverse(planes, n, out);
@@ -351,8 +415,6 @@ TransformDecoder::readBuffer(Slot &slot)
     slot.planes.resize(8 * n);
     in_.readExact(slot.planes.data(), slot.planes.size());
     slot.addrs.resize(n);
-    if (transform_ == Transform::Bytesort)
-        slot.scratch.resize(n);
     return true;
 }
 
@@ -360,9 +422,8 @@ void
 TransformDecoder::launch(Slot &slot)
 {
     auto task = [transform = transform_, planes = slot.planes.data(),
-                 n = slot.addrs.size(), out = slot.addrs.data(),
-                 scratch = slot.scratch.data()] {
-        invert(transform, planes, n, out, scratch);
+                 n = slot.addrs.size(), out = slot.addrs.data()] {
+        invert(transform, planes, n, out);
     };
     if (pool_ != nullptr)
         slot.inverted = pool_->asyncHelping(task);
@@ -417,11 +478,8 @@ TransformDecoder::refill()
             throw;
         }
     }
-    if (depth_ == 0) {
-        // Without a ring, hold just the addresses being served.
-        front.planes = {};
-        front.scratch = {};
-    }
+    if (depth_ == 0)
+        front.planes = {}; // without a ring, hold just the addresses
     current_ = true;
     pos_ = 0;
     return true;

@@ -24,9 +24,8 @@
  * caller reads the buffers after it — one buffer ahead of the one being
  * served per four decoding threads (the pool's workers plus the
  * caller). A caller that must wait for a buffer runs queued pool tasks
- * meanwhile (ThreadPool::wait()). The ring's plane, address and scratch
- * arrays are recycled from buffer to buffer, so a pass allocates them
- * once. Without a pool every buffer is read and inverse-transformed on
+ * meanwhile (ThreadPool::wait()). The ring's plane and address arrays
+ * are recycled from buffer to buffer, so a pass allocates them once. Without a pool every buffer is read and inverse-transformed on
  * the caller's thread when the reader reaches it.
  */
 
@@ -77,10 +76,10 @@ std::vector<uint64_t> bytesortInverse(const uint8_t *bytes, size_t n);
 
 /**
  * Allocation-free inverse bytesort: writes the n addresses to @p out,
- * using @p scratch (n entries) as the second array of its gathers.
+ * using the 8*n bytes at @p planes as its working space (their
+ * contents are destroyed).
  */
-void bytesortInverse(const uint8_t *bytes, size_t n, uint64_t *out,
-                     uint64_t *scratch);
+void bytesortInverseInPlace(uint8_t *planes, size_t n, uint64_t *out);
 
 /** Buffer-level byte-unshuffling (no sorting). */
 std::vector<uint8_t> unshuffleForward(const uint64_t *addrs, size_t n);
@@ -175,7 +174,6 @@ class TransformDecoder
     struct Slot
     {
         std::vector<uint8_t> planes;
-        std::vector<uint64_t> scratch; ///< bytesort's second array, n
         std::vector<uint64_t> addrs;
         std::future<void> inverted; ///< pending pool task, if any
         std::exception_ptr failed;
