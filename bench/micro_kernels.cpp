@@ -15,6 +15,7 @@
  *   json-path  output file (default micro_kernels.json)
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -157,9 +158,14 @@ main(int argc, char **argv)
         if (p.size() != planes.size())
             std::abort();
     });
+    // The inverse consumes its planes, so each run copies them first.
+    std::vector<uint8_t> work(planes.size());
+    std::vector<uint64_t> back(addrs.size());
     runKernel(rows, "bytesort_inverse", kAddrs, [&] {
-        auto back = core::bytesortInverse(planes.data(), addrs.size());
-        if (back.size() != addrs.size())
+        std::copy(planes.begin(), planes.end(), work.begin());
+        core::bytesortInverseInPlace(work.data(), addrs.size(),
+                                     back.data());
+        if (back.back() != addrs.back())
             std::abort();
     });
 

@@ -110,13 +110,26 @@ indexOptions(size_t cache_bytes)
     return iopt;
 }
 
+/**
+ * A task queue with room for one full pass's readahead: up to
+ * 2 * threads + 2 frame decodes (lossy: 2 * threads + 1 chunks) and
+ * max(1, (threads + 1) / 4) + 1 inverse transforms. A pass then never
+ * blocks on a full queue; its reading thread waits only in
+ * ThreadPool::wait(), where it runs queued tasks.
+ */
+std::shared_ptr<parallel::ThreadPool>
+readerPool(size_t threads)
+{
+    if (threads == 0)
+        return nullptr;
+    return std::make_shared<parallel::ThreadPool>(threads, 4 * threads + 4);
+}
+
 } // namespace
 
 AtcReader::AtcReader(std::shared_ptr<const AtcIndex> index,
                      size_t threads)
-    : pool_(threads == 0 ? nullptr
-                         : std::make_shared<parallel::ThreadPool>(threads)),
-      index_(std::move(index)), cursor_(cursor())
+    : pool_(readerPool(threads)), index_(std::move(index)), cursor_(cursor())
 {
 }
 

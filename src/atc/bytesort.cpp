@@ -146,15 +146,6 @@ unsortToPacked(uint8_t *plane, size_t n, const uint64_t *from)
 
 } // namespace
 
-std::vector<uint64_t>
-bytesortInverse(const uint8_t *bytes, size_t n)
-{
-    std::vector<uint8_t> planes(bytes, bytes + 8 * n);
-    std::vector<uint64_t> addrs(n);
-    bytesortInverseInPlace(planes.data(), n, addrs.data());
-    return addrs;
-}
-
 void
 bytesortInverseInPlace(uint8_t *planes, size_t n, uint64_t *addrs)
 {
@@ -190,14 +181,6 @@ unshuffleForward(const uint64_t *addrs, size_t n)
             plane[i] = static_cast<uint8_t>(addrs[i] >> shift);
     }
     return out;
-}
-
-std::vector<uint64_t>
-unshuffleInverse(const uint8_t *bytes, size_t n)
-{
-    std::vector<uint64_t> addrs(n);
-    unshuffleInverse(bytes, n, addrs.data());
-    return addrs;
 }
 
 void
@@ -426,7 +409,7 @@ TransformDecoder::launch(Slot &slot)
         invert(transform, planes, n, out);
     };
     if (pool_ != nullptr)
-        slot.inverted = pool_->asyncHelping(task);
+        slot.inverted = pool_->async(task);
     else
         task();
 }

@@ -25,8 +25,9 @@
  * served per four decoding threads (the pool's workers plus the
  * caller). A caller that must wait for a buffer runs queued pool tasks
  * meanwhile (ThreadPool::wait()). The ring's plane and address arrays
- * are recycled from buffer to buffer, so a pass allocates them once. Without a pool every buffer is read and inverse-transformed on
- * the caller's thread when the reader reaches it.
+ * are recycled from buffer to buffer, so a pass allocates them once.
+ * Without a pool every buffer is read and inverse-transformed on the
+ * caller's thread when the reader reaches it.
  */
 
 #ifndef ATC_ATC_BYTESORT_HPP_
@@ -71,23 +72,17 @@ constexpr uint64_t kMaxBufferAddrs = uint64_t(1) << 30;
 /** Buffer-level forward bytesort: 8*n bytes, MSB plane first. */
 std::vector<uint8_t> bytesortForward(const uint64_t *addrs, size_t n);
 
-/** Buffer-level inverse bytesort. @p bytes must hold 8*n bytes. */
-std::vector<uint64_t> bytesortInverse(const uint8_t *bytes, size_t n);
-
 /**
- * Allocation-free inverse bytesort: writes the n addresses to @p out,
+ * Buffer-level inverse bytesort: writes the n addresses to @p out,
  * using the 8*n bytes at @p planes as its working space (their
- * contents are destroyed).
+ * contents are destroyed), with no allocation.
  */
 void bytesortInverseInPlace(uint8_t *planes, size_t n, uint64_t *out);
 
 /** Buffer-level byte-unshuffling (no sorting). */
 std::vector<uint8_t> unshuffleForward(const uint64_t *addrs, size_t n);
 
-/** Inverse of unshuffleForward. */
-std::vector<uint64_t> unshuffleInverse(const uint8_t *bytes, size_t n);
-
-/** Allocation-free inverse of unshuffleForward into @p out. */
+/** Inverse of unshuffleForward: the n addresses into @p out. */
 void unshuffleInverse(const uint8_t *bytes, size_t n, uint64_t *out);
 
 /**

@@ -96,7 +96,7 @@ launch(parallel::ThreadPool *pool, F fn)
     -> std::future<std::invoke_result_t<F>>
 {
     if (pool != nullptr)
-        return pool->asyncHelping(std::move(fn));
+        return pool->async(std::move(fn));
     return std::async(std::launch::deferred, std::move(fn));
 }
 

@@ -92,8 +92,9 @@ struct CursorOptions
     /** Borrowed pool; when set, full passes and readRange() decode
      *  through a readahead window on it, and the cursor's caller runs
      *  queued tasks of it while waiting (see the file comment), so it
-     *  must hold only tasks that finish on their own. Must outlive the
-     *  cursor. */
+     *  must hold only tasks that finish on their own. A submit to a
+     *  full queue waits for a worker; AtcReader sizes its pool's queue
+     *  to hold a whole pass's readahead. Must outlive the cursor. */
     parallel::ThreadPool *pool = nullptr;
 };
 

@@ -114,11 +114,10 @@ class Channel
      * Non-blocking enqueue: the admission-control primitive — a caller
      * that must never block (e.g. a poll loop) parks the item itself
      * when the channel is full instead of stalling inside push().
-     * @return false when the channel is full or closed (@p item is
-     *         then left as it was)
+     * @return false when the channel is full or closed (item dropped)
      */
     bool
-    tryPush(T &&item)
+    tryPush(T item)
     {
         std::unique_lock<std::mutex> lock(mutex_);
         if (closed_ || queue_.size() >= capacity_)

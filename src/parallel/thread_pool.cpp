@@ -66,20 +66,6 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 bool
-ThreadPool::submitHelping(std::function<void()> task)
-{
-    Task item{std::move(task), obs::nowNs()};
-    while (!tasks_.tryPush(std::move(item))) {
-        // Full (or closed): make room by running the oldest task here.
-        // An empty queue just now means the workers took everything,
-        // so the next push has room — unless the pool is shut down.
-        if (!runOne() && tasks_.closed())
-            return false;
-    }
-    return true;
-}
-
-bool
 ThreadPool::runOne()
 {
     Task task;

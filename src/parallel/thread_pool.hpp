@@ -11,12 +11,12 @@
  *
  * A caller that waits on its own tasks' results need not idle: wait()
  * runs queued tasks on the calling thread (runOne()) until the future
- * it waits for is ready, and asyncHelping() does the same instead of
- * blocking on a full queue. The pooled read engine (atc/index.hpp)
- * waits this way, so its caller decodes alongside the workers. Any
- * queued task may run on such a caller, so a pool that callers help
- * must hold only tasks that finish on their own — not, say, the serve
- * daemon's long-lived drain loops (job_queue.hpp).
+ * it waits for is ready. The pooled read engine (atc/index.hpp) waits
+ * this way, so its caller decodes alongside the workers; its reader
+ * sizes the queue to hold a full pass's readahead, so submitting never
+ * blocks there either. Any queued task may run on such a caller, so a
+ * pool that callers help must hold only tasks that finish on their own
+ * — not, say, the serve daemon's long-lived drain loops (job_queue.hpp).
  *
  * Destruction closes the task channel, runs the tasks already queued,
  * and joins the workers; abandoned futures never deadlock because
@@ -75,19 +75,15 @@ class ThreadPool
     auto
     async(F fn) -> std::future<std::invoke_result_t<F>>
     {
-        return package(std::move(fn), &ThreadPool::submit);
-    }
-
-    /**
-     * async() for a caller that waits on the result itself: while the
-     * queue is full it runs queued tasks (runOne()) instead of blocking.
-     * @throws util::Error when the pool is shutting down
-     */
-    template <typename F>
-    auto
-    asyncHelping(F fn) -> std::future<std::invoke_result_t<F>>
-    {
-        return package(std::move(fn), &ThreadPool::submitHelping);
+        using R = std::invoke_result_t<F>;
+        // packaged_task is move-only; std::function requires copyable
+        // targets, so the task rides in a shared_ptr.
+        auto task =
+            std::make_shared<std::packaged_task<R()>>(std::move(fn));
+        std::future<R> future = task->get_future();
+        if (!submit([task] { (*task)(); }))
+            util::raise("thread pool is shut down");
+        return future;
     }
 
     /**
@@ -115,23 +111,6 @@ class ThreadPool
     void shutdown();
 
   private:
-    template <typename F, typename Submit>
-    auto
-    package(F fn, Submit submit) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        // packaged_task is move-only; std::function requires copyable
-        // targets, so the task rides in a shared_ptr.
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::move(fn));
-        std::future<R> future = task->get_future();
-        if (!(this->*submit)([task] { (*task)(); }))
-            util::raise("thread pool is shut down");
-        return future;
-    }
-
-    bool submitHelping(std::function<void()> task);
-
     // Tasks carry their enqueue timestamp so the thread that dequeues
     // one can record queue latency (pool.queue_wait_us) before running
     // it; execution time lands in pool.worker_busy_us, or in

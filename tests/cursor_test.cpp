@@ -13,12 +13,13 @@
  * that repeated seeks into a cache-resident working set decode zero
  * frames (pooled cursors too), that eviction races under a starved
  * budget stay coherent (TSan again), and that a pooled lossy readRange
- * fans covering-chunk decodes out as pool tasks while staying
+ * runs covering-chunk decodes concurrently on the pool while staying
  * record-exact.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -27,7 +28,6 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "compress/codec.hpp"
-#include "obs/metrics.hpp"
 #include "parallel/parallel_atc.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
@@ -251,7 +251,8 @@ TEST(LossySeek, ReadRangeIsRecordExactAndPositionPreserving)
 
 // --------------------------------------------- decode-counting codec
 
-/** "store" wrapper counting decompressBlock calls process-wide. */
+/** "store" wrapper counting decompressBlock calls process-wide, and
+ *  the most that ran at once (proof of pool fan-out). */
 class CountingCodec : public comp::Codec
 {
   public:
@@ -269,22 +270,34 @@ class CountingCodec : public comp::Codec
                     std::vector<uint8_t> &out) const override
     {
         ++decodes;
+        int now = ++in_flight;
+        int seen = max_in_flight.load();
+        while (now > seen &&
+               !max_in_flight.compare_exchange_weak(seen, now)) {
+        }
+        if (await_overlap) {
+            // Hold the decode (at most a few seconds) until a second
+            // one runs beside it: a caller that helps its pool could
+            // otherwise run every tiny decode itself, one after another,
+            // before a worker picks one up.
+            auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(5);
+            while (max_in_flight.load() < 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            if (max_in_flight.load() < 2)
+                await_overlap = false; // no overlap: fail, not stall
+        }
         out.resize(raw_size);
         in.readExact(out.data(), out.size());
+        --in_flight;
     }
 
-    static std::atomic<uint64_t> decodes;
+    static inline std::atomic<uint64_t> decodes{0};
+    static inline std::atomic<int> in_flight{0};
+    static inline std::atomic<int> max_in_flight{0};
+    static inline std::atomic<bool> await_overlap{false};
 };
-
-std::atomic<uint64_t> CountingCodec::decodes{0};
-
-/** @return pool tasks run so far, by workers and by helping callers. */
-int64_t
-poolTasksRun()
-{
-    obs::Snapshot snap = obs::Registry::global().snapshot();
-    return snap.value("pool.tasks") + snap.value("pool.caller_tasks");
-}
 
 void
 registerCountingCodec()
@@ -677,25 +690,20 @@ TEST(PooledRange, LossyRangeSpanningManyChunksUsesPoolStaysExact)
     copt.pool = &pool;
     auto pooled = index->cursor(copt);
 
-    // Cold: every distinct covering chunk decodes as a pool task (run
-    // by a worker or by the caller helping while it waits; proved by
-    // the pool's task counters), record-exactly.
-    const auto &starts = index->recordStarts();
-    auto containing = [&](uint64_t rec) {
-        return std::upper_bound(starts.begin(), starts.end(), rec) -
-               starts.begin() - 1;
-    };
-    int64_t covering = containing(8'499) - containing(500) + 1;
-    ASSERT_GE(covering, 4);
-    int64_t tasks_before = poolTasksRun();
+    // Cold: the distinct covering chunks decode on the pool, several
+    // at once (proved by the codec seeing two decodes in flight),
+    // record-exactly.
+    CountingCodec::max_in_flight = 0;
+    CountingCodec::await_overlap = true;
     std::vector<uint64_t> out;
-    ASSERT_TRUE(pooled->readRange(500, 8'500, out).ok());
+    auto s = pooled->readRange(500, 8'500, out);
+    CountingCodec::await_overlap = false;
+    ASSERT_TRUE(s.ok()) << s.message();
     ASSERT_EQ(out.size(), 8'000u);
     for (size_t i = 0; i < out.size(); ++i)
         ASSERT_EQ(out[i], ref[500 + i]);
-    if (obs::enabled()) {
-        EXPECT_GE(poolTasksRun() - tasks_before, covering);
-    }
+    EXPECT_GE(CountingCodec::max_in_flight.load(), 2)
+        << "the covering chunks never decoded concurrently";
 
     // Warm: the covering chunks are cache-resident — nothing decodes.
     uint64_t before = CountingCodec::decodes.load();

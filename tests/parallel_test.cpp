@@ -10,9 +10,9 @@
  * structural proof that lossless decode overlaps frame decodes, and
  * the integrity satellites (CRC trailer verification, a pooled chunk
  * or frame error repeated on retry, empty/truncated chunk files), and
- * the caller helping its pool: runOne(), asyncHelping() on a full
- * queue, shutdown while a caller helps, and a pooled full read that
- * completes with the pool's only worker parked.
+ * the caller helping its pool: runOne(), shutdown while a caller
+ * helps, and a pooled full read that completes with the pool's only
+ * worker parked.
  */
 
 #include <atomic>
@@ -158,23 +158,6 @@ TEST(ThreadPool, RunOneRunsAQueuedTaskOnTheCaller)
     gate.count_down();
 }
 
-TEST(ThreadPool, AsyncHelpingRunsTasksInsteadOfBlockingOnAFullQueue)
-{
-    // One parked worker and a two-slot queue: plain async() would
-    // block on the third task forever.
-    parallel::ThreadPool pool(1, 2);
-    std::latch gate(1);
-    parkTheWorker(pool, gate);
-    std::vector<std::future<int>> results;
-    for (int i = 0; i < 8; ++i)
-        results.push_back(pool.asyncHelping([i] { return i; }));
-    for (int i = 0; i < 8; ++i) {
-        pool.wait(results[i]);
-        EXPECT_EQ(results[i].get(), i);
-    }
-    gate.count_down();
-}
-
 TEST(ThreadPool, ShutdownWhileACallerHelpsRunsEveryTask)
 {
     std::atomic<int> ran{0};
@@ -197,7 +180,7 @@ TEST(ThreadPool, ShutdownWhileACallerHelpsRunsEveryTask)
     closer.join();
     EXPECT_EQ(ran.load(), 1 + 32 + 1);
     EXPECT_FALSE(pool.runOne());
-    EXPECT_THROW(pool.asyncHelping([] {}), util::Error);
+    EXPECT_THROW(pool.async([] {}), util::Error);
 }
 
 // --------------------------------------------------------- test fixtures
@@ -901,7 +884,9 @@ TEST(ThreadPool, PooledFullReadCompletesWhileTheOnlyWorkerIsBlocked)
     iopt.cache_bytes = 0;
     auto index = core::AtcIndex::openOrThrow(store, iopt);
 
-    parallel::ThreadPool pool(1);
+    // A queue with room for the pass's whole readahead, as AtcReader
+    // gives its pool, so no submit waits for the parked worker.
+    parallel::ThreadPool pool(1, 64);
     std::latch gate(1);
     parkTheWorker(pool, gate);
     core::CursorOptions copt;
