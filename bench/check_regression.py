@@ -252,9 +252,8 @@ def check_sweep(bench, baseline, gated_modes, threshold,
     if sample_miss_error_max is None:
         sample_miss_error_max = DEFAULT_SAMPLE_MISS_ERROR_MAX
     lines = []
-    lines.append("### Perf trajectory — `%s` (%s addresses, container v%s)"
-                 % (bench.get("benchmark", "?"), bench.get("addresses", "?"),
-                    bench.get("container_version", "?")))
+    lines.append("### Perf trajectory — `%s` (%s addresses)"
+                 % (bench.get("benchmark", "?"), bench.get("addresses", "?")))
     lines.append("")
     lines.append("| mode | best Maddrs/s | baseline | ratio | speedup "
                  "@max threads | gate |")

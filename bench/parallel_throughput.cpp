@@ -3,8 +3,8 @@
  * Parallel compression/decompression throughput sweep, plus the
  * random-access sweep over the same container.
  *
- * Compresses one synthetic-generator corpus with the parallel drivers
- * at increasing thread counts and reports wall-clock throughput plus
+ * Compresses one synthetic-generator corpus with AtcWriter/AtcReader
+ * on increasing worker counts, and reports wall-clock throughput plus
  * speedup over one thread, as JSON (for the CI perf-trajectory
  * artifact) and as a human-readable table on stderr. Containers are
  * byte-identical across thread counts — the sweep asserts it. The
@@ -48,10 +48,10 @@
 #include <thread>
 #include <vector>
 
+#include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/parallel_atc.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -211,9 +211,6 @@ main(int argc, char **argv)
     core::MemoryStore lossless_ref; // ... and its lossless sibling
 
     for (size_t t : threads) {
-        parallel::ParallelOptions popt;
-        popt.threads = t;
-
         auto &registry = obs::Registry::global();
 
         // Lossy compression sweep.
@@ -221,7 +218,7 @@ main(int argc, char **argv)
         auto snap0 = registry.snapshot();
         auto t0 = Clock::now();
         {
-            parallel::ParallelAtcWriter w(lossy_store, lossy_opt, popt);
+            core::AtcWriter w(lossy_store, lossy_opt, t);
             w.write(corpus.data(), corpus.size());
             w.close();
         }
@@ -257,8 +254,7 @@ main(int argc, char **argv)
         snap0 = registry.snapshot();
         t0 = Clock::now();
         {
-            parallel::ParallelAtcWriter w(lossless_store, lossless_opt,
-                                          popt);
+            core::AtcWriter w(lossless_store, lossless_opt, t);
             w.write(corpus.data(), corpus.size());
             w.close();
         }
@@ -276,7 +272,8 @@ main(int argc, char **argv)
         snap0 = registry.snapshot();
         t0 = Clock::now();
         {
-            parallel::ParallelAtcReader r(reference, popt);
+            core::AtcReader r(reference, core::kDefaultDecodedCacheBytes,
+                              t);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -295,7 +292,8 @@ main(int argc, char **argv)
         snap0 = registry.snapshot();
         t0 = Clock::now();
         {
-            parallel::ParallelAtcReader r(lossless_ref, popt);
+            core::AtcReader r(lossless_ref,
+                              core::kDefaultDecodedCacheBytes, t);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -315,7 +313,8 @@ main(int argc, char **argv)
         snap0 = registry.snapshot();
         t0 = Clock::now();
         {
-            core::AtcReader r(lossless_ref, popt.cache_bytes, t - 1);
+            core::AtcReader r(lossless_ref,
+                              core::kDefaultDecodedCacheBytes, t - 1);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -551,10 +550,9 @@ main(int argc, char **argv)
     // metrics on; check_regression.py gates it at 3%.
     {
         auto decodeOnce = [&]() {
-            parallel::ParallelOptions popt1;
-            popt1.threads = 1;
             auto d0 = Clock::now();
-            parallel::ParallelAtcReader r(lossless_ref, popt1);
+            core::AtcReader r(lossless_ref,
+                              core::kDefaultDecodedCacheBytes, 1);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -603,10 +601,7 @@ main(int argc, char **argv)
         sample_copt.pipeline.codec_block = 32 * 1024;
         core::MemoryStore sample_store;
         {
-            parallel::ParallelOptions popt;
-            popt.threads = t;
-            parallel::ParallelAtcWriter w(sample_store, sample_copt,
-                                          popt);
+            core::AtcWriter w(sample_store, sample_copt, t);
             w.write(corpus.data(), corpus.size());
             w.close();
         }
@@ -669,12 +664,9 @@ main(int argc, char **argv)
     std::fprintf(json,
                  "{\n  \"benchmark\": \"parallel_throughput\",\n"
                  "  \"corpus\": \"%s\",\n  \"addresses\": %zu,\n"
-                 "  \"codec\": \"bwc\",\n  \"container_version\": %d,\n"
-                 "  \"cores\": %u,\n"
+                 "  \"codec\": \"bwc\",\n  \"cores\": %u,\n"
                  "  \"results\": [\n",
-                 bm.name.c_str(), n,
-                 static_cast<int>(core::kContainerVersion),
-                 std::thread::hardware_concurrency());
+                 bm.name.c_str(), n, std::thread::hardware_concurrency());
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
         std::fprintf(json,

@@ -33,12 +33,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "atc/atc.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/parallel_atc.hpp"
 #include "util/mmap.hpp"
 
 namespace {
@@ -148,55 +148,35 @@ main(int argc, char **argv)
     if (buffer_addrs != 0)
         options.pipeline.buffer_addrs = buffer_addrs;
 
-    // Both writers speak TraceSink; only construction and the close /
-    // count calls differ.
-    std::unique_ptr<core::AtcWriter> serial;
-    std::unique_ptr<parallel::ParallelAtcWriter> par;
-    trace::TraceSink *sink = nullptr;
-    if (threads > 1) {
-        parallel::ParallelOptions popt;
-        popt.threads = threads;
-        auto opened =
-            parallel::ParallelAtcWriter::open(positional[0], options,
-                                              popt);
-        if (!opened.ok()) {
-            std::fprintf(stderr, "error: %s\n",
-                         opened.status().message().c_str());
-            return 1;
-        }
-        par = opened.take();
-        sink = par.get();
-    } else {
-        auto opened = core::AtcWriter::open(positional[0], options);
-        if (!opened.ok()) {
-            std::fprintf(stderr, "error: %s\n",
-                         opened.status().message().c_str());
-            return 1;
-        }
-        serial = opened.take();
-        sink = serial.get();
+    // -j 1 is the serial writer: workers only from 2 threads up.
+    auto opened = core::AtcWriter::open(positional[0], options,
+                                        threads > 1 ? threads : 0);
+    if (!opened.ok()) {
+        std::fprintf(stderr, "error: %s\n",
+                     opened.status().message().c_str());
+        return 1;
     }
+    std::unique_ptr<core::AtcWriter> writer = opened.take();
 
     try {
         std::vector<uint64_t> batch(1 << 16);
         size_t got;
         while ((got = std::fread(batch.data(), sizeof(uint64_t),
                                  batch.size(), stdin)) > 0)
-            sink->write(batch.data(), got);
+            writer->write(batch.data(), got);
     } catch (const util::Error &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }
 
-    util::Status closed = par ? par->tryClose() : serial->tryClose();
+    util::Status closed = writer->tryClose();
     if (!closed.ok()) {
         std::fprintf(stderr, "error: %s\n", closed.message().c_str());
         return 1;
     }
-    uint64_t count = par ? par->count() : serial->count();
     std::fprintf(stderr, "%llu values compressed into %s (%zu thread%s)\n",
-                 static_cast<unsigned long long>(count), positional[0],
-                 threads, threads == 1 ? "" : "s");
+                 static_cast<unsigned long long>(writer->count()),
+                 positional[0], threads, threads == 1 ? "" : "s");
     if (!metrics_json.empty() && !obs::writeMetricsJson(metrics_json)) {
         std::fprintf(stderr, "error: cannot write %s\n",
                      metrics_json.c_str());

@@ -7,8 +7,8 @@
  * The stages are composed through the trace-pipeline interfaces: an
  * AccessGenerator feeds a cache::FilterStage whose miss stream fans out
  * (TeeSink) into a vector and both compressors in a single pass — no
- * hand-written per-stage loops. With -j N the compressors are the
- * parallel drivers (byte-identical containers, N worker threads).
+ * hand-written per-stage loops. With -j N the compressors and the
+ * reader run on N worker threads (byte-identical containers).
  *
  * Usage: trace_pipeline [-j N] [benchmark] [addresses]
  *   -j N       compress/decompress with N worker threads
@@ -32,51 +32,10 @@
 
 #include "atc/atc.hpp"
 #include "obs/metrics.hpp"
-#include "parallel/parallel_atc.hpp"
 #include "tcgen/corpus.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/stats.hpp"
 #include "trace/suite.hpp"
-
-namespace {
-
-/** Serial or parallel compressor behind one TraceSink facade. */
-struct Compressor
-{
-    std::unique_ptr<atc::core::AtcWriter> serial;
-    std::unique_ptr<atc::parallel::ParallelAtcWriter> par;
-
-    atc::trace::TraceSink *
-    sink()
-    {
-        return par ? static_cast<atc::trace::TraceSink *>(par.get())
-                   : serial.get();
-    }
-
-    const atc::core::LossyStats &
-    lossyStats() const
-    {
-        return par ? par->lossyStats() : serial->lossyStats();
-    }
-};
-
-Compressor
-makeCompressor(atc::core::ChunkStore &store,
-               const atc::core::AtcOptions &opt, size_t threads)
-{
-    Compressor c;
-    if (threads > 1) {
-        atc::parallel::ParallelOptions popt;
-        popt.threads = threads;
-        c.par = std::make_unique<atc::parallel::ParallelAtcWriter>(
-            store, opt, popt);
-    } else {
-        c.serial = std::make_unique<atc::core::AtcWriter>(store, opt);
-    }
-    return c;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -161,20 +120,22 @@ main(int argc, char **argv)
     // VectorTraceSource -> TeeSink -> { lossless writer, lossy writer }.
     core::MemoryStore lossless_store, lossy_store;
 
+    // -j 1 is the serial path: workers only from 2 threads up.
+    const size_t workers = threads > 1 ? threads : 0;
+
     core::AtcOptions lossless_opt;
     lossless_opt.mode = core::Mode::Lossless;
     lossless_opt.pipeline.buffer_addrs = count / 10;
-    Compressor lossless =
-        makeCompressor(lossless_store, lossless_opt, threads);
+    core::AtcWriter lossless(lossless_store, lossless_opt, workers);
 
     core::AtcOptions lossy_opt;
     lossy_opt.mode = core::Mode::Lossy;
     lossy_opt.lossy.interval_len = count / 100;
     lossy_opt.pipeline.buffer_addrs = count / 100;
-    Compressor lossy = makeCompressor(lossy_store, lossy_opt, threads);
+    core::AtcWriter lossy(lossy_store, lossy_opt, workers);
 
     trace::VectorTraceSource source(addrs);
-    trace::TeeSink fanout({lossless.sink(), lossy.sink()});
+    trace::TeeSink fanout({&lossless, &lossy});
     trace::pump(source, fanout);
     fanout.close();
 
@@ -197,7 +158,7 @@ main(int argc, char **argv)
     size_t n = 0;
     {
         core::AtcReader reader(lossy_store, core::kDefaultDecodedCacheBytes,
-                               threads > 1 ? threads : 0);
+                               workers);
         uint64_t buf[4096];
         size_t got;
         while ((got = reader.read(buf, 4096)) != 0)

@@ -6,18 +6,51 @@
 
 namespace atc::core {
 
-AtcWriter::AtcWriter(ChunkStore &store, const AtcOptions &options)
+namespace {
+
+/**
+ * The pool of an AtcWriter or AtcReader with @p threads workers (none
+ * for 0). Its queue has room for every window either keeps, so a
+ * submit never blocks: a reader's full pass queues up to
+ * 2 * threads + 2 frame decodes (lossy: 2 * threads + 1 chunks) and
+ * max(1, (threads + 1) / 4) + 1 inverse transforms, a lossy writer
+ * 2 * threads signatures and 2 * threads chunks. A reading thread then
+ * waits only in ThreadPool::wait(), where it runs queued tasks.
+ */
+std::shared_ptr<parallel::ThreadPool>
+makePool(size_t threads)
+{
+    if (threads == 0)
+        return nullptr;
+    return std::make_shared<parallel::ThreadPool>(threads, 4 * threads + 4);
+}
+
+IndexOptions
+indexOptions(size_t cache_bytes)
+{
+    IndexOptions iopt;
+    iopt.cache_bytes = cache_bytes;
+    return iopt;
+}
+
+} // namespace
+
+AtcWriter::AtcWriter(ChunkStore &store, const AtcOptions &options,
+                     size_t threads)
     : store_(&store), options_(options),
-      codec_(comp::makeCodec(options.pipeline.codec))
+      codec_(comp::makeCodec(options.pipeline.codec)),
+      pool_(makePool(threads))
 {
     init();
 }
 
-AtcWriter::AtcWriter(const std::string &dir, const AtcOptions &options)
+AtcWriter::AtcWriter(const std::string &dir, const AtcOptions &options,
+                     size_t threads)
     : owned_store_(std::make_unique<DirectoryStore>(
           dir, containerSuffix(options.pipeline.codec))),
       store_(owned_store_.get()), options_(options),
-      codec_(comp::makeCodec(options.pipeline.codec))
+      codec_(comp::makeCodec(options.pipeline.codec)),
+      pool_(makePool(threads))
 {
     init();
 }
@@ -32,25 +65,30 @@ AtcWriter::init()
     options_.lossy.chunk_params = options_.pipeline;
     if (options_.mode == Mode::Lossless) {
         chunk_sink_ = store_->createChunk(0);
-        lossless_ = std::make_unique<LosslessWriter>(options_.pipeline,
-                                                     *chunk_sink_);
+        lossless_ = std::make_unique<LosslessWriter>(
+            options_.pipeline, *chunk_sink_, pool_.get());
     } else {
-        lossy_ = std::make_unique<LossyEncoder>(options_.lossy, *store_);
+        lossy_ = std::make_unique<LossyEncoder>(options_.lossy, *store_,
+                                                pool_.get());
     }
 }
 
 util::StatusOr<std::unique_ptr<AtcWriter>>
-AtcWriter::open(ChunkStore &store, const AtcOptions &options)
+AtcWriter::open(ChunkStore &store, const AtcOptions &options,
+                size_t threads)
 {
-    return util::toStatus(
-        [&] { return std::make_unique<AtcWriter>(store, options); });
+    return util::toStatus([&] {
+        return std::make_unique<AtcWriter>(store, options, threads);
+    });
 }
 
 util::StatusOr<std::unique_ptr<AtcWriter>>
-AtcWriter::open(const std::string &dir, const AtcOptions &options)
+AtcWriter::open(const std::string &dir, const AtcOptions &options,
+                size_t threads)
 {
-    return util::toStatus(
-        [&] { return std::make_unique<AtcWriter>(dir, options); });
+    return util::toStatus([&] {
+        return std::make_unique<AtcWriter>(dir, options, threads);
+    });
 }
 
 AtcWriter::~AtcWriter() = default;
@@ -76,22 +114,31 @@ AtcWriter::lossyStats() const
 void
 AtcWriter::close()
 {
+    if (close_error_)
+        std::rethrow_exception(close_error_);
     if (closed_)
         return;
-    if (lossless_) {
-        lossless_->finish();
-        chunk_sink_->flush();
-        writeContainerInfo(*store_, codec_, options_.mode,
-                           options_.pipeline, count_, nullptr, 0,
-                           nullptr);
-    } else {
-        lossy_->finish();
-        writeContainerInfo(*store_, codec_, options_.mode,
-                           options_.pipeline, count_, &options_.lossy,
-                           lossy_->stats().chunks_created,
-                           &lossy_->records());
-    }
     closed_ = true;
+    try {
+        if (lossless_) {
+            lossless_->finish();
+            chunk_sink_->flush();
+            writeContainerInfo(*store_, codec_, options_.mode,
+                               options_.pipeline, count_, nullptr, 0,
+                               nullptr);
+        } else {
+            lossy_->finish();
+            writeContainerInfo(*store_, codec_, options_.mode,
+                               options_.pipeline, count_, &options_.lossy,
+                               lossy_->stats().chunks_created,
+                               &lossy_->records());
+        }
+    } catch (...) {
+        // The sequence may have written part of its bytes; running it
+        // again would append them twice, so the failure is final.
+        close_error_ = std::current_exception();
+        throw;
+    }
 }
 
 util::Status
@@ -100,36 +147,9 @@ AtcWriter::tryClose()
     return util::toStatus([&] { close(); });
 }
 
-namespace {
-
-IndexOptions
-indexOptions(size_t cache_bytes)
-{
-    IndexOptions iopt;
-    iopt.cache_bytes = cache_bytes;
-    return iopt;
-}
-
-/**
- * A task queue with room for one full pass's readahead: up to
- * 2 * threads + 2 frame decodes (lossy: 2 * threads + 1 chunks) and
- * max(1, (threads + 1) / 4) + 1 inverse transforms. A pass then never
- * blocks on a full queue; its reading thread waits only in
- * ThreadPool::wait(), where it runs queued tasks.
- */
-std::shared_ptr<parallel::ThreadPool>
-readerPool(size_t threads)
-{
-    if (threads == 0)
-        return nullptr;
-    return std::make_shared<parallel::ThreadPool>(threads, 4 * threads + 4);
-}
-
-} // namespace
-
 AtcReader::AtcReader(std::shared_ptr<const AtcIndex> index,
                      size_t threads)
-    : pool_(readerPool(threads)), index_(std::move(index)), cursor_(cursor())
+    : pool_(makePool(threads)), index_(std::move(index)), cursor_(cursor())
 {
 }
 

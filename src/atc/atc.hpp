@@ -15,6 +15,12 @@
  * pipeline interfaces (trace::TraceSink / trace::TraceSource), so a
  * compressor slots directly behind a generator or cache-filter stage.
  *
+ * Both take a `threads` count (0 = everything on the caller's thread)
+ * and then own a pool of that many workers: the writer encodes codec
+ * blocks (lossless) or interval signatures and chunks (lossy) on it,
+ * the reader decodes on it. The container bytes and the decoded trace
+ * do not depend on the count.
+ *
  * Failures while opening or reading a container (missing files,
  * corrupt INFO, truncated chunks) surface as util::Status/StatusOr via
  * the open()/tryRead()/tryClose() entry points; the constructors and
@@ -30,6 +36,7 @@
 #ifndef ATC_ATC_ATC_HPP_
 #define ATC_ATC_ATC_HPP_
 
+#include <exception>
 #include <memory>
 #include <string>
 
@@ -65,11 +72,14 @@ class AtcWriter : public trace::TraceSink
   public:
     /**
      * Write into an existing store.
-     * @param store destination; must outlive the writer
+     * @param store destination; must outlive the writer. Only the
+     *        caller's thread touches it, so any ChunkStore works.
      * @param options mode and parameters
+     * @param threads compression workers; 0 compresses on the caller
      * @throws util::Error on a malformed or unknown codec spec
      */
-    AtcWriter(ChunkStore &store, const AtcOptions &options);
+    AtcWriter(ChunkStore &store, const AtcOptions &options,
+              size_t threads = 0);
 
     /**
      * Write into a directory (created if needed), using the codec
@@ -77,16 +87,20 @@ class AtcWriter : public trace::TraceSink
      * tool's layout.
      * @throws util::Error on a bad codec spec or uncreatable directory
      */
-    AtcWriter(const std::string &dir, const AtcOptions &options);
+    AtcWriter(const std::string &dir, const AtcOptions &options,
+              size_t threads = 0);
 
     /** Non-throwing constructor wrapper. */
     static util::StatusOr<std::unique_ptr<AtcWriter>> open(
-        ChunkStore &store, const AtcOptions &options);
+        ChunkStore &store, const AtcOptions &options, size_t threads = 0);
 
     /** Non-throwing constructor wrapper (directory layout). */
     static util::StatusOr<std::unique_ptr<AtcWriter>> open(
-        const std::string &dir, const AtcOptions &options);
+        const std::string &dir, const AtcOptions &options,
+        size_t threads = 0);
 
+    /** Abandons cleanly when close() was never called: work still on
+     *  the pool runs out, and nothing more is written. */
     ~AtcWriter() override;
 
     AtcWriter(const AtcWriter &) = delete;
@@ -98,7 +112,12 @@ class AtcWriter : public trace::TraceSink
     /** Compress one 64-bit value (atc_code). */
     void code(uint64_t value) { write(&value, 1); }
 
-    /** Finalize the container, writing INFO (atc_close). */
+    /**
+     * Finalize the container, writing INFO (atc_close). The finish
+     * sequence runs once: after a success later calls do nothing, and
+     * after a failure every later call fails with the same error and
+     * writes nothing.
+     */
     void close() override;
 
     /** close(), reporting I/O failures as a Status instead of throwing. */
@@ -117,8 +136,12 @@ class AtcWriter : public trace::TraceSink
     ChunkStore *store_;
     AtcOptions options_;
     comp::ConfiguredCodec codec_;
+    // Declared before the encoders, so it outlives them: an abandoned
+    // writer's queued tasks still run against a live pool.
+    std::shared_ptr<parallel::ThreadPool> pool_;
     uint64_t count_ = 0;
     bool closed_ = false;
+    std::exception_ptr close_error_;
 
     // Lossless mode state.
     std::unique_ptr<util::ByteSink> chunk_sink_;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <deque>
 #include <future>
-#include <type_traits>
 
 #include "parallel/thread_pool.hpp"
 
@@ -87,24 +86,6 @@ settle(Slots &slots, parallel::ThreadPool *pool)
     for (auto &p : slots)
         if (p.decoded.valid())
             pool->wait(p.decoded);
-}
-
-/** Run @p fn on @p pool, or — without one — when its future is read. */
-template <typename F>
-auto
-launch(parallel::ThreadPool *pool, F fn)
-    -> std::future<std::invoke_result_t<F>>
-{
-    if (pool != nullptr)
-        return pool->async(std::move(fn));
-    return std::async(std::launch::deferred, std::move(fn));
-}
-
-/** @return how many blocks a cursor over @p pool decodes ahead. */
-size_t
-windowDepth(const parallel::ThreadPool *pool)
-{
-    return pool != nullptr ? 2 * pool->size() : 0;
 }
 
 /** @return the interval record containing record offset @p rec. */
@@ -331,7 +312,7 @@ class AtcCursor::FrameSource : public util::ByteSource
                 bool full)
         : index_(std::move(index)), layout_(index_->chunkLayout(0)),
           pool_(pool),
-          ahead_(pool != nullptr ? windowDepth(pool) + 1 : 0),
+          ahead_(pool != nullptr ? parallel::windowDepth(pool) + 1 : 0),
           next_(first), end_(end), full_(full)
     {}
 
@@ -445,7 +426,7 @@ class AtcCursor::FrameSource : public util::ByteSource
                     src_->skip(layout_.comp_starts[f + 1] -
                                layout_.comp_starts[f]);
                 } else {
-                    p.decoded = launch(
+                    p.decoded = parallel::launch(
                         pool_,
                         [index = index_,
                          raw_size = static_cast<size_t>(
@@ -509,7 +490,7 @@ class AtcCursor::ChunkWindow
                 parallel::ThreadPool *pool, size_t end_record,
                 bool populate)
         : index_(std::move(index)), pool_(pool),
-          depth_(windowDepth(pool)), end_(end_record),
+          depth_(parallel::windowDepth(pool)), end_(end_record),
           populate_(populate)
     {}
 
@@ -561,7 +542,7 @@ class AtcCursor::ChunkWindow
         p.key = id;
         p.ready = cache.get(id);
         if (!p.ready)
-            p.decoded = launch(pool_, [index = index_, id]() {
+            p.decoded = parallel::launch(pool_, [index = index_, id]() {
                 return decodeChunkPayload(index->info().pipeline,
                                           index->store(), id);
             });

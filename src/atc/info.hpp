@@ -1,8 +1,7 @@
 /**
  * @file
- * The container INFO wire format, shared by both writers (AtcWriter and
- * ParallelAtcWriter) so they emit byte-identical metadata, and parsed
- * once per container by AtcIndex.
+ * The container INFO wire format, written by AtcWriter::close() and
+ * parsed once per container by AtcIndex.
  *
  * Layout: an uncompressed preamble (magic, version, mode, codec spec)
  * followed by a codec-compressed payload holding the pipeline

@@ -14,6 +14,10 @@
  * once the stream is drained, so corruption is loud even under codecs
  * without per-block checksums ("store") and under truncation at frame
  * boundaries.
+ *
+ * The writer runs the transform on the caller's thread and hands the
+ * codec stage (comp::StreamCompressor) an optional borrowed pool, which
+ * then encodes blocks in parallel; the bytes do not depend on it.
  */
 
 #ifndef ATC_ATC_LOSSLESS_HPP_
@@ -47,9 +51,12 @@ class LosslessWriter
     /**
      * @param params pipeline parameters
      * @param out    destination (e.g. a chunk file)
+     * @param pool   borrowed codec workers, forwarded to the codec
+     *               stage (must outlive the writer); null = inline
      * @throws util::Error on a malformed or unknown codec spec
      */
-    LosslessWriter(const LosslessParams &params, util::ByteSink &out);
+    LosslessWriter(const LosslessParams &params, util::ByteSink &out,
+                   parallel::ThreadPool *pool = nullptr);
 
     /** Compress a batch of addresses — the primary entry point. */
     void write(const uint64_t *addrs, size_t n);
@@ -57,7 +64,8 @@ class LosslessWriter
     /** Compress one address. */
     void code(uint64_t addr) { write(&addr, 1); }
 
-    /** Flush everything and write the CRC trailer; call exactly once. */
+    /** Flush everything and write the CRC trailer. Runs once: later
+     *  calls, also after a failed one, write nothing. */
     void finish();
 
     /** @return addresses coded. */
@@ -68,6 +76,7 @@ class LosslessWriter
     std::shared_ptr<const comp::Codec> codec_;
     std::unique_ptr<comp::StreamCompressor> codec_stage_;
     std::unique_ptr<TransformEncoder> transform_;
+    bool finished_ = false;
 };
 
 /** Streaming lossless decompressor from a byte source. */

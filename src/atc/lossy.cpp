@@ -4,15 +4,16 @@
 #include <cstring>
 
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/status.hpp"
 
 namespace atc::core {
 
 namespace {
 
-// The signature+decision stage runs on the writer's caller thread
-// even when chunk compression is pooled — the ROADMAP's suspected
-// serial bottleneck. These counters make that fraction measurable.
+// Signatures and chunk compression run wherever the encoder's tasks
+// run (pool workers or the caller); the decision stage always runs on
+// the caller. These counters make each stage's share measurable.
 struct LossyMetrics {
     obs::Counter &signature_us;
     obs::Counter &decision_us;
@@ -40,8 +41,8 @@ lossyMetrics()
 }  // namespace
 
 LossyEncoder::LossyEncoder(const LossyParams &params, ChunkStore &store,
-                           ChunkFn chunk_fn)
-    : params_(params), store_(store), chunk_fn_(std::move(chunk_fn))
+                           parallel::ThreadPool *pool)
+    : params_(params), store_(store), pool_(pool)
 {
     ATC_CHECK(params_.interval_len > 0, "interval length must be positive");
     ATC_CHECK(params_.chunk_table > 0, "chunk table must be nonempty");
@@ -61,44 +62,7 @@ LossyEncoder::write(const uint64_t *addrs, size_t n)
         addrs += take;
         n -= take;
         if (buffer_.size() == params_.interval_len)
-            processInterval();
-    }
-}
-
-void
-LossyEncoder::emitChunk(const IntervalSignature &sig)
-{
-    uint32_t id = static_cast<uint32_t>(stats_.chunks_created++);
-    uint64_t length = buffer_.size();
-    bool full = buffer_.size() == params_.interval_len;
-
-    lossyMetrics().chunks.inc();
-    if (chunk_fn_) {
-        // Pooled path: the parallel writer times the compression
-        // inside its task, where it actually runs.
-        std::vector<uint64_t> payload = std::move(buffer_);
-        buffer_ = std::vector<uint64_t>();
-        buffer_.reserve(params_.interval_len);
-        chunk_fn_(id, std::move(payload));
-    } else {
-        obs::StageTimer t(lossyMetrics().chunk_compress_us);
-        auto sink = store_.createChunk(id);
-        LosslessWriter writer(params_.chunk_params, *sink);
-        writer.write(buffer_.data(), buffer_.size());
-        writer.finish();
-        sink->flush();
-    }
-
-    records_.push_back(
-        {IntervalRecord::Kind::Chunk, id, length, ByteTranslation{}});
-
-    // Register the chunk's signature; evict the oldest when full. A
-    // partial final chunk is not a candidate for imitation, so it is
-    // not registered.
-    if (full) {
-        if (table_.size() == params_.chunk_table)
-            table_.pop_front();
-        table_.push_back({id, sig});
+            launchInterval();
     }
 }
 
@@ -110,41 +74,44 @@ LossyEncoder::signatureOf(const uint64_t *addrs, size_t n)
 }
 
 void
-LossyEncoder::writeInterval(std::vector<uint64_t> payload,
-                            const IntervalSignature &sig)
+LossyEncoder::launchInterval()
 {
-    ATC_ASSERT(!finished_);
-    ATC_CHECK(buffer_.empty(),
-              "writeInterval cannot mix with buffered write() input");
-    ATC_CHECK(!payload.empty() &&
-                  payload.size() <= params_.interval_len,
-              "writeInterval payload must be 1..interval_len addresses");
-    stats_.addresses += payload.size();
-    buffer_ = std::move(payload);
-    applyInterval(sig);
+    std::vector<uint64_t> addrs = std::move(buffer_);
+    buffer_ = std::vector<uint64_t>();
+    buffer_.reserve(params_.interval_len);
+    intervals_.push_back(parallel::launch(
+        pool_, [addrs = std::move(addrs)]() mutable {
+            IntervalSignature sig = signatureOf(addrs.data(), addrs.size());
+            return Interval{std::move(addrs), std::move(sig)};
+        }));
+    drainIntervals(parallel::windowDepth(pool_));
 }
 
 void
-LossyEncoder::processInterval()
+LossyEncoder::drainIntervals(size_t keep)
 {
-    applyInterval(signatureOf(buffer_.data(), buffer_.size()));
+    while (intervals_.size() > keep) {
+        Interval interval = intervals_.front().get();
+        intervals_.pop_front();
+        decide(std::move(interval));
+    }
 }
 
 void
-LossyEncoder::applyInterval(const IntervalSignature &sig)
+LossyEncoder::decide(Interval interval)
 {
     LossyMetrics &m = lossyMetrics();
 
     // Only full intervals may imitate: a shorter final interval has a
     // different temporal extent and is always stored exactly.
-    bool full = buffer_.size() == params_.interval_len;
+    bool full = interval.addrs.size() == params_.interval_len;
 
     obs::StageTimer dec_t(m.decision_us);
     const TableEntry *best = nullptr;
     double best_d = 0.0;
     if (full) {
         for (const TableEntry &entry : table_) {
-            double d = signatureDistance(entry.sig, sig);
+            double d = signatureDistance(entry.sig, interval.sig);
             if (!best || d < best_d) {
                 best = &entry;
                 best_d = d;
@@ -152,24 +119,71 @@ LossyEncoder::applyInterval(const IntervalSignature &sig)
         }
     }
 
+    ++stats_.intervals;
     if (best && best_d < params_.epsilon) {
         IntervalRecord rec;
         rec.kind = IntervalRecord::Kind::Imitate;
         rec.chunk_id = best->chunk_id;
-        rec.length = buffer_.size();
+        rec.length = interval.addrs.size();
         if (params_.translate)
-            rec.trans = makeTranslation(best->sig, sig, params_.epsilon);
+            rec.trans =
+                makeTranslation(best->sig, interval.sig, params_.epsilon);
         dec_t.stop();
         records_.push_back(std::move(rec));
         ++stats_.imitated;
         m.imitations.inc();
     } else {
         dec_t.stop();
-        emitChunk(sig);
+        emitChunk(std::move(interval));
+    }
+}
+
+void
+LossyEncoder::emitChunk(Interval interval)
+{
+    uint32_t id = static_cast<uint32_t>(stats_.chunks_created++);
+    uint64_t length = interval.addrs.size();
+    records_.push_back(
+        {IntervalRecord::Kind::Chunk, id, length, ByteTranslation{}});
+    lossyMetrics().chunks.inc();
+
+    // Register the chunk's signature; evict the oldest when full. A
+    // partial final chunk is not a candidate for imitation, so it is
+    // not registered.
+    if (length == params_.interval_len) {
+        if (table_.size() == params_.chunk_table)
+            table_.pop_front();
+        table_.push_back({id, std::move(interval.sig)});
     }
 
-    ++stats_.intervals;
-    buffer_.clear();
+    // The task compresses inline on whichever thread runs it (no
+    // nested pool), into bytes the caller writes to the store in id
+    // order.
+    chunks_.emplace_back(
+        id, parallel::launch(pool_, [params = params_.chunk_params,
+                                     addrs = std::move(interval.addrs)] {
+            obs::StageTimer t(lossyMetrics().chunk_compress_us);
+            std::vector<uint8_t> bytes;
+            util::VectorSink sink(bytes);
+            LosslessWriter writer(params, sink);
+            writer.write(addrs.data(), addrs.size());
+            writer.finish();
+            return bytes;
+        }));
+    drainChunks(parallel::windowDepth(pool_));
+}
+
+void
+LossyEncoder::drainChunks(size_t keep)
+{
+    while (chunks_.size() > keep) {
+        uint32_t id = chunks_.front().first;
+        std::vector<uint8_t> bytes = chunks_.front().second.get();
+        chunks_.pop_front();
+        auto sink = store_.createChunk(id);
+        sink->write(bytes.data(), bytes.size());
+        sink->flush();
+    }
 }
 
 void
@@ -177,9 +191,11 @@ LossyEncoder::finish()
 {
     if (finished_)
         return;
-    if (!buffer_.empty())
-        processInterval();
     finished_ = true;
+    if (!buffer_.empty())
+        launchInterval();
+    drainIntervals(0);
+    drainChunks(0);
 }
 
 std::vector<uint64_t>

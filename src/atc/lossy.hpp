@@ -12,6 +12,12 @@
  *
  * The encoder produces chunks (into a ChunkStore) and an interval
  * record list; INFO serialization lives with the top-level AtcWriter.
+ * Given a pool, it computes interval signatures and compresses chunks
+ * as pool tasks: each stage keeps an ordered window of
+ * parallel::windowDepth(pool) tasks, and the order-dependent decision
+ * between them runs on the caller as signatures resolve, so the
+ * container is the same for every pool size.
+ *
  * The decoder regenerates the address stream from chunks + records,
  * reading decompressed chunks through a BlockCache — either a shared
  * one (an AtcIndex's, so every cursor over the container reuses one
@@ -25,7 +31,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "atc/block_cache.hpp"
@@ -86,22 +94,15 @@ class LossyEncoder
 {
   public:
     /**
-     * Receives each interval that becomes a chunk, instead of the
-     * built-in compress-into-the-store path. The payload is moved out
-     * of the encoder; ids are dense and increasing. This is the seam
-     * the parallel driver uses to offload chunk compression.
-     */
-    using ChunkFn =
-        std::function<void(uint32_t id, std::vector<uint64_t> payload)>;
-
-    /**
      * @param params scheme parameters
-     * @param store  chunk destination (must outlive the encoder)
-     * @param chunk_fn optional override for chunk emission; when set,
-     *        the encoder never touches @p store itself
+     * @param store  chunk destination (must outlive the encoder); only
+     *               the caller's thread touches it
+     * @param pool   borrowed workers for interval signatures and chunk
+     *               compression (must outlive the encoder); null runs
+     *               both on the caller
      */
     LossyEncoder(const LossyParams &params, ChunkStore &store,
-                 ChunkFn chunk_fn = nullptr);
+                 parallel::ThreadPool *pool = nullptr);
 
     /** Feed a batch of addresses — the primary entry point. */
     void write(const uint64_t *addrs, size_t n);
@@ -110,28 +111,16 @@ class LossyEncoder
     void code(uint64_t addr) { write(&addr, 1); }
 
     /**
-     * The signature stage of processing an interval, exposed so the
-     * parallel writer can run it on pool workers: pure and
-     * order-independent (histograms of the payload only), while the
-     * decision stage below stays order-dependent (it walks the chunk
-     * table). Timed under lossy.signature_us wherever it runs.
+     * The signature stage of processing an interval: pure and
+     * order-independent (histograms of the payload only), so it runs
+     * as a pool task, while the decision stage stays order-dependent
+     * (it walks the chunk table). Timed under lossy.signature_us
+     * wherever it runs.
      */
     static IntervalSignature signatureOf(const uint64_t *addrs, size_t n);
 
-    /**
-     * Feed one whole interval whose signature was already computed
-     * (via signatureOf) — the order-preserving reassembly entry the
-     * parallel writer drains pooled signatures into, in submission
-     * order. Byte-identical to write()-ing the same addresses: the
-     * decision, records, and chunk emission follow the same code path.
-     * Only the final interval before finish() may be shorter than
-     * interval_len, and calls must not be mixed with buffered write()
-     * leftovers (an unaligned mix would change interval boundaries).
-     */
-    void writeInterval(std::vector<uint64_t> payload,
-                       const IntervalSignature &sig);
-
-    /** Flush the final (possibly partial) interval. */
+    /** Flush the final (possibly partial) interval and every pending
+     *  chunk; runs once. */
     void finish();
 
     /** @return counters (valid after finish()). */
@@ -141,9 +130,20 @@ class LossyEncoder
     const std::vector<IntervalRecord> &records() const { return records_; }
 
   private:
-    void processInterval();
-    void applyInterval(const IntervalSignature &sig);
-    void emitChunk(const IntervalSignature &sig);
+    /** One interval with its signature, as a signature task returns
+     *  it. Tasks own their payload, so an abandoned encoder never
+     *  leaves a worker on freed memory. */
+    struct Interval
+    {
+        std::vector<uint64_t> addrs;
+        IntervalSignature sig;
+    };
+
+    void launchInterval();
+    void drainIntervals(size_t keep);
+    void decide(Interval interval);
+    void emitChunk(Interval interval);
+    void drainChunks(size_t keep);
 
     struct TableEntry
     {
@@ -153,8 +153,11 @@ class LossyEncoder
 
     LossyParams params_;
     ChunkStore &store_;
-    ChunkFn chunk_fn_;
+    parallel::ThreadPool *pool_;
     std::vector<uint64_t> buffer_;
+    std::deque<std::future<Interval>> intervals_;
+    std::deque<std::pair<uint32_t, std::future<std::vector<uint8_t>>>>
+        chunks_;
     std::deque<TableEntry> table_;
     std::vector<IntervalRecord> records_;
     LossyStats stats_;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/status.hpp"
 
 namespace atc::comp {
@@ -62,11 +63,13 @@ plausibleFrameSizes(uint64_t raw_size, uint64_t comp_size)
            comp_size <= 4 * raw_size + (1u << 20);
 }
 
-} // namespace
-
+/**
+ * Compress one block into a self-contained frame (header + payload),
+ * filling @p entry with its index entry.
+ */
 std::vector<uint8_t>
 encodeFrame(const Codec &codec, const uint8_t *data, size_t n,
-            FrameFormat format, FrameIndexEntry *entry)
+            FrameFormat format, FrameIndexEntry &entry)
 {
     FrameMetrics &m = encodeFrameMetrics();
     obs::LatencyTimer frame_t(m.frame_us);
@@ -76,31 +79,27 @@ encodeFrame(const Codec &codec, const uint8_t *data, size_t n,
         util::writeVarint(sink, n + 1);
         size_t header = out.size();
         codec.compressBlock(data, n, sink);
-        if (entry != nullptr)
-            *entry = {n, out.size() - header};
-        frame_t.stop();
-        m.frames.inc();
-        m.raw_bytes.add(static_cast<int64_t>(n));
-        m.comp_bytes.add(static_cast<int64_t>(out.size() - header));
-        return out;
+        entry = {n, out.size() - header};
+    } else {
+        // Seekable: the compressed length goes into the header, so the
+        // payload is produced first.
+        std::vector<uint8_t> payload;
+        util::VectorSink payload_sink(payload);
+        codec.compressBlock(data, n, payload_sink);
+        util::writeVarint(sink, n + 1);
+        util::writeVarint(sink, payload.size());
+        sink.write(payload.data(), payload.size());
+        entry = {n, payload.size()};
     }
-    // Seekable: the compressed length goes into the header, so the
-    // payload is produced first.
-    std::vector<uint8_t> payload;
-    util::VectorSink payload_sink(payload);
-    codec.compressBlock(data, n, payload_sink);
-    util::writeVarint(sink, n + 1);
-    util::writeVarint(sink, payload.size());
-    sink.write(payload.data(), payload.size());
-    if (entry != nullptr)
-        *entry = {n, payload.size()};
     frame_t.stop();
     m.frames.inc();
     m.raw_bytes.add(static_cast<int64_t>(n));
-    m.comp_bytes.add(static_cast<int64_t>(payload.size()));
+    m.comp_bytes.add(static_cast<int64_t>(entry.comp_size));
     return out;
 }
 
+/** Emit the end-of-stream terminator and — Seekable only — the frame
+ *  index for @p index. */
 void
 writeStreamEnd(util::ByteSink &sink, FrameFormat format,
                const std::vector<FrameIndexEntry> &index)
@@ -115,6 +114,8 @@ writeStreamEnd(util::ByteSink &sink, FrameFormat format,
         util::writeVarint(sink, e.comp_size);
     }
 }
+
+} // namespace
 
 FrameScan
 readSeekableFrameHeader(util::ByteSource &src, FrameIndexEntry &entry)
@@ -268,8 +269,10 @@ fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
 }
 
 StreamCompressor::StreamCompressor(const Codec &codec, util::ByteSink &sink,
-                                   size_t block_size, FrameFormat format)
-    : codec_(codec), sink_(sink), block_size_(block_size), format_(format)
+                                   size_t block_size, FrameFormat format,
+                                   parallel::ThreadPool *pool)
+    : codec_(codec), sink_(sink), block_size_(block_size), format_(format),
+      pool_(pool)
 {
     ATC_ASSERT(block_size_ > 0);
     buffer_.reserve(block_size_);
@@ -277,8 +280,12 @@ StreamCompressor::StreamCompressor(const Codec &codec, util::ByteSink &sink,
 
 StreamCompressor::~StreamCompressor()
 {
-    // finish() is the caller's job (it can throw); destructor tolerates
-    // abandoned streams.
+    // finish() is the caller's job (it can throw); an abandoned stream
+    // only has to outlast the pooled encodes that borrow codec_.
+    // Deferred ones never run.
+    if (pool_ != nullptr)
+        for (auto &frame : pending_)
+            frame.wait();
 }
 
 void
@@ -301,34 +308,28 @@ StreamCompressor::write(const uint8_t *data, size_t n)
 void
 StreamCompressor::emitBlock()
 {
-    FrameMetrics &m = encodeFrameMetrics();
-    obs::LatencyTimer frame_t(m.frame_us);
-    if (format_ == FrameFormat::Legacy) {
-        // Direct write — no frame-sized staging buffer on the hot
-        // path. (comp_bytes is not tracked here: the codec writes
-        // straight into the sink, which need not be seekable.)
-        util::writeVarint(sink_, buffer_.size() + 1);
-        codec_.compressBlock(buffer_.data(), buffer_.size(), sink_);
-    } else {
-        // Stage only the payload (its length goes in the header), then
-        // write header + payload straight to the sink — same bytes as
-        // encodeFrame without the second frame-sized copy. The parallel
-        // writer uses encodeFrame because its pooled tasks must return
-        // self-contained frames.
-        std::vector<uint8_t> payload;
-        util::VectorSink payload_sink(payload);
-        codec_.compressBlock(buffer_.data(), buffer_.size(),
-                             payload_sink);
-        util::writeVarint(sink_, buffer_.size() + 1);
-        util::writeVarint(sink_, payload.size());
-        sink_.write(payload.data(), payload.size());
-        index_.push_back({buffer_.size(), payload.size()});
-        m.comp_bytes.add(static_cast<int64_t>(payload.size()));
+    std::vector<uint8_t> raw = std::move(buffer_);
+    buffer_ = std::vector<uint8_t>();
+    buffer_.reserve(block_size_);
+    pending_.push_back(parallel::launch(
+        pool_, [&codec = codec_, format = format_, raw = std::move(raw)] {
+            EncodedFrame frame;
+            frame.bytes = encodeFrame(codec, raw.data(), raw.size(),
+                                      format, frame.entry);
+            return frame;
+        }));
+    drain(parallel::windowDepth(pool_));
+}
+
+void
+StreamCompressor::drain(size_t keep)
+{
+    while (pending_.size() > keep) {
+        EncodedFrame frame = pending_.front().get();
+        pending_.pop_front();
+        sink_.write(frame.bytes.data(), frame.bytes.size());
+        index_.push_back(frame.entry);
     }
-    frame_t.stop();
-    m.frames.inc();
-    m.raw_bytes.add(static_cast<int64_t>(buffer_.size()));
-    buffer_.clear();
 }
 
 void
@@ -336,10 +337,11 @@ StreamCompressor::finish()
 {
     if (finished_)
         return;
+    finished_ = true;
     if (!buffer_.empty())
         emitBlock();
+    drain(0);
     writeStreamEnd(sink_, format_, index_);
-    finished_ = true;
 }
 
 StreamDecompressor::StreamDecompressor(const Codec &codec,

@@ -25,12 +25,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <future>
 #include <memory>
 #include <vector>
 
 #include "compress/codec.hpp"
 #include "util/bytestream.hpp"
 #include "util/crc32.hpp"
+
+namespace atc::parallel {
+class ThreadPool;
+} // namespace atc::parallel
 
 namespace atc::comp {
 
@@ -49,24 +55,6 @@ struct FrameIndexEntry
     uint64_t raw_size = 0;  ///< decompressed block length
     uint64_t comp_size = 0; ///< codec bytes in the stream
 };
-
-/**
- * Compress one block into a self-contained frame (header + payload).
- * The single serialization point for frames: the serial compressor and
- * the parallel writer both call it, which is what keeps containers
- * byte-identical across thread counts.
- * @param entry receives the frame's index entry when non-null
- */
-std::vector<uint8_t> encodeFrame(const Codec &codec, const uint8_t *data,
-                                 size_t n, FrameFormat format,
-                                 FrameIndexEntry *entry = nullptr);
-
-/**
- * Emit the end-of-stream terminator and — Seekable only — the frame
- * index for @p index.
- */
-void writeStreamEnd(util::ByteSink &sink, FrameFormat format,
-                    const std::vector<FrameIndexEntry> &index);
 
 /** Outcome of reading one Seekable frame header. */
 enum class FrameScan
@@ -181,7 +169,15 @@ FramePayload fetchIndexedFramePayload(util::ByteSource &src,
                                       const StreamLayout &layout,
                                       size_t f);
 
-/** Accumulates bytes and emits codec frames into a sink. */
+/**
+ * Accumulates bytes and emits codec frames into a sink: the one place
+ * a stream is sliced into blocks, its frames serialized, its raw
+ * CRC-32 computed, and its frame index and end written. Each block is
+ * encoded into a self-contained frame by a task launched on the
+ * optional pool (inline without one); the encoded frames wait in a
+ * window of parallel::windowDepth(pool) tasks and reach the sink in
+ * block order, so the bytes are the same for every pool size.
+ */
 class StreamCompressor : public util::ByteSink
 {
   public:
@@ -190,17 +186,23 @@ class StreamCompressor : public util::ByteSink
      * @param sink       destination (must outlive the compressor)
      * @param block_size bytes per block; larger blocks compress better
      * @param format     frame format (Legacy is the INFO payload's)
+     * @param pool       borrowed encode workers (must outlive the
+     *                   compressor); null encodes on the caller
      */
     StreamCompressor(const Codec &codec, util::ByteSink &sink,
                      size_t block_size = kDefaultBlockSize,
-                     FrameFormat format = FrameFormat::Legacy);
+                     FrameFormat format = FrameFormat::Legacy,
+                     parallel::ThreadPool *pool = nullptr);
 
+    /** Waits out pooled encodes still in flight (they borrow the
+     *  codec); their frames are dropped. */
     ~StreamCompressor() override;
 
     /** Buffer input, emitting a frame whenever a block fills. */
     void write(const uint8_t *data, size_t n) override;
 
-    /** Emit the final partial block, the end marker and the index. */
+    /** Emit the final partial block, the end marker and the index;
+     *  runs once, later calls do nothing. */
     void finish();
 
     /** @return raw bytes consumed so far. */
@@ -210,13 +212,22 @@ class StreamCompressor : public util::ByteSink
     uint32_t crc() const { return crc_.value(); }
 
   private:
+    struct EncodedFrame
+    {
+        std::vector<uint8_t> bytes;
+        FrameIndexEntry entry;
+    };
+
     void emitBlock();
+    void drain(size_t keep);
 
     const Codec &codec_;
     util::ByteSink &sink_;
     size_t block_size_;
     FrameFormat format_;
+    parallel::ThreadPool *pool_;
     std::vector<uint8_t> buffer_;
+    std::deque<std::future<EncodedFrame>> pending_;
     std::vector<FrameIndexEntry> index_;
     uint64_t raw_bytes_ = 0;
     util::Crc32 crc_;

@@ -9,12 +9,19 @@
  * ordered reassembly keep their futures in a deque and resolve them in
  * submission order.
  *
+ * launch() is the one way the read engine and the writer run a task
+ * "on a pool or inline": on the pool when there is one, else deferred
+ * to the future's get() on the caller's thread. Both keep the futures
+ * of a bounded window (windowDepth()) and resolve them in order, so
+ * one code path serves every thread count, 0 included.
+ *
  * A caller that waits on its own tasks' results need not idle: wait()
  * runs queued tasks on the calling thread (runOne()) until the future
  * it waits for is ready. The pooled read engine (atc/index.hpp) waits
- * this way, so its caller decodes alongside the workers; its reader
- * sizes the queue to hold a full pass's readahead, so submitting never
- * blocks there either. Any queued task may run on such a caller, so a
+ * this way, so its caller decodes alongside the workers; the writer's
+ * drains wait with a plain get(). AtcReader and AtcWriter size the
+ * queue to hold every window they keep, so submitting never blocks
+ * there either. Any queued task may run on a helping caller, so a
  * pool that callers help must hold only tasks that finish on their own
  * — not, say, the serve daemon's long-lived drain loops (job_queue.hpp).
  *
@@ -129,6 +136,27 @@ class ThreadPool
     Channel<Task> tasks_;
     std::vector<std::thread> workers_;
 };
+
+/**
+ * Run @p fn on @p pool, or — without one — on the caller's thread when
+ * its future is read (a deferred std::async).
+ */
+template <typename F>
+auto
+launch(ThreadPool *pool, F fn) -> std::future<std::invoke_result_t<F>>
+{
+    if (pool != nullptr)
+        return pool->async(std::move(fn));
+    return std::async(std::launch::deferred, std::move(fn));
+}
+
+/** @return how many launched tasks an ordered window over @p pool
+ *  keeps in flight: 2 per worker, or 0 (run each at once) without. */
+inline size_t
+windowDepth(const ThreadPool *pool)
+{
+    return pool != nullptr ? 2 * pool->size() : 0;
+}
 
 } // namespace atc::parallel
 

@@ -28,7 +28,6 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "compress/codec.hpp"
-#include "parallel/parallel_atc.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
 #include "util/rng.hpp"
@@ -655,9 +654,7 @@ TEST(PooledRange, ParallelReaderCursorMatchesSerial)
     auto trace = makeTrace(60'000, 29);
     auto store = writeContainer(trace, makeOptions(core::Mode::Lossless));
 
-    parallel::ParallelOptions popt;
-    popt.threads = 4;
-    parallel::ParallelAtcReader reader(store, popt);
+    core::AtcReader reader(store, core::kDefaultDecodedCacheBytes, 4);
     auto cursor = reader.cursor();
 
     std::vector<uint64_t> out;

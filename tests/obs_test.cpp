@@ -1,17 +1,23 @@
 // Unit tests for the observability layer: bucket math exactness,
-// disabled-mode behaviour, text/JSON encoding round-trips, and
-// concurrent record vs snapshot churn (the TSan target).
+// disabled-mode behaviour, text/JSON encoding round-trips, concurrent
+// record vs snapshot churn (the TSan target), and docs/metrics.md
+// naming every key a threaded write and read register.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "atc/atc.hpp"
 #include "obs/metrics.hpp"
+#include "trace/pipeline.hpp"
 
 namespace obs = atc::obs;
+namespace core = atc::core;
 
 namespace {
 
@@ -201,6 +207,53 @@ TEST(ObsHistogram, QuantileFromBuckets)
         reg.snapshot().histograms.at("q.lat_us");
     EXPECT_EQ(hv.quantile(0.5), 2u);
     EXPECT_EQ(hv.quantile(0.99), 512u);
+}
+
+TEST(ObsDocs, EveryKeyAThreadedWriteAndReadRegistersIsDocumented)
+{
+    if (!obs::kCompiledIn)
+        GTEST_SKIP() << "built with ATC_OBS_OFF";
+    EnabledGuard guard;
+    obs::setEnabled(true);
+
+    // Register the library's record sites the way a real run does:
+    // a lossless and a lossy container written and read back on a
+    // pool, so pool, codec, transform, lossy, cache and I/O keys all
+    // appear in the global registry.
+    std::vector<uint64_t> addrs(40'000);
+    uint64_t base = 0x10000000;
+    for (size_t i = 0; i < addrs.size(); ++i)
+        addrs[i] = (base += (i * 2654435761u) % 512) & 0x3FFFFFFF;
+    for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
+        core::AtcOptions opt;
+        opt.mode = mode;
+        opt.pipeline.codec_block = 16 * 1024;
+        opt.pipeline.buffer_addrs = 4096;
+        opt.lossy.interval_len = 8192;
+        core::MemoryStore store;
+        core::AtcWriter writer(store, opt, 2);
+        writer.write(addrs.data(), addrs.size());
+        writer.close();
+        core::AtcReader reader(store, core::kDefaultDecodedCacheBytes, 2);
+        EXPECT_EQ(atc::trace::collect(reader).size(), addrs.size());
+    }
+
+    std::ifstream in(ATC_METRICS_DOC);
+    ASSERT_TRUE(in) << "cannot open " << ATC_METRICS_DOC;
+    std::string doc((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+    obs::Snapshot snap = obs::Registry::global().snapshot();
+    std::vector<std::string> keys;
+    for (const auto &kv : snap.counters)
+        keys.push_back(kv.first);
+    for (const auto &kv : snap.gauges)
+        keys.push_back(kv.first);
+    for (const auto &kv : snap.histograms)
+        keys.push_back(kv.first);
+    ASSERT_GT(keys.size(), 20u);
+    for (const std::string &key : keys)
+        EXPECT_NE(doc.find("`" + key + "`"), std::string::npos)
+            << key << " is registered but not in docs/metrics.md";
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 /**
  * @file
- * Parallel subsystem tests: channel/pool primitives, parallel-vs-serial
- * byte identity of containers, pooled-reader round trips across thread
+ * Parallel subsystem tests: channel/pool primitives, byte identity of
+ * containers written inline and on N workers, container bytes pinned
+ * as sizes and CRC-32s at every worker count, a failed close latched
+ * so a retry writes nothing, pooled-reader round trips across thread
  * counts (the shared block cache off, so only the readahead window
  * feeds the pool), the pooled full scan's cache policy, mid-stream
  * cancellation without deadlock, cursors outliving their reader,
@@ -28,9 +30,9 @@
 #include "atc/atc.hpp"
 #include "cache/filter.hpp"
 #include "parallel/channel.hpp"
-#include "parallel/parallel_atc.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -228,9 +230,7 @@ writeParallel(const std::vector<uint64_t> &addrs,
               const core::AtcOptions &opt, size_t threads)
 {
     core::MemoryStore store;
-    parallel::ParallelOptions popt;
-    popt.threads = threads;
-    parallel::ParallelAtcWriter writer(store, opt, popt);
+    core::AtcWriter writer(store, opt, threads);
     // Feed in many odd-sized batches to exercise dispatch boundaries.
     size_t pos = 0;
     while (pos < addrs.size()) {
@@ -263,7 +263,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,
                          testing::Values(size_t(1), size_t(2),
                                          size_t(8)));
 
-// ------------------------------------------- parallel-vs-serial identity
+// ------------------------------------------- inline-vs-pooled identity
 
 TEST_P(ThreadSweep, LosslessContainerByteIdentical)
 {
@@ -306,6 +306,144 @@ TEST(ParallelAtc, ParameterizedCodecSpecByteIdentical)
     expectStoresIdentical(serial, par);
 }
 
+// ------------------------------------------------- pinned container bytes
+
+/** Size and CRC-32 of one container file. */
+struct FilePin
+{
+    size_t size;
+    uint32_t crc;
+};
+
+FilePin
+pinOf(const std::vector<uint8_t> &bytes)
+{
+    util::Crc32 crc;
+    crc.update(bytes.data(), bytes.size());
+    return {bytes.size(), crc.value()};
+}
+
+void
+expectPinned(const core::MemoryStore &store, FilePin info,
+             const std::vector<FilePin> &chunks, size_t threads)
+{
+    FilePin got = pinOf(store.infoBytes());
+    EXPECT_EQ(got.size, info.size) << "INFO at " << threads;
+    EXPECT_EQ(got.crc, info.crc) << "INFO at " << threads;
+    ASSERT_EQ(store.chunkCount(), chunks.size()) << threads;
+    for (uint32_t id = 0; id < chunks.size(); ++id) {
+        got = pinOf(store.chunkBytes(id));
+        EXPECT_EQ(got.size, chunks[id].size)
+            << "chunk " << id << " at " << threads;
+        EXPECT_EQ(got.crc, chunks[id].crc)
+            << "chunk " << id << " at " << threads;
+    }
+}
+
+TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
+{
+    // Frozen sizes and CRC-32s of reference containers. The identity
+    // sweeps above compare two runs of one code path, which could
+    // drift together; these constants cannot.
+    auto bwc_trace = makeTrace(60'000, 101);
+    auto bwc_opt = makeOptions(core::Mode::Lossless, bwc_trace.size());
+    auto big_trace = makeTrace(60'000, 102);
+    auto big_opt = makeOptions(core::Mode::Lossless, big_trace.size(),
+                               "bwc:block=64k");
+    auto lossy_trace = makeTrace(70'000, 103);
+    auto lossy_opt = makeOptions(core::Mode::Lossy, lossy_trace.size());
+    lossy_opt.lossy.interval_len = 9973; // 7 full intervals + 189
+    lossy_opt.lossy.epsilon = 0.05;      // 3 chunks, 5 imitations
+
+    for (size_t threads : {size_t(0), size_t(1), size_t(2), size_t(8)}) {
+        // 30 frames of 16 KiB, the last one 4897 bytes.
+        expectPinned(writeParallel(bwc_trace, bwc_opt, threads),
+                     {182, 0xb3a0aa22u}, {{99388, 0xfeab030au}},
+                     threads);
+        // 8 frames of 64 KiB, the last one 21281 bytes.
+        expectPinned(writeParallel(big_trace, big_opt, threads),
+                     {192, 0x0cfd9d40u}, {{93571, 0x7db649cdu}},
+                     threads);
+        core::MemoryStore lossy;
+        {
+            core::AtcWriter writer(lossy, lossy_opt, threads);
+            writer.write(lossy_trace.data(), lossy_trace.size());
+            writer.close();
+            EXPECT_EQ(writer.lossyStats().intervals, 8u);
+            EXPECT_EQ(writer.lossyStats().imitated, 5u);
+        }
+        expectPinned(lossy, {3521, 0x55a82e6bu},
+                     {{15585, 0x26b3efeeu},
+                      {15621, 0x5d14ca6eu},
+                      {549, 0x093bcce3u}},
+                     threads);
+    }
+}
+
+// ------------------------------------------------------------ failed close
+
+/** A store whose first INFO sink fails its first write, as a full
+ *  disk would; later INFO sinks write normally. */
+class FailingInfoStore : public core::MemoryStore
+{
+  public:
+    std::unique_ptr<util::ByteSink>
+    createInfo() override
+    {
+        if (failed_)
+            return core::MemoryStore::createInfo();
+        failed_ = true;
+        return std::make_unique<FailingSink>();
+    }
+
+  private:
+    struct FailingSink : util::ByteSink
+    {
+        void
+        write(const uint8_t *, size_t) override
+        {
+            util::raise("INFO write failed");
+        }
+    };
+
+    bool failed_ = false;
+};
+
+TEST(FailedClose, IsLatchedAndARetryWritesNothing)
+{
+    auto addrs = makeTrace(40'000, 104);
+    for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
+        for (size_t threads : {size_t(0), size_t(4)}) {
+            FailingInfoStore store;
+            core::AtcWriter writer(store, makeOptions(mode, addrs.size()),
+                                   threads);
+            writer.write(addrs.data(), addrs.size());
+            util::Status first = writer.tryClose();
+            ASSERT_FALSE(first.ok());
+            EXPECT_NE(first.message().find("INFO write failed"),
+                      std::string::npos)
+                << first.message();
+
+            std::vector<std::vector<uint8_t>> chunks;
+            for (uint32_t id = 0; id < store.chunkCount(); ++id)
+                chunks.push_back(store.chunkBytes(id));
+            for (int retry = 0; retry < 2; ++retry) {
+                util::Status again = writer.tryClose();
+                ASSERT_FALSE(again.ok());
+                EXPECT_EQ(again.message(), first.message());
+                EXPECT_THROW(writer.close(), util::Error);
+            }
+            // Neither the chunks nor INFO took another byte.
+            ASSERT_EQ(store.chunkCount(), chunks.size());
+            for (uint32_t id = 0; id < chunks.size(); ++id)
+                EXPECT_EQ(store.chunkBytes(id), chunks[id])
+                    << "chunk " << id << " mode " << int(mode)
+                    << " threads " << threads;
+            EXPECT_TRUE(store.infoBytes().empty());
+        }
+    }
+}
+
 // ------------------------------------------------------------ round trip
 
 TEST_P(ThreadSweep, LosslessRoundTripThroughParallelReader)
@@ -314,9 +452,8 @@ TEST_P(ThreadSweep, LosslessRoundTripThroughParallelReader)
     auto opt = makeOptions(core::Mode::Lossless, addrs.size());
     auto store = writeParallel(addrs, opt, GetParam());
 
-    parallel::ParallelOptions popt;
-    popt.threads = GetParam();
-    parallel::ParallelAtcReader reader(store, popt);
+    core::AtcReader reader(store, core::kDefaultDecodedCacheBytes,
+                           GetParam());
     EXPECT_EQ(reader.mode(), core::Mode::Lossless);
     EXPECT_EQ(reader.count(), addrs.size());
     std::vector<uint64_t> back = trace::collect(reader);
@@ -335,9 +472,8 @@ TEST_P(ThreadSweep, LossyRoundTripMatchesSerialReader)
     std::vector<uint64_t> expect = trace::collect(serial);
     EXPECT_EQ(expect.size(), addrs.size());
 
-    parallel::ParallelOptions popt;
-    popt.threads = GetParam();
-    parallel::ParallelAtcReader reader(store, popt);
+    core::AtcReader reader(store, core::kDefaultDecodedCacheBytes,
+                           GetParam());
     std::vector<uint64_t> got = trace::collect(reader);
     EXPECT_EQ(got, expect);
 }
@@ -349,10 +485,8 @@ TEST(ParallelAtc, AbandonedWriterDoesNotDeadlock)
     auto addrs = makeTrace(60'000, 41);
     for (int round = 0; round < 3; ++round) {
         core::MemoryStore store;
-        parallel::ParallelOptions popt;
-        popt.threads = 4;
         auto opt = makeOptions(core::Mode::Lossy, addrs.size());
-        parallel::ParallelAtcWriter writer(store, opt, popt);
+        core::AtcWriter writer(store, opt, 4);
         writer.write(addrs.data(), addrs.size() / 2);
         // No close(): destruction must drain the pool and return.
     }
@@ -944,9 +1078,7 @@ TEST(SeekableDecode, FramesDecodeConcurrently)
     auto store = writeSerial(addrs, opt);
 
     SleepyStoreCodec::max_in_flight = 0;
-    parallel::ParallelOptions popt;
-    popt.threads = 4;
-    parallel::ParallelAtcReader reader(store, popt);
+    core::AtcReader reader(store, core::kDefaultDecodedCacheBytes, 4);
     EXPECT_EQ(trace::collect(reader), addrs);
     // The structural claim of seekable framing: several compressed
     // frames in flight at once.
@@ -965,17 +1097,16 @@ TEST(ParallelAtc, DirectoryContainerInterchangeable)
     auto addrs = makeTrace(40'000, 61);
     auto opt = makeOptions(core::Mode::Lossy, addrs.size());
     {
-        parallel::ParallelOptions popt;
-        popt.threads = 3;
-        parallel::ParallelAtcWriter writer(dir, opt, popt);
+        core::AtcWriter writer(dir, opt, 3);
         writer.write(addrs.data(), addrs.size());
         writer.close();
     }
-    // The serial reader consumes the parallel writer's directory...
+    // The serial reader consumes the pooled writer's directory...
     core::AtcReader serial(dir);
     std::vector<uint64_t> a = trace::collect(serial);
-    // ...and the parallel reader agrees with it, end to end.
-    parallel::ParallelAtcReader par(dir);
+    // ...and a pooled reader agrees with it, end to end.
+    core::AtcReader par(dir, core::kDefaultDecodedCacheBytes,
+                        parallel::resolveThreads(0));
     std::vector<uint64_t> b = trace::collect(par);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.size(), addrs.size());
@@ -1086,7 +1217,7 @@ TEST(ShardedFilter, RefusesNonDecomposableConfigs)
 TEST_P(ThreadSweep, PooledLossySurvivesOddIntervalSlicing)
 {
     // interval_len deliberately coprime to every batch size the
-    // parallel writer sees, so dispatch boundaries never align with
+    // pooled writer sees, so dispatch boundaries never align with
     // write() calls; the container must stay byte-identical.
     auto addrs = makeTrace(70'000, 23);
     auto opt = makeOptions(core::Mode::Lossy, addrs.size());
@@ -1106,10 +1237,8 @@ TEST_P(ThreadSweep, AbandonedLossyWriterDestructsCleanly)
     auto opt = makeOptions(core::Mode::Lossy, addrs.size());
     opt.lossy.interval_len = 1013;
     core::MemoryStore store;
-    parallel::ParallelOptions popt;
-    popt.threads = GetParam();
     {
-        parallel::ParallelAtcWriter writer(store, opt, popt);
+        core::AtcWriter writer(store, opt, GetParam());
         writer.write(addrs.data(), addrs.size());
         // no close(): abandoned
     }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end smoke test of the serving daemon: build a container with
-# bin2atc, start atcserved on a kernel-assigned loopback port, drive it
+# bin2atc (serial and on 4 threads, which must agree file for file),
+# start atcserved on a kernel-assigned loopback port, drive it
 # with atcclient (ping, open, seek, range, stat), ask it to shut down,
 # and require a clean exit. Run by ctest as `serve_smoke`.
 #
@@ -19,8 +20,14 @@ mkdir -p "$WORK_DIR"
 cd "$WORK_DIR"
 
 # 16384 random u64 addresses; content doesn't matter, round-tripping does.
+# 16 KiB codec blocks give the threaded writer several frames to spread.
 dd if=/dev/urandom of=trace.bin bs=4096 count=32 2>/dev/null
-"$BIN_DIR/bin2atc" tdir c < trace.bin
+"$BIN_DIR/bin2atc" -j 1 --block 16k tdir c < trace.bin
+"$BIN_DIR/bin2atc" -j 4 --block 16k tdir4 c < trace.bin
+[ "$(ls tdir | wc -l)" -eq "$(ls tdir4 | wc -l)" ]
+for f in tdir/*; do
+    cmp "$f" "tdir4/$(basename "$f")"
+done
 
 "$BIN_DIR/atcserved" --port 0 --port-file port.txt demo=tdir &
 SERVER_PID=$!
