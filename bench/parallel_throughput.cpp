@@ -7,11 +7,13 @@
  * on increasing worker counts, and reports wall-clock throughput plus
  * speedup over one thread, as JSON (for the CI perf-trajectory
  * artifact) and as a human-readable table on stderr. Containers are
- * byte-identical across thread counts — the sweep asserts it. The
- * read rows count pool workers; `lossless_decompress_vs_serial`
- * repeats the lossless read counting every decoding thread — t - 1
- * workers plus the reader's caller, which runs queued pool tasks while
- * it waits — so its speedup is over the serial, pool-less reader.
+ * byte-identical across thread counts — the sweep asserts it.
+ *
+ * One thread-count rule: a writer's or reader's caller runs queued
+ * pool tasks while it waits, so it counts as one of the threads — t
+ * threads are t - 1 pool workers plus the caller, and t = 1 is the
+ * serial, pool-less path. Every speedup is thus over serial. The
+ * served and sampled rows, whose callers only wait, run t workers.
  *
  * The random-access rows exercise the AtcIndex/AtcCursor API on the
  * lossless container: `random_seek` measures seek + short-read
@@ -44,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -206,19 +209,22 @@ main(int argc, char **argv)
     std::vector<Row> rows;
     double base_lossy = 0, base_lossless = 0, base_read = 0;
     double base_lossless_read = 0, base_seek = 0, base_hot = 0;
-    double base_ranged = 0, base_serve = 0, base_serial_read = 0;
+    double base_ranged = 0, base_serve = 0;
     core::MemoryStore reference; // first thread count's lossy container
     core::MemoryStore lossless_ref; // ... and its lossless sibling
 
     for (size_t t : threads) {
         auto &registry = obs::Registry::global();
 
+        // Pool workers besides the caller (see the file comment).
+        const size_t workers = t - 1;
+
         // Lossy compression sweep.
         core::MemoryStore lossy_store;
         auto snap0 = registry.snapshot();
         auto t0 = Clock::now();
         {
-            core::AtcWriter w(lossy_store, lossy_opt, t);
+            core::AtcWriter w(lossy_store, lossy_opt, workers);
             w.write(corpus.data(), corpus.size());
             w.close();
         }
@@ -254,7 +260,7 @@ main(int argc, char **argv)
         snap0 = registry.snapshot();
         t0 = Clock::now();
         {
-            core::AtcWriter w(lossless_store, lossless_opt, t);
+            core::AtcWriter w(lossless_store, lossless_opt, workers);
             w.write(corpus.data(), corpus.size());
             w.close();
         }
@@ -273,7 +279,7 @@ main(int argc, char **argv)
         t0 = Clock::now();
         {
             core::AtcReader r(reference, core::kDefaultDecodedCacheBytes,
-                              t);
+                              workers);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -293,7 +299,7 @@ main(int argc, char **argv)
         t0 = Clock::now();
         {
             core::AtcReader r(lossless_ref,
-                              core::kDefaultDecodedCacheBytes, t);
+                              core::kDefaultDecodedCacheBytes, workers);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -306,33 +312,14 @@ main(int argc, char **argv)
                         base_lossless_read / s});
         rows.back().stages = stageDelta(snap0, registry.snapshot());
 
-        // The same pass counted by its decoding threads: the reader's
-        // caller runs queued pool tasks while it waits, so t threads
-        // are t - 1 workers plus the caller, and t = 1 is the serial
-        // (pool-less) reader. Speedup here is over serial decode.
-        snap0 = registry.snapshot();
-        t0 = Clock::now();
-        {
-            core::AtcReader r(lossless_ref,
-                              core::kDefaultDecodedCacheBytes, t - 1);
-            uint64_t buf[65536];
-            while (r.read(buf, 65536) != 0) {
-            }
-        }
-        s = seconds(t0, Clock::now());
-        if (base_serial_read == 0)
-            base_serial_read = s;
-        rows.push_back({"lossless_decompress_vs_serial", t, s,
-                        static_cast<double>(n) / s / 1e6,
-                        base_serial_read / s});
-        rows.back().stages = stageDelta(snap0, registry.snapshot());
-
         // Random-access sweep over the lossless container, via the
         // shared index + cursor API (no streaming reader in the way).
         auto index = core::AtcIndex::openOrThrow(lossless_ref);
-        parallel::ThreadPool pool(t);
+        std::unique_ptr<parallel::ThreadPool> pool;
+        if (workers > 0)
+            pool = std::make_unique<parallel::ThreadPool>(workers);
         core::CursorOptions copt;
-        copt.pool = &pool;
+        copt.pool = pool.get();
         auto cursor = index->cursor(copt);
 
         // Seek latency: scattered seeks, 1000-record read each.
@@ -525,13 +512,11 @@ main(int argc, char **argv)
 
         std::fprintf(stderr,
                      "  %zu thread(s): lossy %.2fs, lossless %.2fs, "
-                     "decode %.2fs, lossless decode %.2fs "
-                     "(caller counted %.2fs), "
+                     "decode %.2fs, lossless decode %.2fs, "
                      "seek %.2fs, hot seek %.2fs, ranged %.2fs, "
                      "serve %.2fs (p50 %.2fms, p99 %.2fms, "
                      "%zu clients)\n",
-                     t, rows[rows.size() - 9].secs,
-                     rows[rows.size() - 8].secs,
+                     t, rows[rows.size() - 8].secs,
                      rows[rows.size() - 7].secs,
                      rows[rows.size() - 6].secs,
                      rows[rows.size() - 5].secs,
@@ -544,7 +529,7 @@ main(int argc, char **argv)
     }
 
     // obs_overhead: prove the metrics layer is affordable. One-thread
-    // lossless decode — the gated hot path, with per-frame and
+    // (serial) lossless decode — the gated hot path, with per-frame and
     // per-buffer record sites live — best of 3 runs with metrics on vs
     // runtime-disabled. overhead_pct is the slowdown of leaving
     // metrics on; check_regression.py gates it at 3%.
@@ -552,7 +537,7 @@ main(int argc, char **argv)
         auto decodeOnce = [&]() {
             auto d0 = Clock::now();
             core::AtcReader r(lossless_ref,
-                              core::kDefaultDecodedCacheBytes, 1);
+                              core::kDefaultDecodedCacheBytes, 0);
             uint64_t buf[65536];
             while (r.read(buf, 65536) != 0) {
             }
@@ -601,7 +586,7 @@ main(int argc, char **argv)
         sample_copt.pipeline.codec_block = 32 * 1024;
         core::MemoryStore sample_store;
         {
-            core::AtcWriter w(sample_store, sample_copt, t);
+            core::AtcWriter w(sample_store, sample_copt, t - 1);
             w.write(corpus.data(), corpus.size());
             w.close();
         }

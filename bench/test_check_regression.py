@@ -280,9 +280,17 @@ class SpeedupGateTest(unittest.TestCase):
 
     def test_committed_gates_carry_speedup_floors(self):
         gates = cr.load_gates(cr.DEFAULT_GATES)
-        names = {g["name"] for g in gates["speedup_gates"]}
-        self.assertIn("compress_speedup_4t", names)
-        self.assertIn("decompress_speedup_4t", names)
+        by_name = {g["name"]: g for g in gates["speedup_gates"]}
+        # Both floors read the caller-counted compress and decompress
+        # rows, whose 1-thread row is the serial path.
+        self.assertEqual(by_name["compress_speedup_4t"]["mode"],
+                         "lossless_compress")
+        self.assertEqual(by_name["decompress_speedup_4t"]["mode"],
+                         "lossless_decompress")
+        self.assertGreaterEqual(
+            by_name["compress_speedup_4t"]["min_speedup"], 2.0)
+        self.assertGreaterEqual(
+            by_name["decompress_speedup_4t"]["min_speedup"], 2.4)
 
 
 class ThresholdPrecedenceTest(unittest.TestCase):

@@ -13,9 +13,11 @@ namespace {
  * for 0). Its queue has room for every window either keeps, so a
  * submit never blocks: a reader's full pass queues up to
  * 2 * threads + 2 frame decodes (lossy: 2 * threads + 1 chunks) and
- * max(1, (threads + 1) / 4) + 1 inverse transforms, a lossy writer
- * 2 * threads signatures and 2 * threads chunks. A reading thread then
- * waits only in ThreadPool::wait(), where it runs queued tasks.
+ * max(1, (threads + 1) / 4) + 1 inverse transforms, a lossless writer
+ * 2 * threads + 1 codec frames and 2 forward-transform batches, a lossy
+ * writer 2 * threads signatures and 2 * threads chunks. A reading or
+ * writing thread then waits only in ThreadPool::wait(), where it runs
+ * queued tasks.
  */
 std::shared_ptr<parallel::ThreadPool>
 makePool(size_t threads)

@@ -12,63 +12,6 @@ namespace atc::core {
 
 namespace {
 
-/** Extract the current top byte of each (shifted) address. */
-void
-topBytes(const uint64_t *a, size_t n, uint8_t *plane)
-{
-    for (size_t i = 0; i < n; ++i)
-        plane[i] = static_cast<uint8_t>(a[i] >> 56);
-}
-
-/**
- * Stable counting sort of addresses by their top byte, shifting each
- * address left by 8 on the way (paper Figure 2's sort_bytes): the next
- * plane to emit is always the top byte.
- */
-void
-sortByTopByte(const uint64_t *src, size_t n, const uint8_t *plane,
-              uint64_t *dst)
-{
-    uint32_t cnt[256] = {};
-    for (size_t i = 0; i < n; ++i)
-        cnt[plane[i]]++;
-    uint32_t start[256];
-    uint32_t sum = 0;
-    for (int c = 0; c < 256; ++c) {
-        start[c] = sum;
-        sum += cnt[c];
-    }
-    for (size_t i = 0; i < n; ++i)
-        dst[start[plane[i]]++] = src[i] << 8;
-}
-
-} // namespace
-
-std::vector<uint8_t>
-bytesortForward(const uint64_t *addrs, size_t n)
-{
-    std::vector<uint8_t> out(8 * n);
-    if (n == 0)
-        return out;
-
-    std::vector<uint64_t> work[2];
-    work[0].assign(addrs, addrs + n);
-    work[1].resize(n);
-
-    int x = 0;
-    for (int j = 0; j < 8; ++j) {
-        uint8_t *plane = out.data() + static_cast<size_t>(j) * n;
-        topBytes(work[x].data(), n, plane);
-        if (j < 7) {
-            sortByTopByte(work[x].data(), n, plane, work[x ^ 1].data());
-            x ^= 1;
-        }
-    }
-    return out;
-}
-
-namespace {
-
 /** @p start[c] = rank of the first byte c of @p plane in the encoder's
  *  stable sort by that plane. */
 void
@@ -100,6 +43,54 @@ storeBytes(uint8_t *p, uint64_t v)
 {
     for (int i = 0; i < K; ++i)
         p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/**
+ * Emit plane j = 8 - K and sort by it: @p from holds bytes j..7 of
+ * every address in order j, as K-byte words; their top bytes go to
+ * @p plane, and the stable sort by them sends each word's other K - 1
+ * bytes, packed, to rank start[byte]++ of order j + 1 at @p to.
+ */
+template <int K>
+void
+sortWordsToPacked(const uint64_t *from, size_t n, uint8_t *plane,
+                  uint8_t *to)
+{
+    for (size_t s = 0; s < n; ++s)
+        plane[s] = static_cast<uint8_t>(from[s] >> (8 * (K - 1)));
+    uint32_t start[256];
+    planeStarts(plane, n, start);
+    for (size_t s = 0; s < n; ++s)
+        storeBytes<K - 1>(to + size_t{K - 1} * start[plane[s]]++, from[s]);
+}
+
+/**
+ * Emit plane j = 8 - K and sort by it, for bytes j..7 held packed, K
+ * bytes per address in order j, at @p packed: plane j is written over
+ * them from the start, and the stable sort sends each address's other
+ * K - 1 bytes to @p to as words. Plane byte s lands on bytes that
+ * address s or an earlier one occupied, all read before.
+ */
+template <int K>
+void
+sortPackedToWords(uint8_t *packed, size_t n, uint64_t *to)
+{
+    uint32_t cnt[256] = {};
+    for (size_t s = 0; s < n; ++s)
+        cnt[packed[size_t{K} * s + K - 1]]++;
+    uint32_t start[256];
+    uint32_t sum = 0;
+    for (int c = 0; c < 256; ++c) {
+        start[c] = sum;
+        sum += cnt[c];
+    }
+    const uint64_t low = (uint64_t(1) << (8 * (K - 1))) - 1;
+    for (size_t s = 0; s < n; ++s) {
+        uint64_t v = loadBytes<K>(packed + size_t{K} * s);
+        uint8_t b = static_cast<uint8_t>(v >> (8 * (K - 1)));
+        packed[s] = b;
+        to[start[b]++] = v & low;
+    }
 }
 
 /**
@@ -147,6 +138,28 @@ unsortToPacked(uint8_t *plane, size_t n, const uint64_t *from)
 } // namespace
 
 void
+bytesortForward(uint64_t *addrs, size_t n, uint8_t *planes)
+{
+    // Plane j lists byte j of every address in sort order j; order 0
+    // is the original sequence, and order j + 1 is the stable sort of
+    // order j by byte j (paper Figure 2's sort_bytes). After plane j
+    // only bytes j+1..7 still matter, and they alternate between
+    // @p addrs (whole words) and the planes not yet emitted (packed:
+    // 8 - j - 1 bytes each fill them exactly), so no third array is
+    // needed. The inverse below runs the same steps backwards.
+    if (n == 0)
+        return;
+    auto plane = [planes, n](size_t j) { return planes + j * n; };
+    sortWordsToPacked<8>(addrs, n, plane(0), plane(1));
+    sortPackedToWords<7>(plane(1), n, addrs);
+    sortWordsToPacked<6>(addrs, n, plane(2), plane(3));
+    sortPackedToWords<5>(plane(3), n, addrs);
+    sortWordsToPacked<4>(addrs, n, plane(4), plane(5));
+    sortPackedToWords<3>(plane(5), n, addrs);
+    sortWordsToPacked<2>(addrs, n, plane(6), plane(7));
+}
+
+void
 bytesortInverseInPlace(uint8_t *planes, size_t n, uint64_t *addrs)
 {
     // Undo the encoder's sorts last to first. Plane j lists byte j of
@@ -170,17 +183,15 @@ bytesortInverseInPlace(uint8_t *planes, size_t n, uint64_t *addrs)
     unsortToWords<7>(plane(0), n, plane(1), addrs);
 }
 
-std::vector<uint8_t>
-unshuffleForward(const uint64_t *addrs, size_t n)
+void
+unshuffleForward(const uint64_t *addrs, size_t n, uint8_t *planes)
 {
-    std::vector<uint8_t> out(8 * n);
     for (int j = 0; j < 8; ++j) {
-        uint8_t *plane = out.data() + static_cast<size_t>(j) * n;
+        uint8_t *plane = planes + static_cast<size_t>(j) * n;
         int shift = 8 * (7 - j);
         for (size_t i = 0; i < n; ++i)
             plane[i] = static_cast<uint8_t>(addrs[i] >> shift);
     }
-    return out;
 }
 
 void
@@ -193,31 +204,6 @@ unshuffleInverse(const uint8_t *bytes, size_t n, uint64_t *addrs)
         int shift = 8 * (7 - j);
         for (size_t i = 0; i < n; ++i)
             addrs[i] |= static_cast<uint64_t>(plane[i]) << shift;
-    }
-}
-
-TransformEncoder::TransformEncoder(Transform transform, size_t buffer_addrs,
-                                   util::ByteSink &out)
-    : transform_(transform), capacity_(buffer_addrs), out_(out)
-{
-    ATC_CHECK(capacity_ > 0 && capacity_ <= kMaxBufferAddrs,
-              "bytesort buffer size out of range");
-    buffer_.reserve(capacity_);
-}
-
-void
-TransformEncoder::write(const uint64_t *addrs, size_t n)
-{
-    ATC_ASSERT(!finished_);
-    count_ += n;
-    while (n > 0) {
-        size_t room = capacity_ - buffer_.size();
-        size_t take = n < room ? n : room;
-        buffer_.insert(buffer_.end(), addrs, addrs + take);
-        addrs += take;
-        n -= take;
-        if (buffer_.size() == capacity_)
-            emitBuffer();
     }
 }
 
@@ -261,6 +247,47 @@ ringDepth(const parallel::ThreadPool *pool)
     return std::max<size_t>(1, (pool->size() + 1) / 4);
 }
 
+/** Addresses per forward-transform batch, at least (whole buffers). */
+constexpr size_t kBatchAddrs = size_t(1) << 17;
+
+/**
+ * Forward-transform one buffer: @p addrs (n addresses, clobbered) to
+ * @p planes (8n bytes). Runs on the encoder's thread or as a pool task.
+ * The inverse of invert().
+ */
+void
+forward(Transform transform, uint64_t *addrs, size_t n, uint8_t *planes)
+{
+    if (transform == Transform::None) {
+        // Raw little-endian words: a copy, not transform compute.
+        for (size_t i = 0; i < n; ++i)
+            for (int k = 0; k < 8; ++k)
+                planes[8 * i + k] = static_cast<uint8_t>(addrs[i] >> 8 * k);
+        return;
+    }
+    obs::StageTimer t(transformMetrics().encode_us);
+    switch (transform) {
+      case Transform::Unshuffle:
+        unshuffleForward(addrs, n, planes);
+        break;
+      case Transform::Bytesort:
+        bytesortForward(addrs, n, planes);
+        break;
+      case Transform::Delta: {
+          uint64_t prev = 0;
+          for (size_t i = 0; i < n; ++i) {
+              uint64_t a = addrs[i];
+              addrs[i] = a - prev;
+              prev = a;
+          }
+          unshuffleForward(addrs, n, planes);
+          break;
+      }
+      default:
+        ATC_ASSERT(false && "unreachable transform");
+    }
+}
+
 /**
  * Inverse-transform one buffer: @p planes (8n bytes, clobbered) to
  * @p out (n addresses). Runs on the decoder's thread or as a pool task.
@@ -302,48 +329,76 @@ invert(Transform transform, uint8_t *planes, size_t n, uint64_t *out)
 
 }  // namespace
 
-void
-TransformEncoder::emitBuffer()
+TransformEncoder::TransformEncoder(Transform transform, size_t buffer_addrs,
+                                   util::ByteSink &out,
+                                   parallel::ThreadPool *pool)
+    : transform_(transform), capacity_(buffer_addrs), out_(out), pool_(pool)
 {
-    TransformMetrics &m = transformMetrics();
-    m.encode_buffers.inc();
-    size_t n = buffer_.size();
-    util::writeVarint(out_, n);
-    switch (transform_) {
-      case Transform::None:
-        // No transform: the LE serialization loop is I/O, not compute.
-        for (uint64_t a : buffer_)
-            util::writeLE<uint64_t>(out_, a);
-        break;
-      case Transform::Unshuffle: {
-          obs::StageTimer t(m.encode_us);
-          std::vector<uint8_t> planes = unshuffleForward(buffer_.data(), n);
-          t.stop();
-          out_.write(planes.data(), planes.size());
-          break;
-      }
-      case Transform::Bytesort: {
-          obs::StageTimer t(m.encode_us);
-          std::vector<uint8_t> planes = bytesortForward(buffer_.data(), n);
-          t.stop();
-          out_.write(planes.data(), planes.size());
-          break;
-      }
-      case Transform::Delta: {
-          obs::StageTimer t(m.encode_us);
-          std::vector<uint64_t> deltas(n);
-          uint64_t prev = 0;
-          for (size_t i = 0; i < n; ++i) {
-              deltas[i] = buffer_[i] - prev;
-              prev = buffer_[i];
-          }
-          std::vector<uint8_t> planes = unshuffleForward(deltas.data(), n);
-          t.stop();
-          out_.write(planes.data(), planes.size());
-          break;
-      }
+    ATC_CHECK(capacity_ > 0 && capacity_ <= kMaxBufferAddrs,
+              "bytesort buffer size out of range");
+    batch_addrs_ = (kBatchAddrs + capacity_ - 1) / capacity_ * capacity_;
+    filling_.addrs.reserve(batch_addrs_);
+}
+
+TransformEncoder::~TransformEncoder()
+{
+    // Pool tasks write into the pending batches' arrays.
+    for (Batch &batch : pending_)
+        if (pool_ != nullptr && batch.transformed.valid())
+            pool_->wait(batch.transformed);
+}
+
+void
+TransformEncoder::write(const uint64_t *addrs, size_t n)
+{
+    ATC_ASSERT(!finished_);
+    count_ += n;
+    while (n > 0) {
+        size_t room = batch_addrs_ - filling_.addrs.size();
+        size_t take = n < room ? n : room;
+        filling_.addrs.insert(filling_.addrs.end(), addrs, addrs + take);
+        addrs += take;
+        n -= take;
+        if (filling_.addrs.size() == batch_addrs_)
+            launch();
     }
-    buffer_.clear();
+}
+
+void
+TransformEncoder::launch()
+{
+    Batch &batch = pending_.emplace_back(std::move(filling_));
+    size_t n = batch.addrs.size();
+    batch.planes.resize(8 * n);
+    batch.transformed = parallel::launch(
+        pool_, [transform = transform_, capacity = capacity_, n,
+                addrs = batch.addrs.data(), planes = batch.planes.data()] {
+            for (size_t off = 0; off < n; off += capacity)
+                forward(transform, addrs + off, std::min(capacity, n - off),
+                        planes + 8 * off);
+        });
+    drain(pool_ != nullptr ? 1 : 0);
+    filling_ = std::exchange(spare_, {});
+    filling_.addrs.clear();
+    filling_.addrs.reserve(batch_addrs_);
+}
+
+void
+TransformEncoder::drain(size_t keep)
+{
+    while (pending_.size() > keep) {
+        Batch &batch = pending_.front();
+        parallel::await(pool_, batch.transformed);
+        size_t n = batch.addrs.size();
+        for (size_t off = 0; off < n; off += capacity_) {
+            size_t len = std::min(capacity_, n - off);
+            transformMetrics().encode_buffers.inc();
+            util::writeVarint(out_, len);
+            out_.write(batch.planes.data() + 8 * off, 8 * len);
+        }
+        spare_ = std::move(batch);
+        pending_.pop_front();
+    }
 }
 
 void
@@ -351,8 +406,9 @@ TransformEncoder::finish()
 {
     if (finished_)
         return;
-    if (!buffer_.empty())
-        emitBuffer();
+    if (!filling_.addrs.empty())
+        launch();
+    drain(0);
     util::writeVarint(out_, 0);
     finished_ = true;
 }
@@ -454,8 +510,7 @@ TransformDecoder::refill()
         std::rethrow_exception(front.failed);
     if (front.inverted.valid()) {
         try {
-            pool_->wait(front.inverted);
-            front.inverted.get();
+            parallel::await(pool_, front.inverted);
         } catch (...) {
             front.failed = std::current_exception();
             throw;

@@ -18,6 +18,22 @@
  * a crafted length fails as corruption instead of sizing an
  * allocation.
  *
+ * Encoding with a thread pool: the encoder cuts its input into batches
+ * of whole buffers (at least 2^17 addresses each) and forward-transforms
+ * each batch as one pool task into the batch's own plane array, while
+ * the caller fills the next batch — one batch in flight. The caller
+ * writes every buffer's header and planes to the sink in order, so the
+ * bytes do not depend on the pool; when it must wait for a batch it
+ * runs queued pool tasks meanwhile (ThreadPool::wait()). A batch's
+ * arrays are recycled, so a stream allocates them once. Without a pool
+ * each batch is transformed on the caller as soon as it fills. Batches
+ * of one buffer would queue every transform behind the codec frames of
+ * the buffer before it; much larger ones would hold more addresses in
+ * flight than the codec window needs. The caller writes a batch only
+ * after launching the one after it, so that transform runs while the
+ * caller feeds the codec; writing first and launching after cost about
+ * a third of the archive write rate.
+ *
  * Decoding with a thread pool: the decoder's caller still parses every
  * buffer header and reads every plane from its source, in order, but
  * the inverse transform of each buffer runs as a pool task while the
@@ -69,8 +85,12 @@ enum class Transform : uint8_t
  *  (the paper's "big" buffer is 10M addresses). */
 constexpr uint64_t kMaxBufferAddrs = uint64_t(1) << 30;
 
-/** Buffer-level forward bytesort: 8*n bytes, MSB plane first. */
-std::vector<uint8_t> bytesortForward(const uint64_t *addrs, size_t n);
+/**
+ * Buffer-level forward bytesort: the 8*n plane bytes, MSB plane first,
+ * into @p planes, using the n addresses at @p addrs as its working
+ * space (their contents are destroyed), with no allocation.
+ */
+void bytesortForward(uint64_t *addrs, size_t n, uint8_t *planes);
 
 /**
  * Buffer-level inverse bytesort: writes the n addresses to @p out,
@@ -79,15 +99,17 @@ std::vector<uint8_t> bytesortForward(const uint64_t *addrs, size_t n);
  */
 void bytesortInverseInPlace(uint8_t *planes, size_t n, uint64_t *out);
 
-/** Buffer-level byte-unshuffling (no sorting). */
-std::vector<uint8_t> unshuffleForward(const uint64_t *addrs, size_t n);
+/** Buffer-level byte-unshuffling (no sorting): 8*n bytes into
+ *  @p planes, MSB plane first. */
+void unshuffleForward(const uint64_t *addrs, size_t n, uint8_t *planes);
 
 /** Inverse of unshuffleForward: the n addresses into @p out. */
 void unshuffleInverse(const uint8_t *bytes, size_t n, uint64_t *out);
 
 /**
  * Streaming encoder: buffers addresses and emits framed, transformed
- * buffers into a byte sink (typically a StreamCompressor).
+ * buffers into a byte sink (typically a StreamCompressor), on an
+ * optional pool (see the file comment).
  */
 class TransformEncoder
 {
@@ -97,10 +119,21 @@ class TransformEncoder
      * @param buffer_addrs buffer capacity B in addresses (paper: 1M/10M),
      *                     at most kMaxBufferAddrs
      * @param out          destination byte sink
+     * @param pool         when set, forward transforms run on it, one
+     *                     batch ahead of the sink; borrowed, must
+     *                     outlive the encoder
      * @throws util::Error on a buffer size outside [1, kMaxBufferAddrs]
      */
     TransformEncoder(Transform transform, size_t buffer_addrs,
-                     util::ByteSink &out);
+                     util::ByteSink &out,
+                     parallel::ThreadPool *pool = nullptr);
+
+    /** Waits out the forward transforms still running on the pool;
+     *  their buffers are dropped. */
+    ~TransformEncoder();
+
+    TransformEncoder(const TransformEncoder &) = delete;
+    TransformEncoder &operator=(const TransformEncoder &) = delete;
 
     /** Append a batch of addresses — the primary (hot-path) entry. */
     void write(const uint64_t *addrs, size_t n);
@@ -108,19 +141,37 @@ class TransformEncoder
     /** Append one address. */
     void code(uint64_t addr) { write(&addr, 1); }
 
-    /** Emit the final partial buffer and the terminator. */
+    /** Emit every buffer still held, the final partial one included,
+     *  and the terminator. */
     void finish();
 
     /** @return addresses coded so far. */
     uint64_t count() const { return count_; }
 
   private:
-    void emitBuffer();
+    /** Whole buffers transformed by one task: the addresses (working
+     *  space once launched), and the planes the caller writes out. */
+    struct Batch
+    {
+        std::vector<uint64_t> addrs;
+        std::vector<uint8_t> planes;
+        std::future<void> transformed; ///< pending task, if any
+    };
+
+    void launch();
+    void drain(size_t keep);
 
     Transform transform_;
     size_t capacity_;
+    size_t batch_addrs_; ///< whole buffers per batch
     util::ByteSink &out_;
-    std::vector<uint64_t> buffer_;
+    parallel::ThreadPool *pool_;
+    /** The batch being filled; launched when it holds batch_addrs_. */
+    Batch filling_;
+    /** Launched batches, in order, not yet written to out_. */
+    std::deque<Batch> pending_;
+    /** The last batch written, whose arrays the next batch reuses. */
+    Batch spare_;
     uint64_t count_ = 0;
     bool finished_ = false;
 };

@@ -56,9 +56,7 @@ struct Pending
         if (!ready) {
             std::vector<T> block;
             try {
-                if (pool != nullptr)
-                    pool->wait(decoded);
-                block = decoded.get();
+                block = parallel::await(pool, decoded);
             } catch (...) {
                 failed = std::current_exception();
                 throw;

@@ -15,7 +15,7 @@ LosslessWriter::LosslessWriter(const LosslessParams &params,
         *codec_, out, cc.blockOr(params.codec_block),
         comp::FrameFormat::Seekable, pool);
     transform_ = std::make_unique<TransformEncoder>(
-        params.transform, params.buffer_addrs, *codec_stage_);
+        params.transform, params.buffer_addrs, *codec_stage_, pool);
 }
 
 void

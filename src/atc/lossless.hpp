@@ -15,9 +15,11 @@
  * without per-block checksums ("store") and under truncation at frame
  * boundaries.
  *
- * The writer runs the transform on the caller's thread and hands the
- * codec stage (comp::StreamCompressor) an optional borrowed pool, which
- * then encodes blocks in parallel; the bytes do not depend on it.
+ * The writer hands an optional borrowed pool to both stages: the
+ * transform (TransformEncoder) forward-transforms batches of buffers on
+ * it, and the codec stage (comp::StreamCompressor) encodes blocks on
+ * it. The caller feeds both in order and runs queued pool tasks while
+ * it waits for either, so the bytes do not depend on the pool.
  */
 
 #ifndef ATC_ATC_LOSSLESS_HPP_
@@ -51,8 +53,9 @@ class LosslessWriter
     /**
      * @param params pipeline parameters
      * @param out    destination (e.g. a chunk file)
-     * @param pool   borrowed codec workers, forwarded to the codec
-     *               stage (must outlive the writer); null = inline
+     * @param pool   borrowed workers, forwarded to the transform and
+     *               codec stages (must outlive the writer); null =
+     *               inline
      * @throws util::Error on a malformed or unknown codec spec
      */
     LosslessWriter(const LosslessParams &params, util::ByteSink &out,

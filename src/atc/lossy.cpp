@@ -91,7 +91,7 @@ void
 LossyEncoder::drainIntervals(size_t keep)
 {
     while (intervals_.size() > keep) {
-        Interval interval = intervals_.front().get();
+        Interval interval = parallel::await(pool_, intervals_.front());
         intervals_.pop_front();
         decide(std::move(interval));
     }
@@ -178,7 +178,8 @@ LossyEncoder::drainChunks(size_t keep)
 {
     while (chunks_.size() > keep) {
         uint32_t id = chunks_.front().first;
-        std::vector<uint8_t> bytes = chunks_.front().second.get();
+        std::vector<uint8_t> bytes =
+            parallel::await(pool_, chunks_.front().second);
         chunks_.pop_front();
         auto sink = store_.createChunk(id);
         sink->write(bytes.data(), bytes.size());

@@ -16,7 +16,9 @@
  * as pool tasks: each stage keeps an ordered window of
  * parallel::windowDepth(pool) tasks, and the order-dependent decision
  * between them runs on the caller as signatures resolve, so the
- * container is the same for every pool size.
+ * container is the same for every pool size. A caller waiting on
+ * either window runs queued pool tasks meanwhile (parallel::await()).
+ * Each chunk task compresses its interval inline, without a pool.
  *
  * The decoder regenerates the address stream from chunks + records,
  * reading decompressed chunks through a BlockCache — either a shared

@@ -2,9 +2,16 @@
  * @file
  * Linear-time suffix array construction (SA-IS).
  *
- * Nong/Zhang/Chan induced-sorting algorithm. This is the engine behind
- * the Burrows-Wheeler transform used by the BWC codec (the stand-in for
- * the paper's bzip2 back end). Complexity is O(n) time and space.
+ * Nong/Zhang/Chan induced sorting, laid out as in Mori's sais: the
+ * first level runs on the input bytes themselves behind an implicit
+ * sentinel (no widened copy of the text), suffix types ride in the
+ * sign bit of the suffix-array entries instead of a separate array,
+ * and the LMS names and lengths live in the array's free half, so only
+ * the reduced string recurses, as int32 symbols. This is the engine
+ * behind the Burrows-Wheeler transform used by the BWC codec (the
+ * stand-in for the paper's bzip2 back end). Complexity is O(n) time;
+ * the working space is the 4n-byte result plus two bucket arrays per
+ * level.
  */
 
 #ifndef ATC_COMPRESS_SAIS_HPP_
@@ -23,20 +30,11 @@ namespace atc::comp {
  * followed by a sentinel strictly smaller than every byte value.
  *
  * @param data input bytes (may be null when n == 0)
- * @param n    input length
+ * @param n    input length, below 2^31 - 1
  * @return permutation sa of [0, n) with suffix sa[0] < suffix sa[1] < ...
+ * @throws util::Error when @p n is too large for int32 positions
  */
 std::vector<int32_t> suffixArray(const uint8_t *data, size_t n);
-
-/**
- * Core SA-IS recursion over an integer string.
- *
- * @param t  input symbols; t.back() must be 0, the unique minimum
- * @param k  alphabet size (all symbols in [0, k))
- * @param sa output, resized to t.size(); sa[0] is the sentinel suffix
- */
-void saisCore(const std::vector<int32_t> &t, int32_t k,
-              std::vector<int32_t> &sa);
 
 } // namespace atc::comp
 

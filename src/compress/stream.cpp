@@ -325,7 +325,7 @@ void
 StreamCompressor::drain(size_t keep)
 {
     while (pending_.size() > keep) {
-        EncodedFrame frame = pending_.front().get();
+        EncodedFrame frame = parallel::await(pool_, pending_.front());
         pending_.pop_front();
         sink_.write(frame.bytes.data(), frame.bytes.size());
         index_.push_back(frame.entry);

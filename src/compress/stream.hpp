@@ -176,7 +176,9 @@ FramePayload fetchIndexedFramePayload(util::ByteSource &src,
  * encoded into a self-contained frame by a task launched on the
  * optional pool (inline without one); the encoded frames wait in a
  * window of parallel::windowDepth(pool) tasks and reach the sink in
- * block order, so the bytes are the same for every pool size.
+ * block order, so the bytes are the same for every pool size. A
+ * caller waiting for the oldest frame runs queued pool tasks meanwhile
+ * (parallel::await()).
  */
 class StreamCompressor : public util::ByteSink
 {

@@ -17,12 +17,14 @@
  *
  * A caller that waits on its own tasks' results need not idle: wait()
  * runs queued tasks on the calling thread (runOne()) until the future
- * it waits for is ready. The pooled read engine (atc/index.hpp) waits
- * this way, so its caller decodes alongside the workers; the writer's
- * drains wait with a plain get(). AtcReader and AtcWriter size the
- * queue to hold every window they keep, so submitting never blocks
- * there either. Any queued task may run on a helping caller, so a
- * pool that callers help must hold only tasks that finish on their own
+ * it waits for is ready, and await() does so before it takes the
+ * result. The pooled read engine (atc/index.hpp) and every drain of
+ * the writer (codec frames, forward transforms, lossy signatures and
+ * chunks) wait this way, so their caller decodes or encodes alongside
+ * the workers. AtcReader and AtcWriter size the queue to hold every
+ * window they keep, so submitting never blocks there either. Any
+ * queued task may run on a helping caller, so a pool that callers
+ * help must hold only tasks that finish on their own
  * — not, say, the serve daemon's long-lived drain loops (job_queue.hpp).
  *
  * Destruction closes the task channel, runs the tasks already queued,
@@ -148,6 +150,20 @@ launch(ThreadPool *pool, F fn) -> std::future<std::invoke_result_t<F>>
     if (pool != nullptr)
         return pool->async(std::move(fn));
     return std::async(std::launch::deferred, std::move(fn));
+}
+
+/**
+ * Resolve @p future of a task launch()ed on @p pool. With a pool the
+ * caller runs queued tasks until it is ready (ThreadPool::wait());
+ * without one, get() runs the deferred task here.
+ */
+template <typename T>
+T
+await(ThreadPool *pool, std::future<T> &future)
+{
+    if (pool != nullptr)
+        pool->wait(future);
+    return future.get();
 }
 
 /** @return how many launched tasks an ordered window over @p pool

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string>
 
+#include "atc/bytesort.hpp"
 #include "compress/bwt.hpp"
 #include "util/status.hpp"
 #include "compress/sais.hpp"
@@ -169,32 +170,109 @@ TEST(Bwt, InverseRejectsBadPrimary)
 
 TEST(SaisCore, HandlesRecursiveCase)
 {
-    // A string designed to produce repeated LMS substrings and force
-    // the recursive naming path: long repetition of a 3-phase pattern.
-    std::vector<int32_t> t;
+    // A 3-phase pattern repeated: every LMS substring but the last is
+    // the same, so the names repeat and the reduced string recurses.
+    std::vector<uint8_t> s;
     for (int i = 0; i < 30; ++i) {
-        t.push_back(2);
-        t.push_back(1);
-        t.push_back(3);
+        s.push_back(2);
+        s.push_back(1);
+        s.push_back(3);
     }
-    t.push_back(0); // sentinel
-    std::vector<int32_t> sa;
-    comp::saisCore(t, 4, sa);
-    ASSERT_EQ(sa.size(), t.size());
-    // Verify it is a permutation and correctly ordered.
-    std::vector<bool> seen(t.size(), false);
-    for (int32_t v : sa) {
-        ASSERT_GE(v, 0);
-        ASSERT_LT(v, static_cast<int32_t>(t.size()));
-        EXPECT_FALSE(seen[v]);
-        seen[v] = true;
+    EXPECT_EQ(comp::suffixArray(s.data(), s.size()), naiveSuffixArray(s));
+}
+
+/**
+ * Reference suffix array by prefix doubling (Manber-Myers with
+ * std::sort): rank pairs (rank[i], rank[i + h]) sorted until all
+ * ranks differ; a missing second half (-1) sorts first, which is the
+ * implicit smallest sentinel. O(n log^2 n), fine for a few MiB.
+ */
+std::vector<int32_t>
+doublingSuffixArray(const std::vector<uint8_t> &s)
+{
+    const size_t n = s.size();
+    std::vector<int32_t> sa(n), rank(n), next(n);
+    for (size_t i = 0; i < n; ++i) {
+        sa[i] = static_cast<int32_t>(i);
+        rank[i] = s[i];
     }
-    for (size_t i = 1; i < sa.size(); ++i) {
-        std::vector<int32_t> a(t.begin() + sa[i - 1], t.end());
-        std::vector<int32_t> b(t.begin() + sa[i], t.end());
-        EXPECT_TRUE(std::lexicographical_compare(a.begin(), a.end(),
-                                                 b.begin(), b.end()));
+    for (size_t h = 1;; h *= 2) {
+        auto key = [&](int32_t i) {
+            return std::pair{rank[i],
+                             i + h < n ? rank[i + h] : int32_t{-1}};
+        };
+        std::sort(sa.begin(), sa.end(),
+                  [&](int32_t a, int32_t b) { return key(a) < key(b); });
+        next[sa[0]] = 0;
+        for (size_t i = 1; i < n; ++i)
+            next[sa[i]] =
+                next[sa[i - 1]] + (key(sa[i - 1]) < key(sa[i]) ? 1 : 0);
+        rank.swap(next);
+        if (n == 0 || rank[sa[n - 1]] == static_cast<int32_t>(n - 1))
+            return sa;
     }
+}
+
+TEST(SuffixArray, EveryShortLengthAndAlphabet)
+{
+    util::Rng rng(17);
+    for (int alphabet : {1, 2, 3, 256}) {
+        for (size_t n = 1; n <= 64; ++n) {
+            for (int trial = 0; trial < 8; ++trial) {
+                std::vector<uint8_t> s(n);
+                for (auto &c : s)
+                    c = static_cast<uint8_t>(rng.below(alphabet));
+                ASSERT_EQ(comp::suffixArray(s.data(), n),
+                          doublingSuffixArray(s))
+                    << "n " << n << ", alphabet " << alphabet;
+            }
+        }
+    }
+}
+
+TEST(SuffixArray, LongRunsAndPeriodicStrings)
+{
+    // Periodic text repeats its LMS substrings period after period, so
+    // the reduced string is periodic too and recursion goes deep; long
+    // runs leave almost no LMS positions at all.
+    const size_t n = (64 << 10) + 5;
+    for (size_t period = 2; period <= 7; ++period) {
+        std::vector<uint8_t> s(n);
+        for (size_t i = 0; i < n; ++i)
+            s[i] = static_cast<uint8_t>("acbadbe"[i % period]);
+        EXPECT_EQ(comp::suffixArray(s.data(), n), doublingSuffixArray(s))
+            << "period " << period;
+    }
+    std::vector<uint8_t> runs(n);
+    util::Rng rng(23);
+    for (size_t i = 0; i < n;) {
+        size_t len = 1 + rng.below(4096);
+        uint8_t c = static_cast<uint8_t>(rng.below(3));
+        for (; len > 0 && i < n; --len)
+            runs[i++] = c;
+    }
+    EXPECT_EQ(comp::suffixArray(runs.data(), n), doublingSuffixArray(runs));
+    std::vector<uint8_t> flat(n, 7);
+    EXPECT_EQ(comp::suffixArray(flat.data(), n), doublingSuffixArray(flat));
+}
+
+TEST(SuffixArray, BytesortPlanesOfAnAddressTrace)
+{
+    // The codec's real input: the bytesort planes of a trace that
+    // hops between a few regions, 32 Ki addresses (256 KiB of planes).
+    const size_t n = 32 << 10;
+    util::Rng rng(29);
+    std::vector<uint64_t> addrs(n);
+    uint64_t base = 0x10000000;
+    for (auto &a : addrs) {
+        if (rng.below(8) == 0)
+            base = 0x10000000 + (rng.below(16) << 26);
+        a = (base + rng.below(1 << 18)) >> 6;
+    }
+    std::vector<uint8_t> planes(8 * n);
+    core::bytesortForward(addrs.data(), n, planes.data());
+    EXPECT_EQ(comp::suffixArray(planes.data(), planes.size()),
+              doublingSuffixArray(planes));
 }
 
 } // namespace

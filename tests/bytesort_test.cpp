@@ -14,6 +14,15 @@
 namespace atc {
 namespace {
 
+/** Forward bytesort of a copy of @p addrs (the transform consumes them). */
+std::vector<uint8_t>
+forward(std::vector<uint64_t> addrs)
+{
+    std::vector<uint8_t> planes(8 * addrs.size());
+    core::bytesortForward(addrs.data(), addrs.size(), planes.data());
+    return planes;
+}
+
 /** Inverse bytesort of a copy of @p planes (the inverse consumes them). */
 std::vector<uint64_t>
 inverse(std::vector<uint8_t> planes, size_t n)
@@ -25,14 +34,14 @@ inverse(std::vector<uint8_t> planes, size_t n)
 
 TEST(Bytesort, EmptyBuffer)
 {
-    EXPECT_TRUE(core::bytesortForward(nullptr, 0).empty());
+    EXPECT_TRUE(forward({}).empty());
     EXPECT_TRUE(inverse({}, 0).empty());
 }
 
 TEST(Bytesort, SingleAddress)
 {
     uint64_t a = 0x0123456789ABCDEFull;
-    auto planes = core::bytesortForward(&a, 1);
+    auto planes = forward({a});
     // MSB plane first.
     EXPECT_EQ(planes,
               (std::vector<uint8_t>{0x01, 0x23, 0x45, 0x67, 0x89, 0xAB,
@@ -53,7 +62,7 @@ TEST(Bytesort, PaperSection41Example)
         if (i < 128)
             addrs.push_back(0xA100 + i);
     }
-    auto planes = core::bytesortForward(addrs.data(), addrs.size());
+    auto planes = forward(addrs);
     size_t n = addrs.size();
 
     // Plane 6 (second-lowest byte) is emitted in the order produced by
@@ -88,7 +97,7 @@ TEST(Bytesort, Figure1Example)
         0xFF000000,
     };
     size_t n = addrs.size();
-    auto planes = core::bytesortForward(addrs.data(), n);
+    auto planes = forward(addrs);
 
     // Plane 4 (byte 3 of the 32-bit value) in original order:
     // alternating 00 / FF.
@@ -119,7 +128,8 @@ TEST(Unshuffle, PlanesKeepSequenceOrder)
 {
     std::vector<uint64_t> addrs = {0x1122334455667788ull,
                                    0xAABBCCDDEEFF0011ull};
-    auto planes = core::unshuffleForward(addrs.data(), 2);
+    std::vector<uint8_t> planes(16);
+    core::unshuffleForward(addrs.data(), 2, planes.data());
     EXPECT_EQ(planes[0], 0x11);
     EXPECT_EQ(planes[1], 0xAA); // plane 0 = MSBs in order
     EXPECT_EQ(planes[14], 0x88);
@@ -168,6 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, TransformRoundTrip,
     testing::Values(std::pair{core::Transform::None, size_t(64)},
                     std::pair{core::Transform::Unshuffle, size_t(64)},
+                    std::pair{core::Transform::Delta, size_t(64)},
                     std::pair{core::Transform::Bytesort, size_t(64)},
                     std::pair{core::Transform::Bytesort, size_t(1000)},
                     std::pair{core::Transform::Bytesort, size_t(4096)}));
@@ -180,7 +191,7 @@ TEST(Bytesort, SortingIsStablePerPlane)
     util::Rng rng(5);
     for (int i = 0; i < 1000; ++i)
         addrs.push_back(0xAB0000 | rng.below(256));
-    auto planes = core::bytesortForward(addrs.data(), addrs.size());
+    auto planes = forward(addrs);
     EXPECT_EQ(inverse(planes, addrs.size()), addrs);
 }
 
@@ -194,7 +205,7 @@ TEST(Bytesort, GroupsRegionsInLaterPlanes)
         addrs.push_back(0x22000000ull + i);
     }
     size_t n = addrs.size();
-    auto planes = core::bytesortForward(addrs.data(), n);
+    auto planes = forward(addrs);
     const uint8_t *low = planes.data() + 7 * n;
     // First 256 low bytes belong to region 0x11 (ascending), next 256
     // to region 0x22 (ascending).
@@ -215,7 +226,7 @@ TEST(Bytesort, SixMsbZeroBlockAddressesSupported)
         addrs.push_back(block);
         addrs.push_back(block | (0x2Aull << 58)); // tagged variant
     }
-    auto planes = core::bytesortForward(addrs.data(), addrs.size());
+    auto planes = forward(addrs);
     EXPECT_EQ(inverse(planes, addrs.size()), addrs);
 }
 

@@ -306,6 +306,96 @@ TEST(ParallelAtc, ParameterizedCodecSpecByteIdentical)
     expectStoresIdentical(serial, par);
 }
 
+// ------------------------------------------------ pooled forward transform
+
+/** Write @p addrs on @p threads workers, in write() calls of 1 and of
+ *  odd sizes. */
+core::MemoryStore
+writeInOddSizes(const std::vector<uint64_t> &addrs,
+                const core::AtcOptions &opt, size_t threads)
+{
+    static const size_t kSizes[] = {1, 1, 3, 4097, 1, 12289, 65521, 7};
+    core::MemoryStore store;
+    core::AtcWriter writer(store, opt, threads);
+    size_t pos = 0;
+    for (size_t i = 0; pos < addrs.size(); ++i) {
+        size_t take = std::min(kSizes[i % 8], addrs.size() - pos);
+        writer.write(addrs.data() + pos, take);
+        pos += take;
+    }
+    writer.close();
+    return store;
+}
+
+class PooledTransform
+    : public testing::TestWithParam<std::tuple<core::Transform, size_t>>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    TransformsAndBuffers, PooledTransform,
+    testing::Combine(testing::Values(core::Transform::None,
+                                     core::Transform::Unshuffle,
+                                     core::Transform::Bytesort,
+                                     core::Transform::Delta),
+                     // Neither divides a batch (2^17 addresses or more).
+                     testing::Values(size_t(3751), size_t(100'003))));
+
+TEST_P(PooledTransform, ContainersMatchSerialAtEveryThreadCount)
+{
+    auto [transform, buffer] = GetParam();
+    // Ends mid-buffer and mid-batch for both buffer sizes: 80 buffers
+    // of 3751 (35 per batch) + 706, or 3 of 100003 (2 per batch) + 777.
+    auto addrs = makeTrace(300'786, 61);
+    for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
+        core::AtcOptions opt;
+        opt.mode = mode;
+        opt.pipeline.transform = transform;
+        opt.pipeline.buffer_addrs = buffer;
+        opt.pipeline.codec = "store";
+        opt.pipeline.codec_block = 64 * 1024;
+        opt.lossy.interval_len = 140'000; // chunks end mid-batch too
+        opt.lossy.epsilon = 0.0;
+        core::MemoryStore serial = writeInOddSizes(addrs, opt, 0);
+        for (size_t threads : {size_t(1), size_t(2), size_t(8)}) {
+            SCOPED_TRACE("mode " + std::to_string(int(mode)) +
+                         ", threads " + std::to_string(threads));
+            expectStoresIdentical(serial,
+                                  writeInOddSizes(addrs, opt, threads));
+        }
+        core::AtcReader reader(serial);
+        std::vector<uint64_t> back = trace::collect(reader);
+        if (mode == core::Mode::Lossless)
+            EXPECT_EQ(back, addrs);
+        else
+            EXPECT_EQ(back.size(), addrs.size());
+    }
+}
+
+TEST(PooledTransform, AbandonedEncoderWaitsOutItsBatches)
+{
+    // Three batches of 32 buffers; the pool's only worker is parked,
+    // so every transform stays queued until a wait runs it on the
+    // caller. The third is still queued when the encoder dies: its
+    // destructor must run or wait it out (a task left behind would
+    // write into freed arrays once the worker wakes) and drop it.
+    auto addrs = makeTrace(3 << 17, 63);
+    parallel::ThreadPool pool(1, 16);
+    std::latch gate(1);
+    parkTheWorker(pool, gate);
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    {
+        core::TransformEncoder enc(core::Transform::Bytesort, 4096, sink,
+                                   &pool);
+        enc.write(addrs.data(), addrs.size());
+    }
+    EXPECT_FALSE(pool.runOne()) << "a transform outlived its encoder";
+    gate.count_down();
+    // Two batches written: 64 buffers of varint(4096) + 8 * 4096.
+    EXPECT_EQ(out.size(), 64u * (2 + 8 * 4096));
+}
+
 // ------------------------------------------------- pinned container bytes
 
 /** Size and CRC-32 of one container file. */
@@ -482,13 +572,19 @@ TEST_P(ThreadSweep, LossyRoundTripMatchesSerialReader)
 
 TEST(ParallelAtc, AbandonedWriterDoesNotDeadlock)
 {
-    auto addrs = makeTrace(60'000, 41);
+    auto addrs = makeTrace(300'000, 41);
     for (int round = 0; round < 3; ++round) {
-        core::MemoryStore store;
-        auto opt = makeOptions(core::Mode::Lossy, addrs.size());
-        core::AtcWriter writer(store, opt, 4);
-        writer.write(addrs.data(), addrs.size() / 2);
-        // No close(): destruction must drain the pool and return.
+        for (core::Mode mode : {core::Mode::Lossy, core::Mode::Lossless}) {
+            core::MemoryStore store;
+            auto opt = makeOptions(mode, 60'000);
+            core::AtcWriter writer(store, opt, 4);
+            // Lossless: several transform batches and codec frames
+            // are still in flight here.
+            writer.write(addrs.data(),
+                         mode == core::Mode::Lossy ? 30'000
+                                                   : addrs.size() / 2);
+            // No close(): destruction must drain the pool and return.
+        }
     }
     SUCCEED();
 }
