@@ -1,7 +1,8 @@
 /**
  * @file
  * Microbenchmarks for the computational kernels: SA-IS/BWT (on text
- * and on the bytesort planes the writer feeds it), MTF, RLE,
+ * and on the bytesort planes the writer feeds it), MTF, RLE, the
+ * decoder's fused RLE/MTF-to-runs pass,
  * the byte-plane histograms behind lossy signatures, bytesort, the
  * cache filter, the stack simulator and the CRC-32 that checks every
  * codec block and every lossless stream. These are the knobs behind
@@ -138,20 +139,17 @@ main(int argc, char **argv)
         if (enc.size() != bwt.data.size())
             std::abort();
     });
-    runKernel(rows, "mtf_decode", kBytes, [&] {
-        auto dec = comp::mtfDecode(mtf.data(), mtf.size());
-        if (dec.size() != mtf.size())
-            std::abort();
-    });
     auto rle = comp::rleEncode(mtf.data(), mtf.size());
     runKernel(rows, "rle_encode", kBytes, [&] {
         auto enc = comp::rleEncode(mtf.data(), mtf.size());
         if (enc.size() != rle.size())
             std::abort();
     });
-    runKernel(rows, "rle_decode", kBytes, [&] {
-        auto dec = comp::rleDecode(rle);
-        if (dec.size() != mtf.size())
+    // The decoder's fused stage: RLE symbols straight to BWT runs.
+    std::vector<comp::BwtRun> runs;
+    runKernel(rows, "mtf_rle_to_runs", kBytes, [&] {
+        comp::mtfRleToRuns(rle.data(), rle.size(), mtf.size(), runs);
+        if (runs.empty())
             std::abort();
     });
 
@@ -223,6 +221,14 @@ main(int argc, char **argv)
         auto d =
             comp::decompressAll(codec, compressed.data(), compressed.size());
         if (d.size() != text.size())
+            std::abort();
+    });
+    // The reader's real codec input: the planes in kBytes blocks.
+    auto packed = comp::compressAll(codec, planes.data(), planes.size(),
+                                    kBytes);
+    runKernel(rows, "bwc_decompress_planes", planes.size(), [&] {
+        auto d = comp::decompressAll(codec, packed.data(), packed.size());
+        if (d.size() != planes.size())
             std::abort();
     });
 

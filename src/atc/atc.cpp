@@ -13,7 +13,7 @@ namespace {
  * for 0). Its queue has room for every window either keeps, so a
  * submit never blocks: a reader's full pass queues up to
  * 2 * threads + 2 frame decodes (lossy: 2 * threads + 1 chunks) and
- * max(1, (threads + 1) / 4) + 1 inverse transforms, a lossless writer
+ * ceil((threads + 1) / 3) + 1 inverse transforms, a lossless writer
  * 2 * threads + 1 codec frames and 2 forward-transform batches, a lossy
  * writer 2 * threads signatures and 2 * threads chunks. A reading or
  * writing thread then waits only in ThreadPool::wait(), where it runs
@@ -60,10 +60,15 @@ AtcWriter::AtcWriter(const std::string &dir, const AtcOptions &options,
 void
 AtcWriter::init()
 {
-    // writeContainerInfo's limit, enforced up front so a bad spec fails
-    // at construction rather than after everything has been compressed.
+    // writeContainerInfo's limit and the codec's block cap, enforced up
+    // front so a bad spec fails at construction rather than after
+    // everything has been compressed.
     ATC_CHECK(codec_.spec.size() < 256,
               "codec spec too long for INFO preamble");
+    util::Status fits = comp::checkBlockSize(
+        *codec_.codec, codec_.blockOr(options_.pipeline.codec_block));
+    if (!fits.ok())
+        util::raise(fits.message());
     options_.lossy.chunk_params = options_.pipeline;
     if (options_.mode == Mode::Lossless) {
         chunk_sink_ = store_->createChunk(0);

@@ -38,7 +38,7 @@
  * buffer header and reads every plane from its source, in order, but
  * the inverse transform of each buffer runs as a pool task while the
  * caller reads the buffers after it — one buffer ahead of the one being
- * served per four decoding threads (the pool's workers plus the
+ * served per three decoding threads (the pool's workers plus the
  * caller). A caller that must wait for a buffer runs queued pool tasks
  * meanwhile (ThreadPool::wait()). The ring's plane and address arrays
  * are recycled from buffer to buffer, so a pass allocates them once.

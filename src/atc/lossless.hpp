@@ -42,7 +42,8 @@ struct LosslessParams
     size_t buffer_addrs = 1'000'000;
     /** Byte-level codec spec (see comp::CodecSpec). */
     std::string codec = "bwc";
-    /** Codec block size; a `block=` spec parameter overrides this. */
+    /** Codec block size; a `block=` spec parameter overrides this. At
+     *  most the codec's maxBlockSize() (bwc: 2^24 - 1). */
     size_t codec_block = comp::kDefaultBlockSize;
 };
 

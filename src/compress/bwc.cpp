@@ -49,6 +49,7 @@ void
 BwcCodec::compressBlock(const uint8_t *data, size_t n,
                         util::ByteSink &out) const
 {
+    ATC_CHECK(n <= kMaxBwcBlock, "bwc block above the 2^24 - 1 byte cap");
     CodecStageMetrics &m = encodeStages();
     util::writeLE<uint32_t>(out, util::crc32(data, n));
 
@@ -83,18 +84,29 @@ void
 BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                           std::vector<uint8_t> &out) const
 {
+    // No writer produces a larger block, so only a corrupt frame header
+    // declares one; refuse it before anything is allocated.
+    ATC_CHECK(raw_size <= kMaxBwcBlock,
+              "corrupt container: bwc frame of " + std::to_string(raw_size) +
+                  " bytes exceeds the block cap of " +
+                  std::to_string(kMaxBwcBlock));
     CodecStageMetrics &m = decodeStages();
     uint32_t crc = util::readLE<uint32_t>(in);
     uint64_t primary = util::readVarint(in);
 
+    // Per-thread scratch, reused from block to block.
+    thread_local std::vector<uint16_t> symbols;
+    thread_local std::vector<BwtRun> runs;
+
     obs::StageTimer entropy_t(m.entropy_us);
     util::BitReader br(in);
     HuffmanDecoder dec = HuffmanDecoder::readTable(br, kRleAlphabet);
-
-    std::vector<uint16_t> symbols;
-    symbols.reserve(raw_size / 2 + 16);
+    symbols.clear();
     for (;;) {
         int sym = dec.decode(br);
+        // A valid block has at most raw_size + 1 symbols: a zero run of
+        // r takes at most r digits, a literal one symbol, plus the EOB.
+        ATC_CHECK(symbols.size() <= raw_size, "BWC block size mismatch");
         symbols.push_back(static_cast<uint16_t>(sym));
         if (sym == kEob)
             break;
@@ -103,14 +115,12 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
     entropy_t.stop();
 
     obs::StageTimer mtf_t(m.mtf_rle_us);
-    std::vector<uint8_t> mtf = rleDecode(symbols);
-    ATC_CHECK(mtf.size() == raw_size, "BWC block size mismatch");
-    std::vector<uint8_t> bwt = mtfDecode(mtf.data(), mtf.size());
+    mtfRleToRuns(symbols.data(), symbols.size(), raw_size, runs);
     mtf_t.stop();
 
     obs::StageTimer bwt_t(m.bwt_us);
-    out = bwtInverse(bwt.data(), bwt.size(),
-                     static_cast<uint32_t>(primary));
+    out.resize(raw_size);
+    bwtInverseRuns(runs.data(), runs.size(), raw_size, primary, out.data());
     bwt_t.stop();
     ATC_CHECK(util::crc32(out.data(), out.size()) == crc,
               "BWC block CRC mismatch");

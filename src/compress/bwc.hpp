@@ -10,14 +10,26 @@
  *   u32  crc32 of the raw block
  *   varint BWT primary index
  *   huffman table (258 x 5 bits) + coded symbols, byte-aligned at end
+ *
+ * Decoding costs time per RLE symbol except in the final walk: the
+ * Huffman symbols become runs of the BWT string in one pass
+ * (mtfRleToRuns), the runs fill the packed LF array and the walk
+ * writes the block into the caller's buffer (bwtInverseRuns). The
+ * symbol, run and LF arrays are per-thread scratch. The packed array
+ * caps a block at kMaxBwcBlock = 2^24 - 1 bytes, which both directions
+ * enforce.
  */
 
 #ifndef ATC_COMPRESS_BWC_HPP_
 #define ATC_COMPRESS_BWC_HPP_
 
+#include "compress/bwt.hpp"
 #include "compress/codec.hpp"
 
 namespace atc::comp {
+
+/** Largest bwc block, 2^24 - 1 bytes (18x bzip2's largest). */
+constexpr size_t kMaxBwcBlock = kMaxBwtBlock;
 
 /** Burrows-Wheeler codec; stateless and thread-compatible. */
 class BwcCodec : public Codec
@@ -28,6 +40,7 @@ class BwcCodec : public Codec
                        util::ByteSink &out) const override;
     void decompressBlock(util::ByteSource &in, size_t raw_size,
                          std::vector<uint8_t> &out) const override;
+    size_t maxBlockSize() const override { return kMaxBwcBlock; }
 };
 
 } // namespace atc::comp

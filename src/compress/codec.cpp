@@ -24,6 +24,17 @@ StoreCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
     in.readExact(out.data(), raw_size);
 }
 
+util::Status
+checkBlockSize(const Codec &codec, size_t block)
+{
+    if (block <= codec.maxBlockSize())
+        return {};
+    return util::Status::error(
+        "codec block of " + std::to_string(block) + " bytes exceeds the " +
+        codec.name() + " block cap of " +
+        std::to_string(codec.maxBlockSize()) + " bytes");
+}
+
 namespace {
 
 bool
@@ -248,6 +259,9 @@ CodecRegistry::create(const CodecSpec &spec) const
     if (!codec.ok())
         return codec.status();
     out.codec = codec.take();
+    util::Status fits = checkBlockSize(*out.codec, out.block_size);
+    if (!fits.ok())
+        return fits;
     return out;
 }
 

@@ -69,7 +69,16 @@ class Codec
      */
     virtual void decompressBlock(util::ByteSource &in, size_t raw_size,
                                  std::vector<uint8_t> &out) const = 0;
+
+    /** @return the largest block this codec compresses and decodes. */
+    virtual size_t maxBlockSize() const { return SIZE_MAX; }
 };
+
+/**
+ * @return ok when @p codec takes blocks of @p block bytes, otherwise an
+ * error naming the codec's block cap.
+ */
+util::Status checkBlockSize(const Codec &codec, size_t block);
 
 /**
  * A parsed codec spec: a registry name plus key=value parameters.
@@ -150,7 +159,10 @@ class CodecRegistry
     /** @return all registered names, sorted. */
     std::vector<std::string> names() const;
 
-    /** Parse @p spec and construct the configured codec. */
+    /**
+     * Parse @p spec and construct the configured codec. A `block=`
+     * above the codec's maxBlockSize() is an error.
+     */
     util::StatusOr<ConfiguredCodec> create(const std::string &spec) const;
 
     /** Construct the configured codec for an already-parsed spec. */

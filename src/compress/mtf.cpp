@@ -32,15 +32,6 @@ MtfCoder::encode(uint8_t value)
     return static_cast<uint8_t>(rank);
 }
 
-uint8_t
-MtfCoder::decode(uint8_t rank)
-{
-    uint8_t value = order_[rank];
-    std::memmove(order_ + 1, order_, rank);
-    order_[0] = value;
-    return value;
-}
-
 std::vector<uint8_t>
 mtfEncode(const uint8_t *data, size_t n)
 {
@@ -48,16 +39,6 @@ mtfEncode(const uint8_t *data, size_t n)
     std::vector<uint8_t> out(n);
     for (size_t i = 0; i < n; ++i)
         out[i] = coder.encode(data[i]);
-    return out;
-}
-
-std::vector<uint8_t>
-mtfDecode(const uint8_t *data, size_t n)
-{
-    MtfCoder coder;
-    std::vector<uint8_t> out(n);
-    for (size_t i = 0; i < n; ++i)
-        out[i] = coder.decode(data[i]);
     return out;
 }
 

@@ -4,7 +4,9 @@
  *
  * Applied after the BWT: local symbol reuse becomes runs of small
  * values (mostly zeros), which the zero-run RLE and the entropy coder
- * then squeeze. Both directions are exact inverses.
+ * then squeeze. Only the encoder lives here: the bwc decoder undoes
+ * MTF and the zero-run coding together, one step per run
+ * (mtfRleToRuns in rle.hpp).
  */
 
 #ifndef ATC_COMPRESS_MTF_HPP_
@@ -26,9 +28,6 @@ class MtfCoder
     /** Encode one byte: emit its rank and move it to the front. */
     uint8_t encode(uint8_t value);
 
-    /** Decode one rank back to the byte value, updating the ordering. */
-    uint8_t decode(uint8_t rank);
-
     /** Reset to the identity ordering. */
     void reset();
 
@@ -38,9 +37,6 @@ class MtfCoder
 
 /** Encode a whole buffer (fresh coder state). */
 std::vector<uint8_t> mtfEncode(const uint8_t *data, size_t n);
-
-/** Decode a whole buffer (fresh coder state). */
-std::vector<uint8_t> mtfDecode(const uint8_t *data, size_t n);
 
 } // namespace atc::comp
 

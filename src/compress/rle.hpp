@@ -1,10 +1,16 @@
 /**
  * @file
- * Zero-run-length recoding (bzip2's RUNA/RUNB scheme).
+ * Zero-run-length recoding (bzip2's RUNA/RUNB scheme), and the bwc
+ * decoder's first stage.
  *
  * After MTF, zeros dominate. Runs of zeros are rewritten as bijective
  * base-2 numerals over two dedicated symbols; nonzero bytes shift up by
  * one. The resulting symbols feed the entropy coder.
+ *
+ * Decoding never writes the MTF bytes out: mtfRleToRuns undoes the
+ * zero-run coding and the move-to-front in one pass straight to the
+ * runs of the BWT string, so a run of zeros costs one step however
+ * long it is.
  *
  * Alphabet (width kAlphabet = 258):
  *   0       RUNA (run digit, weight 1)
@@ -19,6 +25,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "compress/bwt.hpp"
 
 namespace atc::comp {
 
@@ -40,13 +48,22 @@ constexpr int kRleAlphabet = 258;
 std::vector<uint16_t> rleEncode(const uint8_t *data, size_t n);
 
 /**
- * Decode run-length symbols back to MTF bytes.
- * Decoding stops at (and consumes) EOB; trailing symbols are an error.
+ * Decode run-length symbols of a move-to-front coded BWT string back to
+ * the string's runs (a fresh MTF state, as mtfEncode starts from).
+ * Adjacent runs hold different bytes.
  *
- * @param symbols encoded stream, must contain exactly one trailing EOB
- * @return the original MTF byte string
+ * Every run is checked against what remains of @p raw_size before it
+ * is recorded, so a corrupt zero run cannot grow past the block.
+ *
+ * @param symbols  encoded stream, ending in its only EOB
+ * @param count    number of symbols
+ * @param raw_size length of the BWT string, at most kMaxBwtBlock
+ * @param runs     cleared, then receives the runs
+ * @throws util::Error on a missing EOB, symbols after it, an invalid
+ *         symbol, or runs that do not add up to @p raw_size
  */
-std::vector<uint8_t> rleDecode(const std::vector<uint16_t> &symbols);
+void mtfRleToRuns(const uint16_t *symbols, size_t count, size_t raw_size,
+                  std::vector<BwtRun> &runs);
 
 } // namespace atc::comp
 

@@ -275,6 +275,9 @@ StreamCompressor::StreamCompressor(const Codec &codec, util::ByteSink &sink,
       pool_(pool)
 {
     ATC_ASSERT(block_size_ > 0);
+    util::Status fits = checkBlockSize(codec_, block_size_);
+    if (!fits.ok())
+        util::raise(fits.message());
     buffer_.reserve(block_size_);
 }
 

@@ -187,6 +187,7 @@ class StreamCompressor : public util::ByteSink
      * @param codec      block codec (must outlive the compressor)
      * @param sink       destination (must outlive the compressor)
      * @param block_size bytes per block; larger blocks compress better
+     *                   (at most codec.maxBlockSize(), or util::Error)
      * @param format     frame format (Legacy is the INFO payload's)
      * @param pool       borrowed encode workers (must outlive the
      *                   compressor); null encodes on the caller

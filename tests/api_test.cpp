@@ -170,6 +170,32 @@ TEST(CodecSpecContainer, MalformedSpecRejectedAtOpen)
     }
 }
 
+TEST(CodecSpecContainer, BwcBlockAboveTheCapRejectedAtOpen)
+{
+    // The bwc decoder packs rows into 24 bits, so a writer must refuse
+    // a larger block up front rather than write blocks no reader takes.
+    const std::string cap = "16777215";
+    for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
+        auto opt = smallOptions(mode);
+        for (auto [spec, block] :
+             {std::pair<const char *, size_t>{"bwc", size_t(1) << 24},
+              {"bwc:block=32m", 4096}}) {
+            core::MemoryStore store;
+            opt.pipeline.codec = spec;
+            opt.pipeline.codec_block = block;
+            auto w = core::AtcWriter::open(store, opt);
+            ASSERT_FALSE(w.ok()) << spec << " block " << block;
+            EXPECT_NE(w.status().message().find(cap), std::string::npos)
+                << w.status().message();
+            EXPECT_EQ(store.chunkCount(), 0u);
+        }
+        // The cap itself is a legal block.
+        core::MemoryStore store;
+        opt.pipeline.codec = "bwc:block=16777215";
+        EXPECT_TRUE(core::AtcWriter::open(store, opt).ok());
+    }
+}
+
 TEST(StatusOpen, MissingDirectoryReportsError)
 {
     auto r = core::AtcReader::open("/nonexistent/atc_dir");

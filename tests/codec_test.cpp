@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <string>
 
 #include "compress/bwc.hpp"
+#include "compress/huffman.hpp"
 #include "compress/lzh.hpp"
+#include "compress/rle.hpp"
 #include "compress/stream.hpp"
+#include "util/bitio.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -229,6 +234,122 @@ TEST(Bwc, DetectsCorruption)
     EXPECT_THROW(comp::decompressAll(comp::codecByName("bwc"),
                                      compressed.data(), compressed.size()),
                  util::Error);
+}
+
+/** Peak resident set of this process so far, in KiB. */
+long
+peakRssKib()
+{
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+}
+
+/** @return whether @p fn throws a util::Error whose text has @p part. */
+template <typename Fn>
+bool
+throwsErrorWith(Fn &&fn, const std::string &part)
+{
+    try {
+        fn();
+    } catch (const util::Error &e) {
+        if (std::string(e.what()).find(part) != std::string::npos)
+            return true;
+        ADD_FAILURE() << "unexpected error text: " << e.what();
+        return false;
+    }
+    return false;
+}
+
+TEST(Bwc, ZeroRunBombIsASizeMismatchNotAnAllocation)
+{
+    // A hand-built block: CRC, primary 1, a Huffman table over RUNA and
+    // EOB, then 40 RUNA digits (a run of 2^40 - 1 zeros) and EOB, for a
+    // frame that declares 4096 bytes.
+    std::vector<uint8_t> block;
+    util::VectorSink sink(block);
+    util::writeLE<uint32_t>(sink, 0);
+    util::writeVarint(sink, 1);
+    std::vector<uint64_t> freq(comp::kRleAlphabet, 0);
+    freq[comp::kRunA] = 40;
+    freq[comp::kEob] = 1;
+    comp::HuffmanEncoder enc(freq);
+    util::BitWriter bw(sink);
+    enc.writeTable(bw);
+    for (int i = 0; i < 40; ++i)
+        enc.writeSymbol(bw, comp::kRunA);
+    enc.writeSymbol(bw, comp::kEob);
+    bw.alignAndFlush();
+
+    long before = peakRssKib();
+    std::vector<uint8_t> out;
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            util::MemorySource src(block.data(), block.size());
+            comp::BwcCodec().decompressBlock(src, 4096, out);
+        },
+        "size mismatch"));
+    EXPECT_EQ(out.capacity(), 0u);
+    EXPECT_LT(peakRssKib() - before, 64 << 10) << "KiB";
+}
+
+TEST(Bwc, BlockCapIsRefusedWhenTheCodecIsBuilt)
+{
+    const std::string cap = std::to_string(comp::kMaxBwcBlock);
+    EXPECT_EQ(comp::kMaxBwcBlock, (size_t(1) << 24) - 1);
+    auto &registry = comp::CodecRegistry::instance();
+    for (const char *spec : {"bwc:block=16m", "bwc:block=16777216"}) {
+        auto cc = registry.create(spec);
+        ASSERT_FALSE(cc.ok()) << spec;
+        EXPECT_NE(cc.status().message().find(cap), std::string::npos)
+            << cc.status().message();
+        EXPECT_TRUE(throwsErrorWith([&] { comp::makeCodec(spec); }, cap));
+    }
+    EXPECT_TRUE(registry.create("bwc:block=16777215").ok());
+    EXPECT_TRUE(registry.create("lzh:block=16m").ok());
+    EXPECT_TRUE(registry.create("store:block=1g").ok());
+
+    // A stream built around the codec with a larger block is refused
+    // before it takes a byte.
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            comp::StreamCompressor sc(comp::codecByName("bwc"), sink,
+                                      comp::kMaxBwcBlock + 1);
+        },
+        cap));
+    EXPECT_TRUE(out.empty());
+}
+
+TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
+{
+    // The codec refuses the declared size before it reads or allocates.
+    std::vector<uint8_t> payload(16, 0);
+    std::vector<uint8_t> out;
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            util::MemorySource src(payload.data(), payload.size());
+            comp::BwcCodec().decompressBlock(src, comp::kMaxBwcBlock + 1,
+                                             out);
+        },
+        "corrupt container"));
+    EXPECT_EQ(out.capacity(), 0u);
+
+    // The same through a seekable stream whose one frame declares
+    // 2^24 raw bytes (a size the framing itself finds plausible).
+    std::vector<uint8_t> stream;
+    util::VectorSink sink(stream);
+    util::writeVarint(sink, (uint64_t(1) << 24) + 1);
+    util::writeVarint(sink, payload.size());
+    sink.write(payload.data(), payload.size());
+    util::writeVarint(sink, 0);
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            comp::decompressAll(comp::codecByName("bwc"), stream.data(),
+                                stream.size(), comp::FrameFormat::Seekable);
+        },
+        "corrupt container"));
 }
 
 TEST(Lzh, DetectsCorruption)

@@ -1,17 +1,39 @@
 /**
  * @file
- * Unit tests for move-to-front recoding and zero-run RLE.
+ * Unit tests for move-to-front recoding, zero-run RLE, and the
+ * decoder's fused pass from RLE symbols to runs (mtfRleToRuns), which
+ * is checked against the byte-at-a-time reference in reference_bwc.hpp.
  */
 
 #include <gtest/gtest.h>
 
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
+#include "reference_bwc.hpp"
 #include "util/status.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
 namespace {
+
+/** The fused decoder's view of @p symbols: the string its runs spell. */
+std::vector<uint8_t>
+runsOf(const std::vector<uint16_t> &symbols, size_t raw_size)
+{
+    std::vector<comp::BwtRun> runs;
+    comp::mtfRleToRuns(symbols.data(), symbols.size(), raw_size, runs);
+    for (size_t i = 1; i < runs.size(); ++i)
+        EXPECT_NE(runs[i].byte, runs[i - 1].byte) << "runs not merged";
+    return ref::expand(runs);
+}
+
+/** Encode @p data as the bwc encoder does after its BWT. */
+std::vector<uint16_t>
+symbolsOf(const std::vector<uint8_t> &data)
+{
+    auto mtf = comp::mtfEncode(data.data(), data.size());
+    return comp::rleEncode(mtf.data(), mtf.size());
+}
 
 TEST(Mtf, FirstOccurrenceYieldsByteValue)
 {
@@ -44,8 +66,8 @@ TEST(Mtf, EncodeDecodeAreInverse)
     for (auto &b : data)
         b = static_cast<uint8_t>(rng.below(7) * 37);
     auto enc = comp::mtfEncode(data.data(), data.size());
-    auto dec = comp::mtfDecode(enc.data(), enc.size());
-    EXPECT_EQ(dec, data);
+    EXPECT_EQ(ref::mtfDecode(enc), data);
+    EXPECT_EQ(runsOf(symbolsOf(data), data.size()), data);
 }
 
 TEST(Mtf, LocalReuseProducesZeros)
@@ -70,7 +92,8 @@ TEST(Rle, EmptyInputIsJustEob)
     auto symbols = comp::rleEncode(nullptr, 0);
     ASSERT_EQ(symbols.size(), 1u);
     EXPECT_EQ(symbols[0], comp::kEob);
-    EXPECT_TRUE(comp::rleDecode(symbols).empty());
+    EXPECT_TRUE(ref::rleDecode(symbols).empty());
+    EXPECT_TRUE(runsOf(symbols, 0).empty());
 }
 
 TEST(Rle, NonzeroBytesShiftUp)
@@ -100,7 +123,9 @@ TEST_P(RleRunEncoding, BijectiveBase2)
     std::vector<uint16_t> expected = GetParam().digits;
     expected.push_back(comp::kEob);
     EXPECT_EQ(symbols, expected);
-    EXPECT_EQ(comp::rleDecode(symbols), data);
+    EXPECT_EQ(ref::rleDecode(symbols), data);
+    // MTF of all zeros repeats byte 0: one run of the whole length.
+    EXPECT_EQ(runsOf(symbols, data.size()), data);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -117,7 +142,8 @@ TEST(Rle, LongRunIsLogarithmic)
     std::vector<uint8_t> data(1'000'000, 0);
     auto symbols = comp::rleEncode(data.data(), data.size());
     EXPECT_LE(symbols.size(), 22u); // ~log2(1e6) digits + EOB
-    EXPECT_EQ(comp::rleDecode(symbols), data);
+    EXPECT_EQ(ref::rleDecode(symbols), data);
+    EXPECT_EQ(runsOf(symbols, data.size()), data);
 }
 
 TEST(Rle, MixedContentRoundTrip)
@@ -128,20 +154,61 @@ TEST(Rle, MixedContentRoundTrip)
         for (auto &b : data)
             b = rng.below(3) ? 0 : static_cast<uint8_t>(rng.below(256));
         auto symbols = comp::rleEncode(data.data(), data.size());
-        EXPECT_EQ(comp::rleDecode(symbols), data);
+        EXPECT_EQ(ref::rleDecode(symbols), data);
+        EXPECT_EQ(runsOf(symbols, data.size()), ref::mtfDecode(data));
     }
 }
 
 TEST(Rle, DecodeRejectsMissingEob)
 {
     std::vector<uint16_t> symbols{5, 6};
-    EXPECT_THROW(comp::rleDecode(symbols), util::Error);
+    std::vector<comp::BwtRun> runs;
+    EXPECT_THROW(comp::mtfRleToRuns(symbols.data(), symbols.size(), 2, runs),
+                 util::Error);
 }
 
 TEST(Rle, DecodeRejectsTrailingSymbols)
 {
     std::vector<uint16_t> symbols{5, comp::kEob, 6};
-    EXPECT_THROW(comp::rleDecode(symbols), util::Error);
+    std::vector<comp::BwtRun> runs;
+    EXPECT_THROW(comp::mtfRleToRuns(symbols.data(), symbols.size(), 1, runs),
+                 util::Error);
+}
+
+TEST(Rle, DecodeRejectsInvalidSymbol)
+{
+    std::vector<uint16_t> symbols{300, comp::kEob};
+    std::vector<comp::BwtRun> runs;
+    EXPECT_THROW(comp::mtfRleToRuns(symbols.data(), symbols.size(), 1, runs),
+                 util::Error);
+}
+
+TEST(Rle, DecodeBoundsEveryRunByTheDeclaredSize)
+{
+    std::vector<comp::BwtRun> runs;
+    // 3 zeros then a literal: fits 4 bytes exactly, not 3 or 5.
+    std::vector<uint16_t> symbols{comp::kRunA, comp::kRunA, 5, comp::kEob};
+    comp::mtfRleToRuns(symbols.data(), symbols.size(), 4, runs);
+    EXPECT_EQ(ref::expand(runs), (std::vector<uint8_t>{0, 0, 0, 4}));
+    for (size_t raw : {2, 3, 5})
+        EXPECT_THROW(comp::mtfRleToRuns(symbols.data(), symbols.size(), raw,
+                                        runs),
+                     util::Error)
+            << raw;
+
+    // 64 RUNB digits describe a run of 2^65 - 2 zeros; the pass stops
+    // at the digit that first overruns the block, before any weight
+    // can overflow and before it would miss the EOB.
+    std::vector<uint16_t> bomb(64, comp::kRunB);
+    try {
+        comp::mtfRleToRuns(bomb.data(), bomb.size(), 1000, runs);
+        ADD_FAILURE() << "a 2^65-byte zero run was accepted";
+    } catch (const util::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("size mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(runs.empty());
 }
 
 TEST(MtfRle, PipelineShrinksRepetitiveData)
@@ -158,9 +225,8 @@ TEST(MtfRle, PipelineShrinksRepetitiveData)
     // 100 runs -> ~100 literals + ~100*9 run digits, far below 50000.
     EXPECT_LT(symbols.size(), 2000u);
 
-    auto back = comp::mtfDecode(comp::rleDecode(symbols).data(),
-                                data.size());
-    EXPECT_EQ(back, data);
+    EXPECT_EQ(ref::mtfDecode(ref::rleDecode(symbols)), data);
+    EXPECT_EQ(runsOf(symbols, data.size()), data);
 }
 
 } // namespace

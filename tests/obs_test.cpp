@@ -13,11 +13,20 @@
 #include <vector>
 
 #include "atc/atc.hpp"
+#include "atc/index.hpp"
+#include "cache/filter.hpp"
 #include "obs/metrics.hpp"
+#include "serve/client.hpp"
+#include "serve/server.hpp"
+#include "study/sample_plan.hpp"
+#include "study/sample_study.hpp"
 #include "trace/pipeline.hpp"
 
 namespace obs = atc::obs;
 namespace core = atc::core;
+namespace cache = atc::cache;
+namespace serve = atc::serve;
+namespace study = atc::study;
 
 namespace {
 
@@ -209,21 +218,23 @@ TEST(ObsHistogram, QuantileFromBuckets)
     EXPECT_EQ(hv.quantile(0.99), 512u);
 }
 
-TEST(ObsDocs, EveryKeyAThreadedWriteAndReadRegistersIsDocumented)
+TEST(ObsDocs, EveryKeyTheLibraryRegistersIsDocumented)
 {
     if (!obs::kCompiledIn)
         GTEST_SKIP() << "built with ATC_OBS_OFF";
     EnabledGuard guard;
     obs::setEnabled(true);
 
-    // Register the library's record sites the way a real run does:
-    // a lossless and a lossy container written and read back on a
-    // pool, so pool, codec, transform, lossy, cache and I/O keys all
-    // appear in the global registry.
+    // Register the library's record sites the way real runs do: a
+    // lossless and a lossy container written through the cache filter
+    // and read back on a pool (pool, codec, transform, lossy, cache and
+    // I/O keys), one READ_RANGE served by an in-process server (serve
+    // keys) and a small sampling study (study keys).
     std::vector<uint64_t> addrs(40'000);
     uint64_t base = 0x10000000;
     for (size_t i = 0; i < addrs.size(); ++i)
         addrs[i] = (base += (i * 2654435761u) % 512) & 0x3FFFFFFF;
+    core::MemoryStore lossless;
     for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
         core::AtcOptions opt;
         opt.mode = mode;
@@ -236,7 +247,43 @@ TEST(ObsDocs, EveryKeyAThreadedWriteAndReadRegistersIsDocumented)
         writer.close();
         core::AtcReader reader(store, core::kDefaultDecodedCacheBytes, 2);
         EXPECT_EQ(atc::trace::collect(reader).size(), addrs.size());
+        if (mode == core::Mode::Lossless)
+            lossless = std::move(store);
     }
+    {
+        core::AtcOptions opt;
+        core::MemoryStore store;
+        core::AtcWriter writer(store, opt);
+        cache::FilterStage stage(writer);
+        stage.write(addrs.data(), addrs.size());
+        stage.close();
+    }
+
+    serve::TraceServer server;
+    ASSERT_TRUE(server.addContainer("t", lossless).ok());
+    ASSERT_TRUE(server.start().ok());
+    {
+        auto client = serve::ServeClient::connect("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.status().message();
+        auto remote = client.value().open("t");
+        ASSERT_TRUE(remote.ok()) << remote.status().message();
+        std::vector<uint64_t> got;
+        ASSERT_TRUE(client.value()
+                        .readRange(remote.value().handle, 100, 1100, got)
+                        .ok());
+        EXPECT_EQ(got.size(), 1000u);
+    }
+    server.stop();
+
+    auto index = core::AtcIndex::openOrThrow(lossless, core::IndexOptions{});
+    auto plan = study::SamplePlan::build("systematic:windows=4,len=2000",
+                                         index->size());
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+    study::StudyOptions sopt;
+    sopt.sets = {64};
+    sopt.max_ways = 4;
+    sopt.threads = 2;
+    ASSERT_TRUE(study::runSampleStudy(index, plan.value(), sopt).ok());
 
     std::ifstream in(ATC_METRICS_DOC);
     ASSERT_TRUE(in) << "cannot open " << ATC_METRICS_DOC;

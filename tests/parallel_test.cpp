@@ -28,7 +28,9 @@
 #include <gtest/gtest.h>
 
 #include "atc/atc.hpp"
+#include "atc/bytesort.hpp"
 #include "cache/filter.hpp"
+#include "compress/stream.hpp"
 #include "parallel/channel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
@@ -1180,6 +1182,35 @@ TEST(SeekableDecode, FramesDecodeConcurrently)
     // frames in flight at once.
     EXPECT_GE(SleepyStoreCodec::max_in_flight.load(), 2)
         << "block-parallel decode did not overlap frame decodes";
+}
+
+TEST(SeekableDecode, PooledBwcFramesOfEverySizeDecodeByteExact)
+{
+    // The bwc decoder keeps its run list and LF array per thread. Pool
+    // workers decode 4 KiB, 32 KiB and 1 MiB frames of bytesort planes
+    // (the reader's real codec input) at once, each worker switching
+    // sizes between tasks, and every byte must come back.
+    auto addrs = makeTrace(160'000, 97);
+    std::vector<uint8_t> planes(8 * addrs.size());
+    core::bytesortForward(addrs.data(), addrs.size(), planes.data());
+    const comp::Codec &bwc = comp::codecByName("bwc");
+    std::vector<std::vector<uint8_t>> streams;
+    for (size_t block : {size_t(4) << 10, size_t(32) << 10, size_t(1) << 20})
+        streams.push_back(comp::compressAll(bwc, planes.data(), planes.size(),
+                                            block,
+                                            comp::FrameFormat::Seekable));
+
+    parallel::ThreadPool pool(4, 64);
+    std::vector<std::future<bool>> decoded;
+    for (int round = 0; round < 4; ++round)
+        for (const auto &stream : streams)
+            decoded.push_back(pool.async([&] {
+                return comp::decompressAll(bwc, stream.data(), stream.size(),
+                                           comp::FrameFormat::Seekable) ==
+                       planes;
+            }));
+    for (auto &f : decoded)
+        EXPECT_TRUE(f.get());
 }
 
 // ------------------------------------------------- directory containers
