@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "atc/atc.hpp"
+#include "atc/bytesort.hpp"
+#include "cache/filter.hpp"
 #include "tcgen/tcgen.hpp"
 #include "trace/suite.hpp"
 
@@ -84,6 +86,46 @@ scaledLen(size_t base, size_t floor = 65536)
     auto len = static_cast<size_t>(static_cast<double>(base) *
                                    benchScale());
     return len < floor ? floor : len;
+}
+
+/**
+ * The codec's input as the reader of a filtered trace sees it: the
+ * bytesort planes of four suite models, one per behaviour class
+ * (462.libquantum, 403.gcc, 429.mcf, 400.perlbench), each filtered by
+ * the paper's L1 D-cache (cache::FilterStage) and concatenated, in
+ * transform buffers of up to 2^20 addresses (paper geometry). Returns
+ * the first @p bytes of the planes. At 1 MiB and more, a BWT block of
+ * them holds ~20-40k runs per MiB, as the filtered suite traces do;
+ * random low address bits give an order of magnitude more.
+ */
+inline std::vector<uint8_t>
+suitePlanes(size_t bytes, uint64_t seed = 1)
+{
+    static const char *const models[] = {"462.libquantum", "403.gcc",
+                                         "429.mcf", "400.perlbench"};
+    const size_t addrs = (bytes + 7) / 8;
+    const size_t per_model = (addrs + 3) / 4;
+    std::vector<uint64_t> trace;
+    for (size_t m = 0; m < 4; ++m) {
+        trace::GeneratorPtr gen =
+            trace::benchmarkByName(models[m]).makeData(seed * 4 + m);
+        std::vector<uint64_t> misses;
+        trace::VectorTraceSink sink(misses);
+        cache::FilterStage filter(sink);
+        while (misses.size() < per_model)
+            filter.put(gen->next());
+        trace.insert(trace.end(), misses.begin(),
+                     misses.begin() + per_model);
+    }
+    trace.resize(addrs);
+    std::vector<uint8_t> planes(8 * addrs);
+    const size_t buffer = size_t(1) << 20;
+    for (size_t off = 0; off < addrs; off += buffer)
+        core::bytesortForward(trace.data() + off,
+                              std::min(buffer, addrs - off),
+                              planes.data() + 8 * off);
+    planes.resize(bytes);
+    return planes;
 }
 
 /** Bits per address of a transform+BWC pipeline over @p trace. */

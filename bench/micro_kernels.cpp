@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks for the computational kernels: SA-IS/BWT (on text
  * and on the bytesort planes the writer feeds it), MTF, RLE, the
- * decoder's fused RLE/MTF-to-runs pass,
+ * decoder's fused RLE/MTF-to-runs pass, the inverse BWT and the bwc
+ * decoder on the planes of filtered suite traces (the `_suite` rows),
  * the byte-plane histograms behind lossy signatures, bytesort, the
  * cache filter, the stack simulator and the CRC-32 that checks every
  * codec block and every lossless stream. These are the knobs behind
@@ -12,6 +13,10 @@
  * best of 3 after an untimed warm-up) and emitted in the shared JSON
  * shape so the CI perf-trajectory job archives kernel throughput next
  * to parallel_throughput.json.
+ *
+ * Every row checks its output. The suite rows compare each decoded
+ * byte, so a small run (ATC_BENCH_SCALE=0.05, as ctest's
+ * micro_kernels_smoke does) is a check of the decoders too.
  *
  * Usage: micro_kernels [json-path]
  *   json-path  output file (default micro_kernels.json)
@@ -127,9 +132,30 @@ main(int argc, char **argv)
     });
     runKernel(rows, "bwt_inverse", kBytes, [&] {
         auto inv =
-            comp::bwtInverse(bwt.data.data(), bwt.data.size(), bwt.primary);
+            comp::bwtInverse(bwt.data.data(), bwt.data.size(), bwt.starts);
         if (inv.size() != text.size())
             std::abort();
+    });
+
+    // The reader's real codec input: the planes of filtered suite
+    // traces (~20k BWT runs per MiB against ~660k in `planes`), cut
+    // into 1 MiB blocks at any scale, so the inverse walks several
+    // chains per block.
+    const size_t kSuiteBlock = size_t(1) << 20;
+    const auto suite = bench::suitePlanes(planes.size());
+    std::vector<comp::BwtResult> suite_bwt;
+    for (size_t off = 0; off < suite.size(); off += kSuiteBlock)
+        suite_bwt.push_back(comp::bwtForward(
+            suite.data() + off, std::min(kSuiteBlock, suite.size() - off)));
+    runKernel(rows, "bwt_inverse_suite", suite.size(), [&] {
+        for (size_t b = 0; b < suite_bwt.size(); ++b) {
+            const comp::BwtResult &r = suite_bwt[b];
+            auto inv = comp::bwtInverse(r.data.data(), r.data.size(),
+                                        r.starts);
+            if (!std::equal(inv.begin(), inv.end(),
+                            suite.begin() + b * kSuiteBlock))
+                std::abort();
+        }
     });
 
     // MTF + RLE over the BWT output — the shape they see in the codec.
@@ -229,6 +255,15 @@ main(int argc, char **argv)
     runKernel(rows, "bwc_decompress_planes", planes.size(), [&] {
         auto d = comp::decompressAll(codec, packed.data(), packed.size());
         if (d.size() != planes.size())
+            std::abort();
+    });
+
+    auto suite_packed = comp::compressAll(codec, suite.data(), suite.size(),
+                                          kSuiteBlock);
+    runKernel(rows, "bwc_decompress_suite", suite.size(), [&] {
+        auto d = comp::decompressAll(codec, suite_packed.data(),
+                                     suite_packed.size());
+        if (d != suite)
             std::abort();
     });
 

@@ -237,14 +237,14 @@ transformMetrics()
 size_t
 ringDepth(const parallel::ThreadPool *pool)
 {
-    // Since the codec decodes from runs, the inverse transform is over
-    // a quarter of a buffer's decode work (a serial read of 12M
-    // filtered addresses: 0.61 s of 2.1 s; the codec frames are the
-    // rest), so one buffer ahead per three decoding threads (the
-    // workers plus the helping caller), rounded up, keeps pace. At one
-    // per four, 4 threads kept one buffer ahead and the pooled read
-    // waited on it. Each buffer ahead holds its planes and addresses,
-    // 8 bytes per address apiece.
+    // One buffer ahead per three decoding threads (the workers plus
+    // the helping caller), rounded up, keeps pace with the codec. At
+    // one per four, 4 threads kept one buffer ahead and the pooled read
+    // waited on it. Re-measured with the eight-chain codec walk (archive
+    // benchmark on a shared 4-vCPU Xeon, 4 threads, medians of 3): 1
+    // ahead read in 521 ms, 2 (this rule) in 440 ms, 3 in 431 ms for
+    // 8 MiB more peak RSS. Each buffer ahead holds its planes and
+    // addresses, 8 bytes per address apiece.
     if (pool == nullptr)
         return 0;
     return (pool->size() + 3) / 3;

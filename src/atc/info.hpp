@@ -9,11 +9,13 @@
  * trace (chunk/imitate records with byte translations).
  *
  * The version byte stays in the preamble so that containers written by
- * older releases fail loudly: readers accept v3 only, where every chunk
+ * older releases fail loudly: readers accept v4 only, where every chunk
  * stream uses seekable framing (each frame header records the
  * compressed byte length, and the stream ends with a frame index and a
- * CRC-32 trailer — see LosslessWriter). v1 (no CRC trailer) and v2
- * (legacy framing) are rejected as "unsupported ATC container version".
+ * CRC-32 trailer — see LosslessWriter) and every bwc frame carries its
+ * start rows (see compress/bwc.hpp). v1 (no CRC trailer), v2 (legacy
+ * framing) and v3 (a bwc frame with the primary index only) are
+ * rejected as "unsupported ATC container version".
  * The INFO payload itself stays legacy-framed: it is tiny and always
  * read serially.
  */
@@ -39,8 +41,11 @@ enum class Mode : uint8_t
     Lossy = 1,
 };
 
-/** The one container version writers emit and readers accept. */
-constexpr uint8_t kContainerVersion = 3;
+/**
+ * The one container version writers emit and readers accept. v4 bwc
+ * frames carry a start row per 2^17 raw bytes after the primary index.
+ */
+constexpr uint8_t kContainerVersion = 4;
 
 /** Everything a reader learns from a container's INFO stream. */
 struct ContainerInfo

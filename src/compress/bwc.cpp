@@ -56,7 +56,8 @@ BwcCodec::compressBlock(const uint8_t *data, size_t n,
     obs::StageTimer bwt_t(m.bwt_us);
     BwtResult bwt = bwtForward(data, n);
     bwt_t.stop();
-    util::writeVarint(out, bwt.primary);
+    for (uint64_t row : bwt.starts)
+        util::writeVarint(out, row);
 
     obs::StageTimer mtf_t(m.mtf_rle_us);
     std::vector<uint8_t> mtf = mtfEncode(bwt.data.data(), bwt.data.size());
@@ -92,11 +93,15 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                   std::to_string(kMaxBwcBlock));
     CodecStageMetrics &m = decodeStages();
     uint32_t crc = util::readLE<uint32_t>(in);
-    uint64_t primary = util::readVarint(in);
 
     // Per-thread scratch, reused from block to block.
+    thread_local std::vector<uint64_t> starts;
     thread_local std::vector<uint16_t> symbols;
     thread_local std::vector<BwtRun> runs;
+
+    starts.resize(bwtChainCount(raw_size));
+    for (uint64_t &row : starts)
+        row = util::readVarint(in);
 
     obs::StageTimer entropy_t(m.entropy_us);
     util::BitReader br(in);
@@ -120,7 +125,8 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
 
     obs::StageTimer bwt_t(m.bwt_us);
     out.resize(raw_size);
-    bwtInverseRuns(runs.data(), runs.size(), raw_size, primary, out.data());
+    bwtInverseRuns(runs.data(), runs.size(), raw_size, starts.data(),
+                   out.data());
     bwt_t.stop();
     ATC_CHECK(util::crc32(out.data(), out.size()) == crc,
               "BWC block CRC mismatch");

@@ -8,14 +8,18 @@
  *
  * Block layout (after the stream framing's size header):
  *   u32  crc32 of the raw block
- *   varint BWT primary index
+ *   C varints: the BWT start rows, the rows of text positions
+ *        k * 2^17 for k = 0 .. C - 1, where C = ceil(raw_size / 2^17)
+ *        follows from the frame's raw size (the first is the primary
+ *        index; a block of at most 2^17 bytes has only that one)
  *   huffman table (258 x 5 bits) + coded symbols, byte-aligned at end
  *
  * Decoding costs time per RLE symbol except in the final walk: the
  * Huffman symbols become runs of the BWT string in one pass
  * (mtfRleToRuns), the runs fill the packed LF array and the walk
- * writes the block into the caller's buffer (bwtInverseRuns). The
- * symbol, run and LF arrays are per-thread scratch. The packed array
+ * writes the block into the caller's buffer (bwtInverseRuns), up to
+ * eight chains at once from the start rows. The start, symbol, run and
+ * LF arrays are per-thread scratch. The packed array
  * caps a block at kMaxBwcBlock = 2^24 - 1 bytes, which both directions
  * enforce.
  */

@@ -1,5 +1,7 @@
 #include "compress/bwt.hpp"
 
+#include <algorithm>
+
 #include "compress/sais.hpp"
 #include "util/status.hpp"
 
@@ -17,23 +19,35 @@ bwtForward(const uint8_t *data, size_t n)
     // Conceptual matrix rows: row 0 is the sentinel suffix (BWT char is
     // the last input byte); rows 1..n are the suffixes in sa order, each
     // contributing the byte preceding it. The row of suffix 0 would
-    // contribute the sentinel itself; it is skipped and recorded.
+    // contribute the sentinel itself; it is skipped. The rows of the
+    // suffixes at multiples of kBwtChainBytes, suffix 0's among them,
+    // are the start rows.
     result.data.resize(n);
-    result.data[0] = data[n - 1];
+    result.starts.resize(bwtChainCount(n));
+    uint8_t *bwt = result.data.data();
+    bwt[0] = data[n - 1];
     size_t out = 1;
     for (size_t i = 0; i < n; ++i) {
-        if (sa[i] == 0) {
-            result.primary = static_cast<uint32_t>(i + 1);
-        } else {
-            result.data[out++] = data[sa[i] - 1];
+        const auto p = static_cast<uint32_t>(sa[i]);
+        if ((p & (kBwtChainBytes - 1)) == 0) {
+            result.starts[p / kBwtChainBytes] = i + 1;
+            if (p == 0)
+                continue;
         }
+        bwt[out++] = data[p - 1];
     }
     ATC_ASSERT(out == n);
-    ATC_ASSERT(result.primary >= 1 && result.primary <= n);
     return result;
 }
 
 namespace {
+
+/**
+ * Chains the inverse walks in lockstep, at most: a 1 MiB block has
+ * eight. On a shared 4-vCPU Xeon, eight walked 1 MiB blocks of
+ * filtered suite planes ~1.3x as fast as four and ~4x as fast as one.
+ */
+constexpr size_t kBwtLanes = 8;
 
 /**
  * Rows [row, row + len) of the conceptual matrix end in byte @p c.
@@ -56,18 +70,22 @@ fillRows(uint32_t *tt, uint32_t &bucket, uint32_t row, uint32_t len,
 } // namespace
 
 void
-bwtInverseRuns(const BwtRun *runs, size_t count, size_t n, uint64_t primary,
-               uint8_t *out)
+bwtInverseRuns(const BwtRun *runs, size_t count, size_t n,
+               const uint64_t *starts, uint8_t *out)
 {
     ATC_CHECK(n <= kMaxBwtBlock, "BWT block above the 2^24 - 1 byte cap");
     if (n == 0) {
         ATC_CHECK(count == 0, "BWT runs do not add up to the block");
         return;
     }
-    ATC_CHECK(primary >= 1 && primary <= n, "BWT primary index out of range");
+    const size_t chains = bwtChainCount(n);
+    for (size_t k = 0; k < chains; ++k)
+        ATC_CHECK(starts[k] >= 1 && starts[k] <= n,
+                  "BWT start row out of range");
 
     // Conceptual array of n + 1 rows: the string with the sentinel
-    // re-inserted at row `primary`; row 0 starts with the sentinel.
+    // re-inserted at row `sentinel` (the primary index, starts[0]);
+    // row 0 starts with the sentinel.
     // bucket[c] is the first row whose rotation starts with c.
     uint32_t bucket[256] = {};
     size_t total = 0;
@@ -84,12 +102,12 @@ bwtInverseRuns(const BwtRun *runs, size_t count, size_t n, uint64_t primary,
     }
 
     // tt[j] = (row after j in text order << 8) | first byte of row j,
-    // as bzip2's tt[]; the sentinel's row 0 leads to row `primary`.
+    // as bzip2's tt[]; the sentinel's row 0 leads to row `sentinel`.
+    const auto sentinel = static_cast<uint32_t>(starts[0]);
     thread_local std::vector<uint32_t> scratch;
     if (scratch.size() < n + 1)
         scratch.resize(n + 1);
     uint32_t *tt = scratch.data();
-    const auto sentinel = static_cast<uint32_t>(primary);
     tt[0] = sentinel << 8;
     uint32_t pos = 0; // string position; its row skips the sentinel's
     for (size_t r = 0; r < count; ++r) {
@@ -105,22 +123,55 @@ bwtInverseRuns(const BwtRun *runs, size_t count, size_t n, uint64_t primary,
         pos += len;
     }
 
-    // Walk forward from the row of the whole input. tt[0] leads back
-    // to that row, so the walk reaches the sentinel's row 0 after
-    // exactly n steps if and only if the LF mapping is one cycle.
-    uint32_t row = sentinel;
-    for (size_t k = 0; k < n; ++k) {
-        ATC_CHECK(row != 0, "corrupt BWT stream (LF is not one cycle)");
-        uint32_t e = tt[row];
-        out[k] = static_cast<uint8_t>(e);
-        row = e >> 8;
+    // Chain k walks forward from the row of text position
+    // k * kBwtChainBytes and writes the bytes up to the next chain's
+    // position, where it must end on that chain's start row; the last
+    // chain must end on the sentinel's row 0. No walk may pass row 0
+    // before that. tt[0] leads back to row `sentinel`, so these checks
+    // hold if and only if the LF mapping is one cycle through the start
+    // rows in order: the one walk from `sentinel`, cut into chains. Up
+    // to kBwtLanes chains walk in lockstep; their loads are independent.
+    const size_t last_len = n - (chains - 1) * kBwtChainBytes;
+    for (size_t first = 0; first < chains; first += kBwtLanes) {
+        const size_t lanes = std::min(kBwtLanes, chains - first);
+        uint32_t row[kBwtLanes];
+        uint8_t *dst[kBwtLanes];
+        for (size_t j = 0; j < lanes; ++j) {
+            row[j] = static_cast<uint32_t>(starts[first + j]);
+            dst[j] = out + (first + j) * kBwtChainBytes;
+        }
+        bool passed_zero = false;
+        auto walk = [&](size_t from, size_t to, size_t walking) {
+            for (size_t k = from; k < to; ++k) {
+                for (size_t j = 0; j < walking; ++j) {
+                    passed_zero |= row[j] == 0;
+                    uint32_t e = tt[row[j]];
+                    dst[j][k] = static_cast<uint8_t>(e);
+                    row[j] = e >> 8;
+                }
+            }
+        };
+        // Only the block's last chain can be shorter; it walks in the
+        // last lane, which drops out once it is done.
+        const bool last = first + lanes == chains;
+        walk(0, last ? last_len : kBwtChainBytes, lanes);
+        if (last && lanes > 1)
+            walk(last_len, kBwtChainBytes, lanes - 1);
+        ATC_CHECK(!passed_zero, "corrupt BWT stream (LF is not one cycle)");
+        for (size_t j = 0; j < lanes; ++j) {
+            size_t next = first + j + 1;
+            ATC_CHECK(row[j] == (next < chains ? starts[next] : 0),
+                      "corrupt BWT stream (LF is not one cycle)");
+        }
     }
 }
 
 std::vector<uint8_t>
-bwtInverse(const uint8_t *data, size_t n, uint32_t primary)
+bwtInverse(const uint8_t *data, size_t n, const std::vector<uint64_t> &starts)
 {
     ATC_CHECK(n <= kMaxBwtBlock, "BWT block above the 2^24 - 1 byte cap");
+    ATC_CHECK(starts.size() == bwtChainCount(n),
+              "BWT start rows do not match the block");
     std::vector<BwtRun> runs;
     for (size_t i = 0; i < n;) {
         size_t j = i + 1;
@@ -130,7 +181,7 @@ bwtInverse(const uint8_t *data, size_t n, uint32_t primary)
         i = j;
     }
     std::vector<uint8_t> out(n);
-    bwtInverseRuns(runs.data(), runs.size(), n, primary, out.data());
+    bwtInverseRuns(runs.data(), runs.size(), n, starts.data(), out.data());
     return out;
 }
 

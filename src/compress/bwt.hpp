@@ -13,6 +13,13 @@
  * run plus a vectorisable fill, and the walk that rebuilds the input
  * touches one word per byte. Rows in 24 bits cap a block at
  * kMaxBwtBlock bytes.
+ *
+ * Each step of the walk is a load that depends on the one before, so
+ * one walk is bound by load latency. The forward transform therefore
+ * also returns the start rows: the row of every text position
+ * k * kBwtChainBytes. The inverse walks the chains between them in
+ * lockstep, up to eight at once over the one LF array, so their loads
+ * overlap (as libsais's sampled primary indices do).
  */
 
 #ifndef ATC_COMPRESS_BWT_HPP_
@@ -30,14 +37,26 @@ struct BwtResult
     /** Transformed bytes, same length as the input. */
     std::vector<uint8_t> data;
     /**
-     * Row of the dropped sentinel character, in [1, n] for nonempty
-     * input. Required to invert the transform.
+     * Start rows: starts[k] is the row of text position
+     * k * kBwtChainBytes, in [1, n], for k < bwtChainCount(n).
+     * starts[0] is the primary index, the row of the dropped sentinel
+     * character. Required to invert the transform.
      */
-    uint32_t primary = 0;
+    std::vector<uint64_t> starts;
 };
 
 /** Largest block the inverse transform takes: 2^24 - 1 bytes. */
 constexpr size_t kMaxBwtBlock = (size_t(1) << 24) - 1;
+
+/** Text bytes per chain of the inverse walk, 2^17. */
+constexpr size_t kBwtChainBytes = size_t(1) << 17;
+
+/** Start rows of an n-byte block: ceil(n / kBwtChainBytes). */
+constexpr size_t
+bwtChainCount(size_t n)
+{
+    return (n + kBwtChainBytes - 1) / kBwtChainBytes;
+}
 
 /** A run of one byte value in a transformed string. */
 struct BwtRun
@@ -54,21 +73,28 @@ BwtResult bwtForward(const uint8_t *data, size_t n);
  *
  * The LF array is per-thread scratch, kept between calls.
  *
- * @param runs    runs of the transformed string, in order
- * @param count   number of runs
- * @param n       length of the string (the sum of the run lengths), at
- *                most kMaxBwtBlock
- * @param primary primary index returned by bwtForward
- * @param out     receives the n original bytes
- * @throws util::Error on a primary outside [1, n], runs that do not add
- *         up to n, or an LF mapping that is not one cycle
+ * @param runs   runs of the transformed string, in order
+ * @param count  number of runs
+ * @param n      length of the string (the sum of the run lengths), at
+ *               most kMaxBwtBlock
+ * @param starts bwtChainCount(n) start rows, as bwtForward returns
+ *               them; 64-bit, so that a corrupt value cannot wrap into
+ *               range
+ * @param out    receives the n original bytes
+ * @throws util::Error on a start row outside [1, n], runs that do not
+ *         add up to n, or an LF mapping that is not one cycle through
+ *         the start rows in order
  */
 void bwtInverseRuns(const BwtRun *runs, size_t count, size_t n,
-                    uint64_t primary, uint8_t *out);
+                    const uint64_t *starts, uint8_t *out);
 
-/** Inverse transform of [data, data+n): its runs, then bwtInverseRuns. */
+/**
+ * Inverse transform of [data, data+n): its runs, then bwtInverseRuns.
+ * @throws util::Error also if @p starts does not hold bwtChainCount(n)
+ *         rows
+ */
 std::vector<uint8_t> bwtInverse(const uint8_t *data, size_t n,
-                                uint32_t primary);
+                                const std::vector<uint64_t> &starts);
 
 } // namespace atc::comp
 

@@ -153,7 +153,10 @@ decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
     try {
         codec.decompressBlock(frame_src, raw_size, out);
     } catch (const util::Error &) {
-        if (frame_src.remaining() == 0)
+        // Only a codec that asked for more than the frame holds overran
+        // it; an error after a full read (a bad start row, a CRC
+        // mismatch) keeps its own message.
+        if (frame_src.overran())
             util::raise("frame overruns its declared compressed length "
                         "(corrupt container)");
         throw;

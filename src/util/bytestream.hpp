@@ -139,14 +139,17 @@ class MemorySource : public ByteSource
         if (take != 0)
             std::memcpy(data, data_ + pos_, take);
         pos_ += take;
+        overran_ |= take < n;
         return take;
     }
 
     void
     skip(uint64_t n) override
     {
-        if (n > size_ - pos_)
+        if (n > size_ - pos_) {
+            overran_ = true;
             raise("byte source truncated");
+        }
         pos_ += static_cast<size_t>(n);
     }
 
@@ -163,10 +166,14 @@ class MemorySource : public ByteSource
     /** @return bytes not yet consumed. */
     size_t remaining() const { return size_ - pos_; }
 
+    /** @return whether a read or skip asked for more than remained. */
+    bool overran() const { return overran_; }
+
   private:
     const uint8_t *data_;
     size_t size_;
     size_t pos_ = 0;
+    bool overran_ = false;
 };
 
 /** Sink writing to a file (buffered via stdio). */

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "atc/bytesort.hpp"
+#include "bench_common.hpp"
 #include "compress/bwt.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
@@ -98,7 +99,8 @@ TEST(Bwt, EmptyInput)
 {
     auto r = comp::bwtForward(nullptr, 0);
     EXPECT_TRUE(r.data.empty());
-    EXPECT_TRUE(comp::bwtInverse(nullptr, 0, 0).empty());
+    EXPECT_TRUE(r.starts.empty());
+    EXPECT_TRUE(comp::bwtInverse(nullptr, 0, {}).empty());
 }
 
 TEST(Bwt, KnownTransform)
@@ -107,7 +109,7 @@ TEST(Bwt, KnownTransform)
     std::string s = "mississippi";
     auto r = comp::bwtForward(reinterpret_cast<const uint8_t *>(s.data()),
                               s.size());
-    auto inv = comp::bwtInverse(r.data.data(), r.data.size(), r.primary);
+    auto inv = comp::bwtInverse(r.data.data(), r.data.size(), r.starts);
     EXPECT_EQ(std::string(inv.begin(), inv.end()), s);
 }
 
@@ -122,7 +124,7 @@ TEST(Bwt, GroupsRunsOnPeriodicInput)
     for (size_t i = 1; i < r.data.size(); ++i)
         transitions += r.data[i] != r.data[i - 1];
     EXPECT_LE(transitions, 2);
-    auto inv = comp::bwtInverse(r.data.data(), r.data.size(), r.primary);
+    auto inv = comp::bwtInverse(r.data.data(), r.data.size(), r.starts);
     EXPECT_EQ(inv, s);
 }
 
@@ -141,11 +143,12 @@ TEST_P(BwtRoundTrip, RandomInputs)
             c = static_cast<uint8_t>(rng.below(alphabet));
         auto r = comp::bwtForward(s.data(), n);
         ASSERT_EQ(r.data.size(), n);
+        ASSERT_EQ(r.starts.size(), n > 0 ? 1u : 0u);
         if (n > 0) {
-            EXPECT_GE(r.primary, 1u);
-            EXPECT_LE(r.primary, n);
+            EXPECT_GE(r.starts[0], 1u);
+            EXPECT_LE(r.starts[0], n);
         }
-        EXPECT_EQ(comp::bwtInverse(r.data.data(), n, r.primary), s);
+        EXPECT_EQ(comp::bwtInverse(r.data.data(), n, r.starts), s);
     }
 }
 
@@ -161,15 +164,20 @@ TEST(Bwt, LargeBlockRoundTrip)
         s[i] = (i / 4096) % 2 ? static_cast<uint8_t>(rng.below(256))
                               : static_cast<uint8_t>(i & 31);
     auto r = comp::bwtForward(s.data(), s.size());
-    EXPECT_EQ(comp::bwtInverse(r.data.data(), r.data.size(), r.primary), s);
+    EXPECT_EQ(comp::bwtInverse(r.data.data(), r.data.size(), r.starts), s);
 }
 
 TEST(Bwt, InverseRejectsBadPrimary)
 {
     std::vector<uint8_t> data{'a', 'b', 'c'};
-    EXPECT_THROW(comp::bwtInverse(data.data(), data.size(), 0),
+    EXPECT_THROW(comp::bwtInverse(data.data(), data.size(), {0}),
                  util::Error);
-    EXPECT_THROW(comp::bwtInverse(data.data(), data.size(), 4),
+    EXPECT_THROW(comp::bwtInverse(data.data(), data.size(), {4}),
+                 util::Error);
+    // One start row per 2^17 bytes, no more and no fewer.
+    EXPECT_THROW(comp::bwtInverse(data.data(), data.size(), {}),
+                 util::Error);
+    EXPECT_THROW(comp::bwtInverse(data.data(), data.size(), {1, 2}),
                  util::Error);
 }
 
@@ -285,12 +293,14 @@ TEST(SuffixArray, BytesortPlanesOfAnAddressTrace)
 /** The library's decoder: symbols -> runs -> packed LF -> walk. */
 std::vector<uint8_t>
 decodeFromRuns(const std::vector<uint16_t> &symbols, size_t n,
-               uint32_t primary)
+               const std::vector<uint64_t> &starts)
 {
+    EXPECT_EQ(starts.size(), comp::bwtChainCount(n));
     std::vector<comp::BwtRun> runs;
     comp::mtfRleToRuns(symbols.data(), symbols.size(), n, runs);
     std::vector<uint8_t> out(n);
-    comp::bwtInverseRuns(runs.data(), runs.size(), n, primary, out.data());
+    comp::bwtInverseRuns(runs.data(), runs.size(), n, starts.data(),
+                         out.data());
     return out;
 }
 
@@ -305,21 +315,22 @@ symbolsOf(const std::vector<uint8_t> &bwt)
 /** Decode with both decoders; a util::Error counts as no output. */
 void
 expectSameDecode(const std::vector<uint16_t> &symbols, size_t n,
-                 uint32_t primary)
+                 const std::vector<uint64_t> &starts)
 {
     std::optional<std::vector<uint8_t>> want, got;
     try {
-        want = ref::decode(symbols, n, primary);
+        want = ref::decode(symbols, n, starts);
     } catch (const util::Error &) {
     }
     try {
-        got = decodeFromRuns(symbols, n, primary);
+        got = decodeFromRuns(symbols, n, starts);
     } catch (const util::Error &) {
     }
+    const uint64_t primary = starts.empty() ? 0 : starts[0];
     ASSERT_EQ(want.has_value(), got.has_value())
         << "n " << n << ", primary " << primary;
     if (want)
-        ASSERT_EQ(*got, *want) << "n " << n << ", primary " << primary;
+        ASSERT_TRUE(*got == *want) << "n " << n << ", primary " << primary;
 }
 
 /**
@@ -359,15 +370,16 @@ TEST(BwcDecode, MatchesTheThreeStageReferenceOnEveryShortBlock)
                 auto text = runText(rng, n, alphabet, maxrun, lead);
                 auto r = comp::bwtForward(text.data(), n);
                 auto symbols = symbolsOf(r.data);
-                ASSERT_EQ(decodeFromRuns(symbols, n, r.primary), text)
+                ASSERT_EQ(decodeFromRuns(symbols, n, r.starts), text)
                     << "n " << n << ", alphabet " << alphabet;
-                expectSameDecode(symbols, n, r.primary);
+                expectSameDecode(symbols, n, r.starts);
                 if (n == 0)
                     continue;
-                at_first += r.primary == 1;
-                at_last += r.primary == n;
-                inside_run += r.primary < n &&
-                              r.data[r.primary - 1] == r.data[r.primary];
+                const uint64_t primary = r.starts[0];
+                at_first += primary == 1;
+                at_last += primary == n;
+                inside_run += primary < n &&
+                              r.data[primary - 1] == r.data[primary];
 
                 // Forced primaries: at both ends and inside the longest
                 // run, where the LF build splits a run around the
@@ -385,7 +397,7 @@ TEST(BwcDecode, MatchesTheThreeStageReferenceOnEveryShortBlock)
                 uint32_t mid = static_cast<uint32_t>(best + best_len / 2);
                 for (uint32_t p : {uint32_t{1}, static_cast<uint32_t>(n),
                                    std::max<uint32_t>(mid, 1)})
-                    expectSameDecode(symbols, n, p);
+                    expectSameDecode(symbols, n, {p});
             }
         }
     }
@@ -414,11 +426,85 @@ TEST(BwcDecode, MatchesTheReferenceOnAMebibyteOfBytesortPlanes)
     core::bytesortForward(addrs.data(), n, planes.data());
     auto r = comp::bwtForward(planes.data(), planes.size());
     auto symbols = symbolsOf(r.data);
-    auto got = decodeFromRuns(symbols, planes.size(), r.primary);
+    auto got = decodeFromRuns(symbols, planes.size(), r.starts);
     EXPECT_TRUE(got == planes);
-    EXPECT_TRUE(got == ref::decode(symbols, planes.size(), r.primary));
-    EXPECT_TRUE(comp::bwtInverse(r.data.data(), r.data.size(), r.primary) ==
+    EXPECT_TRUE(got == ref::decode(symbols, planes.size(), r.starts));
+    EXPECT_TRUE(comp::bwtInverse(r.data.data(), r.data.size(), r.starts) ==
                 planes);
+}
+
+/** 26-letter text, one byte per letter. */
+std::vector<uint8_t>
+letters(size_t n, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<uint8_t> s(n);
+    for (auto &c : s)
+        c = static_cast<uint8_t>('a' + rng.below(26));
+    return s;
+}
+
+/** Block sizes around the chain length and the chains each takes. */
+constexpr size_t kS = comp::kBwtChainBytes;
+constexpr std::pair<size_t, size_t> kChainCases[] = {
+    {kS - 1, 1},
+    {kS, 1},
+    {kS + 1, 2},      // a one-byte second chain
+    {2 * kS + 1, 3},
+    {8 * kS, 8},      // one full group of lanes
+    {8 * kS + 5, 9},  // a second group of one 5-byte chain
+    {24 * kS + 7, 25} // over 3 MiB: three full groups and one more
+};
+
+TEST(BwcDecode, ChainBoundariesMatchTheReferenceOnTextAndSuitePlanes)
+{
+    EXPECT_EQ(comp::bwtChainCount(0), 0u);
+    for (auto [n, chains] : kChainCases) {
+        for (bool planes : {false, true}) {
+            auto data = planes ? bench::suitePlanes(n, n) : letters(n, n);
+            auto r = comp::bwtForward(data.data(), n);
+            ASSERT_EQ(comp::bwtChainCount(n), chains) << n;
+            ASSERT_EQ(r.starts.size(), chains) << n;
+            auto symbols = symbolsOf(r.data);
+            EXPECT_TRUE(decodeFromRuns(symbols, n, r.starts) == data)
+                << n << (planes ? " planes" : " text");
+            EXPECT_TRUE(ref::decode(symbols, n, r.starts) == data)
+                << n << (planes ? " planes" : " text");
+        }
+    }
+}
+
+TEST(BwcDecode, RejectsCorruptStartRows)
+{
+    // 3 chains of a text block; each corruption must be refused by the
+    // library and the reference alike, before the library walks out of
+    // range (the sanitizer build checks that part).
+    const size_t n = 2 * kS + 17;
+    auto text = letters(n, 5);
+    auto r = comp::bwtForward(text.data(), n);
+    ASSERT_EQ(r.starts.size(), 3u);
+    auto symbols = symbolsOf(r.data);
+    std::vector<std::vector<uint64_t>> bad;
+    for (size_t k = 0; k < 3; ++k) {
+        for (uint64_t row : {uint64_t{0}, uint64_t{n + 1},
+                             (uint64_t(1) << 32) + r.starts[k],
+                             r.starts[k] % n + 1}) {
+            auto starts = r.starts;
+            starts[k] = row;
+            bad.push_back(starts);
+        }
+    }
+    for (auto [a, b] : {std::pair{0, 1}, std::pair{1, 2}, std::pair{0, 2}}) {
+        auto starts = r.starts;
+        std::swap(starts[a], starts[b]);
+        bad.push_back(starts);
+    }
+    for (const auto &starts : bad) {
+        EXPECT_THROW(decodeFromRuns(symbols, n, starts), util::Error)
+            << starts[0] << " " << starts[1] << " " << starts[2];
+        expectSameDecode(symbols, n, starts);
+    }
+    EXPECT_TRUE(decodeFromRuns(symbols, n, r.starts) == text);
 }
 
 TEST(BwcDecode, RejectsABadPrimary)
@@ -428,14 +514,11 @@ TEST(BwcDecode, RejectsABadPrimary)
                               s.size());
     auto symbols = symbolsOf(r.data);
     for (uint32_t p : {0u, 12u, 0xFFFFFFFFu})
-        EXPECT_THROW(decodeFromRuns(symbols, s.size(), p), util::Error) << p;
+        EXPECT_THROW(decodeFromRuns(symbols, s.size(), {p}), util::Error)
+            << p;
     // A primary past 32 bits must not wrap into range.
-    std::vector<comp::BwtRun> runs;
-    comp::mtfRleToRuns(symbols.data(), symbols.size(), s.size(), runs);
-    std::vector<uint8_t> out(s.size());
-    EXPECT_THROW(comp::bwtInverseRuns(runs.data(), runs.size(), s.size(),
-                                      (uint64_t(1) << 32) + r.primary,
-                                      out.data()),
+    EXPECT_THROW(decodeFromRuns(symbols, s.size(),
+                                {(uint64_t(1) << 32) + r.starts[0]}),
                  util::Error);
 }
 
@@ -447,20 +530,23 @@ TEST(BwcDecode, RejectsAnLfThatIsNotOneCycle)
     std::vector<comp::BwtRun> runs{{2, 'a'}};
     std::vector<uint8_t> out(2);
     try {
-        comp::bwtInverseRuns(runs.data(), runs.size(), 2, 1, out.data());
+        uint64_t start = 1;
+        comp::bwtInverseRuns(runs.data(), runs.size(), 2, &start,
+                             out.data());
         ADD_FAILURE() << "a two-cycle LF was accepted";
     } catch (const util::Error &e) {
         EXPECT_NE(std::string(e.what()).find("corrupt BWT stream"),
                   std::string::npos)
             << e.what();
     }
-    comp::bwtInverseRuns(runs.data(), runs.size(), 2, 2, out.data());
+    uint64_t start = 2;
+    comp::bwtInverseRuns(runs.data(), runs.size(), 2, &start, out.data());
     EXPECT_EQ(out, (std::vector<uint8_t>{'a', 'a'}));
     std::vector<uint8_t> aa{'a', 'a'};
-    EXPECT_THROW(ref::bwtInverse(aa, 1), util::Error);
+    EXPECT_THROW(ref::bwtInverse(aa, {1}), util::Error);
 
     // Runs that do not add up to the declared length are refused too.
-    EXPECT_THROW(comp::bwtInverseRuns(runs.data(), runs.size(), 3, 2,
+    EXPECT_THROW(comp::bwtInverseRuns(runs.data(), runs.size(), 3, &start,
                                       out.data()),
                  util::Error);
 }

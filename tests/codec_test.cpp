@@ -10,12 +10,15 @@
 
 #include <string>
 
+#include "bench_common.hpp"
 #include "compress/bwc.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lzh.hpp"
 #include "compress/rle.hpp"
 #include "compress/stream.hpp"
+#include "reference_bwc.hpp"
 #include "util/bitio.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -350,6 +353,129 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
                                 stream.size(), comp::FrameFormat::Seekable);
         },
         "corrupt container"));
+}
+
+/** A bwc frame cut into its fields. */
+struct BwcFrame
+{
+    uint32_t crc;
+    std::vector<uint64_t> starts;
+    std::vector<uint8_t> tail; ///< Huffman table and coded symbols
+};
+
+/** Split @p frame of an n-byte block, reading @p chains start rows. */
+BwcFrame
+splitFrame(const std::vector<uint8_t> &frame, size_t chains)
+{
+    util::MemorySource src(frame.data(), frame.size());
+    BwcFrame f;
+    f.crc = util::readLE<uint32_t>(src);
+    for (size_t k = 0; k < chains; ++k)
+        f.starts.push_back(util::readVarint(src));
+    size_t used = frame.size() - src.remaining();
+    f.tail.assign(frame.begin() + used, frame.end());
+    return f;
+}
+
+std::vector<uint8_t>
+joinFrame(const BwcFrame &f)
+{
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    util::writeLE<uint32_t>(sink, f.crc);
+    for (uint64_t row : f.starts)
+        util::writeVarint(sink, row);
+    sink.write(f.tail.data(), f.tail.size());
+    return out;
+}
+
+std::vector<uint8_t>
+bwcFrameOf(const std::vector<uint8_t> &data)
+{
+    std::vector<uint8_t> frame;
+    util::VectorSink sink(frame);
+    comp::BwcCodec().compressBlock(data.data(), data.size(), sink);
+    return frame;
+}
+
+std::vector<uint8_t>
+bwcDecode(const std::vector<uint8_t> &frame, size_t n)
+{
+    util::MemorySource src(frame.data(), frame.size());
+    std::vector<uint8_t> out;
+    comp::BwcCodec().decompressBlock(src, n, out);
+    EXPECT_EQ(src.remaining(), 0u);
+    return out;
+}
+
+TEST(Bwc, FramesCarryOneStartRowPer128KiB)
+{
+    // Around the chain length S = 2^17: after the CRC come exactly
+    // ceil(n / S) start rows, then the Huffman table. The symbols
+    // behind them decode through the reference with those rows.
+    constexpr size_t S = comp::kBwtChainBytes;
+    const std::pair<size_t, size_t> cases[] = {
+        {S - 1, 1}, {S, 1},        {S + 1, 2},       {2 * S + 1, 3},
+        {8 * S, 8}, {8 * S + 5, 9}, {24 * S + 7, 25},
+    };
+    for (auto [n, chains] : cases) {
+        for (bool planes : {false, true}) {
+            auto data = planes ? bench::suitePlanes(n, n + 1)
+                               : makeData(3, n, n);
+            auto frame = bwcFrameOf(data);
+            BwcFrame f = splitFrame(frame, chains);
+            EXPECT_EQ(f.crc, util::crc32(data.data(), n));
+            for (uint64_t row : f.starts) {
+                EXPECT_GE(row, 1u);
+                EXPECT_LE(row, n);
+            }
+            util::MemorySource src(f.tail.data(), f.tail.size());
+            util::BitReader br(src);
+            auto dec = comp::HuffmanDecoder::readTable(br, comp::kRleAlphabet);
+            std::vector<uint16_t> symbols;
+            do {
+                symbols.push_back(static_cast<uint16_t>(dec.decode(br)));
+            } while (symbols.back() != comp::kEob);
+            br.align();
+            EXPECT_EQ(src.remaining(), 0u);
+            EXPECT_TRUE(ref::decode(symbols, n, f.starts) == data)
+                << n << (planes ? " planes" : " text");
+            EXPECT_TRUE(bwcDecode(frame, n) == data)
+                << n << (planes ? " planes" : " text");
+        }
+    }
+}
+
+TEST(Bwc, CorruptStartRowsAreErrors)
+{
+    // A block of three chains. Each corruption must fail as a
+    // util::Error, before the walk reads out of range (the sanitizer
+    // build checks that part).
+    const size_t n = 2 * comp::kBwtChainBytes + 17;
+    auto data = bench::suitePlanes(n, 7);
+    auto frame = bwcFrameOf(data);
+    BwcFrame good = splitFrame(frame, 3);
+    ASSERT_TRUE(bwcDecode(joinFrame(good), n) == data);
+    auto refused = [&](const BwcFrame &f, const std::string &why) {
+        return throwsErrorWith([&] { bwcDecode(joinFrame(f), n); }, why);
+    };
+
+    BwcFrame zero = good;
+    zero.starts[1] = 0;
+    EXPECT_TRUE(refused(zero, "start row out of range"));
+    BwcFrame above = good;
+    above.starts[2] = n + 1;
+    EXPECT_TRUE(refused(above, "start row out of range"));
+    BwcFrame swapped = good;
+    std::swap(swapped.starts[1], swapped.starts[2]);
+    EXPECT_TRUE(refused(swapped, "corrupt BWT stream"));
+
+    // Cut right after the primary index: the second start row is
+    // missing.
+    BwcFrame cut = good;
+    cut.starts.resize(1);
+    cut.tail.clear();
+    EXPECT_TRUE(refused(cut, "truncated"));
 }
 
 TEST(Lzh, DetectsCorruption)

@@ -7,7 +7,7 @@
  * counts (the shared block cache off, so only the readahead window
  * feeds the pool), the pooled full scan's cache policy, mid-stream
  * cancellation without deadlock, cursors outliving their reader,
- * rejection of pre-v3 containers, seekable-framing corruption probes
+ * rejection of pre-v4 containers, seekable-framing corruption probes
  * (mismatched compressed lengths, truncated/corrupt frame index), a
  * structural proof that lossless decode overlaps frame decodes, and
  * the integrity satellites (CRC trailer verification, a pooled chunk
@@ -436,12 +436,17 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
 {
     // Frozen sizes and CRC-32s of reference containers. The identity
     // sweeps above compare two runs of one code path, which could
-    // drift together; these constants cannot.
+    // drift together; these constants cannot. The chunks of 16 and
+    // 64 KiB frames hold one start row per frame and are unchanged
+    // since container v3; INFO differs from v3 in the version byte.
     auto bwc_trace = makeTrace(60'000, 101);
     auto bwc_opt = makeOptions(core::Mode::Lossless, bwc_trace.size());
     auto big_trace = makeTrace(60'000, 102);
     auto big_opt = makeOptions(core::Mode::Lossless, big_trace.size(),
                                "bwc:block=64k");
+    auto chains_trace = makeTrace(120'000, 105);
+    auto chains_opt = makeOptions(core::Mode::Lossless, chains_trace.size(),
+                                  "bwc:block=256k");
     auto lossy_trace = makeTrace(70'000, 103);
     auto lossy_opt = makeOptions(core::Mode::Lossy, lossy_trace.size());
     lossy_opt.lossy.interval_len = 9973; // 7 full intervals + 189
@@ -450,11 +455,16 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
     for (size_t threads : {size_t(0), size_t(1), size_t(2), size_t(8)}) {
         // 30 frames of 16 KiB, the last one 4897 bytes.
         expectPinned(writeParallel(bwc_trace, bwc_opt, threads),
-                     {182, 0xb3a0aa22u}, {{99388, 0xfeab030au}},
+                     {182, 0x837dd54bu}, {{99388, 0xfeab030au}},
                      threads);
         // 8 frames of 64 KiB, the last one 21281 bytes.
         expectPinned(writeParallel(big_trace, big_opt, threads),
-                     {192, 0x0cfd9d40u}, {{93571, 0x7db649cdu}},
+                     {192, 0x3b6e7861u}, {{93571, 0x7db649cdu}},
+                     threads);
+        // 4 frames of 256 KiB, the last one 173601 bytes: two start
+        // rows in each.
+        expectPinned(writeParallel(chains_trace, chains_opt, threads),
+                     {192, 0xe614367au}, {{178991, 0x6bd19a03u}},
                      threads);
         core::MemoryStore lossy;
         {
@@ -464,7 +474,7 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
             EXPECT_EQ(writer.lossyStats().intervals, 8u);
             EXPECT_EQ(writer.lossyStats().imitated, 5u);
         }
-        expectPinned(lossy, {3521, 0x55a82e6bu},
+        expectPinned(lossy, {3521, 0x4a3fdc90u},
                      {{15585, 0x26b3efeeu},
                       {15621, 0x5d14ca6eu},
                       {549, 0x093bcce3u}},
@@ -856,13 +866,13 @@ TEST(Integrity, TruncatedContainerReportsCount)
 
 TEST(ContainerVersions, UnsupportedVersionsRejected)
 {
-    // The version byte follows the 4-byte magic. Only v3 is read, so
+    // The version byte follows the 4-byte magic. Only v4 is read, so
     // any other version must fail open loudly.
     auto addrs = makeTrace(5'000, 71);
     auto store = writeSerial(
         addrs, makeOptions(core::Mode::Lossless, addrs.size()));
     ASSERT_EQ(store.infoBytes().at(4), core::kContainerVersion);
-    for (uint8_t version : {uint8_t(1), uint8_t(2), uint8_t(4)}) {
+    for (uint8_t version : {uint8_t(1), uint8_t(2), uint8_t(3), uint8_t(5)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -880,6 +890,33 @@ TEST(ContainerVersions, UnsupportedVersionsRejected)
                   std::string::npos)
             << reader.status().message();
     }
+}
+
+TEST(ContainerVersions, AV3PreambleIsRefusedAtOpen)
+{
+    // A v3 reader took a bwc frame's second start row for the start of
+    // its Huffman table. Its preamble is refused before any frame is
+    // read.
+    EXPECT_EQ(core::kContainerVersion, 4u);
+    auto addrs = makeTrace(40'000, 72);
+    auto store = writeSerial(addrs, makeOptions(core::Mode::Lossless,
+                                                addrs.size(),
+                                                "bwc:block=256k"));
+    core::MemoryStore v3;
+    {
+        auto info = store.infoBytes();
+        info[4] = 3;
+        auto sink = v3.createInfo();
+        sink->write(info.data(), info.size());
+        auto chunk = v3.createChunk(0);
+        chunk->write(store.chunkBytes(0).data(), store.chunkBytes(0).size());
+    }
+    auto reader = core::AtcReader::open(v3);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_NE(reader.status().message().find(
+                  "unsupported ATC container version 3 (only v4 is read)"),
+              std::string::npos)
+        << reader.status().message();
 }
 
 // ---------------------------------------- seekable corruption detection

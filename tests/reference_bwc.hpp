@@ -65,13 +65,22 @@ mtfDecode(const std::vector<uint8_t> &ranks)
     return out;
 }
 
-/** LF-mapping inverse BWT over a byte array, walked backwards. */
+/**
+ * LF-mapping inverse BWT over a byte array, walked backwards from the
+ * sentinel's row, one chain. @p starts are the encoder's start rows:
+ * starts[0] is the primary index, and the walk checks that it passes
+ * starts[k] at text position k * kBwtChainBytes.
+ */
 inline std::vector<uint8_t>
-bwtInverse(const std::vector<uint8_t> &data, uint32_t primary)
+bwtInverse(const std::vector<uint8_t> &data,
+           const std::vector<uint64_t> &starts)
 {
     const size_t n = data.size();
+    ATC_CHECK(starts.size() == comp::bwtChainCount(n),
+              "BWT start rows do not match the block");
     if (n == 0)
         return {};
+    const uint64_t primary = starts[0];
     ATC_CHECK(primary >= 1 && primary <= n, "BWT primary index out of range");
     uint32_t base[256] = {};
     for (uint8_t c : data)
@@ -86,9 +95,13 @@ bwtInverse(const std::vector<uint8_t> &data, uint32_t primary)
     for (size_t i = 0; i <= n; ++i)
         lf[i] = i == primary ? 0 : base[data[i - (i > primary)]]++;
     std::vector<uint8_t> out(n);
+    // Before out[k] is written, `row` is the row of suffix k + 1.
     uint32_t row = lf[primary];
     for (size_t k = n; k-- > 0;) {
         ATC_CHECK(row != primary, "corrupt BWT stream");
+        if ((k + 1) % comp::kBwtChainBytes == 0 && k + 1 < n)
+            ATC_CHECK(row == starts[(k + 1) / comp::kBwtChainBytes],
+                      "corrupt BWT stream (start row mismatch)");
         out[k] = data[row - (row > primary)];
         row = lf[row];
     }
@@ -98,11 +111,12 @@ bwtInverse(const std::vector<uint8_t> &data, uint32_t primary)
 
 /** The whole reference decoder: symbols of an n-byte block to bytes. */
 inline std::vector<uint8_t>
-decode(const std::vector<uint16_t> &symbols, size_t n, uint32_t primary)
+decode(const std::vector<uint16_t> &symbols, size_t n,
+       const std::vector<uint64_t> &starts)
 {
     std::vector<uint8_t> mtf = rleDecode(symbols);
     ATC_CHECK(mtf.size() == n, "BWC block size mismatch");
-    return bwtInverse(mtfDecode(mtf), primary);
+    return bwtInverse(mtfDecode(mtf), starts);
 }
 
 /** Expand runs back to the string they describe. */

@@ -17,14 +17,15 @@ namespace atc {
 namespace {
 
 core::MemoryStore
-makeContainer(core::Mode mode, size_t n, uint64_t seed)
+makeContainer(core::Mode mode, size_t n, uint64_t seed,
+              size_t codec_block = 16 * 1024)
 {
     core::MemoryStore store;
     core::AtcOptions opt;
     opt.mode = mode;
     opt.lossy.interval_len = n / 8 + 1;
     opt.pipeline.buffer_addrs = n / 16 + 1;
-    opt.pipeline.codec_block = 16 * 1024;
+    opt.pipeline.codec_block = codec_block;
     core::AtcWriter w(store, opt);
     util::Rng rng(seed);
     for (size_t i = 0; i < n; ++i)
@@ -69,20 +70,17 @@ drain(core::MemoryStore &store)
     return count;
 }
 
-class CorruptionSweep : public testing::TestWithParam<int>
+/**
+ * Flip one byte of the (lossless) chunk at each of @p positions: every
+ * outcome must be either a throw or — never — a silent wrong-length or
+ * wrong-content success. The chunk CRC makes corruption loud.
+ */
+void
+expectFlipsDetected(core::MemoryStore &base,
+                    const std::vector<size_t> &positions)
 {
-};
-
-TEST_P(CorruptionSweep, ChunkBitFlipsNeverSilentlyAccepted)
-{
-    // Flip one byte at many positions of the (lossless) chunk: every
-    // outcome must be either a throw or — never — a silent wrong-length
-    // or wrong-content success. The chunk CRC makes corruption loud.
-    auto base = makeContainer(core::Mode::Lossless, 3000, GetParam());
-    size_t chunk_size = base.chunkBytes(0).size();
     int threw = 0, survived = 0;
-    for (size_t pos = 0; pos < chunk_size;
-         pos += std::max<size_t>(chunk_size / 40, 1)) {
+    for (size_t pos : positions) {
         auto bad = corruptCopy(base, false, pos, 0x20);
         try {
             size_t n = drain(bad);
@@ -104,7 +102,120 @@ TEST_P(CorruptionSweep, ChunkBitFlipsNeverSilentlyAccepted)
     EXPECT_GT(threw, survived);
 }
 
+/** About 40 positions spread over the chunk. */
+std::vector<size_t>
+spreadPositions(size_t chunk_size)
+{
+    std::vector<size_t> positions;
+    for (size_t pos = 0; pos < chunk_size;
+         pos += std::max<size_t>(chunk_size / 40, 1))
+        positions.push_back(pos);
+    return positions;
+}
+
+class CorruptionSweep : public testing::TestWithParam<int>
+{
+};
+
+TEST_P(CorruptionSweep, ChunkBitFlipsNeverSilentlyAccepted)
+{
+    auto base = makeContainer(core::Mode::Lossless, 3000, GetParam());
+    expectFlipsDetected(base, spreadPositions(base.chunkBytes(0).size()));
+}
+
+TEST_P(CorruptionSweep, BigBlockChunkBitFlipsNeverSilentlyAccepted)
+{
+    // 256 KiB codec blocks: the first frame carries two start rows.
+    // Besides the spread, flip every byte of the first frame's header,
+    // CRC and start rows.
+    auto base =
+        makeContainer(core::Mode::Lossless, 40'000, GetParam(), 256 << 10);
+    auto positions = spreadPositions(base.chunkBytes(0).size());
+    for (size_t pos = 0; pos < 16; ++pos)
+        positions.push_back(pos);
+    expectFlipsDetected(base, positions);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionSweep, testing::Values(1, 2, 3));
+
+/** @p value as a varint of exactly @p len bytes (padded if need be). */
+std::vector<uint8_t>
+varintOfLength(uint64_t value, size_t len)
+{
+    std::vector<uint8_t> out;
+    for (size_t i = 0; i < len; ++i, value >>= 7)
+        out.push_back(static_cast<uint8_t>((value & 0x7F) |
+                                           (i + 1 < len ? 0x80 : 0)));
+    EXPECT_EQ(value, 0u) << "does not fit";
+    return out;
+}
+
+/** @p base with chunk 0 replaced by @p chunk. */
+core::MemoryStore
+withChunk(const core::MemoryStore &base, const std::vector<uint8_t> &chunk)
+{
+    core::MemoryStore out;
+    auto info = out.createInfo();
+    info->write(base.infoBytes().data(), base.infoBytes().size());
+    auto sink = out.createChunk(0);
+    sink->write(chunk.data(), chunk.size());
+    return out;
+}
+
+TEST(Robustness, CorruptStartRowsFailAsOneStatus)
+{
+    // The first frame of 256 KiB has two start rows. Rewrite them in
+    // place (same varint lengths, so the framing still agrees), or cut
+    // the chunk after the primary index: the read must fail as one
+    // Status before it returns a record.
+    auto base = makeContainer(core::Mode::Lossless, 40'000, 5, 256 << 10);
+    const std::vector<uint8_t> chunk = base.chunkBytes(0);
+    util::MemorySource src(chunk.data(), chunk.size());
+    const uint64_t n = util::readVarint(src) - 1; // raw size + 1
+    util::readVarint(src);                         // compressed size
+    ASSERT_EQ(n, 256u << 10);
+    src.skip(4);                                   // block CRC
+    const size_t at0 = chunk.size() - src.remaining();
+    const uint64_t start0 = util::readVarint(src);
+    const size_t at1 = chunk.size() - src.remaining();
+    const uint64_t start1 = util::readVarint(src);
+    const size_t end = chunk.size() - src.remaining();
+    // This seed's rows take three bytes each, as n + 1 does.
+    ASSERT_EQ(at1 - at0, 3u);
+    ASSERT_EQ(end - at1, 3u);
+
+    auto patched = [&](uint64_t row0, uint64_t row1) {
+        std::vector<uint8_t> bad = chunk;
+        auto v0 = varintOfLength(row0, 3), v1 = varintOfLength(row1, 3);
+        std::copy(v0.begin(), v0.end(), bad.begin() + at0);
+        std::copy(v1.begin(), v1.end(), bad.begin() + at1);
+        return bad;
+    };
+    const std::pair<std::vector<uint8_t>, const char *> cases[] = {
+        {patched(start0, 0), "start row out of range"},
+        {patched(start0, n + 1), "start row out of range"},
+        {patched(start1, start0), "corrupt BWT stream"},
+        {std::vector<uint8_t>(chunk.begin(), chunk.begin() + at1),
+         "truncated"},
+    };
+    ASSERT_TRUE(patched(start0, start1) == chunk);
+    for (const auto &[bytes, why] : cases) {
+        auto bad = withChunk(base, bytes);
+        for (size_t threads : {size_t(0), size_t(2)}) {
+            // A cut chunk may already fail open, at its frame index.
+            auto reader = core::AtcReader::open(bad, 0, threads);
+            util::Status failure = reader.status();
+            if (reader.ok()) {
+                std::vector<uint64_t> buf(4096);
+                auto r = reader.value()->tryRead(buf.data(), buf.size());
+                ASSERT_FALSE(r.ok()) << why << " at " << threads;
+                failure = r.status();
+            }
+            EXPECT_NE(failure.message().find(why), std::string::npos)
+                << failure.message();
+        }
+    }
+}
 
 TEST(Robustness, InfoBitFlipsThrowOrPreserveContent)
 {
