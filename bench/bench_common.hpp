@@ -181,6 +181,27 @@ lossyCompress(const std::vector<uint64_t> &trace, core::MemoryStore &store,
     return run;
 }
 
+/**
+ * Decode every frame of a seekable stream through its scanned
+ * @p layout: one fetch and one frame decode each, as the cursor's
+ * frame engine does, with no inverse transform. @p src must be
+ * positioned at the stream's first frame.
+ * @return the stream's raw (pre-codec) bytes
+ */
+inline std::vector<uint8_t>
+decodeFrames(const comp::Codec &codec, const comp::StreamLayout &layout,
+             util::ByteSource &src)
+{
+    std::vector<uint8_t> raw, block;
+    for (size_t f = 0; f < layout.frames.size(); ++f) {
+        comp::FramePayload p = comp::fetchIndexedFramePayload(src, layout, f);
+        comp::decodeSeekableFrame(codec, p.data, p.size,
+                                  layout.frames[f].raw_size, block);
+        raw.insert(raw.end(), block.begin(), block.end());
+    }
+    return raw;
+}
+
 /** Regenerate the full address stream of a store written by AtcWriter. */
 inline std::vector<uint64_t>
 regenerate(core::MemoryStore &store)

@@ -9,10 +9,12 @@
  * codec block and every lossless stream. These are the knobs behind
  * Table 2's throughput numbers and the targets of the hot-loop tuning.
  *
- * Self-contained: timed with bench_common's bestOfK (steady clock,
- * best of 3 after an untimed warm-up) and emitted in the shared JSON
- * shape so the CI perf-trajectory job archives kernel throughput next
- * to parallel_throughput.json.
+ * Self-contained: each row is the median of 7 runs after an untimed
+ * warm-up, timed in the calling thread's CPU time (every kernel here
+ * is single-threaded, so time spent waiting for a core of a shared
+ * machine is left out), and emitted in the shared JSON shape so the CI
+ * perf-trajectory job archives kernel throughput next to
+ * parallel_throughput.json.
  *
  * Every row checks its output. The suite rows compare each decoded
  * byte, so a small run (ATC_BENCH_SCALE=0.05, as ctest's
@@ -22,7 +24,10 @@
  *   json-path  output file (default micro_kernels.json)
  */
 
+#include <time.h>
+
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -74,16 +79,34 @@ struct Row
 {
     std::string kernel;
     size_t n;       ///< items processed per run (bytes or addresses)
-    double secs;    ///< best-of-k wall-clock seconds for one run
+    double secs;    ///< median thread-CPU seconds for one run
     double m_per_s; ///< items per second, in millions
 };
 
-/** Time @p fn (best of 3) over @p n items and record one row. */
+/** @return the CPU time of the calling thread, in seconds. */
+double
+threadCpuSeconds()
+{
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
+
+/** Time @p fn over @p n items and record one row: the median thread
+ *  CPU time of 7 runs after an untimed warm-up. */
 template <typename Fn>
 void
 runKernel(std::vector<Row> &rows, const char *name, size_t n, Fn &&fn)
 {
-    double secs = bench::bestOfK(3, fn);
+    fn(); // warm-up, untimed
+    std::array<double, 7> runs;
+    for (double &run : runs) {
+        double t0 = threadCpuSeconds();
+        fn();
+        run = threadCpuSeconds() - t0;
+    }
+    std::nth_element(runs.begin(), runs.begin() + 3, runs.end());
+    double secs = runs[3];
     rows.push_back(
         {name, n, secs, static_cast<double>(n) / secs / 1e6});
     std::fprintf(stderr, "  %-22s %8.4fs  %9.3f M/s\n", name, secs,

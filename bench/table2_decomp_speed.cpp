@@ -76,36 +76,37 @@ main()
         // --- bytesort small (len/100) and big (len/10) ---
         const size_t buffers[2] = {len / 100, len / 10};
         for (int b = 0; b < 2; ++b) {
-            std::vector<uint8_t> compressed;
-            util::VectorSink sink(compressed);
-            core::LosslessParams params;
-            params.buffer_addrs = buffers[b];
-            core::LosslessWriter writer(params, sink);
-            writer.write(trace.data(), trace.size());
-            writer.finish();
+            core::MemoryStore store;
+            core::AtcOptions opt;
+            opt.mode = core::Mode::Lossless;
+            opt.pipeline.buffer_addrs = buffers[b];
+            {
+                core::AtcWriter writer(store, opt);
+                writer.write(trace.data(), trace.size());
+                writer.close();
+            }
 
             auto s0 = Clock::now();
             {
                 // Value-at-a-time decode(), the original hot path.
-                util::MemorySource src(compressed);
-                core::LosslessReader reader(params, src);
+                core::AtcReader reader(store);
                 uint64_t v;
                 while (reader.decode(&v))
                     ;
             }
             auto s1 = Clock::now();
             {
-                // The stream was written by LosslessWriter, so it uses
-                // seekable framing, not the legacy default.
-                comp::decompressAll(comp::codecByName("bwc"),
-                                    compressed.data(), compressed.size(),
-                                    comp::FrameFormat::Seekable);
+                // Codec-only share: every frame of the chunk, fetched
+                // and decoded over the layout scanned at open.
+                auto index = core::AtcIndex::openOrThrow(store);
+                auto src = store.openChunk(0);
+                decodeFrames(*index->codec().codec, index->chunkLayout(0),
+                             *src);
             }
             auto s2 = Clock::now();
             {
                 // Batch read(), the new primary entry point.
-                util::MemorySource src(compressed);
-                core::LosslessReader reader(params, src);
+                core::AtcReader reader(store);
                 std::vector<uint64_t> buf(1 << 16);
                 while (reader.read(buf.data(), buf.size()) != 0)
                     ;

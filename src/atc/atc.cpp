@@ -69,14 +69,13 @@ AtcWriter::init()
         *codec_.codec, codec_.blockOr(options_.pipeline.codec_block));
     if (!fits.ok())
         util::raise(fits.message());
-    options_.lossy.chunk_params = options_.pipeline;
     if (options_.mode == Mode::Lossless) {
         chunk_sink_ = store_->createChunk(0);
         lossless_ = std::make_unique<LosslessWriter>(
             options_.pipeline, *chunk_sink_, pool_.get());
     } else {
-        lossy_ = std::make_unique<LossyEncoder>(options_.lossy, *store_,
-                                                pool_.get());
+        lossy_ = std::make_unique<LossyEncoder>(
+            options_.lossy, options_.pipeline, *store_, pool_.get());
     }
 }
 

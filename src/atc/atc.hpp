@@ -62,7 +62,7 @@ struct AtcOptions
      *  each chunk in lossy mode. The codec field is a registry spec,
      *  e.g. "bwc", "lzh", "bwc:block=900k". */
     LosslessParams pipeline;
-    /** Lossy-mode parameters (chunk_params is overridden by pipeline). */
+    /** Lossy-mode parameters; each chunk is compressed by pipeline. */
     LossyParams lossy;
 };
 

@@ -5,6 +5,7 @@
 #include <deque>
 #include <future>
 
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace atc::core {
@@ -126,15 +127,13 @@ fillRecords(ReadFn &&read, std::vector<uint64_t> &out, const char *what)
     }
 }
 
-/** @return the lossy decoder parameters recorded in @p info. */
-LossyParams
-lossyParams(const ContainerInfo &info)
+/** Time spent decoding whole lossy chunks, wherever they decode. */
+obs::Counter &
+chunkDecodeUs()
 {
-    LossyParams params;
-    params.chunk_params = info.pipeline;
-    params.interval_len = info.interval_len;
-    params.epsilon = info.epsilon;
-    return params;
+    static obs::Counter &us =
+        obs::Registry::global().counter("lossy.chunk_decode_us");
+    return us;
 }
 
 /** Frames are many and small (a codec block each) — shard for
@@ -292,24 +291,26 @@ AtcIndex::bufferRawOffset(uint64_t b) const
 }
 
 /**
- * The lossless read engine: serves the decoded bytes of frames
- * [first, end) of the chunk stream, in order. Each frame resolves
- * through the shared cache: a hit skips the payload; a miss has its
- * payload read (zero-copy on mapped chunks) and decoded on @p pool,
- * ahead of the reader (which runs queued pool tasks while it waits for
- * one), or — when @p pool is null — on the caller's thread as the
- * reader reaches it. A pass from frame 0
- * (@p full) accumulates the CRC-32 of everything it serves for
- * verifyEnd() and never adds to the cache; any other pass does.
+ * The frame engine every chunk stream is read through: serves the
+ * decoded bytes of frames [first, end) of chunk @p chunk, in order,
+ * over the layout scanned at open — the lossless container's one
+ * chunk, or one lossy chunk. Each frame resolves through the shared
+ * cache: a hit skips the payload; a miss has its payload read
+ * (zero-copy on mapped chunks) and decoded on @p pool, ahead of the
+ * reader (which runs queued pool tasks while it waits for one), or —
+ * when @p pool is null — on the caller's thread as the reader reaches
+ * it. A pass from frame 0 (@p full) accumulates the CRC-32 of
+ * everything it serves for verifyEnd() and never adds to the cache;
+ * any other pass does.
  */
 class AtcCursor::FrameSource : public util::ByteSource
 {
   public:
-    FrameSource(std::shared_ptr<const AtcIndex> index,
+    FrameSource(std::shared_ptr<const AtcIndex> index, uint32_t chunk,
                 parallel::ThreadPool *pool, size_t first, size_t end,
                 bool full)
-        : index_(std::move(index)), layout_(index_->chunkLayout(0)),
-          pool_(pool),
+        : index_(std::move(index)), chunk_(chunk),
+          layout_(index_->chunkLayout(chunk)), pool_(pool),
           ahead_(pool != nullptr ? parallel::windowDepth(pool) + 1 : 0),
           next_(first), end_(end), full_(full)
     {}
@@ -413,10 +414,10 @@ class AtcCursor::FrameSource : public util::ByteSource
         while (window_.size() < 1 + ahead_ && next_ < end_) {
             size_t f = next_++;
             Pending<uint8_t> p;
-            p.key = BlockCache<uint8_t>::frameKey(0, f);
+            p.key = BlockCache<uint8_t>::frameKey(chunk_, f);
             try {
                 if (!src_) {
-                    src_ = index_->store().openChunk(0);
+                    src_ = index_->store().openChunk(chunk_);
                     src_->skip(layout_.comp_starts[f]);
                 }
                 p.ready = index_->frameCache().get(p.key);
@@ -451,6 +452,7 @@ class AtcCursor::FrameSource : public util::ByteSource
     }
 
     std::shared_ptr<const AtcIndex> index_;
+    uint32_t chunk_;
     const comp::StreamLayout &layout_;
     parallel::ThreadPool *pool_;
     /** Frames queued behind the one being read: the window, plus one.
@@ -479,7 +481,8 @@ class AtcCursor::FrameSource : public util::ByteSource
  * decoding on the pool ahead of the interval that needs them (without
  * a pool, just record i's, decoded on demand). A chunk leaves the
  * window once no record in that span refers to it; the shared cache is
- * read first and, when @p populate, filled as chunks are used.
+ * read first and, when @p populate, filled as chunks are used. Each
+ * chunk decodes as one task, through a FrameSource of its own.
  */
 class AtcCursor::ChunkWindow
 {
@@ -540,11 +543,32 @@ class AtcCursor::ChunkWindow
         p.key = id;
         p.ready = cache.get(id);
         if (!p.ready)
-            p.decoded = parallel::launch(pool_, [index = index_, id]() {
-                return decodeChunkPayload(index->info().pipeline,
-                                          index->store(), id);
-            });
+            p.decoded = parallel::launch(
+                pool_, [index = index_, id]() { return decode(index, id); });
         return p;
+    }
+
+    /**
+     * Chunk @p id in full: a pass from its first frame with no pool —
+     * the task already runs on one — through the inverse transform,
+     * its CRC-32 trailer verified at the end. Timed under
+     * lossy.chunk_decode_us.
+     */
+    static std::vector<uint64_t>
+    decode(const std::shared_ptr<const AtcIndex> &index, uint32_t id)
+    {
+        obs::StageTimer t(chunkDecodeUs());
+        const LosslessParams &pipeline = index->info().pipeline;
+        FrameSource frames(index, id, nullptr, 0,
+                           index->chunkLayout(id).frames.size(), true);
+        TransformDecoder transform(pipeline.transform, frames,
+                                   pipeline.buffer_addrs);
+        std::vector<uint64_t> addrs;
+        uint64_t buf[4096];
+        while (size_t got = transform.read(buf, 4096))
+            addrs.insert(addrs.end(), buf, buf + got);
+        frames.verifyEnd();
+        return addrs;
     }
 
     std::shared_ptr<const AtcIndex> index_;
@@ -605,7 +629,7 @@ AtcCursor::startLossless(uint64_t rec)
     // of records, so it decodes on demand and queues nothing ahead. A
     // full pass decodes frames and inverse-transforms buffers ahead.
     parallel::ThreadPool *pool = rec == 0 ? pool_ : nullptr;
-    frames_ = std::make_unique<FrameSource>(index_, pool, f,
+    frames_ = std::make_unique<FrameSource>(index_, 0, pool, f,
                                             layout.frames.size(), rec == 0);
     // Discard the tail of the frame that precedes the buffer start,
     // then the records that precede the target inside its buffer.
@@ -628,8 +652,7 @@ AtcCursor::lossyDecoder(std::unique_ptr<ChunkWindow> &window,
     window = std::make_unique<ChunkWindow>(index_, pool, end_record,
                                            populate);
     return std::make_unique<LossyDecoder>(
-        lossyParams(index_->info()), index_->store(),
-        &index_->info().records, &index_->chunkCache(),
+        &index_->info().records,
         [w = window.get()](size_t i) { return w->fetch(i); });
 }
 
@@ -705,7 +728,7 @@ AtcCursor::rangeLossless(uint64_t begin, uint64_t end,
     size_t f0 = layout.frameContaining(raw0);
     size_t f1 = layout.frameContaining(raw1 - 1);
 
-    FrameSource frames(index_, pool_, f0, f1 + 1, false);
+    FrameSource frames(index_, 0, pool_, f0, f1 + 1, false);
     frames.skip(raw0 - layout.raw_starts[f0]);
     TransformDecoder transform(pipeline.transform, frames,
                                pipeline.buffer_addrs);

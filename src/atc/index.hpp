@@ -21,6 +21,12 @@
  * approximations anyway — tell() reports where the cursor actually
  * landed).
  *
+ * Every chunk stream is read by one frame engine (FrameSource) over
+ * the layout scanned at open: the lossless container's one chunk,
+ * frame by frame, and each lossy chunk in full, as one task that runs
+ * a FrameSource of its own with no pool, inverse-transforms it and
+ * verifies its CRC-32 trailer (timed under lossy.chunk_decode_us).
+ *
  * A cursor with a thread pool decodes through one bounded, ordered
  * readahead window wherever the blocks ahead are known to be read: a
  * pass from record 0 keeps 2 x pool-size blocks decoding ahead of the

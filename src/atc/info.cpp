@@ -54,7 +54,9 @@ readRecord(util::ByteSource &src)
     src.readExact(&kind, 1);
     ATC_CHECK(kind <= 1, "corrupt interval record");
     rec.kind = static_cast<IntervalRecord::Kind>(kind);
-    rec.chunk_id = static_cast<uint32_t>(util::readVarint(src));
+    uint64_t chunk_id = util::readVarint(src);
+    ATC_CHECK(chunk_id <= UINT32_MAX, "corrupt interval record");
+    rec.chunk_id = static_cast<uint32_t>(chunk_id);
     rec.length = util::readVarint(src);
     if (rec.kind == IntervalRecord::Kind::Imitate) {
         src.readExact(&rec.trans.plane_mask, 1);
@@ -137,8 +139,7 @@ readContainerInfo(ChunkStore &store)
                     cc.status().message());
     comp::ConfiguredCodec codec = cc.take();
 
-    comp::StreamDecompressor payload(*codec.codec, *info,
-                                     comp::FrameFormat::Legacy);
+    comp::StreamDecompressor payload(*codec.codec, *info);
     uint8_t mode_echo;
     payload.readExact(&mode_echo, 1);
     ATC_CHECK(mode_echo == mode,
@@ -172,11 +173,22 @@ readContainerInfo(ChunkStore &store)
                                   (out.count % out.interval_len != 0),
               "interval record count disagrees with the INFO record "
               "count (corrupt container)");
+    // The writer numbers chunks in the order of their records, so the
+    // k-th chunk record stores chunk k and the chunk count is bounded
+    // by the records actually parsed, never by the varint alone.
+    uint64_t chunks = 0;
     for (uint64_t i = 0; i < record_count; ++i) {
-        out.records.push_back(readRecord(payload));
-        ATC_CHECK(out.records.back().chunk_id < out.chunk_count,
+        const IntervalRecord &rec =
+            out.records.emplace_back(readRecord(payload));
+        if (rec.kind == IntervalRecord::Kind::Chunk)
+            ATC_CHECK(rec.chunk_id == chunks++,
+                      "chunk records out of order (corrupt container)");
+        ATC_CHECK(rec.chunk_id < out.chunk_count,
                   "interval record references unknown chunk");
     }
+    ATC_CHECK(out.chunk_count == chunks,
+              "INFO chunk count disagrees with its chunk records "
+              "(corrupt container)");
     return out;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lossless address-stream compression (paper §4): transform (bytesort,
- * unshuffle, or none) followed by a byte-level codec.
+ * The writer of lossless address streams (paper §4): transform
+ * (bytesort, unshuffle, or none) followed by a byte-level codec.
  *
  * This is both ATC's lossless mode ('c' in the original tool) and the
  * per-chunk compressor of the lossy mode. The codec is addressed by a
@@ -10,10 +10,12 @@
  *
  * Streams use seekable framing (see compress/stream.hpp) and end with
  * a little-endian CRC-32 trailer of the raw (transformed, pre-codec)
- * byte stream, written after the frame index. The reader verifies it
- * once the stream is drained, so corruption is loud even under codecs
- * without per-block checksums ("store") and under truncation at frame
- * boundaries.
+ * byte stream, written after the frame index. Every chunk stream,
+ * lossless or lossy, is read by the cursor's frame engine over the
+ * layout AtcIndex scans at open (see atc/index.hpp), which verifies
+ * the trailer once a pass from the first frame is drained, so
+ * corruption is loud even under codecs without per-block checksums
+ * ("store") and under truncation at frame boundaries.
  *
  * The writer hands an optional borrowed pool to both stages: the
  * transform (TransformEncoder) forward-transforms batches of buffers on
@@ -81,42 +83,6 @@ class LosslessWriter
     std::unique_ptr<comp::StreamCompressor> codec_stage_;
     std::unique_ptr<TransformEncoder> transform_;
     bool finished_ = false;
-};
-
-/** Streaming lossless decompressor from a byte source. */
-class LosslessReader
-{
-  public:
-    /**
-     * @param params parameters used to write the stream (the buffer
-     *               size bounds every transform-buffer header)
-     * @param in     source (e.g. a chunk file)
-     * @throws util::Error on a malformed or unknown codec spec
-     */
-    LosslessReader(const LosslessParams &params, util::ByteSource &in);
-
-    /**
-     * Decompress up to @p n addresses — the primary entry point.
-     * At end of stream the stored CRC trailer is verified once.
-     * @return addresses produced; 0 means end of stream
-     * @throws util::Error on corrupt data or a CRC mismatch
-     */
-    size_t read(uint64_t *out, size_t n);
-
-    /**
-     * Decompress the next address.
-     * @return false at end of stream
-     */
-    bool decode(uint64_t *out) { return read(out, 1) == 1; }
-
-  private:
-    void verifyTrailer();
-
-    util::ByteSource &in_;
-    std::shared_ptr<const comp::Codec> codec_;
-    std::unique_ptr<comp::StreamDecompressor> codec_stage_;
-    std::unique_ptr<TransformDecoder> transform_;
-    bool verified_ = false;
 };
 
 } // namespace atc::core

@@ -18,7 +18,6 @@ struct LossyMetrics {
     obs::Counter &signature_us;
     obs::Counter &decision_us;
     obs::Counter &chunk_compress_us;
-    obs::Counter &chunk_decode_us;
     obs::Counter &chunks;
     obs::Counter &imitations;
 };
@@ -31,7 +30,6 @@ lossyMetrics()
         r.counter("lossy.signature_us"),
         r.counter("lossy.decision_us"),
         r.counter("lossy.chunk_compress_us"),
-        r.counter("lossy.chunk_decode_us"),
         r.counter("lossy.chunks"),
         r.counter("lossy.imitations"),
     };
@@ -40,9 +38,10 @@ lossyMetrics()
 
 }  // namespace
 
-LossyEncoder::LossyEncoder(const LossyParams &params, ChunkStore &store,
+LossyEncoder::LossyEncoder(const LossyParams &params,
+                           const LosslessParams &pipeline, ChunkStore &store,
                            parallel::ThreadPool *pool)
-    : params_(params), store_(store), pool_(pool)
+    : params_(params), pipeline_(pipeline), store_(store), pool_(pool)
 {
     ATC_CHECK(params_.interval_len > 0, "interval length must be positive");
     ATC_CHECK(params_.chunk_table > 0, "chunk table must be nonempty");
@@ -160,7 +159,7 @@ LossyEncoder::emitChunk(Interval interval)
     // nested pool), into bytes the caller writes to the store in id
     // order.
     chunks_.emplace_back(
-        id, parallel::launch(pool_, [params = params_.chunk_params,
+        id, parallel::launch(pool_, [params = pipeline_,
                                      addrs = std::move(interval.addrs)] {
             obs::StageTimer t(lossyMetrics().chunk_compress_us);
             std::vector<uint8_t> bytes;
@@ -199,44 +198,11 @@ LossyEncoder::finish()
     drainChunks(0);
 }
 
-std::vector<uint64_t>
-decodeChunkPayload(const LosslessParams &params, ChunkStore &store,
-                   uint32_t id)
+LossyDecoder::LossyDecoder(const std::vector<IntervalRecord> *records,
+                           ChunkFetch fetch)
+    : records_(records), fetch_(std::move(fetch))
 {
-    obs::StageTimer t(lossyMetrics().chunk_decode_us);
-    auto src = store.openChunk(id);
-    LosslessReader reader(params, *src);
-    std::vector<uint64_t> addrs;
-    uint64_t buf[4096];
-    size_t got;
-    while ((got = reader.read(buf, 4096)) != 0)
-        addrs.insert(addrs.end(), buf, buf + got);
-    return addrs;
-}
-
-LossyDecoder::LossyDecoder(const LossyParams &params, ChunkStore &store,
-                           std::vector<IntervalRecord> records,
-                           ChunkCache *cache)
-    : params_(params), store_(store), owned_records_(std::move(records)),
-      records_(&owned_records_),
-      owned_cache_(cache == nullptr ? std::make_unique<ChunkCache>(
-                                          params.decoder_cache_bytes)
-                                    : nullptr),
-      cache_(cache == nullptr ? owned_cache_.get() : cache)
-{
-}
-
-LossyDecoder::LossyDecoder(const LossyParams &params, ChunkStore &store,
-                           const std::vector<IntervalRecord> *records,
-                           ChunkCache *cache, ChunkFetch fetch)
-    : params_(params), store_(store), records_(records),
-      owned_cache_(cache == nullptr ? std::make_unique<ChunkCache>(
-                                          params.decoder_cache_bytes)
-                                    : nullptr),
-      cache_(cache == nullptr ? owned_cache_.get() : cache),
-      fetch_(std::move(fetch))
-{
-    ATC_ASSERT(records_ != nullptr);
+    ATC_ASSERT(records_ != nullptr && fetch_);
 }
 
 void
@@ -248,36 +214,17 @@ LossyDecoder::seekRecord(size_t record_idx)
     pos_ = 0;
 }
 
-const std::vector<uint64_t> &
-LossyDecoder::loadChunk(uint32_t id)
-{
-    // Consecutive intervals frequently imitate one chunk; serving the
-    // pinned pointer skips even the cache's shard lock.
-    if (current_chunk_ && current_id_ == id)
-        return *current_chunk_;
-    ChunkCache::Ptr chunk = cache_->get(id);
-    if (!chunk)
-        chunk = cache_->put(
-            id, decodeChunkPayload(params_.chunk_params, store_, id));
-    current_chunk_ = std::move(chunk);
-    current_id_ = id;
-    return *current_chunk_;
-}
-
 bool
 LossyDecoder::nextInterval()
 {
     if (record_idx_ >= records_->size())
         return false;
     const IntervalRecord &rec = (*records_)[record_idx_];
-    if (fetch_) {
-        // Asked every interval, so the fetch can keep its readahead
-        // moving even through a run of intervals sharing one chunk.
-        current_chunk_ = fetch_(record_idx_);
-        current_id_ = rec.chunk_id;
-    }
+    // Asked every interval, so the fetch can keep its readahead moving
+    // even through a run of intervals sharing one chunk.
+    ChunkPtr held = fetch_(record_idx_);
     ++record_idx_;
-    const std::vector<uint64_t> &chunk = loadChunk(rec.chunk_id);
+    const std::vector<uint64_t> &chunk = *held;
     ATC_CHECK(chunk.size() == rec.length,
               "interval record length mismatch");
 

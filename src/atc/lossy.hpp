@@ -20,11 +20,12 @@
  * either window runs queued pool tasks meanwhile (parallel::await()).
  * Each chunk task compresses its interval inline, without a pool.
  *
- * The decoder regenerates the address stream from chunks + records,
- * reading decompressed chunks through a BlockCache — either a shared
- * one (an AtcIndex's, so every cursor over the container reuses one
- * working set) or a private instance — or from a caller-supplied
- * fetch (an AtcCursor's chunk window).
+ * The decoder regenerates the address stream from the interval
+ * records, taking each interval's decompressed chunk from a
+ * caller-supplied fetch. It keeps no cache of its own: an AtcCursor's
+ * chunk window supplies the chunks, through the AtcIndex's shared
+ * cache, and decodes each one as a lossless stream through the
+ * cursor's frame engine (see index.hpp).
  */
 
 #ifndef ATC_ATC_LOSSY_HPP_
@@ -56,14 +57,6 @@ struct LossyParams
     size_t chunk_table = 256;
     /** Disable to reproduce Figure 4's ablation. */
     bool translate = true;
-    /** Byte budget of the decoder's decompressed-chunk cache (used
-     *  only when the decoder owns its cache — decoders sharing an
-     *  AtcIndex cache ignore it). Bytes-bounded, not chunk-counted:
-     *  at paper scale one chunk is interval_len * 8 = 80 MB, so a
-     *  count-based knob made the footprint workload-dependent. */
-    size_t decoder_cache_bytes = kDefaultDecodedCacheBytes;
-    /** Per-chunk lossless pipeline (paper: bytesort, B = 1M). */
-    LosslessParams chunk_params;
 };
 
 /** One entry of the interval trace. */
@@ -96,15 +89,17 @@ class LossyEncoder
 {
   public:
     /**
-     * @param params scheme parameters
-     * @param store  chunk destination (must outlive the encoder); only
-     *               the caller's thread touches it
-     * @param pool   borrowed workers for interval signatures and chunk
-     *               compression (must outlive the encoder); null runs
-     *               both on the caller
+     * @param params   scheme parameters
+     * @param pipeline per-chunk lossless pipeline (paper: bytesort,
+     *                 B = 1M)
+     * @param store    chunk destination (must outlive the encoder);
+     *                 only the caller's thread touches it
+     * @param pool     borrowed workers for interval signatures and
+     *                 chunk compression (must outlive the encoder);
+     *                 null runs both on the caller
      */
-    LossyEncoder(const LossyParams &params, ChunkStore &store,
-                 parallel::ThreadPool *pool = nullptr);
+    LossyEncoder(const LossyParams &params, const LosslessParams &pipeline,
+                 ChunkStore &store, parallel::ThreadPool *pool = nullptr);
 
     /** Feed a batch of addresses — the primary entry point. */
     void write(const uint64_t *addrs, size_t n);
@@ -154,6 +149,7 @@ class LossyEncoder
     };
 
     LossyParams params_;
+    LosslessParams pipeline_;
     ChunkStore &store_;
     parallel::ThreadPool *pool_;
     std::vector<uint64_t> buffer_;
@@ -166,56 +162,26 @@ class LossyEncoder
     bool finished_ = false;
 };
 
-/**
- * Decompress chunk @p id of @p store in full through the per-chunk
- * lossless pipeline of @p params. The one whole-chunk decode used by
- * every lossy consumer (LossyDecoder and the cursor's chunk window), so they reject corrupt chunks identically. Thread-safe for
- * concurrent calls (openChunk must be — see ChunkStore).
- */
-std::vector<uint64_t> decodeChunkPayload(const LosslessParams &params,
-                                         ChunkStore &store, uint32_t id);
-
 /** Streaming regenerator for lossy traces. */
 class LossyDecoder
 {
   public:
-    /** Cache of decompressed chunks, keyed by chunk id. */
-    using ChunkCache = BlockCache<uint64_t>;
+    /** A decompressed chunk, shared with the cache that may hold it. */
+    using ChunkPtr = BlockCache<uint64_t>::Ptr;
 
     /** Supplies the decompressed chunk of interval record
-     *  @p record_idx, in place of the cache lookup + inline decode. */
-    using ChunkFetch = std::function<ChunkCache::Ptr(size_t record_idx)>;
+     *  @p record_idx. */
+    using ChunkFetch = std::function<ChunkPtr(size_t record_idx)>;
 
     /**
-     * @param params  parameters used at encode time (chunk pipeline,
-     *                decoder cache budget)
-     * @param store   chunk source (must outlive the decoder)
-     * @param records interval trace parsed from INFO
-     * @param cache   shared decompressed-chunk cache (e.g. an
-     *                AtcIndex's; must outlive the decoder); when null
-     *                the decoder owns a private cache bounded by
-     *                params.decoder_cache_bytes
+     * @param records interval trace (e.g. the one held by an AtcIndex;
+     *                must outlive the decoder — imitation translations
+     *                run to 2 KiB per record, so cursors sharing one
+     *                index do not copy it)
+     * @param fetch   supplies every interval's chunk
      */
-    LossyDecoder(const LossyParams &params, ChunkStore &store,
-                 std::vector<IntervalRecord> records,
-                 ChunkCache *cache = nullptr);
-
-    /**
-     * Borrowing variant for shared, read-only interval traces (e.g.
-     * the records held by an AtcIndex): @p records must outlive the
-     * decoder. Imitation translations can run to 2 KiB per record, so
-     * cursors sharing one index must not copy the trace per cursor.
-     * When @p fetch is set, every interval's chunk comes from it and
-     * @p cache is not consulted.
-     */
-    LossyDecoder(const LossyParams &params, ChunkStore &store,
-                 const std::vector<IntervalRecord> *records,
-                 ChunkCache *cache = nullptr, ChunkFetch fetch = nullptr);
-
-    // records_ may point at the sibling owned_records_, so the
-    // compiler-generated copy/move would leave the copy dangling.
-    LossyDecoder(const LossyDecoder &) = delete;
-    LossyDecoder &operator=(const LossyDecoder &) = delete;
+    LossyDecoder(const std::vector<IntervalRecord> *records,
+                 ChunkFetch fetch);
 
     /**
      * Produce up to @p n regenerated addresses — the primary entry.
@@ -224,44 +190,18 @@ class LossyDecoder
     size_t read(uint64_t *out, size_t n);
 
     /**
-     * Produce the next regenerated address.
-     * @return false at end of trace
-     */
-    bool decode(uint64_t *out) { return read(out, 1) == 1; }
-
-    /**
      * Reposition so the next read() starts at the beginning of
-     * interval record @p record_idx (== records().size() positions at
-     * end of trace). The decompressed-chunk cache is kept — seeking
-     * around a working set of imitated intervals stays cheap.
+     * interval record @p record_idx (the record count positions at end
+     * of trace).
      */
     void seekRecord(size_t record_idx);
 
-    /** @return the interval trace driving this decoder. */
-    const std::vector<IntervalRecord> &records() const { return *records_; }
-
   private:
-    /** Load (through the cache) decompressed chunk @p id; the result
-     *  stays pinned in current_chunk_ until the next load. */
-    const std::vector<uint64_t> &loadChunk(uint32_t id);
     bool nextInterval();
 
-    LossyParams params_;
-    ChunkStore &store_;
-    std::vector<IntervalRecord> owned_records_;
     const std::vector<IntervalRecord> *records_;
-    size_t record_idx_ = 0;
-
-    // Decompressed-chunk cache: the shared one when provided, else an
-    // owned private instance. current_chunk_ pins the active chunk so
-    // eviction (by this decoder or a sibling sharing the cache) never
-    // pulls it out from under an in-flight interval.
-    std::unique_ptr<ChunkCache> owned_cache_;
-    ChunkCache *cache_;
-    ChunkCache::Ptr current_chunk_;
-    uint32_t current_id_ = 0;
     ChunkFetch fetch_;
-
+    size_t record_idx_ = 0;
     std::vector<uint64_t> interval_;
     size_t pos_ = 0;
 };

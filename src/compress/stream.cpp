@@ -170,6 +170,14 @@ decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
     m.comp_bytes.add(static_cast<int64_t>(comp_size));
 }
 
+namespace {
+
+/**
+ * Read a Seekable stream's frame index (positioned just after the
+ * terminator) and validate it against the frames the scan saw.
+ * @throws util::Error on a truncated index or any disagreement with
+ *         @p seen — the corruption probe for resync-style damage
+ */
 void
 readFrameIndex(util::ByteSource &src,
                const std::vector<FrameIndexEntry> &seen)
@@ -204,6 +212,8 @@ readFrameIndex(util::ByteSource &src,
                   "frame index entry disagrees with decoded frame " +
                       std::to_string(i) + " (corrupt container)");
 }
+
+} // namespace
 
 size_t
 StreamLayout::frameContaining(uint64_t raw_off) const
@@ -351,46 +361,9 @@ StreamCompressor::finish()
 }
 
 StreamDecompressor::StreamDecompressor(const Codec &codec,
-                                       util::ByteSource &src,
-                                       FrameFormat format)
-    : codec_(codec), src_(src), format_(format)
+                                       util::ByteSource &src)
+    : codec_(codec), src_(src)
 {
-}
-
-bool
-StreamDecompressor::refillSeekable()
-{
-    FrameIndexEntry entry;
-    switch (readSeekableFrameHeader(src_, entry)) {
-    case FrameScan::EndOfData:
-        // Clean end-of-source without terminator: accepted, like the
-        // legacy format (no index to validate in that case).
-        done_ = true;
-        return false;
-    case FrameScan::Terminator:
-        readFrameIndex(src_, seen_);
-        done_ = true;
-        return false;
-    case FrameScan::Frame:
-        break;
-    }
-
-    size_t comp_size = static_cast<size_t>(entry.comp_size);
-    if (const uint8_t *span = src_.view(comp_size)) {
-        // Zero-copy: decode straight from the source's storage (mmap
-        // page cache or a memory chunk); the source outlives this call.
-        decodeSeekableFrame(codec_, span, comp_size,
-                            static_cast<size_t>(entry.raw_size), block_);
-    } else {
-        comp_buf_.resize(comp_size);
-        src_.readExact(comp_buf_.data(), comp_buf_.size());
-        decodeSeekableFrame(codec_, comp_buf_.data(), comp_buf_.size(),
-                            static_cast<size_t>(entry.raw_size), block_);
-    }
-    seen_.push_back(entry);
-    crc_.update(block_.data(), block_.size());
-    pos_ = 0;
-    return true;
 }
 
 bool
@@ -398,8 +371,6 @@ StreamDecompressor::refill()
 {
     if (done_)
         return false;
-    if (format_ == FrameFormat::Seekable)
-        return refillSeekable();
 
     // Read the frame header; a clean EOF also terminates the stream.
     uint8_t first;
@@ -431,7 +402,6 @@ StreamDecompressor::refill()
     m.frames.inc();
     m.raw_bytes.add(static_cast<int64_t>(raw_size));
     ATC_CHECK(block_.size() == raw_size, "frame size mismatch");
-    crc_.update(block_.data(), block_.size());
     pos_ = 0;
     return true;
 }
@@ -469,11 +439,10 @@ compressAll(const Codec &codec, const uint8_t *data, size_t n,
 }
 
 std::vector<uint8_t>
-decompressAll(const Codec &codec, const uint8_t *data, size_t n,
-              FrameFormat format)
+decompressAll(const Codec &codec, const uint8_t *data, size_t n)
 {
     util::MemorySource src(data, n);
-    StreamDecompressor sd(codec, src, format);
+    StreamDecompressor sd(codec, src);
     std::vector<uint8_t> out;
     uint8_t buf[64 * 1024];
     for (;;) {

@@ -4,16 +4,19 @@
  *
  * Two frame formats share one stream grammar:
  *
- * - Legacy (the container INFO payload): each frame is `varint(n + 1)`
- *   followed by the codec's representation of an n-byte block. Readers
- *   must decode a frame to find the next one.
+ * - Legacy (the container INFO payload and TCgen's two streams): each
+ *   frame is `varint(n + 1)` followed by the codec's representation of
+ *   an n-byte block. Readers must decode a frame to find the next one;
+ *   StreamDecompressor is that reader.
  * - Seekable (every chunk stream): each frame header also records the
  *   compressed byte length — `varint(n + 1)` `varint(c)` followed by
  *   exactly c codec bytes — so a scanner can walk frame boundaries
  *   without decoding, and workers can decode frames independently. The
  *   stream ends with an optional frame index (one `(raw, compressed)`
- *   varint pair per frame) that readers validate against the frames
- *   actually seen.
+ *   varint pair per frame) that the scan validates against the frames
+ *   it saw. A seekable stream is read only through its scanned layout:
+ *   scanSeekableStream() once, then fetchIndexedFramePayload() and
+ *   decodeSeekableFrame() per frame.
  *
  * Both formats terminate with a single 0 varint. The terminator lets
  * compressed streams be embedded in larger files; a clean end-of-source
@@ -75,23 +78,12 @@ FrameScan readSeekableFrameHeader(util::ByteSource &src,
 /**
  * Decode one Seekable frame payload, enforcing that the codec consumes
  * exactly @p comp_size bytes and produces exactly @p raw_size bytes.
- * The single validation point for frames: StreamDecompressor and the
- * cursor's read engine both call it, so every reader rejects identical
- * corruption.
+ * The single validation point for seekable frames.
  * @throws util::Error on any disagreement with the declared sizes
  */
 void decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
                          size_t comp_size, size_t raw_size,
                          std::vector<uint8_t> &out);
-
-/**
- * Read a Seekable stream's frame index (positioned just after the
- * terminator) and validate it against the frames actually decoded.
- * @throws util::Error on a truncated index or any disagreement with
- *         @p seen — the corruption probe for resync-style damage
- */
-void readFrameIndex(util::ByteSource &src,
-                    const std::vector<FrameIndexEntry> &seen);
 
 /**
  * The complete layout of one Seekable stream, built by scanning its
@@ -237,36 +229,27 @@ class StreamCompressor : public util::ByteSink
     bool finished_ = false;
 };
 
-/** Reads codec frames and serves decompressed bytes. */
+/** Reads Legacy codec frames and serves decompressed bytes (the
+ *  INFO payload and TCgen's streams). */
 class StreamDecompressor : public util::ByteSource
 {
   public:
     /**
-     * @param codec  block codec used to write the stream
-     * @param src    source positioned at the first frame
-     * @param format frame format the stream was written with
+     * @param codec block codec used to write the stream
+     * @param src   source positioned at the first frame
      */
-    StreamDecompressor(const Codec &codec, util::ByteSource &src,
-                       FrameFormat format = FrameFormat::Legacy);
+    StreamDecompressor(const Codec &codec, util::ByteSource &src);
 
     /** Serve decompressed bytes; 0 at end of stream. */
     size_t read(uint8_t *data, size_t n) override;
 
-    /** @return CRC-32 of every decompressed block produced so far. */
-    uint32_t crc() const { return crc_.value(); }
-
   private:
     bool refill();
-    bool refillSeekable();
 
     const Codec &codec_;
     util::ByteSource &src_;
-    FrameFormat format_;
     std::vector<uint8_t> block_;
-    std::vector<uint8_t> comp_buf_;
-    std::vector<FrameIndexEntry> seen_;
     size_t pos_ = 0;
-    util::Crc32 crc_;
     bool done_ = false;
 };
 
@@ -276,10 +259,10 @@ std::vector<uint8_t> compressAll(const Codec &codec,
                                  size_t block_size = kDefaultBlockSize,
                                  FrameFormat format = FrameFormat::Legacy);
 
-/** One-shot convenience: decompress a whole stream into a vector. */
+/** One-shot convenience: decompress a whole Legacy stream into a
+ *  vector. */
 std::vector<uint8_t> decompressAll(const Codec &codec,
-                                   const uint8_t *data, size_t n,
-                                   FrameFormat format = FrameFormat::Legacy);
+                                   const uint8_t *data, size_t n);
 
 } // namespace atc::comp
 

@@ -340,17 +340,27 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
     EXPECT_EQ(out.capacity(), 0u);
 
     // The same through a seekable stream whose one frame declares
-    // 2^24 raw bytes (a size the framing itself finds plausible).
+    // 2^24 raw bytes (a size the framing itself finds plausible). Its
+    // frame index and CRC trailer are well formed, so the scan accepts
+    // the stream and the frame reaches the codec.
+    const uint64_t raw = uint64_t(1) << 24;
     std::vector<uint8_t> stream;
     util::VectorSink sink(stream);
-    util::writeVarint(sink, (uint64_t(1) << 24) + 1);
+    util::writeVarint(sink, raw + 1);
     util::writeVarint(sink, payload.size());
     sink.write(payload.data(), payload.size());
     util::writeVarint(sink, 0);
+    sink.writeByte(1); // index present: one frame
+    util::writeVarint(sink, 1);
+    util::writeVarint(sink, raw);
+    util::writeVarint(sink, payload.size());
+    util::writeLE<uint32_t>(sink, 0); // CRC trailer, never reached
     EXPECT_TRUE(throwsErrorWith(
         [&] {
-            comp::decompressAll(comp::codecByName("bwc"), stream.data(),
-                                stream.size(), comp::FrameFormat::Seekable);
+            util::MemorySource scan(stream);
+            comp::StreamLayout layout = comp::scanSeekableStream(scan);
+            util::MemorySource src(stream);
+            bench::decodeFrames(comp::codecByName("bwc"), layout, src);
         },
         "corrupt container"));
 }

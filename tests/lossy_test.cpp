@@ -9,7 +9,7 @@
 
 #include <set>
 
-#include "atc/lossy.hpp"
+#include "atc/atc.hpp"
 #include "cache/stack_sim.hpp"
 #include "trace/suite.hpp"
 #include "util/rng.hpp"
@@ -17,13 +17,15 @@
 namespace atc {
 namespace {
 
-core::LossyParams
+/** Lossy options with the per-chunk pipeline the encoder is given. */
+core::AtcOptions
 testParams(uint64_t interval_len)
 {
-    core::LossyParams p;
-    p.interval_len = interval_len;
-    p.chunk_params.buffer_addrs = std::max<uint64_t>(interval_len / 4, 16);
-    p.chunk_params.codec_block = 64 * 1024;
+    core::AtcOptions p;
+    p.mode = core::Mode::Lossy;
+    p.lossy.interval_len = interval_len;
+    p.pipeline.buffer_addrs = std::max<uint64_t>(interval_len / 4, 16);
+    p.pipeline.codec_block = 64 * 1024;
     return p;
 }
 
@@ -36,10 +38,10 @@ struct EncodeResult
 };
 
 EncodeResult
-encode(const std::vector<uint64_t> &trace, const core::LossyParams &params)
+encode(const std::vector<uint64_t> &trace, const core::AtcOptions &params)
 {
     EncodeResult r;
-    core::LossyEncoder enc(params, r.store);
+    core::LossyEncoder enc(params.lossy, params.pipeline, r.store);
     for (uint64_t a : trace)
         enc.code(a);
     enc.finish();
@@ -48,15 +50,18 @@ encode(const std::vector<uint64_t> &trace, const core::LossyParams &params)
     return r;
 }
 
+/** Complete @p r into a container with its INFO and read it back
+ *  through a cursor, as every lossy read does. */
 std::vector<uint64_t>
-decode(EncodeResult &r, const core::LossyParams &params)
+decode(EncodeResult &r, const core::AtcOptions &params,
+       const core::IndexOptions &iopt = {})
 {
-    core::LossyDecoder dec(params, r.store, r.records);
-    std::vector<uint64_t> out;
-    uint64_t v;
-    while (dec.decode(&v))
-        out.push_back(v);
-    return out;
+    core::writeContainerInfo(r.store, comp::makeCodec(params.pipeline.codec),
+                             core::Mode::Lossy, params.pipeline,
+                             r.stats.addresses, &params.lossy,
+                             r.stats.chunks_created, &r.records);
+    auto index = core::AtcIndex::openOrThrow(r.store, iopt);
+    return trace::collect(*index->cursor());
 }
 
 TEST(Lossy, FirstIntervalAlwaysChunk)
@@ -200,7 +205,7 @@ TEST(Lossy, MyopicIntervalProblemMitigated)
     // Ablation: translations disabled (Figure 4's setting) collapses
     // the footprint to roughly one interval's worth.
     auto params_no_trans = params;
-    params_no_trans.translate = false;
+    params_no_trans.lossy.translate = false;
     auto r2 = encode(trace, params_no_trans);
     auto back2 = decode(r2, params_no_trans);
     std::set<uint64_t> unique_no_trans(back2.begin(), back2.end());
@@ -237,7 +242,7 @@ TEST(Lossy, ChunkTableEvictionBounded)
     // grow its table beyond the configured bound (it keeps creating
     // chunks instead).
     auto params = testParams(256);
-    params.chunk_table = 2;
+    params.lossy.chunk_table = 2;
     util::Rng rng(8);
     std::vector<uint64_t> trace;
     for (int phase = 0; phase < 12; ++phase) {
@@ -267,7 +272,7 @@ TEST(Lossy, ChunkTableEvictionBounded)
 TEST(Lossy, EpsilonZeroDisablesImitation)
 {
     auto params = testParams(500);
-    params.epsilon = 0.0;
+    params.lossy.epsilon = 0.0;
     util::Rng rng(9);
     std::vector<uint64_t> trace(5000);
     for (auto &v : trace)
@@ -279,10 +284,11 @@ TEST(Lossy, EpsilonZeroDisablesImitation)
 
 TEST(Lossy, DecoderCacheSmallerThanChunkCount)
 {
-    // Force chunk reloads: a 1-byte budget degenerates the decoder's
-    // private cache to one resident chunk per shard.
+    // Force chunk reloads: a 1-byte budget degenerates the index's
+    // shared chunk cache to one resident chunk per shard.
     auto params = testParams(512);
-    params.decoder_cache_bytes = 1;
+    core::IndexOptions iopt;
+    iopt.cache_bytes = 1;
     std::vector<uint64_t> trace;
     util::Rng rng(10);
     for (int phase = 0; phase < 8; ++phase) {
@@ -290,7 +296,7 @@ TEST(Lossy, DecoderCacheSmallerThanChunkCount)
             trace.push_back(phase % 2 ? 0xBEEF : rng.next());
     }
     auto r = encode(trace, params);
-    EXPECT_EQ(decode(r, params).size(), trace.size());
+    EXPECT_EQ(decode(r, params, iopt).size(), trace.size());
 }
 
 } // namespace

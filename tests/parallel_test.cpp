@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_common.hpp"
 #include "atc/atc.hpp"
 #include "atc/bytesort.hpp"
 #include "cache/filter.hpp"
@@ -938,7 +939,8 @@ drainExpectFailure(core::MemoryStore &store)
     }
 }
 
-/** Copy @p store with chunk 0 replaced by @p chunk. */
+/** Copy @p store with chunk 0 replaced by @p chunk (a lossy
+ *  container's other chunks are copied as they are). */
 core::MemoryStore
 withChunk0(const core::MemoryStore &store, std::vector<uint8_t> chunk)
 {
@@ -946,8 +948,12 @@ withChunk0(const core::MemoryStore &store, std::vector<uint8_t> chunk)
     {
         auto sink = out.createInfo();
         sink->write(store.infoBytes().data(), store.infoBytes().size());
-        auto csink = out.createChunk(0);
-        csink->write(chunk.data(), chunk.size());
+        for (uint32_t id = 0; id < store.chunkCount(); ++id) {
+            const std::vector<uint8_t> &bytes =
+                id == 0 ? chunk : store.chunkBytes(id);
+            auto csink = out.createChunk(id);
+            csink->write(bytes.data(), bytes.size());
+        }
     }
     return out;
 }
@@ -967,13 +973,20 @@ varintAt(const std::vector<uint8_t> &bytes, size_t &pos)
     }
 }
 
-TEST(SeekableIntegrity, MismatchedCompressedLengthRejected)
+/** The seekable-framing probes run on a lossless container and on a
+ *  lossy one (whose chunk 0 they corrupt): both are read through the
+ *  same scanned layouts. */
+class SeekableIntegrity : public testing::TestWithParam<core::Mode>
+{
+};
+
+TEST_P(SeekableIntegrity, MismatchedCompressedLengthRejected)
 {
     // Bump the first frame's declared compressed length by one: the
     // codec consumes fewer bytes than declared, which a reader must
     // reject as corruption instead of silently resyncing.
     auto addrs = makeTrace(20'000, 81);
-    auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
+    auto opt = makeOptions(GetParam(), addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
 
     auto chunk = store.chunkBytes(0);
@@ -997,10 +1010,10 @@ TEST(SeekableIntegrity, MismatchedCompressedLengthRejected)
         << failure.message();
 }
 
-TEST(SeekableIntegrity, TruncatedFrameIndexRejected)
+TEST_P(SeekableIntegrity, TruncatedFrameIndexRejected)
 {
     auto addrs = makeTrace(20'000, 82);
-    auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
+    auto opt = makeOptions(GetParam(), addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
 
     // Chop the CRC trailer plus a slice of the frame index.
@@ -1015,10 +1028,10 @@ TEST(SeekableIntegrity, TruncatedFrameIndexRejected)
         << failure.message();
 }
 
-TEST(SeekableIntegrity, CorruptFrameIndexEntryRejected)
+TEST_P(SeekableIntegrity, CorruptFrameIndexEntryRejected)
 {
     auto addrs = makeTrace(20'000, 83);
-    auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
+    auto opt = makeOptions(GetParam(), addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
 
     // Flip the low bit of the index's last varint byte (just before
@@ -1034,6 +1047,10 @@ TEST(SeekableIntegrity, CorruptFrameIndexEntryRejected)
     EXPECT_NE(failure.message().find("index"), std::string::npos)
         << failure.message();
 }
+
+INSTANTIATE_TEST_SUITE_P(Modes, SeekableIntegrity,
+                         testing::Values(core::Mode::Lossless,
+                                         core::Mode::Lossy));
 
 TEST_P(ThreadSweep, PooledReadReportsCrcMismatch)
 {
@@ -1230,21 +1247,31 @@ TEST(SeekableDecode, PooledBwcFramesOfEverySizeDecodeByteExact)
     auto addrs = makeTrace(160'000, 97);
     std::vector<uint8_t> planes(8 * addrs.size());
     core::bytesortForward(addrs.data(), addrs.size(), planes.data());
+    // Each stream is a chunk stream as LosslessWriter frames it (frame
+    // index and CRC trailer), read through its scanned layout.
     const comp::Codec &bwc = comp::codecByName("bwc");
     std::vector<std::vector<uint8_t>> streams;
-    for (size_t block : {size_t(4) << 10, size_t(32) << 10, size_t(1) << 20})
-        streams.push_back(comp::compressAll(bwc, planes.data(), planes.size(),
-                                            block,
-                                            comp::FrameFormat::Seekable));
+    std::vector<comp::StreamLayout> layouts;
+    for (size_t block :
+         {size_t(4) << 10, size_t(32) << 10, size_t(1) << 20}) {
+        std::vector<uint8_t> &stream = streams.emplace_back();
+        util::VectorSink sink(stream);
+        comp::StreamCompressor sc(bwc, sink, block,
+                                  comp::FrameFormat::Seekable);
+        sc.write(planes.data(), planes.size());
+        sc.finish();
+        util::writeLE<uint32_t>(sink, sc.crc());
+        util::MemorySource scan(stream);
+        layouts.push_back(comp::scanSeekableStream(scan));
+    }
 
     parallel::ThreadPool pool(4, 64);
     std::vector<std::future<bool>> decoded;
     for (int round = 0; round < 4; ++round)
-        for (const auto &stream : streams)
-            decoded.push_back(pool.async([&] {
-                return comp::decompressAll(bwc, stream.data(), stream.size(),
-                                           comp::FrameFormat::Seekable) ==
-                       planes;
+        for (size_t s = 0; s < streams.size(); ++s)
+            decoded.push_back(pool.async([&, s] {
+                util::MemorySource src(streams[s]);
+                return bench::decodeFrames(bwc, layouts[s], src) == planes;
             }));
     for (auto &f : decoded)
         EXPECT_TRUE(f.get());

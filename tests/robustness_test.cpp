@@ -34,10 +34,11 @@ makeContainer(core::Mode mode, size_t n, uint64_t seed,
     return store;
 }
 
-/** Copy a store with one byte of one blob flipped. */
+/** Copy a store with one byte of one blob (INFO, or chunk @p chunk)
+ *  flipped. */
 core::MemoryStore
 corruptCopy(const core::MemoryStore &src, bool corrupt_info, size_t pos,
-            uint8_t mask)
+            uint8_t mask, uint32_t chunk = 0)
 {
     core::MemoryStore out;
     {
@@ -49,11 +50,11 @@ corruptCopy(const core::MemoryStore &src, bool corrupt_info, size_t pos,
     }
     for (size_t id = 0; id < src.chunkCount(); ++id) {
         auto sink = out.createChunk(static_cast<uint32_t>(id));
-        std::vector<uint8_t> chunk =
+        std::vector<uint8_t> bytes =
             src.chunkBytes(static_cast<uint32_t>(id));
-        if (!corrupt_info && pos < chunk.size())
-            chunk[pos] ^= mask;
-        sink->write(chunk.data(), chunk.size());
+        if (!corrupt_info && id == chunk && pos < bytes.size())
+            bytes[pos] ^= mask;
+        sink->write(bytes.data(), bytes.size());
     }
     return out;
 }
@@ -71,17 +72,18 @@ drain(core::MemoryStore &store)
 }
 
 /**
- * Flip one byte of the (lossless) chunk at each of @p positions: every
+ * Flip one byte of chunk @p chunk at each of @p positions: every
  * outcome must be either a throw or — never — a silent wrong-length or
  * wrong-content success. The chunk CRC makes corruption loud.
  */
 void
 expectFlipsDetected(core::MemoryStore &base,
-                    const std::vector<size_t> &positions)
+                    const std::vector<size_t> &positions,
+                    uint32_t chunk = 0)
 {
     int threw = 0, survived = 0;
     for (size_t pos : positions) {
-        auto bad = corruptCopy(base, false, pos, 0x20);
+        auto bad = corruptCopy(base, false, pos, 0x20, chunk);
         try {
             size_t n = drain(bad);
             // Tolerable only if the corruption hit dead framing space
@@ -92,7 +94,8 @@ expectFlipsDetected(core::MemoryStore &base,
             for (size_t i = 0; i < n; ++i) {
                 ASSERT_TRUE(a.decode(&va));
                 ASSERT_TRUE(b.decode(&vb));
-                ASSERT_EQ(va, vb) << "silent corruption at byte " << pos;
+                ASSERT_EQ(va, vb) << "silent corruption at byte " << pos
+                                  << " of chunk " << chunk;
             }
         } catch (const util::Error &) {
             ++threw;
@@ -134,6 +137,18 @@ TEST_P(CorruptionSweep, BigBlockChunkBitFlipsNeverSilentlyAccepted)
     for (size_t pos = 0; pos < 16; ++pos)
         positions.push_back(pos);
     expectFlipsDetected(base, positions);
+}
+
+TEST_P(CorruptionSweep, LossyChunkBitFlipsNeverSilentlyAccepted)
+{
+    // Every chunk of a lossy container is a lossless stream of its own;
+    // flips spread over each one must fail the read or leave the
+    // regenerated trace as it was.
+    auto base = makeContainer(core::Mode::Lossy, 4000, GetParam());
+    ASSERT_GE(base.chunkCount(), 2u);
+    for (uint32_t id = 0; id < base.chunkCount(); ++id)
+        expectFlipsDetected(base, spreadPositions(base.chunkBytes(id).size()),
+                            id);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionSweep, testing::Values(1, 2, 3));
@@ -261,6 +276,51 @@ TEST(Robustness, MissingChunkFileThrows)
         // copy no chunks
     }
     EXPECT_THROW(drain(bad), util::Error);
+}
+
+TEST(Robustness, ForgedChunkCountIsOneStatusError)
+{
+    // INFO's chunk count must equal its number of chunk records, so it
+    // can neither index past the scanned chunks nor size an
+    // allocation. Each forged count is written by the real INFO writer
+    // over the chunks of a genuine "store"-codec lossy container.
+    core::MemoryStore base;
+    core::AtcOptions opt;
+    opt.mode = core::Mode::Lossy;
+    opt.pipeline.codec = "store";
+    opt.pipeline.buffer_addrs = 250;
+    opt.lossy.interval_len = 500;
+    {
+        core::AtcWriter w(base, opt);
+        util::Rng rng(13);
+        for (int i = 0; i < 4000; ++i)
+            w.code(rng.next() >> 8);
+        w.close();
+    }
+    auto index = core::AtcIndex::openOrThrow(base);
+    const core::ContainerInfo &info = index->info();
+    ASSERT_EQ(info.chunk_count, base.chunkCount());
+
+    // 2^32 truncates to 0 layouts, 2^32 + 1 to a plausible 1, and 10^8
+    // would reserve gigabytes of layouts.
+    for (uint64_t forged : {uint64_t(1) << 32, (uint64_t(1) << 32) + 1,
+                            uint64_t(100'000'000)}) {
+        core::MemoryStore bad;
+        for (uint32_t id = 0; id < base.chunkCount(); ++id) {
+            auto sink = bad.createChunk(id);
+            sink->write(base.chunkBytes(id).data(),
+                        base.chunkBytes(id).size());
+        }
+        core::writeContainerInfo(bad, comp::makeCodec(opt.pipeline.codec),
+                                 core::Mode::Lossy, info.pipeline,
+                                 info.count, &opt.lossy, forged,
+                                 &info.records);
+        auto reader = core::AtcReader::open(bad);
+        ASSERT_FALSE(reader.ok()) << forged;
+        EXPECT_NE(reader.status().message().find("chunk count"),
+                  std::string::npos)
+            << reader.status().message();
+    }
 }
 
 /**
