@@ -12,6 +12,8 @@
 #ifndef ATC_BENCH_BENCH_COMMON_HPP_
 #define ATC_BENCH_BENCH_COMMON_HPP_
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,13 +44,24 @@ seconds(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double>(b - a).count();
 }
 
+/** @return the CPU time of the calling thread, in seconds. Time spent
+ *  waiting for a core of a shared machine is left out, so a
+ *  single-threaded measurement reads the work, not the neighbours. */
+inline double
+threadCpuSeconds()
+{
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
+
 /**
  * Best-of-k timing with a discarded warm-up run: run @p fn once
  * untimed (first-touch page faults, pool spin-up, branch history),
  * then @p k timed runs, keeping the minimum. Short cells — exactly
  * what a small-N matrix sweep produces — are otherwise dominated by
  * first-touch noise; the minimum is the standard robust estimator for
- * "how fast can this go" (same policy as the obs_overhead gate).
+ * "how fast can this go".
  *
  * @param k  timed repetitions (>= 1)
  * @param fn nullary callable; invoked k+1 times total
@@ -179,27 +192,6 @@ lossyCompress(const std::vector<uint64_t> &trace, core::MemoryStore &store,
               static_cast<double>(trace.size());
     run.stats = writer.lossyStats();
     return run;
-}
-
-/**
- * Decode every frame of a seekable stream through its scanned
- * @p layout: one fetch and one frame decode each, as the cursor's
- * frame engine does, with no inverse transform. @p src must be
- * positioned at the stream's first frame.
- * @return the stream's raw (pre-codec) bytes
- */
-inline std::vector<uint8_t>
-decodeFrames(const comp::Codec &codec, const comp::StreamLayout &layout,
-             util::ByteSource &src)
-{
-    std::vector<uint8_t> raw, block;
-    for (size_t f = 0; f < layout.frames.size(); ++f) {
-        comp::FramePayload p = comp::fetchIndexedFramePayload(src, layout, f);
-        comp::decodeSeekableFrame(codec, p.data, p.size,
-                                  layout.frames[f].raw_size, block);
-        raw.insert(raw.end(), block.begin(), block.end());
-    }
-    return raw;
 }
 
 /** Regenerate the full address stream of a store written by AtcWriter. */

@@ -24,8 +24,6 @@
  *   json-path  output file (default micro_kernels.json)
  */
 
-#include <time.h>
-
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -83,15 +81,6 @@ struct Row
     double m_per_s; ///< items per second, in millions
 };
 
-/** @return the CPU time of the calling thread, in seconds. */
-double
-threadCpuSeconds()
-{
-    timespec ts;
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
-}
-
 /** Time @p fn over @p n items and record one row: the median thread
  *  CPU time of 7 runs after an untimed warm-up. */
 template <typename Fn>
@@ -101,9 +90,9 @@ runKernel(std::vector<Row> &rows, const char *name, size_t n, Fn &&fn)
     fn(); // warm-up, untimed
     std::array<double, 7> runs;
     for (double &run : runs) {
-        double t0 = threadCpuSeconds();
+        double t0 = bench::threadCpuSeconds();
         fn();
-        run = threadCpuSeconds() - t0;
+        run = bench::threadCpuSeconds() - t0;
     }
     std::nth_element(runs.begin(), runs.begin() + 3, runs.end());
     double secs = runs[3];

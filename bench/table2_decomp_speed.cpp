@@ -96,12 +96,11 @@ main()
             }
             auto s1 = Clock::now();
             {
-                // Codec-only share: every frame of the chunk, fetched
-                // and decoded over the layout scanned at open.
-                auto index = core::AtcIndex::openOrThrow(store);
-                auto src = store.openChunk(0);
-                decodeFrames(*index->codec().codec, index->chunkLayout(0),
-                             *src);
+                // Codec-only share: every frame of the chunk, decoded
+                // with no inverse transform.
+                const auto &chunk = store.chunkBytes(0);
+                comp::decompressAll(comp::codecByName("bwc"), chunk.data(),
+                                    chunk.size());
             }
             auto s2 = Clock::now();
             {

@@ -86,11 +86,10 @@ writeContainerInfo(ChunkStore &store, const comp::ConfiguredCodec &codec,
     info->writeByte(static_cast<uint8_t>(mode));
     writeString(*info, codec.spec);
 
-    // Compressed payload — legacy-framed, unlike the chunk streams: it
-    // is tiny and read serially on open.
+    // Compressed payload, framed like a chunk stream (frame index and
+    // CRC-32 trailer included).
     comp::StreamCompressor payload(*codec.codec, *info,
-                                   codec.blockOr(pipeline.codec_block),
-                                   comp::FrameFormat::Legacy);
+                                   codec.blockOr(pipeline.codec_block));
     // The mode is echoed inside the CRC-protected payload so that a
     // corrupted preamble cannot silently reinterpret the container.
     payload.writeByte(static_cast<uint8_t>(mode));
@@ -139,7 +138,13 @@ readContainerInfo(ChunkStore &store)
                     cc.status().message());
     comp::ConfiguredCodec codec = cc.take();
 
-    comp::StreamDecompressor payload(*codec.codec, *info);
+    // The payload runs to the end of INFO, so it is read whole (as
+    // many bytes as the source holds) and decoded whole, its CRC-32
+    // checked before one field is parsed.
+    std::vector<uint8_t> comp_payload = util::readToEnd(*info);
+    std::vector<uint8_t> raw = comp::decompressAll(
+        *codec.codec, comp_payload.data(), comp_payload.size());
+    util::MemorySource payload(raw);
     uint8_t mode_echo;
     payload.readExact(&mode_echo, 1);
     ATC_CHECK(mode_echo == mode,

@@ -9,15 +9,15 @@
  * trace (chunk/imitate records with byte translations).
  *
  * The version byte stays in the preamble so that containers written by
- * older releases fail loudly: readers accept v4 only, where every chunk
- * stream uses seekable framing (each frame header records the
- * compressed byte length, and the stream ends with a frame index and a
- * CRC-32 trailer — see LosslessWriter) and every bwc frame carries its
- * start rows (see compress/bwc.hpp). v1 (no CRC trailer), v2 (legacy
- * framing) and v3 (a bwc frame with the primary index only) are
- * rejected as "unsupported ATC container version".
- * The INFO payload itself stays legacy-framed: it is tiny and always
- * read serially.
+ * older releases fail loudly: readers accept v5 only. Every stream of
+ * a v5 container, the INFO payload included, uses the one framing of
+ * compress/stream.hpp (each frame header records the compressed byte
+ * length, and the stream ends with a frame index and a CRC-32
+ * trailer), and every bwc frame carries its start rows (see
+ * compress/bwc.hpp). v1 (no CRC trailer), v2 (legacy chunk framing),
+ * v3 (a bwc frame with the primary index only) and v4 (a legacy-framed
+ * INFO payload with no checksum) are rejected as "unsupported ATC
+ * container version".
  */
 
 #ifndef ATC_ATC_INFO_HPP_
@@ -42,10 +42,11 @@ enum class Mode : uint8_t
 };
 
 /**
- * The one container version writers emit and readers accept. v4 bwc
- * frames carry a start row per 2^17 raw bytes after the primary index.
+ * The one container version writers emit and readers accept. v5 frames
+ * its INFO payload like a chunk stream; since v4, bwc frames carry a
+ * start row per 2^17 raw bytes after the primary index.
  */
-constexpr uint8_t kContainerVersion = 4;
+constexpr uint8_t kContainerVersion = 5;
 
 /** Everything a reader learns from a container's INFO stream. */
 struct ContainerInfo

@@ -8,9 +8,10 @@
  * registry spec (e.g. "bwc", "lzh", "bwc:block=900k") and constructed
  * through comp::CodecRegistry, so back ends stay pluggable.
  *
- * Streams use seekable framing (see compress/stream.hpp) and end with
- * a little-endian CRC-32 trailer of the raw (transformed, pre-codec)
- * byte stream, written after the frame index. Every chunk stream,
+ * Streams use the one stream framing of compress/stream.hpp: the codec
+ * stage (comp::StreamCompressor) ends each one with its frame index and
+ * a CRC-32 trailer of the raw (transformed, pre-codec) byte stream;
+ * this writer adds nothing after it. Every chunk stream,
  * lossless or lossy, is read by the cursor's frame engine over the
  * layout AtcIndex scans at open (see atc/index.hpp), which verifies
  * the trailer once a pass from the first frame is drained, so
@@ -70,15 +71,14 @@ class LosslessWriter
     /** Compress one address. */
     void code(uint64_t addr) { write(&addr, 1); }
 
-    /** Flush everything and write the CRC trailer. Runs once: later
-     *  calls, also after a failed one, write nothing. */
+    /** Flush everything and end the stream. Runs once: later calls,
+     *  also after a failed one, write nothing. */
     void finish();
 
     /** @return addresses coded. */
     uint64_t count() const { return transform_->count(); }
 
   private:
-    util::ByteSink &out_;
     std::shared_ptr<const comp::Codec> codec_;
     std::unique_ptr<comp::StreamCompressor> codec_stage_;
     std::unique_ptr<TransformEncoder> transform_;

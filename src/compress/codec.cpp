@@ -20,8 +20,17 @@ void
 StoreCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                             std::vector<uint8_t> &out) const
 {
-    out.resize(raw_size);
-    in.readExact(out.data(), raw_size);
+    // Grow with the bytes actually read, never by the declared size
+    // alone: a frame claiming 256 MiB over a few bytes fails truncated
+    // after one small step.
+    out.clear();
+    while (out.size() < raw_size) {
+        size_t have = out.size();
+        size_t step = std::min(raw_size - have,
+                               std::max<size_t>(have, 64 << 10));
+        out.resize(have + step);
+        in.readExact(out.data() + have, step);
+    }
 }
 
 util::Status

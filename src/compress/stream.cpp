@@ -1,7 +1,6 @@
 #include "compress/stream.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -69,28 +68,21 @@ plausibleFrameSizes(uint64_t raw_size, uint64_t comp_size)
  */
 std::vector<uint8_t>
 encodeFrame(const Codec &codec, const uint8_t *data, size_t n,
-            FrameFormat format, FrameIndexEntry &entry)
+            FrameIndexEntry &entry)
 {
     FrameMetrics &m = encodeFrameMetrics();
     obs::LatencyTimer frame_t(m.frame_us);
+    // The compressed length goes into the header, so the payload is
+    // produced first.
+    std::vector<uint8_t> payload;
+    util::VectorSink payload_sink(payload);
+    codec.compressBlock(data, n, payload_sink);
     std::vector<uint8_t> out;
     util::VectorSink sink(out);
-    if (format == FrameFormat::Legacy) {
-        util::writeVarint(sink, n + 1);
-        size_t header = out.size();
-        codec.compressBlock(data, n, sink);
-        entry = {n, out.size() - header};
-    } else {
-        // Seekable: the compressed length goes into the header, so the
-        // payload is produced first.
-        std::vector<uint8_t> payload;
-        util::VectorSink payload_sink(payload);
-        codec.compressBlock(data, n, payload_sink);
-        util::writeVarint(sink, n + 1);
-        util::writeVarint(sink, payload.size());
-        sink.write(payload.data(), payload.size());
-        entry = {n, payload.size()};
-    }
+    util::writeVarint(sink, n + 1);
+    util::writeVarint(sink, payload.size());
+    sink.write(payload.data(), payload.size());
+    entry = {n, payload.size()};
     frame_t.stop();
     m.frames.inc();
     m.raw_bytes.add(static_cast<int64_t>(n));
@@ -98,21 +90,20 @@ encodeFrame(const Codec &codec, const uint8_t *data, size_t n,
     return out;
 }
 
-/** Emit the end-of-stream terminator and — Seekable only — the frame
- *  index for @p index. */
+/** Emit the terminator, the frame index for @p index and the CRC-32
+ *  trailer @p crc. */
 void
-writeStreamEnd(util::ByteSink &sink, FrameFormat format,
-               const std::vector<FrameIndexEntry> &index)
+writeStreamEnd(util::ByteSink &sink,
+               const std::vector<FrameIndexEntry> &index, uint32_t crc)
 {
     util::writeVarint(sink, 0);
-    if (format == FrameFormat::Legacy)
-        return;
-    sink.writeByte(1); // index present
+    sink.writeByte(1); // index marker
     util::writeVarint(sink, index.size());
     for (const FrameIndexEntry &e : index) {
         util::writeVarint(sink, e.raw_size);
         util::writeVarint(sink, e.comp_size);
     }
+    util::writeLE<uint32_t>(sink, crc);
 }
 
 } // namespace
@@ -173,8 +164,8 @@ decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
 namespace {
 
 /**
- * Read a Seekable stream's frame index (positioned just after the
- * terminator) and validate it against the frames the scan saw.
+ * Read a stream's frame index (positioned just after the terminator)
+ * and validate it against the frames the scan saw.
  * @throws util::Error on a truncated index or any disagreement with
  *         @p seen — the corruption probe for resync-style damage
  */
@@ -187,9 +178,7 @@ readFrameIndex(util::ByteSource &src,
     std::vector<FrameIndexEntry> stored;
     try {
         src.readExact(&flag, 1);
-        ATC_CHECK(flag <= 1, "corrupt frame index marker");
-        if (flag == 0)
-            return; // index omitted by the writer
+        ATC_CHECK(flag == 1, "corrupt frame index marker");
         count = util::readVarint(src);
         ATC_CHECK(count == seen.size(),
                   "frame index disagrees with decoded frame count "
@@ -203,7 +192,7 @@ readFrameIndex(util::ByteSource &src,
         }
     } catch (const util::Error &e) {
         if (std::string(e.what()).find("truncated") != std::string::npos)
-            util::raise("chunk frame index truncated");
+            util::raise("frame index truncated");
         throw;
     }
     for (uint64_t i = 0; i < count; ++i)
@@ -243,8 +232,9 @@ scanSeekableStream(util::ByteSource &src)
             break;
         }
         if (scan == FrameScan::EndOfData)
-            break; // tolerated, like the decoders; shortfall reported
-                   // against the INFO count downstream
+            break; // left unindexed: the chunk reader reports the
+                   // shortfall against the INFO count, decompressAll
+                   // refuses it
         src.skip(entry.comp_size); // payload untouched — this is a scan
         pos += util::varintLen(entry.raw_size + 1) +
                util::varintLen(entry.comp_size) + entry.comp_size;
@@ -282,10 +272,9 @@ fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
 }
 
 StreamCompressor::StreamCompressor(const Codec &codec, util::ByteSink &sink,
-                                   size_t block_size, FrameFormat format,
+                                   size_t block_size,
                                    parallel::ThreadPool *pool)
-    : codec_(codec), sink_(sink), block_size_(block_size), format_(format),
-      pool_(pool)
+    : codec_(codec), sink_(sink), block_size_(block_size), pool_(pool)
 {
     ATC_ASSERT(block_size_ > 0);
     util::Status fits = checkBlockSize(codec_, block_size_);
@@ -328,10 +317,10 @@ StreamCompressor::emitBlock()
     buffer_ = std::vector<uint8_t>();
     buffer_.reserve(block_size_);
     pending_.push_back(parallel::launch(
-        pool_, [&codec = codec_, format = format_, raw = std::move(raw)] {
+        pool_, [&codec = codec_, raw = std::move(raw)] {
             EncodedFrame frame;
-            frame.bytes = encodeFrame(codec, raw.data(), raw.size(),
-                                      format, frame.entry);
+            frame.bytes =
+                encodeFrame(codec, raw.data(), raw.size(), frame.entry);
             return frame;
         }));
     drain(parallel::windowDepth(pool_));
@@ -357,82 +346,16 @@ StreamCompressor::finish()
     if (!buffer_.empty())
         emitBlock();
     drain(0);
-    writeStreamEnd(sink_, format_, index_);
-}
-
-StreamDecompressor::StreamDecompressor(const Codec &codec,
-                                       util::ByteSource &src)
-    : codec_(codec), src_(src)
-{
-}
-
-bool
-StreamDecompressor::refill()
-{
-    if (done_)
-        return false;
-
-    // Read the frame header; a clean EOF also terminates the stream.
-    uint8_t first;
-    if (src_.read(&first, 1) == 0) {
-        done_ = true;
-        return false;
-    }
-    uint64_t header = first & 0x7F;
-    int shift = 7;
-    while (first & 0x80) {
-        src_.readExact(&first, 1);
-        header |= static_cast<uint64_t>(first & 0x7F) << shift;
-        shift += 7;
-        ATC_CHECK(shift <= 63, "corrupt frame header");
-    }
-    if (header == 0) {
-        done_ = true;
-        return false;
-    }
-
-    size_t raw_size = static_cast<size_t>(header - 1);
-    FrameMetrics &m = decodeFrameMetrics();
-    {
-        // Legacy frames carry no compressed length, so only frames,
-        // raw bytes, and latency are tracked on this path.
-        obs::LatencyTimer frame_t(m.frame_us);
-        codec_.decompressBlock(src_, raw_size, block_);
-    }
-    m.frames.inc();
-    m.raw_bytes.add(static_cast<int64_t>(raw_size));
-    ATC_CHECK(block_.size() == raw_size, "frame size mismatch");
-    pos_ = 0;
-    return true;
-}
-
-size_t
-StreamDecompressor::read(uint8_t *data, size_t n)
-{
-    size_t got = 0;
-    while (got < n) {
-        if (pos_ == block_.size()) {
-            if (!refill())
-                break;
-            if (block_.empty())
-                continue;
-        }
-        size_t avail = block_.size() - pos_;
-        size_t take = (n - got) < avail ? (n - got) : avail;
-        std::memcpy(data + got, block_.data() + pos_, take);
-        got += take;
-        pos_ += take;
-    }
-    return got;
+    writeStreamEnd(sink_, index_, crc_.value());
 }
 
 std::vector<uint8_t>
 compressAll(const Codec &codec, const uint8_t *data, size_t n,
-            size_t block_size, FrameFormat format)
+            size_t block_size)
 {
     std::vector<uint8_t> out;
     util::VectorSink sink(out);
-    StreamCompressor sc(codec, sink, block_size, format);
+    StreamCompressor sc(codec, sink, block_size);
     sc.write(data, n);
     sc.finish();
     return out;
@@ -441,16 +364,21 @@ compressAll(const Codec &codec, const uint8_t *data, size_t n,
 std::vector<uint8_t>
 decompressAll(const Codec &codec, const uint8_t *data, size_t n)
 {
+    util::MemorySource scan(data, n);
+    StreamLayout layout = scanSeekableStream(scan);
+    ATC_CHECK(layout.indexed,
+              "stream truncated (frame index and CRC trailer missing)");
+    ATC_CHECK(scan.remaining() == 0, "trailing bytes after the stream");
     util::MemorySource src(data, n);
-    StreamDecompressor sd(codec, src);
-    std::vector<uint8_t> out;
-    uint8_t buf[64 * 1024];
-    for (;;) {
-        size_t got = sd.read(buf, sizeof(buf));
-        if (got == 0)
-            break;
-        out.insert(out.end(), buf, buf + got);
+    std::vector<uint8_t> out, block;
+    for (size_t f = 0; f < layout.frames.size(); ++f) {
+        FramePayload p = fetchIndexedFramePayload(src, layout, f);
+        decodeSeekableFrame(codec, p.data, p.size,
+                            layout.frames[f].raw_size, block);
+        out.insert(out.end(), block.begin(), block.end());
     }
+    ATC_CHECK(util::crc32(out.data(), out.size()) == layout.crc,
+              "stream CRC mismatch (corrupt data)");
     return out;
 }
 

@@ -2,25 +2,24 @@
  * @file
  * Streaming framing on top of block codecs.
  *
- * Two frame formats share one stream grammar:
+ * Every compressed stream — each chunk, the container INFO payload and
+ * TCgen's two streams — has one layout:
  *
- * - Legacy (the container INFO payload and TCgen's two streams): each
- *   frame is `varint(n + 1)` followed by the codec's representation of
- *   an n-byte block. Readers must decode a frame to find the next one;
- *   StreamDecompressor is that reader.
- * - Seekable (every chunk stream): each frame header also records the
- *   compressed byte length — `varint(n + 1)` `varint(c)` followed by
- *   exactly c codec bytes — so a scanner can walk frame boundaries
- *   without decoding, and workers can decode frames independently. The
- *   stream ends with an optional frame index (one `(raw, compressed)`
- *   varint pair per frame) that the scan validates against the frames
- *   it saw. A seekable stream is read only through its scanned layout:
- *   scanSeekableStream() once, then fetchIndexedFramePayload() and
- *   decodeSeekableFrame() per frame.
+ *   frame*  varint(0)  index  crc32
  *
- * Both formats terminate with a single 0 varint. The terminator lets
- * compressed streams be embedded in larger files; a clean end-of-source
- * is also accepted.
+ * Each frame is `varint(n + 1)` `varint(c)` followed by exactly c codec
+ * bytes of an n-byte block, so a scanner can walk frame boundaries
+ * without decoding, and workers can decode frames independently. The
+ * 0 varint ends the frames. The index (a 1 byte, then the frame count
+ * and one `(raw, compressed)` varint pair per frame) is validated
+ * against the frames the scan saw, and a little-endian CRC-32 of the
+ * raw stream closes it. StreamCompressor writes all of it.
+ *
+ * A stream is read only through its scanned layout:
+ * scanSeekableStream() once, then fetchIndexedFramePayload() and
+ * decodeSeekableFrame() per frame. decompressAll() does exactly that
+ * for a whole in-memory stream and checks the CRC-32; the cursor's
+ * frame engine does it for chunks (see atc/index.hpp).
  */
 
 #ifndef ATC_COMPRESS_STREAM_HPP_
@@ -45,21 +44,14 @@ namespace atc::comp {
 
 // kDefaultBlockSize lives in codec.hpp, next to the spec machinery.
 
-/** Stream frame format (see the file comment). */
-enum class FrameFormat : uint8_t
-{
-    Legacy = 0,   ///< INFO payload: decompressed block length only
-    Seekable = 1, ///< chunks: + compressed length and end-of-stream index
-};
-
-/** One frame's sizes, as recorded in a Seekable stream's index. */
+/** One frame's sizes, as recorded in a stream's index. */
 struct FrameIndexEntry
 {
     uint64_t raw_size = 0;  ///< decompressed block length
     uint64_t comp_size = 0; ///< codec bytes in the stream
 };
 
-/** Outcome of reading one Seekable frame header. */
+/** Outcome of reading one frame header. */
 enum class FrameScan
 {
     Frame,      ///< header parsed; payload follows
@@ -68,7 +60,7 @@ enum class FrameScan
 };
 
 /**
- * Read the next Seekable frame header from @p src.
+ * Read the next frame header from @p src.
  * @param entry receives the frame sizes when the result is Frame
  * @throws util::Error on corrupt or truncated headers
  */
@@ -76,9 +68,9 @@ FrameScan readSeekableFrameHeader(util::ByteSource &src,
                                   FrameIndexEntry &entry);
 
 /**
- * Decode one Seekable frame payload, enforcing that the codec consumes
+ * Decode one frame payload, enforcing that the codec consumes
  * exactly @p comp_size bytes and produces exactly @p raw_size bytes.
- * The single validation point for seekable frames.
+ * The single validation point for frames.
  * @throws util::Error on any disagreement with the declared sizes
  */
 void decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
@@ -86,7 +78,7 @@ void decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
                          std::vector<uint8_t> &out);
 
 /**
- * The complete layout of one Seekable stream, built by scanning its
+ * The complete layout of one stream, built by scanning its
  * frame headers without decoding any payload. This is what random
  * access keys off: raw_starts supports a binary search from a
  * decompressed byte offset to the frame containing it, comp_starts
@@ -121,7 +113,7 @@ struct StreamLayout
 };
 
 /**
- * Scan a Seekable stream's frame headers from @p src (positioned at
+ * Scan a stream's frame headers from @p src (positioned at
  * the first frame), skipping every payload, and validate the stored
  * end-of-stream index against the headers actually seen, capturing
  * the CRC-32 trailer that follows it.
@@ -163,8 +155,8 @@ FramePayload fetchIndexedFramePayload(util::ByteSource &src,
 
 /**
  * Accumulates bytes and emits codec frames into a sink: the one place
- * a stream is sliced into blocks, its frames serialized, its raw
- * CRC-32 computed, and its frame index and end written. Each block is
+ * a stream is sliced into blocks, its frames serialized, and its
+ * terminator, frame index and raw CRC-32 trailer written. Each block is
  * encoded into a self-contained frame by a task launched on the
  * optional pool (inline without one); the encoded frames wait in a
  * window of parallel::windowDepth(pool) tasks and reach the sink in
@@ -180,13 +172,11 @@ class StreamCompressor : public util::ByteSink
      * @param sink       destination (must outlive the compressor)
      * @param block_size bytes per block; larger blocks compress better
      *                   (at most codec.maxBlockSize(), or util::Error)
-     * @param format     frame format (Legacy is the INFO payload's)
      * @param pool       borrowed encode workers (must outlive the
      *                   compressor); null encodes on the caller
      */
     StreamCompressor(const Codec &codec, util::ByteSink &sink,
                      size_t block_size = kDefaultBlockSize,
-                     FrameFormat format = FrameFormat::Legacy,
                      parallel::ThreadPool *pool = nullptr);
 
     /** Waits out pooled encodes still in flight (they borrow the
@@ -196,15 +186,12 @@ class StreamCompressor : public util::ByteSink
     /** Buffer input, emitting a frame whenever a block fills. */
     void write(const uint8_t *data, size_t n) override;
 
-    /** Emit the final partial block, the end marker and the index;
-     *  runs once, later calls do nothing. */
+    /** Emit the final partial block, the terminator, the index and
+     *  the CRC-32 trailer; runs once, later calls do nothing. */
     void finish();
 
     /** @return raw bytes consumed so far. */
     uint64_t rawBytes() const { return raw_bytes_; }
-
-    /** @return CRC-32 of the raw bytes consumed so far. */
-    uint32_t crc() const { return crc_.value(); }
 
   private:
     struct EncodedFrame
@@ -219,7 +206,6 @@ class StreamCompressor : public util::ByteSink
     const Codec &codec_;
     util::ByteSink &sink_;
     size_t block_size_;
-    FrameFormat format_;
     parallel::ThreadPool *pool_;
     std::vector<uint8_t> buffer_;
     std::deque<std::future<EncodedFrame>> pending_;
@@ -229,38 +215,18 @@ class StreamCompressor : public util::ByteSink
     bool finished_ = false;
 };
 
-/** Reads Legacy codec frames and serves decompressed bytes (the
- *  INFO payload and TCgen's streams). */
-class StreamDecompressor : public util::ByteSource
-{
-  public:
-    /**
-     * @param codec block codec used to write the stream
-     * @param src   source positioned at the first frame
-     */
-    StreamDecompressor(const Codec &codec, util::ByteSource &src);
-
-    /** Serve decompressed bytes; 0 at end of stream. */
-    size_t read(uint8_t *data, size_t n) override;
-
-  private:
-    bool refill();
-
-    const Codec &codec_;
-    util::ByteSource &src_;
-    std::vector<uint8_t> block_;
-    size_t pos_ = 0;
-    bool done_ = false;
-};
-
 /** One-shot convenience: compress a whole buffer into a vector. */
 std::vector<uint8_t> compressAll(const Codec &codec,
                                  const uint8_t *data, size_t n,
-                                 size_t block_size = kDefaultBlockSize,
-                                 FrameFormat format = FrameFormat::Legacy);
+                                 size_t block_size = kDefaultBlockSize);
 
-/** One-shot convenience: decompress a whole Legacy stream into a
- *  vector. */
+/**
+ * Decompress a whole in-memory stream: scan it, decode every frame
+ * through the scanned layout and check the CRC-32 trailer.
+ * @throws util::Error when the terminator, frame index or trailer is
+ *         missing, bytes follow the trailer, a frame fails to decode or
+ *         the CRC-32 disagrees
+ */
 std::vector<uint8_t> decompressAll(const Codec &codec,
                                    const uint8_t *data, size_t n);
 

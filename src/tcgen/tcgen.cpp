@@ -106,13 +106,25 @@ TcgenEncoder::finish()
     data_stream_.finish();
 }
 
+namespace {
+
+std::vector<uint8_t>
+decodeWhole(const TcgenConfig &config, util::ByteSource &src)
+{
+    comp::ConfiguredCodec codec = comp::makeCodec(config.codec);
+    std::vector<uint8_t> bytes = util::readToEnd(src);
+    return comp::decompressAll(*codec.codec, bytes.data(), bytes.size());
+}
+
+} // namespace
+
 TcgenDecoder::TcgenDecoder(const TcgenConfig &config,
                            util::ByteSource &code_in,
                            util::ByteSource &data_in)
     : bank_(config), scratch_(bank_.slots()),
-      codec_(comp::makeCodec(config.codec)),
-      code_stream_(*codec_.codec, code_in),
-      data_stream_(*codec_.codec, data_in)
+      code_(decodeWhole(config, code_in)),
+      data_(decodeWhole(config, data_in)),
+      data_stream_(data_)
 {
 }
 
@@ -120,10 +132,8 @@ size_t
 TcgenDecoder::read(uint64_t *out, size_t n)
 {
     size_t got = 0;
-    while (got < n) {
-        uint8_t code;
-        if (code_stream_.read(&code, 1) == 0)
-            break;
+    while (got < n && code_pos_ < code_.size()) {
+        uint8_t code = code_[code_pos_++];
 
         uint64_t value;
         if (code == kTcgenEscape) {

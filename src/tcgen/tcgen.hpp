@@ -9,8 +9,10 @@
  * matches the next value, emit that slot's id (1 byte) to the *code
  * stream*; otherwise emit an escape byte to the code stream and the
  * raw value (8 bytes) to the *data stream*. Both streams then go
- * through a byte-level codec. The decompressor maintains an identical
- * predictor bank, so the prediction slots resolve to the same values.
+ * through a byte-level codec, framed as every ATC stream is (see
+ * compress/stream.hpp), so each carries its frame index and CRC-32.
+ * The decompressor maintains an identical predictor bank, so the
+ * prediction slots resolve to the same values.
  */
 
 #ifndef ATC_TCGEN_TCGEN_HPP_
@@ -112,17 +114,24 @@ class TcgenEncoder : public trace::TraceSink
     uint64_t escapes_ = 0;
 };
 
-/** Streaming decompressor reading the two streams back. */
+/** Decompressor reading the two streams back. */
 class TcgenDecoder : public trace::TraceSource
 {
   public:
     /**
+     * Read both sources to their end and decode each whole, checking
+     * its frame index and CRC-32; values are then served from memory.
      * @param config  configuration used to compress
      * @param code_in compressed code stream
      * @param data_in compressed escape-value stream
+     * @throws util::Error on a truncated or corrupt stream
      */
     TcgenDecoder(const TcgenConfig &config, util::ByteSource &code_in,
                  util::ByteSource &data_in);
+
+    /** Not copyable: data_stream_ reads data_ in place. */
+    TcgenDecoder(const TcgenDecoder &) = delete;
+    TcgenDecoder &operator=(const TcgenDecoder &) = delete;
 
     /**
      * Decompress up to @p n values.
@@ -140,9 +149,10 @@ class TcgenDecoder : public trace::TraceSource
   private:
     PredictorBank bank_;
     std::vector<uint64_t> scratch_;
-    comp::ConfiguredCodec codec_;
-    comp::StreamDecompressor code_stream_;
-    comp::StreamDecompressor data_stream_;
+    std::vector<uint8_t> code_;
+    std::vector<uint8_t> data_;
+    size_t code_pos_ = 0;
+    util::MemorySource data_stream_;
 };
 
 /** Result of whole-trace compression. */

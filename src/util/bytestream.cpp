@@ -254,6 +254,16 @@ FileSource::skip(uint64_t n)
         raise("file seek failed");
 }
 
+std::vector<uint8_t>
+readToEnd(ByteSource &src)
+{
+    std::vector<uint8_t> out;
+    uint8_t buf[16 * 1024];
+    while (size_t got = src.read(buf, sizeof(buf)))
+        out.insert(out.end(), buf, buf + got);
+    return out;
+}
+
 void
 writeVarint(ByteSink &sink, uint64_t value)
 {

@@ -260,6 +260,10 @@ readLE(ByteSource &src)
     return value;
 }
 
+/** @return every byte left in @p src; memory grows only with the bytes
+ *  the source actually holds. */
+std::vector<uint8_t> readToEnd(ByteSource &src);
+
 /** @return the encoded size of @p value as an unsigned LEB128 varint. */
 inline size_t
 varintLen(uint64_t value)

@@ -339,10 +339,10 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
         "corrupt container"));
     EXPECT_EQ(out.capacity(), 0u);
 
-    // The same through a seekable stream whose one frame declares
-    // 2^24 raw bytes (a size the framing itself finds plausible). Its
-    // frame index and CRC trailer are well formed, so the scan accepts
-    // the stream and the frame reaches the codec.
+    // The same through a stream whose one frame declares 2^24 raw
+    // bytes (a size the framing itself finds plausible). Its frame
+    // index and CRC trailer are well formed, so the scan accepts the
+    // stream and the frame reaches the codec.
     const uint64_t raw = uint64_t(1) << 24;
     std::vector<uint8_t> stream;
     util::VectorSink sink(stream);
@@ -357,10 +357,8 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
     util::writeLE<uint32_t>(sink, 0); // CRC trailer, never reached
     EXPECT_TRUE(throwsErrorWith(
         [&] {
-            util::MemorySource scan(stream);
-            comp::StreamLayout layout = comp::scanSeekableStream(scan);
-            util::MemorySource src(stream);
-            bench::decodeFrames(comp::codecByName("bwc"), layout, src);
+            comp::decompressAll(comp::codecByName("bwc"), stream.data(),
+                                stream.size());
         },
         "corrupt container"));
 }
@@ -537,26 +535,25 @@ TEST(Stream, MultiBlockFraming)
     EXPECT_EQ(back, data);
 }
 
-TEST(Stream, TerminatorAllowsEmbedding)
+TEST(Stream, TrailingBytesAreRejected)
 {
+    // A stream ends with its CRC-32 trailer; decompressAll reads a
+    // whole stream and nothing else, so bytes after the trailer are an
+    // error, not ignored.
     auto data = makeData(1, 10000, 8);
-    std::vector<uint8_t> container;
-    util::VectorSink sink(container);
-    comp::StreamCompressor sc(comp::codecByName("store"), sink, 4096);
-    sc.write(data.data(), data.size());
-    sc.finish();
-    // Trailing garbage after the terminator must not be consumed.
-    container.push_back(0xAA);
-    container.push_back(0xBB);
-
-    util::MemorySource src(container);
-    comp::StreamDecompressor sd(comp::codecByName("store"), src);
-    std::vector<uint8_t> back(data.size() + 10);
-    size_t got = sd.read(back.data(), back.size());
-    EXPECT_EQ(got, data.size());
-    back.resize(got);
-    EXPECT_EQ(back, data);
-    EXPECT_EQ(src.remaining(), 2u);
+    auto stream = comp::compressAll(comp::codecByName("store"), data.data(),
+                                    data.size(), 4096);
+    EXPECT_EQ(comp::decompressAll(comp::codecByName("store"), stream.data(),
+                                  stream.size()),
+              data);
+    stream.push_back(0xAA);
+    stream.push_back(0xBB);
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            comp::decompressAll(comp::codecByName("store"), stream.data(),
+                                stream.size());
+        },
+        "trailing bytes"));
 }
 
 TEST(Stream, RawByteCountTracked)
@@ -570,20 +567,19 @@ TEST(Stream, RawByteCountTracked)
     EXPECT_EQ(sc.rawBytes(), 12345u);
 }
 
-TEST(Stream, ByteAtATimeReads)
+TEST(Stream, EveryTruncationIsAnError)
 {
+    // Cut a three-frame "store" stream (no per-block checksum) at every
+    // length: a cut at a frame boundary, in the frame index or in the
+    // CRC-32 trailer fails as surely as one inside a payload.
     auto data = makeData(3, 5000, 10);
-    auto compressed = comp::compressAll(comp::codecByName("bwc"),
-                                        data.data(), data.size(), 1024);
-    util::MemorySource src(compressed);
-    comp::StreamDecompressor sd(comp::codecByName("bwc"), src);
-    for (size_t i = 0; i < data.size(); ++i) {
-        uint8_t b;
-        ASSERT_EQ(sd.read(&b, 1), 1u);
-        ASSERT_EQ(b, data[i]) << "at " << i;
-    }
-    uint8_t b;
-    EXPECT_EQ(sd.read(&b, 1), 0u);
+    auto stream = comp::compressAll(comp::codecByName("store"), data.data(),
+                                    data.size(), 2048);
+    for (size_t keep = 0; keep < stream.size(); ++keep)
+        EXPECT_THROW(comp::decompressAll(comp::codecByName("store"),
+                                         stream.data(), keep),
+                     util::Error)
+            << "kept " << keep << " of " << stream.size() << " bytes";
 }
 
 TEST(Stream, TruncatedStreamThrows)

@@ -320,9 +320,9 @@ TEST(RangedDecode, OnePercentSliceDecodesOnlyCoveringFrames)
     auto opt = makeOptions(core::Mode::Lossless, "countstore");
     auto store = writeContainer(trace, opt);
 
-    // Baseline: opening any reader decodes the (tiny, legacy-framed)
-    // INFO payload; measure that fixed cost first so the chunk-frame
-    // accounting below is exact.
+    // Baseline: opening any reader decodes the (tiny) INFO payload;
+    // measure that fixed cost first so the chunk-frame accounting
+    // below is exact.
     CountingCodec::decodes = 0;
     { core::ContainerInfo probe = core::readContainerInfo(store); }
     uint64_t info_decodes = CountingCodec::decodes.load();

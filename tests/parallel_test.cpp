@@ -27,7 +27,6 @@
 
 #include <gtest/gtest.h>
 
-#include "bench_common.hpp"
 #include "atc/atc.hpp"
 #include "atc/bytesort.hpp"
 #include "cache/filter.hpp"
@@ -439,7 +438,8 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
     // sweeps above compare two runs of one code path, which could
     // drift together; these constants cannot. The chunks of 16 and
     // 64 KiB frames hold one start row per frame and are unchanged
-    // since container v3; INFO differs from v3 in the version byte.
+    // since container v3, and every chunk is unchanged since v4; the
+    // v5 INFO payload is framed like a chunk stream.
     auto bwc_trace = makeTrace(60'000, 101);
     auto bwc_opt = makeOptions(core::Mode::Lossless, bwc_trace.size());
     auto big_trace = makeTrace(60'000, 102);
@@ -456,16 +456,16 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
     for (size_t threads : {size_t(0), size_t(1), size_t(2), size_t(8)}) {
         // 30 frames of 16 KiB, the last one 4897 bytes.
         expectPinned(writeParallel(bwc_trace, bwc_opt, threads),
-                     {182, 0x837dd54bu}, {{99388, 0xfeab030au}},
+                     {193, 0x3832d1d7u}, {{99388, 0xfeab030au}},
                      threads);
         // 8 frames of 64 KiB, the last one 21281 bytes.
         expectPinned(writeParallel(big_trace, big_opt, threads),
-                     {192, 0x3b6e7861u}, {{93571, 0x7db649cdu}},
+                     {203, 0xefd85382u}, {{93571, 0x7db649cdu}},
                      threads);
         // 4 frames of 256 KiB, the last one 173601 bytes: two start
         // rows in each.
         expectPinned(writeParallel(chains_trace, chains_opt, threads),
-                     {192, 0xe614367au}, {{178991, 0x6bd19a03u}},
+                     {203, 0x4f185f2bu}, {{178991, 0x6bd19a03u}},
                      threads);
         core::MemoryStore lossy;
         {
@@ -475,7 +475,7 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
             EXPECT_EQ(writer.lossyStats().intervals, 8u);
             EXPECT_EQ(writer.lossyStats().imitated, 5u);
         }
-        expectPinned(lossy, {3521, 0x4a3fdc90u},
+        expectPinned(lossy, {3533, 0x25ccef57u},
                      {{15585, 0x26b3efeeu},
                       {15621, 0x5d14ca6eu},
                       {549, 0x093bcce3u}},
@@ -867,13 +867,14 @@ TEST(Integrity, TruncatedContainerReportsCount)
 
 TEST(ContainerVersions, UnsupportedVersionsRejected)
 {
-    // The version byte follows the 4-byte magic. Only v4 is read, so
+    // The version byte follows the 4-byte magic. Only v5 is read, so
     // any other version must fail open loudly.
     auto addrs = makeTrace(5'000, 71);
     auto store = writeSerial(
         addrs, makeOptions(core::Mode::Lossless, addrs.size()));
     ASSERT_EQ(store.infoBytes().at(4), core::kContainerVersion);
-    for (uint8_t version : {uint8_t(1), uint8_t(2), uint8_t(3), uint8_t(5)}) {
+    for (uint8_t version :
+         {uint8_t(1), uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(6)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -893,31 +894,35 @@ TEST(ContainerVersions, UnsupportedVersionsRejected)
     }
 }
 
-TEST(ContainerVersions, AV3PreambleIsRefusedAtOpen)
+TEST(ContainerVersions, V3AndV4PreamblesAreRefusedAtOpen)
 {
     // A v3 reader took a bwc frame's second start row for the start of
-    // its Huffman table. Its preamble is refused before any frame is
-    // read.
-    EXPECT_EQ(core::kContainerVersion, 4u);
+    // its Huffman table, and a v4 reader reads INFO's payload as legacy
+    // frames. Either preamble is refused before any frame is read.
+    EXPECT_EQ(core::kContainerVersion, 5u);
     auto addrs = makeTrace(40'000, 72);
     auto store = writeSerial(addrs, makeOptions(core::Mode::Lossless,
                                                 addrs.size(),
                                                 "bwc:block=256k"));
-    core::MemoryStore v3;
-    {
-        auto info = store.infoBytes();
-        info[4] = 3;
-        auto sink = v3.createInfo();
-        sink->write(info.data(), info.size());
-        auto chunk = v3.createChunk(0);
-        chunk->write(store.chunkBytes(0).data(), store.chunkBytes(0).size());
+    for (uint8_t version : {uint8_t(3), uint8_t(4)}) {
+        core::MemoryStore old;
+        {
+            auto info = store.infoBytes();
+            info[4] = version;
+            auto sink = old.createInfo();
+            sink->write(info.data(), info.size());
+            auto chunk = old.createChunk(0);
+            chunk->write(store.chunkBytes(0).data(),
+                         store.chunkBytes(0).size());
+        }
+        auto reader = core::AtcReader::open(old);
+        ASSERT_FALSE(reader.ok());
+        EXPECT_NE(reader.status().message().find(
+                      "unsupported ATC container version " +
+                      std::to_string(version) + " (only v5 is read)"),
+                  std::string::npos)
+            << reader.status().message();
     }
-    auto reader = core::AtcReader::open(v3);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_NE(reader.status().message().find(
-                  "unsupported ATC container version 3 (only v4 is read)"),
-              std::string::npos)
-        << reader.status().message();
 }
 
 // ---------------------------------------- seekable corruption detection
@@ -1247,31 +1252,22 @@ TEST(SeekableDecode, PooledBwcFramesOfEverySizeDecodeByteExact)
     auto addrs = makeTrace(160'000, 97);
     std::vector<uint8_t> planes(8 * addrs.size());
     core::bytesortForward(addrs.data(), addrs.size(), planes.data());
-    // Each stream is a chunk stream as LosslessWriter frames it (frame
-    // index and CRC trailer), read through its scanned layout.
+    // Each stream is framed as a chunk stream is and read through its
+    // scanned layout.
     const comp::Codec &bwc = comp::codecByName("bwc");
     std::vector<std::vector<uint8_t>> streams;
-    std::vector<comp::StreamLayout> layouts;
     for (size_t block :
-         {size_t(4) << 10, size_t(32) << 10, size_t(1) << 20}) {
-        std::vector<uint8_t> &stream = streams.emplace_back();
-        util::VectorSink sink(stream);
-        comp::StreamCompressor sc(bwc, sink, block,
-                                  comp::FrameFormat::Seekable);
-        sc.write(planes.data(), planes.size());
-        sc.finish();
-        util::writeLE<uint32_t>(sink, sc.crc());
-        util::MemorySource scan(stream);
-        layouts.push_back(comp::scanSeekableStream(scan));
-    }
+         {size_t(4) << 10, size_t(32) << 10, size_t(1) << 20})
+        streams.push_back(
+            comp::compressAll(bwc, planes.data(), planes.size(), block));
 
     parallel::ThreadPool pool(4, 64);
     std::vector<std::future<bool>> decoded;
     for (int round = 0; round < 4; ++round)
         for (size_t s = 0; s < streams.size(); ++s)
             decoded.push_back(pool.async([&, s] {
-                util::MemorySource src(streams[s]);
-                return bench::decodeFrames(bwc, layouts[s], src) == planes;
+                return comp::decompressAll(bwc, streams[s].data(),
+                                           streams[s].size()) == planes;
             }));
     for (auto &f : decoded)
         EXPECT_TRUE(f.get());

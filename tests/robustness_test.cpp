@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include "atc/atc.hpp"
+#include "atc/index.hpp"
 #include "cache/filter.hpp"
 #include "trace/suite.hpp"
 #include "util/rng.hpp"
@@ -151,7 +154,102 @@ TEST_P(CorruptionSweep, LossyChunkBitFlipsNeverSilentlyAccepted)
                             id);
 }
 
+/** @return the records of @p store read through the Status API, or
+ *  the first error. */
+util::StatusOr<std::vector<uint64_t>>
+readAll(core::MemoryStore &store)
+{
+    auto reader = core::AtcReader::open(store);
+    if (!reader.ok())
+        return reader.status();
+    std::vector<uint64_t> out, buf(4096);
+    for (;;) {
+        auto got = reader.value()->tryRead(buf.data(), buf.size());
+        if (!got.ok())
+            return got.status();
+        if (got.value() == 0)
+            return out;
+        out.insert(out.end(), buf.begin(), buf.begin() + got.value());
+    }
+}
+
+TEST_P(CorruptionSweep, StoreInfoBitFlipsNeverReadAsADifferentTrace)
+{
+    // "store" chunks carry no per-block checksum, so INFO's own CRC-32
+    // is what stands between a flipped transform id, buffer size or
+    // count and a silently different trace. Flip every bit of the INFO
+    // payload (everything after the preamble's codec spec).
+    core::MemoryStore base;
+    core::AtcOptions opt;
+    opt.pipeline.codec = "store";
+    opt.pipeline.buffer_addrs = 4096;
+    std::vector<uint64_t> trace;
+    {
+        core::AtcWriter w(base, opt);
+        util::Rng rng(GetParam());
+        for (int i = 0; i < 50'000; ++i)
+            trace.push_back(rng.next() >> 20);
+        w.write(trace.data(), trace.size());
+        w.close();
+    }
+    const std::vector<uint8_t> &info = base.infoBytes();
+    const size_t payload = 7 + info.at(6); // magic, version, mode, spec
+    ASSERT_LT(payload, info.size());
+    for (size_t pos = payload; pos < info.size(); ++pos) {
+        for (int bit = 0; bit < 8; ++bit) {
+            auto bad = corruptCopy(base, true, pos, uint8_t(1u << bit));
+            auto got = readAll(bad);
+            EXPECT_TRUE(!got.ok() || got.value() == trace)
+                << "INFO byte " << pos << " bit " << bit
+                << " read as a different trace";
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionSweep, testing::Values(1, 2, 3));
+
+/** Peak resident set of this process so far, in KiB. */
+long
+peakRssKib()
+{
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+}
+
+TEST(Robustness, StoreInfoSizeBombIsOneStatusError)
+{
+    // A crafted "store"-codec INFO whose one frame declares 256 MiB
+    // over 8 payload bytes. Its frame index and trailer are well
+    // formed, so the frame reaches the codec, which must fail on the
+    // bytes it can read instead of sizing its output by the claim.
+    const uint64_t declared = uint64_t(256) << 20;
+    std::vector<uint8_t> info = {'A', 'T', 'C', 'T',
+                                 core::kContainerVersion,
+                                 uint8_t(core::Mode::Lossless),
+                                 5, 's', 't', 'o', 'r', 'e'};
+    util::VectorSink sink(info);
+    const std::vector<uint8_t> payload(8, 0);
+    util::writeVarint(sink, declared + 1);
+    util::writeVarint(sink, payload.size());
+    sink.write(payload.data(), payload.size());
+    util::writeVarint(sink, 0);
+    sink.writeByte(1); // frame index: one frame
+    util::writeVarint(sink, 1);
+    util::writeVarint(sink, declared);
+    util::writeVarint(sink, payload.size());
+    util::writeLE<uint32_t>(sink, 0); // CRC trailer, never reached
+
+    core::MemoryStore bad;
+    bad.createInfo()->write(info.data(), info.size());
+    long before = peakRssKib();
+    auto index = core::AtcIndex::open(bad);
+    ASSERT_FALSE(index.ok());
+    EXPECT_NE(index.status().message().find("corrupt container"),
+              std::string::npos)
+        << index.status().message();
+    EXPECT_LT(peakRssKib() - before, 64 << 10) << "KiB";
+}
 
 /** @p value as a varint of exactly @p len bytes (padded if need be). */
 std::vector<uint8_t>

@@ -173,6 +173,37 @@ TEST(Tcgen, DecoderRejectsInvalidCode)
     EXPECT_THROW(dec.decode(&v), util::Error);
 }
 
+TEST(Tcgen, TruncatedStreamIsAnErrorNotAShorterTrace)
+{
+    // "store" has no per-block checksum, so only the framing can tell
+    // a cut stream from a short one. The 50,000-byte code stream is 13
+    // frames of 4096 bytes; cut it after 3 whole frames, or just
+    // before its CRC-32 trailer.
+    std::vector<uint64_t> trace;
+    util::Rng rng(17);
+    for (int i = 0; i < 50'000; ++i)
+        trace.push_back(i % 3 == 0 ? rng.next() : 0x1000 + 64 * (i % 97));
+    tcg::TcgenConfig cfg = smallConfig();
+    cfg.codec = "store";
+    cfg.codec_block = 4096;
+    const tcg::TcgenResult whole = tcg::tcgenCompress(trace, cfg);
+    ASSERT_EQ(tcg::tcgenDecompress(whole, cfg), trace);
+
+    util::MemorySource scan(whole.code_bytes);
+    const comp::StreamLayout layout = comp::scanSeekableStream(scan);
+    ASSERT_EQ(layout.frames.size(), 13u);
+    for (size_t keep : {size_t(layout.comp_starts[3]),
+                        whole.code_bytes.size() - 4}) {
+        tcg::TcgenResult cut = whole;
+        cut.code_bytes.resize(keep);
+        EXPECT_THROW(tcg::tcgenDecompress(cut, cfg), util::Error)
+            << "code stream cut to " << keep << " bytes";
+    }
+    tcg::TcgenResult cut = whole;
+    cut.data_bytes.resize(cut.data_bytes.size() - 4);
+    EXPECT_THROW(tcg::tcgenDecompress(cut, cfg), util::Error);
+}
+
 TEST(Tcgen, AlternativeCodecBackEnd)
 {
     std::vector<uint64_t> trace;
