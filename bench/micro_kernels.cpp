@@ -6,7 +6,7 @@
  * decoder on the planes of filtered suite traces (the `_suite` rows),
  * the byte-plane histograms behind lossy signatures, bytesort, the
  * cache filter, the stack simulator and the CRC-32 that checks every
- * codec block and every lossless stream. These are the knobs behind
+ * decoded frame. These are the knobs behind
  * Table 2's throughput numbers and the targets of the hot-loop tuning.
  *
  * Self-contained: each row is the median of 7 runs after an untimed

@@ -94,12 +94,15 @@ parseThreadList(const char *csv)
  * two obs registry snapshots. Values are summed across worker threads
  * (CPU-seconds, not wall-clock), so a 4-thread row's codec_s may
  * exceed its seconds — the ratio is the stage's effective parallelism.
+ * transform_s and codec_s sum leaf timers only: a timer that wraps
+ * them (lossy.chunk_compress_us, lossy.chunk_decode_us) would count
+ * their time twice.
  */
 struct Stages
 {
     bool present = false; ///< false when observability is off
     double transform_s = 0;   ///< bytesort/delta transform compute
-    double codec_s = 0;       ///< BWT + MTF/RLE + entropy stages
+    double codec_s = 0;       ///< BWT + MTF/RLE + entropy leaf stages
     double io_s = 0;          ///< FileSource/FileSink transfer time
     double queue_wait_s = 0;  ///< channel + pool queue waits
     double worker_busy_s = 0; ///< pool task execution time
@@ -126,9 +129,7 @@ stageDelta(const atc::obs::Snapshot &before,
                 cd("codec.encode.entropy_us") +
                 cd("codec.decode.bwt_us") +
                 cd("codec.decode.mtf_rle_us") +
-                cd("codec.decode.entropy_us") +
-                cd("lossy.chunk_compress_us") +
-                cd("lossy.chunk_decode_us");
+                cd("codec.decode.entropy_us");
     s.io_s = cd("io.read_us") + cd("io.write_us");
     s.queue_wait_s = hd("channel.push_wait_us") +
                      hd("channel.pop_wait_us") +

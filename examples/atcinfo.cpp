@@ -111,7 +111,7 @@ main(int argc, char **argv)
                 uint64_t comp_total =
                     layout.comp_starts.back() - layout.comp_starts[0];
                 std::printf("chunk %-4u  %5zu frames, %llu -> %llu "
-                            "bytes (x%.2f)%s\n",
+                            "bytes (x%.2f)\n",
                             id, layout.frames.size(),
                             static_cast<unsigned long long>(
                                 layout.rawTotal()),
@@ -119,8 +119,7 @@ main(int argc, char **argv)
                             comp_total
                                 ? static_cast<double>(layout.rawTotal()) /
                                       static_cast<double>(comp_total)
-                                : 0.0,
-                            layout.indexed ? "" : " [index missing]");
+                                : 0.0);
             }
         }
 

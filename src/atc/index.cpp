@@ -189,10 +189,9 @@ AtcIndex::load()
     // lengths wherever the expected raw size is computable — a cheap,
     // decode-free probe for cross-linked or swapped chunk files.
     if (info_.mode == Mode::Lossless) {
-        ATC_CHECK(!layouts_[0].indexed ||
-                      layouts_[0].rawTotal() ==
-                          expectedRawBytes(info_.count,
-                                           info_.pipeline.buffer_addrs),
+        ATC_CHECK(layouts_[0].rawTotal() ==
+                      expectedRawBytes(info_.count,
+                                       info_.pipeline.buffer_addrs),
                   "chunk stream size disagrees with the INFO record "
                   "count (truncated or cross-linked container)");
     } else {
@@ -200,11 +199,9 @@ AtcIndex::load()
             if (rec.kind != IntervalRecord::Kind::Chunk)
                 continue;
             const comp::StreamLayout &layout = layouts_[rec.chunk_id];
-            ATC_CHECK(!layout.indexed ||
-                          layout.rawTotal() ==
-                              expectedRawBytes(
-                                  rec.length,
-                                  info_.pipeline.buffer_addrs),
+            ATC_CHECK(layout.rawTotal() ==
+                          expectedRawBytes(rec.length,
+                                           info_.pipeline.buffer_addrs),
                       "chunk " + std::to_string(rec.chunk_id) +
                           " size disagrees with its interval record "
                           "(corrupt container)");
@@ -299,9 +296,11 @@ AtcIndex::bufferRawOffset(uint64_t b) const
  * (zero-copy on mapped chunks) and decoded on @p pool, ahead of the
  * reader (which runs queued pool tasks while it waits for one), or —
  * when @p pool is null — on the caller's thread as the reader reaches
- * it. A pass from frame 0 (@p full) accumulates the CRC-32 of
- * everything it serves for verifyEnd() and never adds to the cache;
- * any other pass does.
+ * it. Every frame is checked against its CRC-32 as it decodes
+ * (comp::decodeSeekableFrame), before it is cached or served. A pass
+ * from frame 0 (@p full) never adds to the cache; any other pass does.
+ * A lossy chunk's frames are decoded once per chunk, whose decoded
+ * records the chunk cache keeps, so they skip the frame cache.
  */
 class AtcCursor::FrameSource : public util::ByteSource
 {
@@ -347,22 +346,16 @@ class AtcCursor::FrameSource : public util::ByteSource
 
     /**
      * Full passes only, once the transform terminator has been read:
-     * no raw bytes may follow it, and the CRC-32 of every byte served
-     * must match the stream's trailer.
+     * no raw bytes may follow it.
      */
     void
     verifyEnd()
     {
-        if (!full_ || verified_)
+        if (!full_)
             return;
         uint8_t extra;
         ATC_CHECK(read(&extra, 1) == 0,
                   "trailing data after the transform terminator");
-        ATC_CHECK(layout_.indexed,
-                  "chunk stream CRC trailer missing or truncated");
-        ATC_CHECK(crc_.value() == layout_.crc,
-                  "chunk payload CRC mismatch (corrupt container)");
-        verified_ = true;
     }
 
   private:
@@ -379,8 +372,6 @@ class AtcCursor::FrameSource : public util::ByteSource
             block_ = window_.front().get(index_->frameCache(), !full_,
                                          pool_);
             pos_ = 0;
-            if (full_)
-                crc_.update(block_->data(), block_->size());
             if (block_->empty())
                 retire();
         }
@@ -420,22 +411,22 @@ class AtcCursor::FrameSource : public util::ByteSource
                     src_ = index_->store().openChunk(chunk_);
                     src_->skip(layout_.comp_starts[f]);
                 }
-                p.ready = index_->frameCache().get(p.key);
+                // Lossy chunks are cached whole, never by frame.
+                if (index_->mode() == Mode::Lossless)
+                    p.ready = index_->frameCache().get(p.key);
                 if (p.ready) {
                     src_->skip(layout_.comp_starts[f + 1] -
                                layout_.comp_starts[f]);
                 } else {
                     p.decoded = parallel::launch(
                         pool_,
-                        [index = index_,
-                         raw_size = static_cast<size_t>(
-                             layout_.frames[f].raw_size),
+                        [index = index_, frame = layout_.frames[f],
                          payload = comp::fetchIndexedFramePayload(
                              *src_, layout_, f)]() {
                             std::vector<uint8_t> block;
                             comp::decodeSeekableFrame(
-                                *index->codec().codec, payload.data,
-                                payload.size, raw_size, block);
+                                *index->codec().codec, payload.data, frame,
+                                block);
                             return block;
                         });
                 }
@@ -471,8 +462,6 @@ class AtcCursor::FrameSource : public util::ByteSource
     /** The front frame's bytes once resolved; null when exhausted. */
     BlockCache<uint8_t>::Ptr block_;
     size_t pos_ = 0;
-    util::Crc32 crc_;
-    bool verified_ = false;
 };
 
 /**
@@ -551,7 +540,7 @@ class AtcCursor::ChunkWindow
     /**
      * Chunk @p id in full: a pass from its first frame with no pool —
      * the task already runs on one — through the inverse transform,
-     * its CRC-32 trailer verified at the end. Timed under
+     * checked for trailing bytes at the end. Timed under
      * lossy.chunk_decode_us.
      */
     static std::vector<uint64_t>

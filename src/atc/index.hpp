@@ -7,7 +7,8 @@
  * locate a record without decoding the records before it: the parsed
  * INFO stream, every chunk's frame index (scanned from the seekable
  * frame headers without touching payloads, then validated against the
- * stored end-of-stream index), and — in lossy mode — the cumulative
+ * stored end-of-stream index, which also holds each frame's CRC-32),
+ * and — in lossy mode — the cumulative
  * record offsets of the interval trace. One AtcIndex may be shared by
  * any number of threads; it never mutates after open().
  *
@@ -24,8 +25,10 @@
  * Every chunk stream is read by one frame engine (FrameSource) over
  * the layout scanned at open: the lossless container's one chunk,
  * frame by frame, and each lossy chunk in full, as one task that runs
- * a FrameSource of its own with no pool, inverse-transforms it and
- * verifies its CRC-32 trailer (timed under lossy.chunk_decode_us).
+ * a FrameSource of its own with no pool and inverse-transforms it
+ * (timed under lossy.chunk_decode_us). Every frame is checked against
+ * its CRC-32 as it decodes (comp::decodeSeekableFrame), before it
+ * reaches the cache or a reader, whichever path asked for it.
  *
  * A cursor with a thread pool decodes through one bounded, ordered
  * readahead window wherever the blocks ahead are known to be read: a
@@ -37,7 +40,7 @@
  * decodes its covering blocks the same way, never past the range. A
  * lossless pass from record 0 also inverse-transforms on the pool: the
  * caller parses each transform buffer's header and reads its planes
- * (CRC included) in order, and the inverse transforms of the buffers
+ * in order, and the inverse transforms of the buffers
  * after the one being served run as pool tasks (TransformDecoder, see
  * bytesort.hpp). A caller that must wait for a block or a buffer runs
  * queued pool tasks meanwhile (ThreadPool::wait()), so it decodes
@@ -46,11 +49,12 @@
  * thread, as every pass of a cursor without a pool does.
  *
  * Cache policy: a pass that starts at record 0 is a full scan, which
- * verifies the lossless stream's CRC-32 trailer and reads the shared
- * decoded-block cache without adding to it (a scan must not churn the
- * seek working set; a serial lossy scan still caches chunks, which is
- * how imitated intervals reuse them). Passes started by a seek, and
- * every readRange(), both read and fill the cache.
+ * reads the shared decoded-block cache without adding to it (a scan
+ * must not churn the seek working set; a serial lossy scan still
+ * caches chunks, which is how imitated intervals reuse them). Passes
+ * started by a seek, and every readRange(), both read and fill the
+ * cache. Lossy reads use the chunk cache only: a chunk's frames decode
+ * once, inside its chunk task, and never look up the frame cache.
  *
  * Thread-safety rules:
  *  - AtcIndex: immutable, share freely (its ChunkStore must stay

@@ -86,8 +86,8 @@ writeContainerInfo(ChunkStore &store, const comp::ConfiguredCodec &codec,
     info->writeByte(static_cast<uint8_t>(mode));
     writeString(*info, codec.spec);
 
-    // Compressed payload, framed like a chunk stream (frame index and
-    // CRC-32 trailer included).
+    // Compressed payload, framed like a chunk stream (frame index with
+    // each frame's CRC-32 included).
     comp::StreamCompressor payload(*codec.codec, *info,
                                    codec.blockOr(pipeline.codec_block));
     // The mode is echoed inside the CRC-protected payload so that a
@@ -139,8 +139,8 @@ readContainerInfo(ChunkStore &store)
     comp::ConfiguredCodec codec = cc.take();
 
     // The payload runs to the end of INFO, so it is read whole (as
-    // many bytes as the source holds) and decoded whole, its CRC-32
-    // checked before one field is parsed.
+    // many bytes as the source holds) and decoded whole, every frame's
+    // CRC-32 checked before one field is parsed.
     std::vector<uint8_t> comp_payload = util::readToEnd(*info);
     std::vector<uint8_t> raw = comp::decompressAll(
         *codec.codec, comp_payload.data(), comp_payload.size());

@@ -9,14 +9,15 @@
  * trace (chunk/imitate records with byte translations).
  *
  * The version byte stays in the preamble so that containers written by
- * older releases fail loudly: readers accept v5 only. Every stream of
- * a v5 container, the INFO payload included, uses the one framing of
+ * older releases fail loudly: readers accept v6 only. Every stream of
+ * a v6 container, the INFO payload included, uses the one framing of
  * compress/stream.hpp (each frame header records the compressed byte
- * length, and the stream ends with a frame index and a CRC-32
- * trailer), and every bwc frame carries its start rows (see
+ * length, and the stream ends with a frame index that holds each
+ * frame's CRC-32), and every bwc frame carries its start rows (see
  * compress/bwc.hpp). v1 (no CRC trailer), v2 (legacy chunk framing),
- * v3 (a bwc frame with the primary index only) and v4 (a legacy-framed
- * INFO payload with no checksum) are rejected as "unsupported ATC
+ * v3 (a bwc frame with the primary index only), v4 (a legacy-framed
+ * INFO payload with no checksum) and v5 (one CRC-32 per codec block
+ * and per stream, none per frame) are rejected as "unsupported ATC
  * container version".
  */
 
@@ -42,11 +43,12 @@ enum class Mode : uint8_t
 };
 
 /**
- * The one container version writers emit and readers accept. v5 frames
- * its INFO payload like a chunk stream; since v4, bwc frames carry a
- * start row per 2^17 raw bytes after the primary index.
+ * The one container version writers emit and readers accept. v6 keeps
+ * a CRC-32 per frame in each stream's frame index; since v5 the INFO
+ * payload is framed like a chunk stream, and since v4 bwc frames carry
+ * a start row per 2^17 raw bytes after the primary index.
  */
-constexpr uint8_t kContainerVersion = 5;
+constexpr uint8_t kContainerVersion = 6;
 
 /** Everything a reader learns from a container's INFO stream. */
 struct ContainerInfo

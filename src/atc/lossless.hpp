@@ -9,14 +9,14 @@
  * through comp::CodecRegistry, so back ends stay pluggable.
  *
  * Streams use the one stream framing of compress/stream.hpp: the codec
- * stage (comp::StreamCompressor) ends each one with its frame index and
- * a CRC-32 trailer of the raw (transformed, pre-codec) byte stream;
- * this writer adds nothing after it. Every chunk stream,
+ * stage (comp::StreamCompressor) ends each one with its frame index,
+ * which holds a CRC-32 of each frame's raw (transformed, pre-codec)
+ * bytes; this writer adds nothing after it. Every chunk stream,
  * lossless or lossy, is read by the cursor's frame engine over the
- * layout AtcIndex scans at open (see atc/index.hpp), which verifies
- * the trailer once a pass from the first frame is drained, so
- * corruption is loud even under codecs without per-block checksums
- * ("store") and under truncation at frame boundaries.
+ * layout AtcIndex scans at open (see atc/index.hpp), and every frame
+ * it decodes is checked against its CRC-32, so corruption is loud on
+ * every read path, even under a codec without a checksum of its own
+ * ("store"); a stream cut before its index is refused at open.
  *
  * The writer hands an optional borrowed pool to both stages: the
  * transform (TransformEncoder) forward-transforms batches of buffers on

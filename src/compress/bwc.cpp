@@ -6,7 +6,6 @@
 #include "compress/rle.hpp"
 #include "obs/metrics.hpp"
 #include "util/bitio.hpp"
-#include "util/crc32.hpp"
 
 namespace atc::comp {
 
@@ -51,7 +50,6 @@ BwcCodec::compressBlock(const uint8_t *data, size_t n,
 {
     ATC_CHECK(n <= kMaxBwcBlock, "bwc block above the 2^24 - 1 byte cap");
     CodecStageMetrics &m = encodeStages();
-    util::writeLE<uint32_t>(out, util::crc32(data, n));
 
     obs::StageTimer bwt_t(m.bwt_us);
     BwtResult bwt = bwtForward(data, n);
@@ -92,7 +90,6 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                   " bytes exceeds the block cap of " +
                   std::to_string(kMaxBwcBlock));
     CodecStageMetrics &m = decodeStages();
-    uint32_t crc = util::readLE<uint32_t>(in);
 
     // Per-thread scratch, reused from block to block.
     thread_local std::vector<uint64_t> starts;
@@ -128,8 +125,6 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
     bwtInverseRuns(runs.data(), runs.size(), raw_size, starts.data(),
                    out.data());
     bwt_t.stop();
-    ATC_CHECK(util::crc32(out.data(), out.size()) == crc,
-              "BWC block CRC mismatch");
 }
 
 } // namespace atc::comp

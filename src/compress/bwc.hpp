@@ -4,10 +4,11 @@
  *
  * From-scratch stand-in for the paper's bzip2 back end, same algorithm
  * family: BWT (via SA-IS) -> move-to-front -> zero-run RLE -> canonical
- * Huffman, with a CRC-32 integrity check per block.
+ * Huffman. bzip2's per-block CRC-32 is the stream framing's job here:
+ * every frame's CRC sits in the stream's frame index (see
+ * compress/stream.hpp).
  *
  * Block layout (after the stream framing's size header):
- *   u32  crc32 of the raw block
  *   C varints: the BWT start rows, the rows of text positions
  *        k * 2^17 for k = 0 .. C - 1, where C = ceil(raw_size / 2^17)
  *        follows from the frame's raw size (the first is the primary

@@ -4,7 +4,6 @@
 
 #include "compress/huffman.hpp"
 #include "util/bitio.hpp"
-#include "util/crc32.hpp"
 #include "util/status.hpp"
 
 namespace atc::comp {
@@ -70,8 +69,6 @@ void
 LzhCodec::compressBlock(const uint8_t *data, size_t n,
                         util::ByteSink &out) const
 {
-    util::writeLE<uint32_t>(out, util::crc32(data, n));
-
     // Tokenize with a hash-chain matcher.
     struct Token
     {
@@ -179,19 +176,20 @@ void
 LzhCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                           std::vector<uint8_t> &out) const
 {
-    uint32_t crc = util::readLE<uint32_t>(in);
-
     util::BitReader br(in);
     HuffmanDecoder ll_dec = HuffmanDecoder::readTable(br, kLitLenAlphabet);
     HuffmanDecoder d_dec = HuffmanDecoder::readTable(br, kNumDistBuckets);
 
+    // Every literal and match is checked against the output still to
+    // come, so a crafted block cannot grow `out` past the frame's
+    // declared size, however many tokens it holds.
     out.clear();
-    out.reserve(raw_size);
     for (;;) {
         int sym = ll_dec.decode(br);
         if (sym == kEobSym)
             break;
         if (sym < 256) {
+            ATC_CHECK(out.size() < raw_size, "LZH block size mismatch");
             out.push_back(static_cast<uint8_t>(sym));
             continue;
         }
@@ -203,14 +201,14 @@ LzhCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
         int de = did < 2 ? 0 : did / 2 - 1;
         uint32_t dist = bucketBase(did) + (de > 0 ? br.readBits(de) : 0) + 1;
         ATC_CHECK(dist <= out.size(), "LZH distance beyond output");
+        ATC_CHECK(length <= raw_size - out.size(),
+                  "LZH block size mismatch");
         size_t from = out.size() - dist;
         for (uint32_t i = 0; i < length; ++i)
             out.push_back(out[from + i]);
     }
     br.align();
     ATC_CHECK(out.size() == raw_size, "LZH block size mismatch");
-    ATC_CHECK(util::crc32(out.data(), out.size()) == crc,
-              "LZH block CRC mismatch");
 }
 
 } // namespace atc::comp

@@ -7,8 +7,8 @@
  * gzip. Hash-chain match finder, 64 KiB window, geometric length and
  * distance buckets with extra bits (deflate-style).
  *
- * Block layout (after the stream framing's size header):
- *   u32 crc32 of the raw block
+ * Block layout (after the stream framing's size header; the block's
+ * CRC-32 is in the stream's frame index):
  *   litlen huffman table (273 x 5 bits), dist table (32 x 5 bits)
  *   token stream, terminated by EOB, byte-aligned at end
  */

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/crc32.hpp"
 #include "util/status.hpp"
 
 namespace atc::comp {
@@ -64,7 +65,7 @@ plausibleFrameSizes(uint64_t raw_size, uint64_t comp_size)
 
 /**
  * Compress one block into a self-contained frame (header + payload),
- * filling @p entry with its index entry.
+ * filling @p entry with its index entry, CRC-32 included.
  */
 std::vector<uint8_t>
 encodeFrame(const Codec &codec, const uint8_t *data, size_t n,
@@ -82,7 +83,7 @@ encodeFrame(const Codec &codec, const uint8_t *data, size_t n,
     util::writeVarint(sink, n + 1);
     util::writeVarint(sink, payload.size());
     sink.write(payload.data(), payload.size());
-    entry = {n, payload.size()};
+    entry = {n, payload.size(), util::crc32(data, n)};
     frame_t.stop();
     m.frames.inc();
     m.raw_bytes.add(static_cast<int64_t>(n));
@@ -90,11 +91,10 @@ encodeFrame(const Codec &codec, const uint8_t *data, size_t n,
     return out;
 }
 
-/** Emit the terminator, the frame index for @p index and the CRC-32
- *  trailer @p crc. */
+/** Emit the terminator and the frame index for @p index. */
 void
 writeStreamEnd(util::ByteSink &sink,
-               const std::vector<FrameIndexEntry> &index, uint32_t crc)
+               const std::vector<FrameIndexEntry> &index)
 {
     util::writeVarint(sink, 0);
     sink.writeByte(1); // index marker
@@ -102,51 +102,41 @@ writeStreamEnd(util::ByteSink &sink,
     for (const FrameIndexEntry &e : index) {
         util::writeVarint(sink, e.raw_size);
         util::writeVarint(sink, e.comp_size);
+        util::writeLE<uint32_t>(sink, e.crc);
     }
-    util::writeLE<uint32_t>(sink, crc);
 }
 
 } // namespace
 
-FrameScan
+bool
 readSeekableFrameHeader(util::ByteSource &src, FrameIndexEntry &entry)
 {
-    uint8_t first;
-    if (src.read(&first, 1) == 0)
-        return FrameScan::EndOfData;
-    uint64_t header = first & 0x7F;
-    int shift = 7;
-    while (first & 0x80) {
-        src.readExact(&first, 1);
-        header |= static_cast<uint64_t>(first & 0x7F) << shift;
-        shift += 7;
-        ATC_CHECK(shift <= 63, "corrupt frame header");
-    }
+    uint64_t header = util::readVarint(src);
     if (header == 0)
-        return FrameScan::Terminator;
+        return false;
     entry.raw_size = header - 1;
     entry.comp_size = util::readVarint(src);
     ATC_CHECK(plausibleFrameSizes(entry.raw_size, entry.comp_size),
               "corrupt frame header (implausible frame size)");
-    return FrameScan::Frame;
+    return true;
 }
 
 void
 decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
-                    size_t comp_size, size_t raw_size,
-                    std::vector<uint8_t> &out)
+                    const FrameIndexEntry &frame, std::vector<uint8_t> &out)
 {
     FrameMetrics &m = decodeFrameMetrics();
     obs::LatencyTimer frame_t(m.frame_us);
+    const size_t raw_size = static_cast<size_t>(frame.raw_size);
     // Decode from the declared extent only: a codec trying to consume
     // past it sees end-of-source, and leftover bytes are a mismatch.
-    util::MemorySource frame_src(comp, comp_size);
+    util::MemorySource frame_src(comp, static_cast<size_t>(frame.comp_size));
     try {
         codec.decompressBlock(frame_src, raw_size, out);
     } catch (const util::Error &) {
         // Only a codec that asked for more than the frame holds overran
-        // it; an error after a full read (a bad start row, a CRC
-        // mismatch) keeps its own message.
+        // it; an error after a full read (a bad start row) keeps its
+        // own message.
         if (frame_src.overran())
             util::raise("frame overruns its declared compressed length "
                         "(corrupt container)");
@@ -155,23 +145,25 @@ decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
     ATC_CHECK(out.size() == raw_size, "frame size mismatch");
     ATC_CHECK(frame_src.remaining() == 0,
               "frame compressed-length mismatch (corrupt container)");
+    ATC_CHECK(util::crc32(out.data(), out.size()) == frame.crc,
+              "frame CRC mismatch (corrupt container)");
     frame_t.stop();
     m.frames.inc();
     m.raw_bytes.add(static_cast<int64_t>(raw_size));
-    m.comp_bytes.add(static_cast<int64_t>(comp_size));
+    m.comp_bytes.add(static_cast<int64_t>(frame.comp_size));
 }
 
 namespace {
 
 /**
- * Read a stream's frame index (positioned just after the terminator)
- * and validate it against the frames the scan saw.
+ * Read a stream's frame index (positioned just after the terminator),
+ * validate it against the frames the scan saw and copy each stored
+ * CRC-32 into them.
  * @throws util::Error on a truncated index or any disagreement with
  *         @p seen — the corruption probe for resync-style damage
  */
 void
-readFrameIndex(util::ByteSource &src,
-               const std::vector<FrameIndexEntry> &seen)
+readFrameIndex(util::ByteSource &src, std::vector<FrameIndexEntry> &seen)
 {
     uint8_t flag;
     uint64_t count = 0;
@@ -188,6 +180,7 @@ readFrameIndex(util::ByteSource &src,
             FrameIndexEntry e;
             e.raw_size = util::readVarint(src);
             e.comp_size = util::readVarint(src);
+            e.crc = util::readLE<uint32_t>(src);
             stored.push_back(e);
         }
     } catch (const util::Error &e) {
@@ -195,11 +188,13 @@ readFrameIndex(util::ByteSource &src,
             util::raise("frame index truncated");
         throw;
     }
-    for (uint64_t i = 0; i < count; ++i)
+    for (uint64_t i = 0; i < count; ++i) {
         ATC_CHECK(stored[i].raw_size == seen[i].raw_size &&
                       stored[i].comp_size == seen[i].comp_size,
                   "frame index entry disagrees with decoded frame " +
                       std::to_string(i) + " (corrupt container)");
+        seen[i].crc = stored[i].crc;
+    }
 }
 
 } // namespace
@@ -222,19 +217,8 @@ scanSeekableStream(util::ByteSource &src)
     layout.raw_starts.push_back(0);
     layout.comp_starts.push_back(0);
     uint64_t raw = 0, pos = 0;
-    for (;;) {
-        FrameIndexEntry entry;
-        FrameScan scan = readSeekableFrameHeader(src, entry);
-        if (scan == FrameScan::Terminator) {
-            readFrameIndex(src, layout.frames);
-            layout.crc = util::readLE<uint32_t>(src);
-            layout.indexed = true;
-            break;
-        }
-        if (scan == FrameScan::EndOfData)
-            break; // left unindexed: the chunk reader reports the
-                   // shortfall against the INFO count, decompressAll
-                   // refuses it
+    FrameIndexEntry entry;
+    while (readSeekableFrameHeader(src, entry)) {
         src.skip(entry.comp_size); // payload untouched — this is a scan
         pos += util::varintLen(entry.raw_size + 1) +
                util::varintLen(entry.comp_size) + entry.comp_size;
@@ -243,6 +227,7 @@ scanSeekableStream(util::ByteSource &src)
         layout.raw_starts.push_back(raw);
         layout.comp_starts.push_back(pos);
     }
+    readFrameIndex(src, layout.frames);
     return layout;
 }
 
@@ -252,8 +237,7 @@ fetchIndexedFramePayload(util::ByteSource &src, const StreamLayout &layout,
 {
     ATC_ASSERT(f < layout.frames.size());
     FrameIndexEntry entry;
-    FrameScan scan = readSeekableFrameHeader(src, entry);
-    ATC_CHECK(scan == FrameScan::Frame &&
+    ATC_CHECK(readSeekableFrameHeader(src, entry) &&
                   entry.raw_size == layout.frames[f].raw_size &&
                   entry.comp_size == layout.frames[f].comp_size,
               "frame header disagrees with the scanned index "
@@ -298,7 +282,6 @@ StreamCompressor::write(const uint8_t *data, size_t n)
 {
     ATC_ASSERT(!finished_);
     raw_bytes_ += n;
-    crc_.update(data, n);
     while (n > 0) {
         size_t room = block_size_ - buffer_.size();
         size_t take = n < room ? n : room;
@@ -346,7 +329,7 @@ StreamCompressor::finish()
     if (!buffer_.empty())
         emitBlock();
     drain(0);
-    writeStreamEnd(sink_, index_, crc_.value());
+    writeStreamEnd(sink_, index_);
 }
 
 std::vector<uint8_t>
@@ -366,19 +349,14 @@ decompressAll(const Codec &codec, const uint8_t *data, size_t n)
 {
     util::MemorySource scan(data, n);
     StreamLayout layout = scanSeekableStream(scan);
-    ATC_CHECK(layout.indexed,
-              "stream truncated (frame index and CRC trailer missing)");
     ATC_CHECK(scan.remaining() == 0, "trailing bytes after the stream");
     util::MemorySource src(data, n);
     std::vector<uint8_t> out, block;
     for (size_t f = 0; f < layout.frames.size(); ++f) {
         FramePayload p = fetchIndexedFramePayload(src, layout, f);
-        decodeSeekableFrame(codec, p.data, p.size,
-                            layout.frames[f].raw_size, block);
+        decodeSeekableFrame(codec, p.data, layout.frames[f], block);
         out.insert(out.end(), block.begin(), block.end());
     }
-    ATC_CHECK(util::crc32(out.data(), out.size()) == layout.crc,
-              "stream CRC mismatch (corrupt data)");
     return out;
 }
 

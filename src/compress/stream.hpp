@@ -5,21 +5,31 @@
  * Every compressed stream — each chunk, the container INFO payload and
  * TCgen's two streams — has one layout:
  *
- *   frame*  varint(0)  index  crc32
+ *   frame*  varint(0)  index
  *
  * Each frame is `varint(n + 1)` `varint(c)` followed by exactly c codec
  * bytes of an n-byte block, so a scanner can walk frame boundaries
  * without decoding, and workers can decode frames independently. The
  * 0 varint ends the frames. The index (a 1 byte, then the frame count
- * and one `(raw, compressed)` varint pair per frame) is validated
- * against the frames the scan saw, and a little-endian CRC-32 of the
- * raw stream closes it. StreamCompressor writes all of it.
+ * and one `varint(raw)` `varint(compressed)` `u32 crc` entry per frame,
+ * the CRC-32 of the frame's raw bytes in little-endian order) is
+ * validated against the frames the scan saw. StreamCompressor writes
+ * all of it.
+ *
+ * Integrity lives here and nowhere else: decodeSeekableFrame() checks
+ * each decoded frame against the CRC-32 its index entry stores, so
+ * every byte any reader returns — from a full pass, a seek, a range or
+ * a served request — was checked on its way out of the codec. The
+ * CRCs sit in the index by frame position, so frames swapped in the
+ * file fail too. The index itself needs no checksum: each entry's
+ * sizes are compared with its frame header at every scan, and a
+ * flipped CRC fails its own frame's decode.
  *
  * A stream is read only through its scanned layout:
  * scanSeekableStream() once, then fetchIndexedFramePayload() and
  * decodeSeekableFrame() per frame. decompressAll() does exactly that
- * for a whole in-memory stream and checks the CRC-32; the cursor's
- * frame engine does it for chunks (see atc/index.hpp).
+ * for a whole in-memory stream; the cursor's frame engine does it for
+ * chunks (see atc/index.hpp).
  */
 
 #ifndef ATC_COMPRESS_STREAM_HPP_
@@ -34,7 +44,6 @@
 
 #include "compress/codec.hpp"
 #include "util/bytestream.hpp"
-#include "util/crc32.hpp"
 
 namespace atc::parallel {
 class ThreadPool;
@@ -44,37 +53,33 @@ namespace atc::comp {
 
 // kDefaultBlockSize lives in codec.hpp, next to the spec machinery.
 
-/** One frame's sizes, as recorded in a stream's index. */
+/** One frame as recorded in a stream's index. */
 struct FrameIndexEntry
 {
     uint64_t raw_size = 0;  ///< decompressed block length
     uint64_t comp_size = 0; ///< codec bytes in the stream
-};
-
-/** Outcome of reading one frame header. */
-enum class FrameScan
-{
-    Frame,      ///< header parsed; payload follows
-    Terminator, ///< 0 varint seen; index comes next
-    EndOfData,  ///< clean end of the source before any header byte
+    uint32_t crc = 0;       ///< CRC-32 of the decompressed block
 };
 
 /**
  * Read the next frame header from @p src.
- * @param entry receives the frame sizes when the result is Frame
+ * @param entry receives the frame sizes (not its CRC, which only the
+ *        index holds) when a frame follows
+ * @return false at the terminator, true for a frame
  * @throws util::Error on corrupt or truncated headers
  */
-FrameScan readSeekableFrameHeader(util::ByteSource &src,
-                                  FrameIndexEntry &entry);
+bool readSeekableFrameHeader(util::ByteSource &src, FrameIndexEntry &entry);
 
 /**
- * Decode one frame payload, enforcing that the codec consumes
- * exactly @p comp_size bytes and produces exactly @p raw_size bytes.
- * The single validation point for frames.
- * @throws util::Error on any disagreement with the declared sizes
+ * Decode one frame payload of @p frame.comp_size bytes, enforcing that
+ * the codec consumes all of them, produces exactly frame.raw_size
+ * bytes, and that those bytes match frame.crc. The single validation
+ * point for frames: nothing decoded reaches a cache or a reader before
+ * it passes.
+ * @throws util::Error on any disagreement with the index entry
  */
 void decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
-                         size_t comp_size, size_t raw_size,
+                         const FrameIndexEntry &frame,
                          std::vector<uint8_t> &out);
 
 /**
@@ -86,7 +91,7 @@ void decodeSeekableFrame(const Codec &codec, const uint8_t *comp,
  */
 struct StreamLayout
 {
-    /** Per-frame sizes, identical to the end-of-stream index. */
+    /** Per-frame entries, identical to the end-of-stream index. */
     std::vector<FrameIndexEntry> frames;
     /** Cumulative decompressed offsets; frames.size() + 1 entries,
      *  raw_starts[f] = first decompressed byte served by frame f. */
@@ -94,14 +99,6 @@ struct StreamLayout
     /** In-stream byte offset of each frame's *header*;
      *  frames.size() + 1 entries (last = offset of the terminator). */
     std::vector<uint64_t> comp_starts;
-    /** True when the terminator, frame index and CRC-32 trailer were
-     *  present (a clean end-of-data before them leaves this false — a
-     *  truncated but tolerated stream; readers report the shortfall
-     *  downstream). */
-    bool indexed = false;
-    /** CRC-32 trailer of the raw stream, valid when @ref indexed. */
-    uint32_t crc = 0;
-
     /** @return total decompressed bytes across all frames. */
     uint64_t rawTotal() const { return raw_starts.back(); }
 
@@ -115,10 +112,10 @@ struct StreamLayout
 /**
  * Scan a stream's frame headers from @p src (positioned at
  * the first frame), skipping every payload, and validate the stored
- * end-of-stream index against the headers actually seen, capturing
- * the CRC-32 trailer that follows it.
- * @throws util::Error on corrupt headers, a truncated payload, index
- *         or trailer, or any header/index disagreement
+ * end-of-stream index against the headers actually seen, taking each
+ * frame's CRC-32 from it.
+ * @throws util::Error on corrupt headers, a truncated payload, a
+ *         missing or truncated index, or any header/index disagreement
  */
 StreamLayout scanSeekableStream(util::ByteSource &src);
 
@@ -156,8 +153,8 @@ FramePayload fetchIndexedFramePayload(util::ByteSource &src,
 /**
  * Accumulates bytes and emits codec frames into a sink: the one place
  * a stream is sliced into blocks, its frames serialized, and its
- * terminator, frame index and raw CRC-32 trailer written. Each block is
- * encoded into a self-contained frame by a task launched on the
+ * terminator and frame index written. Each block is encoded (and its
+ * CRC-32 taken) into a self-contained frame by a task launched on the
  * optional pool (inline without one); the encoded frames wait in a
  * window of parallel::windowDepth(pool) tasks and reach the sink in
  * block order, so the bytes are the same for every pool size. A
@@ -186,8 +183,8 @@ class StreamCompressor : public util::ByteSink
     /** Buffer input, emitting a frame whenever a block fills. */
     void write(const uint8_t *data, size_t n) override;
 
-    /** Emit the final partial block, the terminator, the index and
-     *  the CRC-32 trailer; runs once, later calls do nothing. */
+    /** Emit the final partial block, the terminator and the index;
+     *  runs once, later calls do nothing. */
     void finish();
 
     /** @return raw bytes consumed so far. */
@@ -211,7 +208,6 @@ class StreamCompressor : public util::ByteSink
     std::deque<std::future<EncodedFrame>> pending_;
     std::vector<FrameIndexEntry> index_;
     uint64_t raw_bytes_ = 0;
-    util::Crc32 crc_;
     bool finished_ = false;
 };
 
@@ -221,11 +217,11 @@ std::vector<uint8_t> compressAll(const Codec &codec,
                                  size_t block_size = kDefaultBlockSize);
 
 /**
- * Decompress a whole in-memory stream: scan it, decode every frame
- * through the scanned layout and check the CRC-32 trailer.
- * @throws util::Error when the terminator, frame index or trailer is
- *         missing, bytes follow the trailer, a frame fails to decode or
- *         the CRC-32 disagrees
+ * Decompress a whole in-memory stream: scan it and decode every frame
+ * through the scanned layout.
+ * @throws util::Error when the terminator or frame index is missing,
+ *         bytes follow the index, or a frame fails to decode or to
+ *         match its CRC-32
  */
 std::vector<uint8_t> decompressAll(const Codec &codec,
                                    const uint8_t *data, size_t n);

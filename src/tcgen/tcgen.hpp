@@ -10,7 +10,8 @@
  * stream*; otherwise emit an escape byte to the code stream and the
  * raw value (8 bytes) to the *data stream*. Both streams then go
  * through a byte-level codec, framed as every ATC stream is (see
- * compress/stream.hpp), so each carries its frame index and CRC-32.
+ * compress/stream.hpp), so each carries its frame index with a CRC-32
+ * per frame.
  * The decompressor maintains an identical predictor bank, so the
  * prediction slots resolve to the same values.
  */
@@ -120,7 +121,8 @@ class TcgenDecoder : public trace::TraceSource
   public:
     /**
      * Read both sources to their end and decode each whole, checking
-     * its frame index and CRC-32; values are then served from memory.
+     * its frame index and every frame's CRC-32; values are then served
+     * from memory.
      * @param config  configuration used to compress
      * @param code_in compressed code stream
      * @param data_in compressed escape-value stream

@@ -1,7 +1,8 @@
 /**
  * @file
- * CRC-32 (IEEE 802.3 polynomial, reflected) used for block integrity
- * checks in the BWC and LZH codec containers.
+ * CRC-32 (IEEE 802.3 polynomial, reflected): the per-frame checksum
+ * that compress/stream.cpp keeps in each stream's frame index, and the
+ * audit checksum of sampling-study windows.
  */
 
 #ifndef ATC_UTIL_CRC32_HPP_

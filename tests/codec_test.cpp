@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the block codecs (BWC, LZH, store) and the stream framing,
- * including corruption detection.
+ * including corruption detection by the frame index's CRC-32s.
  */
 
 #include <gtest/gtest.h>
@@ -232,7 +232,7 @@ TEST(Bwc, DetectsCorruption)
     auto data = makeData(1, 50000, 4);
     auto compressed = comp::compressAll(comp::codecByName("bwc"),
                                         data.data(), data.size());
-    // Flip a bit in the payload (past the frame header and CRC field).
+    // Flip a bit in the payload (past the frame header and start row).
     compressed[compressed.size() / 2] ^= 0x10;
     EXPECT_THROW(comp::decompressAll(comp::codecByName("bwc"),
                                      compressed.data(), compressed.size()),
@@ -266,12 +266,11 @@ throwsErrorWith(Fn &&fn, const std::string &part)
 
 TEST(Bwc, ZeroRunBombIsASizeMismatchNotAnAllocation)
 {
-    // A hand-built block: CRC, primary 1, a Huffman table over RUNA and
-    // EOB, then 40 RUNA digits (a run of 2^40 - 1 zeros) and EOB, for a
+    // A hand-built block: primary 1, a Huffman table over RUNA and EOB,
+    // then 40 RUNA digits (a run of 2^40 - 1 zeros) and EOB, for a
     // frame that declares 4096 bytes.
     std::vector<uint8_t> block;
     util::VectorSink sink(block);
-    util::writeLE<uint32_t>(sink, 0);
     util::writeVarint(sink, 1);
     std::vector<uint64_t> freq(comp::kRleAlphabet, 0);
     freq[comp::kRunA] = 40;
@@ -341,8 +340,8 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
 
     // The same through a stream whose one frame declares 2^24 raw
     // bytes (a size the framing itself finds plausible). Its frame
-    // index and CRC trailer are well formed, so the scan accepts the
-    // stream and the frame reaches the codec.
+    // index is well formed, so the scan accepts the stream and the
+    // frame reaches the codec.
     const uint64_t raw = uint64_t(1) << 24;
     std::vector<uint8_t> stream;
     util::VectorSink sink(stream);
@@ -354,7 +353,7 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
     util::writeVarint(sink, 1);
     util::writeVarint(sink, raw);
     util::writeVarint(sink, payload.size());
-    util::writeLE<uint32_t>(sink, 0); // CRC trailer, never reached
+    util::writeLE<uint32_t>(sink, 0); // the frame's CRC, never reached
     EXPECT_TRUE(throwsErrorWith(
         [&] {
             comp::decompressAll(comp::codecByName("bwc"), stream.data(),
@@ -366,7 +365,6 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
 /** A bwc frame cut into its fields. */
 struct BwcFrame
 {
-    uint32_t crc;
     std::vector<uint64_t> starts;
     std::vector<uint8_t> tail; ///< Huffman table and coded symbols
 };
@@ -377,7 +375,6 @@ splitFrame(const std::vector<uint8_t> &frame, size_t chains)
 {
     util::MemorySource src(frame.data(), frame.size());
     BwcFrame f;
-    f.crc = util::readLE<uint32_t>(src);
     for (size_t k = 0; k < chains; ++k)
         f.starts.push_back(util::readVarint(src));
     size_t used = frame.size() - src.remaining();
@@ -390,7 +387,6 @@ joinFrame(const BwcFrame &f)
 {
     std::vector<uint8_t> out;
     util::VectorSink sink(out);
-    util::writeLE<uint32_t>(sink, f.crc);
     for (uint64_t row : f.starts)
         util::writeVarint(sink, row);
     sink.write(f.tail.data(), f.tail.size());
@@ -418,9 +414,10 @@ bwcDecode(const std::vector<uint8_t> &frame, size_t n)
 
 TEST(Bwc, FramesCarryOneStartRowPer128KiB)
 {
-    // Around the chain length S = 2^17: after the CRC come exactly
+    // Around the chain length S = 2^17: a frame opens with exactly
     // ceil(n / S) start rows, then the Huffman table. The symbols
-    // behind them decode through the reference with those rows.
+    // behind them decode through the reference with those rows. The
+    // block's CRC-32 is not in the frame but in the stream's index.
     constexpr size_t S = comp::kBwtChainBytes;
     const std::pair<size_t, size_t> cases[] = {
         {S - 1, 1}, {S, 1},        {S + 1, 2},       {2 * S + 1, 3},
@@ -432,7 +429,6 @@ TEST(Bwc, FramesCarryOneStartRowPer128KiB)
                                : makeData(3, n, n);
             auto frame = bwcFrameOf(data);
             BwcFrame f = splitFrame(frame, chains);
-            EXPECT_EQ(f.crc, util::crc32(data.data(), n));
             for (uint64_t row : f.starts) {
                 EXPECT_GE(row, 1u);
                 EXPECT_LE(row, n);
@@ -449,6 +445,18 @@ TEST(Bwc, FramesCarryOneStartRowPer128KiB)
             EXPECT_TRUE(ref::decode(symbols, n, f.starts) == data)
                 << n << (planes ? " planes" : " text");
             EXPECT_TRUE(bwcDecode(frame, n) == data)
+                << n << (planes ? " planes" : " text");
+
+            auto stream = comp::compressAll(comp::codecByName("bwc"),
+                                            data.data(), n, n);
+            util::MemorySource scan(stream.data(), stream.size());
+            comp::StreamLayout layout = comp::scanSeekableStream(scan);
+            ASSERT_EQ(layout.frames.size(), 1u);
+            EXPECT_EQ(layout.frames[0].comp_size, frame.size());
+            EXPECT_EQ(layout.frames[0].crc, util::crc32(data.data(), n));
+            EXPECT_TRUE(comp::decompressAll(comp::codecByName("bwc"),
+                                            stream.data(),
+                                            stream.size()) == data)
                 << n << (planes ? " planes" : " text");
         }
     }
@@ -497,6 +505,58 @@ TEST(Lzh, DetectsCorruption)
                  util::Error);
 }
 
+TEST(Lzh, MatchBombIsASizeMismatchNotAnAllocation)
+{
+    // A hand-built block of one literal and 900,000 longest matches
+    // (258 bytes at distance 1), about 900 KB of codes that would
+    // expand to 232 MB, in a frame that declares 4096 bytes: within
+    // the framing's compressed-size bound, so the frame reaches the
+    // codec, which must stop at the declared size.
+    constexpr int kLiteral = 'x', kEob = 256, kLen258 = 257 + 15;
+    constexpr int kMatches = 900'000;
+    std::vector<uint8_t> block;
+    util::VectorSink sink(block);
+    std::vector<uint64_t> ll_freq(257 + 16, 0), d_freq(32, 0);
+    ll_freq[kLiteral] = 1;
+    ll_freq[kLen258] = kMatches;
+    ll_freq[kEob] = 1;
+    d_freq[0] = kMatches; // distance 1
+    comp::HuffmanEncoder ll(ll_freq), d(d_freq);
+    util::BitWriter bw(sink);
+    ll.writeTable(bw);
+    d.writeTable(bw);
+    ll.writeSymbol(bw, kLiteral);
+    for (int i = 0; i < kMatches; ++i) {
+        ll.writeSymbol(bw, kLen258);
+        bw.writeBits(254 - 192, 6); // length 258 = 4 + 192 + 62
+        d.writeSymbol(bw, 0);
+    }
+    ll.writeSymbol(bw, kEob);
+    bw.alignAndFlush();
+
+    const uint64_t raw = 4096;
+    std::vector<uint8_t> stream;
+    util::VectorSink ssink(stream);
+    util::writeVarint(ssink, raw + 1);
+    util::writeVarint(ssink, block.size());
+    ssink.write(block.data(), block.size());
+    util::writeVarint(ssink, 0);
+    ssink.writeByte(1); // frame index: one frame
+    util::writeVarint(ssink, 1);
+    util::writeVarint(ssink, raw);
+    util::writeVarint(ssink, block.size());
+    util::writeLE<uint32_t>(ssink, 0); // the frame's CRC, never reached
+
+    long before = peakRssKib();
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            comp::decompressAll(comp::codecByName("lzh"), stream.data(),
+                                stream.size());
+        },
+        "LZH block size mismatch"));
+    EXPECT_LT(peakRssKib() - before, 64 << 10) << "KiB";
+}
+
 TEST(Lzh, FindsLongMatches)
 {
     // Two copies of the same 32 KiB random block: the second copy
@@ -537,9 +597,9 @@ TEST(Stream, MultiBlockFraming)
 
 TEST(Stream, TrailingBytesAreRejected)
 {
-    // A stream ends with its CRC-32 trailer; decompressAll reads a
-    // whole stream and nothing else, so bytes after the trailer are an
-    // error, not ignored.
+    // A stream ends with its frame index; decompressAll reads a whole
+    // stream and nothing else, so bytes after the index are an error,
+    // not ignored.
     auto data = makeData(1, 10000, 8);
     auto stream = comp::compressAll(comp::codecByName("store"), data.data(),
                                     data.size(), 4096);
@@ -569,9 +629,10 @@ TEST(Stream, RawByteCountTracked)
 
 TEST(Stream, EveryTruncationIsAnError)
 {
-    // Cut a three-frame "store" stream (no per-block checksum) at every
-    // length: a cut at a frame boundary, in the frame index or in the
-    // CRC-32 trailer fails as surely as one inside a payload.
+    // Cut a three-frame "store" stream (no codec checksum) at every
+    // length: a cut at a frame boundary or in the frame index (a
+    // frame's CRC-32 included) fails as surely as one inside a
+    // payload.
     auto data = makeData(3, 5000, 10);
     auto stream = comp::compressAll(comp::codecByName("store"), data.data(),
                                     data.size(), 2048);
@@ -580,6 +641,38 @@ TEST(Stream, EveryTruncationIsAnError)
                                          stream.data(), keep),
                      util::Error)
             << "kept " << keep << " of " << stream.size() << " bytes";
+}
+
+TEST(Stream, EveryFrameIsCheckedAgainstItsIndexedCrc)
+{
+    // "store" frames hold their raw bytes, so only the index's CRC-32s
+    // can tell a changed frame. Flip one payload bit of each frame in
+    // turn, then swap two equal-size frames: the sizes still agree with
+    // the index, but the CRCs sit there by frame position.
+    auto data = makeData(0, 3 * 2048, 12);
+    const comp::Codec &store = comp::codecByName("store");
+    auto stream = comp::compressAll(store, data.data(), data.size(), 2048);
+    util::MemorySource scan(stream.data(), stream.size());
+    const comp::StreamLayout layout = comp::scanSeekableStream(scan);
+    ASSERT_EQ(layout.frames.size(), 3u);
+    const size_t header = 4; // varint(2049) and varint(2048)
+    for (size_t f = 0; f < 3; ++f) {
+        auto bad = stream;
+        bad[layout.comp_starts[f] + header + 100 * f] ^= 0x08;
+        EXPECT_TRUE(throwsErrorWith(
+            [&] { comp::decompressAll(store, bad.data(), bad.size()); },
+            "frame CRC mismatch"))
+            << "frame " << f;
+    }
+    auto swapped = stream;
+    std::swap_ranges(swapped.begin() + layout.comp_starts[0],
+                     swapped.begin() + layout.comp_starts[1],
+                     swapped.begin() + layout.comp_starts[2]);
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            comp::decompressAll(store, swapped.data(), swapped.size());
+        },
+        "frame CRC mismatch"));
 }
 
 TEST(Stream, TruncatedStreamThrows)

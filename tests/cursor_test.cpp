@@ -7,7 +7,8 @@
  * modes, a decode-counting codec proving that readRange decodes only
  * the frames covering the slice (and that opening an index decodes
  * nothing), corrupt-index
- * rejection at open, and N threads sharing one AtcIndex through
+ * rejection at open, frame CRC failures of every range and seek over a
+ * flipped or swapped frame, and N threads sharing one AtcIndex through
  * private cursors (the TSan target). The shared decoded-block cache
  * suite proves results are budget-independent (disabled/tiny/large),
  * that repeated seeks into a cache-resident working set decode zero
@@ -29,6 +30,7 @@
 #include "atc/index.hpp"
 #include "compress/codec.hpp"
 #include "parallel/thread_pool.hpp"
+#include "store_frames.hpp"
 #include "trace/pipeline.hpp"
 #include "util/rng.hpp"
 
@@ -422,6 +424,140 @@ TEST(IndexOpen, CrossLinkedChunkRejected)
     EXPECT_NE(index.status().message().find("truncated"),
               std::string::npos)
         << index.status().message();
+}
+
+// ------------------------------------------------------- frame CRCs
+
+/** @p store with chunk 0 replaced by @p chunk. */
+core::MemoryStore
+withChunk0(const core::MemoryStore &store, const std::vector<uint8_t> &chunk)
+{
+    core::MemoryStore out;
+    {
+        auto sink = out.createInfo();
+        sink->write(store.infoBytes().data(), store.infoBytes().size());
+        auto csink = out.createChunk(0);
+        csink->write(chunk.data(), chunk.size());
+    }
+    return out;
+}
+
+/** @return whether reading records [begin, end) of lossless @p index
+ *  decodes frame @p f: whether their transform buffers reach into it. */
+bool
+readsFrame(const core::AtcIndex &index, uint64_t begin, uint64_t end,
+           size_t f)
+{
+    const comp::StreamLayout &layout = index.chunkLayout(0);
+    const uint64_t b1 = index.bufferOf(end - 1);
+    const uint64_t first = index.bufferRawOffset(index.bufferOf(begin));
+    const uint64_t last = index.bufferRawOffset(b1) +
+                          util::varintLen(index.bufferLen(b1)) +
+                          8 * index.bufferLen(b1);
+    return first < layout.raw_starts[f + 1] && last > layout.raw_starts[f];
+}
+
+/** Seek @p cursor to @p begin and read @p out.size() records. */
+util::Status
+seekRead(trace::TraceCursor &cursor, uint64_t begin,
+         std::vector<uint64_t> &out)
+{
+    return util::toStatus([&] {
+        cursor.seek(begin).orThrow();
+        size_t got = 0;
+        while (got < out.size()) {
+            size_t n = cursor.read(out.data() + got, out.size() - got);
+            ATC_CHECK(n != 0, "trace ended early");
+            got += n;
+        }
+    });
+}
+
+TEST(FrameCrc, FlippedStoreFrameFailsEveryRangeAndSeekOverIt)
+{
+    // "store" has no codec checksum, so only the CRC-32 in the frame
+    // index covers a frame's bytes. Flip one bit in the middle of one
+    // frame: every range and seek that decodes it fails naming the CRC,
+    // and every other one returns the trace as written.
+    auto trace = makeTrace(40'000, 28);
+    auto store =
+        writeContainer(trace, makeOptions(core::Mode::Lossless, "store"));
+    std::vector<uint8_t> chunk = store.chunkBytes(0);
+    const comp::StreamLayout layout = test::layoutOf(chunk);
+    const size_t f = layout.frames.size() / 2;
+    chunk[test::payloadStart(layout, f) + layout.frames[f].comp_size / 2] ^=
+        0x10;
+    auto bad = withChunk0(store, chunk);
+    auto opened = core::AtcIndex::open(bad);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    const auto &index = opened.value();
+    auto cursor = index->cursor();
+
+    size_t covering = 0;
+    for (uint64_t begin = 0; begin + 1000 <= trace.size(); begin += 997) {
+        const uint64_t end = begin + 1000;
+        const bool covers = readsFrame(*index, begin, end, f);
+        covering += covers;
+        std::vector<uint64_t> range;
+        util::Status st = cursor->readRange(begin, end, range);
+        std::vector<uint64_t> seeked(1000);
+        util::Status sst = seekRead(*cursor, begin, seeked);
+        for (const util::Status *s : {&st, &sst}) {
+            if (covers)
+                ASSERT_FALSE(s->ok()) << "records " << begin;
+            if (!s->ok())
+                EXPECT_NE(s->message().find("frame CRC mismatch"),
+                          std::string::npos)
+                    << s->message();
+        }
+        if (st.ok())
+            EXPECT_TRUE(std::equal(range.begin(), range.end(),
+                                   trace.begin() + begin))
+                << "records " << begin;
+        if (sst.ok())
+            EXPECT_TRUE(std::equal(seeked.begin(), seeked.end(),
+                                   trace.begin() + begin))
+                << "records " << begin;
+    }
+    EXPECT_GE(covering, 2u);
+}
+
+TEST(FrameCrc, SwappedFramesFailARangeOverThem)
+{
+    // Swap two equal-size "store" frames in the file and leave the
+    // index alone: every header still agrees with the index, but the
+    // index keeps each CRC-32 by frame position.
+    auto trace = makeTrace(40'000, 29);
+    auto store =
+        writeContainer(trace, makeOptions(core::Mode::Lossless, "store"));
+    std::vector<uint8_t> chunk = store.chunkBytes(0);
+    const comp::StreamLayout layout = test::layoutOf(chunk);
+    ASSERT_GT(layout.frames.size(), 8u);
+    const auto &starts = layout.comp_starts;
+    ASSERT_EQ(starts[2] - starts[1], starts[4] - starts[3]);
+    std::swap_ranges(chunk.begin() + starts[1], chunk.begin() + starts[2],
+                     chunk.begin() + starts[3]);
+    auto bad = withChunk0(store, chunk);
+    auto opened = core::AtcIndex::open(bad);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    const auto &index = opened.value();
+    auto cursor = index->cursor();
+
+    std::vector<uint64_t> out;
+    for (auto [begin, end] : {std::pair<uint64_t, uint64_t>{0, 40'000},
+                              {0, 10},
+                              {1600, 1700}}) {
+        ASSERT_TRUE(readsFrame(*index, begin, end, 1) ||
+                    readsFrame(*index, begin, end, 3));
+        util::Status st = cursor->readRange(begin, end, out);
+        ASSERT_FALSE(st.ok()) << begin;
+        EXPECT_NE(st.message().find("frame CRC mismatch"), std::string::npos)
+            << st.message();
+    }
+    // Past the swapped frames the trace reads as written.
+    ASSERT_FALSE(readsFrame(*index, 39'000, 40'000, 3));
+    ASSERT_TRUE(cursor->readRange(39'000, 40'000, out).ok());
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), trace.begin() + 39'000));
 }
 
 // ------------------------------------------------------- empty trace

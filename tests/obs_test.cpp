@@ -1,7 +1,8 @@
 // Unit tests for the observability layer: bucket math exactness,
 // disabled-mode behaviour, text/JSON encoding round-trips, concurrent
-// record vs snapshot churn (the TSan target), and docs/metrics.md
-// naming every key a threaded write and read register.
+// record vs snapshot churn (the TSan target), lossy reads counting only
+// chunk-cache lookups in cache.*, and docs/metrics.md naming every key
+// a threaded write and read register.
 
 #include <gtest/gtest.h>
 
@@ -217,6 +218,55 @@ TEST(ObsHistogram, QuantileFromBuckets)
         reg.snapshot().histograms.at("q.lat_us");
     EXPECT_EQ(hv.quantile(0.5), 2u);
     EXPECT_EQ(hv.quantile(0.99), 512u);
+}
+
+TEST(ObsCache, LossyReadsCountOnlyChunkCacheLookups)
+{
+    if (!obs::kCompiledIn)
+        GTEST_SKIP() << "built with ATC_OBS_OFF";
+    EnabledGuard guard;
+    obs::setEnabled(true);
+
+    // A lossy chunk's frames decode once per chunk, and the chunk cache
+    // keeps its records, so the frame cache stays empty in lossy mode.
+    // A lossy read must not look it up either, or each frame's miss
+    // would land in cache.misses beside its chunk's.
+    std::vector<uint64_t> addrs(40'000);
+    uint64_t base = 0x10000000;
+    for (size_t i = 0; i < addrs.size(); ++i)
+        addrs[i] = (base += (i * 2654435761u) % 512) & 0x3FFFFFFF;
+    core::AtcOptions opt;
+    opt.mode = core::Mode::Lossy;
+    opt.pipeline.codec_block = 4096; // several frames per chunk
+    opt.pipeline.buffer_addrs = 1000;
+    opt.lossy.interval_len = 5000;
+    core::MemoryStore store;
+    {
+        core::AtcWriter writer(store, opt);
+        writer.write(addrs.data(), addrs.size());
+        writer.close();
+    }
+    auto index = core::AtcIndex::openOrThrow(store, core::IndexOptions{});
+    ASSERT_GT(index->chunkLayout(0).frames.size(), 1u);
+
+    obs::Snapshot before = obs::Registry::global().snapshot();
+    auto cursor = index->cursor();
+    std::vector<uint64_t> buf(4096);
+    size_t total = 0;
+    while (size_t got = cursor->read(buf.data(), buf.size()))
+        total += got;
+    EXPECT_EQ(total, addrs.size());
+    std::vector<uint64_t> range;
+    ASSERT_TRUE(cursor->readRange(12'000, 23'000, range).ok());
+    obs::Snapshot delta = obs::Registry::global().snapshot().since(before);
+
+    core::BlockCacheStats frames = index->frameCache().stats();
+    EXPECT_EQ(frames.hits + frames.misses, 0u);
+    core::BlockCacheStats chunks = index->chunkCache().stats();
+    EXPECT_GT(chunks.misses, 0u);
+    EXPECT_EQ(delta.value("cache.misses"),
+              static_cast<int64_t>(chunks.misses));
+    EXPECT_EQ(delta.value("cache.hits"), static_cast<int64_t>(chunks.hits));
 }
 
 TEST(ObsDocs, EveryKeyTheLibraryRegistersIsDocumented)

@@ -7,11 +7,12 @@
  * counts (the shared block cache off, so only the readahead window
  * feeds the pool), the pooled full scan's cache policy, mid-stream
  * cancellation without deadlock, cursors outliving their reader,
- * rejection of pre-v4 containers, seekable-framing corruption probes
+ * rejection of pre-v6 containers, seekable-framing corruption probes
  * (mismatched compressed lengths, truncated/corrupt frame index), a
  * structural proof that lossless decode overlaps frame decodes, and
- * the integrity satellites (CRC trailer verification, a pooled chunk
- * or frame error repeated on retry, empty/truncated chunk files), and
+ * the integrity satellites (per-frame CRC verification, a missing
+ * frame index, a pooled chunk or frame error repeated on retry,
+ * empty/truncated chunk files), and
  * the caller helping its pool: runOne(), shutdown while a caller
  * helps, and a pooled full read that completes with the pool's only
  * worker parked.
@@ -436,10 +437,10 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
 {
     // Frozen sizes and CRC-32s of reference containers. The identity
     // sweeps above compare two runs of one code path, which could
-    // drift together; these constants cannot. The chunks of 16 and
-    // 64 KiB frames hold one start row per frame and are unchanged
-    // since container v3, and every chunk is unchanged since v4; the
-    // v5 INFO payload is framed like a chunk stream.
+    // drift together; these constants cannot. Since v6 each frame's
+    // CRC-32 sits in its stream's frame index, not in the bwc block;
+    // bwc frames carry one start row per 2^17 bytes (v4), and the
+    // INFO payload is framed like a chunk stream (v5).
     auto bwc_trace = makeTrace(60'000, 101);
     auto bwc_opt = makeOptions(core::Mode::Lossless, bwc_trace.size());
     auto big_trace = makeTrace(60'000, 102);
@@ -456,16 +457,16 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
     for (size_t threads : {size_t(0), size_t(1), size_t(2), size_t(8)}) {
         // 30 frames of 16 KiB, the last one 4897 bytes.
         expectPinned(writeParallel(bwc_trace, bwc_opt, threads),
-                     {193, 0x3832d1d7u}, {{99388, 0xfeab030au}},
+                     {189, 0x0b19f67fu}, {{99384, 0x6ae38470u}},
                      threads);
         // 8 frames of 64 KiB, the last one 21281 bytes.
         expectPinned(writeParallel(big_trace, big_opt, threads),
-                     {203, 0xefd85382u}, {{93571, 0x7db649cdu}},
+                     {199, 0x8e534c8bu}, {{93567, 0xf2e12324u}},
                      threads);
         // 4 frames of 256 KiB, the last one 173601 bytes: two start
         // rows in each.
         expectPinned(writeParallel(chains_trace, chains_opt, threads),
-                     {203, 0x4f185f2bu}, {{178991, 0x6bd19a03u}},
+                     {199, 0x1f621c67u}, {{178987, 0xc809583eu}},
                      threads);
         core::MemoryStore lossy;
         {
@@ -475,10 +476,10 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
             EXPECT_EQ(writer.lossyStats().intervals, 8u);
             EXPECT_EQ(writer.lossyStats().imitated, 5u);
         }
-        expectPinned(lossy, {3533, 0x25ccef57u},
-                     {{15585, 0x26b3efeeu},
-                      {15621, 0x5d14ca6eu},
-                      {549, 0x093bcce3u}},
+        expectPinned(lossy, {3529, 0x13b4f166u},
+                     {{15581, 0xc0d2067bu},
+                      {15617, 0x5d8da252u},
+                      {545, 0x18ee71b8u}},
                      threads);
     }
 }
@@ -699,8 +700,8 @@ TEST_P(ThreadSweep, CursorsOutliveTheirReader)
 
 TEST(Integrity, StoreCodecCorruptionIsLoud)
 {
-    // "store" has no per-block CRC; before the stream trailer, a flip
-    // in the payload came back as silently corrupt data.
+    // "store" has no codec checksum; a flip in the payload fails the
+    // CRC-32 that the frame index keeps for its frame.
     auto addrs = makeTrace(20'000, 51);
     auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
@@ -733,29 +734,33 @@ TEST(Integrity, StoreCodecCorruptionIsLoud)
         << failure.message();
 }
 
-TEST(Integrity, MissingCrcTrailerRejected)
+TEST(Integrity, MissingFrameIndexRejected)
 {
+    // The frame index holds the only CRC-32 of each frame, so a chunk
+    // cut at a frame boundary — before its terminator, or between the
+    // terminator and the index — is refused at open, before any frame
+    // could be served unchecked.
     auto addrs = makeTrace(10'000, 52);
     auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
-
-    core::MemoryStore bad;
-    {
-        auto sink = bad.createInfo();
-        sink->write(store.infoBytes().data(), store.infoBytes().size());
-        auto chunk = store.chunkBytes(0);
-        chunk.resize(chunk.size() - 4); // drop the trailer
-        auto csink = bad.createChunk(0);
-        csink->write(chunk.data(), chunk.size());
-    }
-    EXPECT_THROW(
+    const std::vector<uint8_t> &chunk = store.chunkBytes(0);
+    util::MemorySource scan(chunk.data(), chunk.size());
+    const uint64_t terminator =
+        comp::scanSeekableStream(scan).comp_starts.back();
+    for (uint64_t keep : {terminator, terminator + 1}) {
+        core::MemoryStore bad;
         {
-            core::AtcReader reader(bad);
-            uint64_t v;
-            while (reader.decode(&v)) {
-            }
-        },
-        util::Error);
+            auto sink = bad.createInfo();
+            sink->write(store.infoBytes().data(), store.infoBytes().size());
+            auto csink = bad.createChunk(0);
+            csink->write(chunk.data(), static_cast<size_t>(keep));
+        }
+        auto reader = core::AtcReader::open(bad);
+        ASSERT_FALSE(reader.ok()) << keep;
+        EXPECT_NE(reader.status().message().find("truncated"),
+                  std::string::npos)
+            << reader.status().message();
+    }
 }
 
 TEST(Integrity, EmptyChunkInMemoryStoreRejected)
@@ -867,14 +872,15 @@ TEST(Integrity, TruncatedContainerReportsCount)
 
 TEST(ContainerVersions, UnsupportedVersionsRejected)
 {
-    // The version byte follows the 4-byte magic. Only v5 is read, so
+    // The version byte follows the 4-byte magic. Only v6 is read, so
     // any other version must fail open loudly.
     auto addrs = makeTrace(5'000, 71);
     auto store = writeSerial(
         addrs, makeOptions(core::Mode::Lossless, addrs.size()));
     ASSERT_EQ(store.infoBytes().at(4), core::kContainerVersion);
     for (uint8_t version :
-         {uint8_t(1), uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(6)}) {
+         {uint8_t(1), uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(5),
+          uint8_t(7)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -894,17 +900,19 @@ TEST(ContainerVersions, UnsupportedVersionsRejected)
     }
 }
 
-TEST(ContainerVersions, V3AndV4PreamblesAreRefusedAtOpen)
+TEST(ContainerVersions, V3ToV5PreamblesAreRefusedAtOpen)
 {
     // A v3 reader took a bwc frame's second start row for the start of
-    // its Huffman table, and a v4 reader reads INFO's payload as legacy
-    // frames. Either preamble is refused before any frame is read.
-    EXPECT_EQ(core::kContainerVersion, 5u);
+    // its Huffman table, a v4 reader reads INFO's payload as legacy
+    // frames, and a v5 reader reads a block CRC where v6 keeps the
+    // first start row. Each preamble is refused before any frame is
+    // read.
+    EXPECT_EQ(core::kContainerVersion, 6u);
     auto addrs = makeTrace(40'000, 72);
     auto store = writeSerial(addrs, makeOptions(core::Mode::Lossless,
                                                 addrs.size(),
                                                 "bwc:block=256k"));
-    for (uint8_t version : {uint8_t(3), uint8_t(4)}) {
+    for (uint8_t version : {uint8_t(3), uint8_t(4), uint8_t(5)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -919,7 +927,7 @@ TEST(ContainerVersions, V3AndV4PreamblesAreRefusedAtOpen)
         ASSERT_FALSE(reader.ok());
         EXPECT_NE(reader.status().message().find(
                       "unsupported ATC container version " +
-                      std::to_string(version) + " (only v5 is read)"),
+                      std::to_string(version) + " (only v6 is read)"),
                   std::string::npos)
             << reader.status().message();
     }
@@ -1021,7 +1029,8 @@ TEST_P(SeekableIntegrity, TruncatedFrameIndexRejected)
     auto opt = makeOptions(GetParam(), addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
 
-    // Chop the CRC trailer plus a slice of the frame index.
+    // Chop the tail of the frame index: the last entry's CRC-32 and
+    // sizes.
     auto chunk = store.chunkBytes(0);
     ASSERT_GT(chunk.size(), 12u);
     chunk.resize(chunk.size() - 10);
@@ -1039,9 +1048,9 @@ TEST_P(SeekableIntegrity, CorruptFrameIndexEntryRejected)
     auto opt = makeOptions(GetParam(), addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
 
-    // Flip the low bit of the index's last varint byte (just before
-    // the 4-byte CRC trailer): the recorded sizes no longer match the
-    // frames actually decoded.
+    // Flip the low bit of the last entry's compressed size (its last
+    // varint byte, just before the entry's 4-byte CRC-32): the recorded
+    // sizes no longer match the frames actually decoded.
     auto chunk = store.chunkBytes(0);
     ASSERT_GT(chunk.size(), 5u);
     chunk[chunk.size() - 5] ^= 0x01;
@@ -1053,15 +1062,35 @@ TEST_P(SeekableIntegrity, CorruptFrameIndexEntryRejected)
         << failure.message();
 }
 
+TEST_P(SeekableIntegrity, CorruptFrameCrcInTheIndexRejected)
+{
+    // Flip a bit of the last entry's stored CRC-32, the stream's last
+    // byte. The index still agrees with the frame headers, so the
+    // container opens; the last frame then fails its own decode.
+    auto addrs = makeTrace(20'000, 86);
+    auto opt = makeOptions(GetParam(), addrs.size(), "store");
+    auto store = writeSerial(addrs, opt);
+    auto chunk = store.chunkBytes(0);
+    chunk.back() ^= 0x40;
+
+    auto bad = withChunk0(store, chunk);
+    ASSERT_TRUE(core::AtcReader::open(bad).ok());
+    util::Status failure = drainExpectFailure(bad);
+    ASSERT_FALSE(failure.ok());
+    EXPECT_NE(failure.message().find("frame CRC mismatch"),
+              std::string::npos)
+        << failure.message();
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, SeekableIntegrity,
                          testing::Values(core::Mode::Lossless,
                                          core::Mode::Lossy));
 
 TEST_P(ThreadSweep, PooledReadReportsCrcMismatch)
 {
-    // Payload corruption under "store" (no per-block checksum) must be
-    // caught by the CRC trailer verified across the *reassembled*
-    // stream of a pooled sequential read.
+    // Payload corruption under "store" (no codec checksum) must be
+    // caught by the frame's CRC-32 wherever the pooled read decodes
+    // it.
     auto addrs = makeTrace(30'000, 84);
     auto opt = makeOptions(core::Mode::Lossless, addrs.size(), "store");
     auto store = writeSerial(addrs, opt);
@@ -1083,10 +1112,8 @@ TEST_P(ThreadSweep, PooledReadReportsCrcMismatch)
             break;
     }
     ASSERT_FALSE(failure.ok());
-    // Depending on where the flip lands, either the CRC check or a
-    // frame-size probe fires; both must be loud.
-    EXPECT_TRUE(failure.message().find("CRC") != std::string::npos ||
-                failure.message().find("mismatch") != std::string::npos)
+    EXPECT_NE(failure.message().find("frame CRC mismatch"),
+              std::string::npos)
         << failure.message();
 }
 

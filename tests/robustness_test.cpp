@@ -13,6 +13,7 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "cache/filter.hpp"
+#include "store_frames.hpp"
 #include "trace/suite.hpp"
 #include "util/rng.hpp"
 
@@ -77,7 +78,7 @@ drain(core::MemoryStore &store)
 /**
  * Flip one byte of chunk @p chunk at each of @p positions: every
  * outcome must be either a throw or — never — a silent wrong-length or
- * wrong-content success. The chunk CRC makes corruption loud.
+ * wrong-content success. The frame CRCs make corruption loud.
  */
 void
 expectFlipsDetected(core::MemoryStore &base,
@@ -132,12 +133,23 @@ TEST_P(CorruptionSweep, ChunkBitFlipsNeverSilentlyAccepted)
 TEST_P(CorruptionSweep, BigBlockChunkBitFlipsNeverSilentlyAccepted)
 {
     // 256 KiB codec blocks: the first frame carries two start rows.
-    // Besides the spread, flip every byte of the first frame's header,
-    // CRC and start rows.
+    // Besides the spread, flip every byte of the first frame's header
+    // and start rows, and of the frame index, whose entries hold each
+    // frame's CRC-32.
     auto base =
         makeContainer(core::Mode::Lossless, 40'000, GetParam(), 256 << 10);
-    auto positions = spreadPositions(base.chunkBytes(0).size());
-    for (size_t pos = 0; pos < 16; ++pos)
+    const std::vector<uint8_t> &chunk = base.chunkBytes(0);
+    util::MemorySource src(chunk.data(), chunk.size());
+    util::readVarint(src); // raw size + 1
+    util::readVarint(src); // compressed size
+    util::readVarint(src); // start rows
+    util::readVarint(src);
+    const size_t rows_end = chunk.size() - src.remaining();
+    const size_t index_at = test::layoutOf(chunk).comp_starts.back();
+    auto positions = spreadPositions(chunk.size());
+    for (size_t pos = 0; pos < rows_end; ++pos)
+        positions.push_back(pos);
+    for (size_t pos = index_at; pos < chunk.size(); ++pos)
         positions.push_back(pos);
     expectFlipsDetected(base, positions);
 }
@@ -175,9 +187,9 @@ readAll(core::MemoryStore &store)
 
 TEST_P(CorruptionSweep, StoreInfoBitFlipsNeverReadAsADifferentTrace)
 {
-    // "store" chunks carry no per-block checksum, so INFO's own CRC-32
-    // is what stands between a flipped transform id, buffer size or
-    // count and a silently different trace. Flip every bit of the INFO
+    // "store" has no codec checksum, so the CRC-32s in INFO's frame
+    // index are what stand between a flipped transform id, buffer size
+    // or count and a silently different trace. Flip every bit of the INFO
     // payload (everything after the preamble's codec spec).
     core::MemoryStore base;
     core::AtcOptions opt;
@@ -220,9 +232,9 @@ peakRssKib()
 TEST(Robustness, StoreInfoSizeBombIsOneStatusError)
 {
     // A crafted "store"-codec INFO whose one frame declares 256 MiB
-    // over 8 payload bytes. Its frame index and trailer are well
-    // formed, so the frame reaches the codec, which must fail on the
-    // bytes it can read instead of sizing its output by the claim.
+    // over 8 payload bytes. Its frame index is well formed, so the
+    // frame reaches the codec, which must fail on the bytes it can read
+    // instead of sizing its output by the claim.
     const uint64_t declared = uint64_t(256) << 20;
     std::vector<uint8_t> info = {'A', 'T', 'C', 'T',
                                  core::kContainerVersion,
@@ -238,7 +250,7 @@ TEST(Robustness, StoreInfoSizeBombIsOneStatusError)
     util::writeVarint(sink, 1);
     util::writeVarint(sink, declared);
     util::writeVarint(sink, payload.size());
-    util::writeLE<uint32_t>(sink, 0); // CRC trailer, never reached
+    util::writeLE<uint32_t>(sink, 0); // the frame's CRC, never reached
 
     core::MemoryStore bad;
     bad.createInfo()->write(info.data(), info.size());
@@ -287,7 +299,6 @@ TEST(Robustness, CorruptStartRowsFailAsOneStatus)
     const uint64_t n = util::readVarint(src) - 1; // raw size + 1
     util::readVarint(src);                         // compressed size
     ASSERT_EQ(n, 256u << 10);
-    src.skip(4);                                   // block CRC
     const size_t at0 = chunk.size() - src.remaining();
     const uint64_t start0 = util::readVarint(src);
     const size_t at1 = chunk.size() - src.remaining();
@@ -339,7 +350,7 @@ TEST(Robustness, InfoBitFlipsThrowOrPreserveContent)
         auto bad = corruptCopy(base, true, pos, 0x01);
         try {
             size_t n = drain(bad);
-            // INFO integrity is protected by the codec CRC except the
+            // INFO integrity is protected by the frame CRCs except the
             // tiny uncompressed preamble; a surviving flip must not
             // change the value count.
             EXPECT_EQ(n, expect) << "at byte " << pos;
@@ -423,9 +434,10 @@ TEST(Robustness, ForgedChunkCountIsOneStatusError)
 
 /**
  * A "store"-codec lossless container whose first transform-buffer
- * length varint is overwritten in place with 2^61 + 1 (nine bytes):
- * the frame sizes still agree with the index, but 8 * n wraps and a
- * buffer of n records cannot be allocated.
+ * length varint is overwritten in place with 2^61 + 1 (nine bytes),
+ * its frame CRC restamped: the frame sizes and CRC still agree with
+ * the index, but 8 * n wraps and a buffer of n records cannot be
+ * allocated.
  */
 core::MemoryStore
 craftedBufferLength()
@@ -451,6 +463,7 @@ craftedBufferLength()
     util::writeVarint(sink, (uint64_t(1) << 61) + 1);
     EXPECT_EQ(varint.size(), 9u);
     std::copy(varint.begin(), varint.end(), chunk.begin() + at);
+    test::restampStoreCrcs(chunk);
 
     core::MemoryStore out;
     auto info = out.createInfo();

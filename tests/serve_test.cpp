@@ -7,7 +7,7 @@
  * opcodes, bad versions, malformed bodies, bad handles, unknown
  * containers, out-of-range requests, mid-request disconnects — each
  * answered with the documented status code (or a clean close) and
- * never a crash, session reaping observed through STAT counters, the
+ * never a crash, a flipped frame failing every served read over it, session reaping observed through STAT counters, the
  * shared decoded-block cache visible through AtcIndex::cacheStats(),
  * and the admission-control bound: with a sleepy codec making decodes
  * expensive, a seek client's p99 latency under a flooding pipelined
@@ -30,6 +30,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
+#include "store_frames.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -401,8 +402,9 @@ TEST(Serve, ErrorStatusGrid)
 
 /**
  * A "store"-codec container whose first transform-buffer length varint
- * is overwritten in place with 2^61 + 1: the index opens (every frame
- * size still agrees), but decoding the buffer once killed the daemon.
+ * is overwritten in place with 2^61 + 1, its frame CRC restamped: the
+ * index opens and the frame passes its check, but decoding the buffer
+ * once killed the daemon.
  */
 core::MemoryStore
 craftedBufferLength(const std::vector<uint64_t> &trace)
@@ -418,6 +420,7 @@ craftedBufferLength(const std::vector<uint64_t> &trace)
     util::VectorSink sink(varint);
     util::writeVarint(sink, (uint64_t(1) << 61) + 1);
     std::copy(varint.begin(), varint.end(), chunk.begin() + at);
+    test::restampStoreCrcs(chunk);
 
     core::MemoryStore out;
     auto info = out.createInfo();
@@ -453,6 +456,55 @@ TEST(Serve, CraftedContainerFailsOneRequestNotTheDaemon)
     ASSERT_TRUE(other.readRange(healthy.value().handle, 0, 100, out).ok());
     EXPECT_TRUE(std::equal(out.begin(), out.end(), trace.begin()));
     EXPECT_TRUE(hostile.ping().ok());
+    server.stop();
+}
+
+TEST(Serve, FlippedFrameFailsEveryServedReadOverIt)
+{
+    // A "store" frame has no codec checksum; only its CRC-32 in the
+    // frame index covers it. With one payload bit flipped, a served
+    // READ_RANGE or SEEK over the frame returns an error naming the
+    // CRC, never records.
+    auto trace = makeTrace(20'000, 26);
+    auto good =
+        writeContainer(trace, makeOptions(core::Mode::Lossless, "store"));
+    std::vector<uint8_t> chunk = good.chunkBytes(0);
+    const comp::StreamLayout layout = test::layoutOf(chunk);
+    const size_t f = layout.frames.size() / 2;
+    const uint64_t at = layout.frames[f].comp_size / 2;
+    chunk[test::payloadStart(layout, f) + at] ^= 0x10;
+    core::MemoryStore bad;
+    {
+        auto info = bad.createInfo();
+        info->write(good.infoBytes().data(), good.infoBytes().size());
+        auto csink = bad.createChunk(0);
+        csink->write(chunk.data(), chunk.size());
+    }
+    // The transform buffer holding the flipped byte: 777 records of
+    // varint(777) + 8 * 777 bytes each.
+    const uint64_t buffer_bytes = util::varintLen(777) + 8 * 777;
+    const uint64_t first = (layout.raw_starts[f] + at) / buffer_bytes * 777;
+
+    TraceServer server;
+    startServer(server, bad);
+    ServeClient client = connectOrDie(server);
+    auto remote = client.open("t");
+    ASSERT_TRUE(remote.ok()) << remote.status().message();
+    const uint32_t handle = remote.value().handle;
+    std::vector<uint64_t> out;
+    for (auto [begin, end] : {std::pair<uint64_t, uint64_t>{first, first + 1},
+                              {first + 700, first + 800},
+                              {0, trace.size()}}) {
+        util::Status st = client.readRange(handle, begin, end, out);
+        ASSERT_FALSE(st.ok()) << begin;
+        EXPECT_NE(st.message().find("frame CRC mismatch"), std::string::npos)
+            << st.message();
+    }
+    util::Status st = client.seekRead(handle, first, 100, out);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("frame CRC mismatch"), std::string::npos)
+        << st.message();
+    EXPECT_TRUE(client.ping().ok());
     server.stop();
 }
 

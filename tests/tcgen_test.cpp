@@ -177,8 +177,8 @@ TEST(Tcgen, TruncatedStreamIsAnErrorNotAShorterTrace)
 {
     // "store" has no per-block checksum, so only the framing can tell
     // a cut stream from a short one. The 50,000-byte code stream is 13
-    // frames of 4096 bytes; cut it after 3 whole frames, or just
-    // before its CRC-32 trailer.
+    // frames of 4096 bytes; cut it after 3 whole frames, or inside its
+    // frame index (the last frame's CRC-32).
     std::vector<uint64_t> trace;
     util::Rng rng(17);
     for (int i = 0; i < 50'000; ++i)
