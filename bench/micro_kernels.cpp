@@ -10,11 +10,13 @@
  * Table 2's throughput numbers and the targets of the hot-loop tuning.
  *
  * Self-contained: each row is the median of 7 runs after an untimed
- * warm-up, timed in the calling thread's CPU time (every kernel here
- * is single-threaded, so time spent waiting for a core of a shared
- * machine is left out), and emitted in the shared JSON shape so the CI
- * perf-trajectory job archives kernel throughput next to
- * parallel_throughput.json.
+ * warm-up, with the 2nd and 6th fastest of the 7 as its spread
+ * (seconds_q1 / seconds_q3), so a change can be read against the
+ * row's own spread. Runs are timed in the calling thread's CPU time
+ * (every kernel here is single-threaded, so time spent waiting for a
+ * core of a shared machine is left out), and emitted in the shared
+ * JSON shape so the CI perf-trajectory job archives kernel throughput
+ * next to parallel_throughput.json.
  *
  * Every row checks its output. The suite rows compare each decoded
  * byte, so a small run (ATC_BENCH_SCALE=0.05, as ctest's
@@ -78,11 +80,12 @@ struct Row
     std::string kernel;
     size_t n;       ///< items processed per run (bytes or addresses)
     double secs;    ///< median thread-CPU seconds for one run
+    double q1, q3;  ///< 2nd and 6th of the 7 sorted run times
     double m_per_s; ///< items per second, in millions
 };
 
 /** Time @p fn over @p n items and record one row: the median thread
- *  CPU time of 7 runs after an untimed warm-up. */
+ *  CPU time of 7 runs after an untimed warm-up, and its spread. */
 template <typename Fn>
 void
 runKernel(std::vector<Row> &rows, const char *name, size_t n, Fn &&fn)
@@ -94,12 +97,12 @@ runKernel(std::vector<Row> &rows, const char *name, size_t n, Fn &&fn)
         fn();
         run = bench::threadCpuSeconds() - t0;
     }
-    std::nth_element(runs.begin(), runs.begin() + 3, runs.end());
+    std::sort(runs.begin(), runs.end());
     double secs = runs[3];
-    rows.push_back(
-        {name, n, secs, static_cast<double>(n) / secs / 1e6});
-    std::fprintf(stderr, "  %-22s %8.4fs  %9.3f M/s\n", name, secs,
-                 rows.back().m_per_s);
+    rows.push_back({name, n, secs, runs[1], runs[5],
+                    static_cast<double>(n) / secs / 1e6});
+    std::fprintf(stderr, "  %-22s %8.4fs [%.4f, %.4f]  %9.3f M/s\n", name,
+                 secs, runs[1], runs[5], rows.back().m_per_s);
 }
 
 } // namespace
@@ -292,8 +295,9 @@ main(int argc, char **argv)
         const Row &r = rows[i];
         std::fprintf(json,
                      "    {\"kernel\": \"%s\", \"items\": %zu, "
-                     "\"seconds\": %.5f, \"mitems_per_s\": %.3f}%s\n",
-                     r.kernel.c_str(), r.n, r.secs, r.m_per_s,
+                     "\"seconds\": %.5f, \"seconds_q1\": %.5f, "
+                     "\"seconds_q3\": %.5f, \"mitems_per_s\": %.3f}%s\n",
+                     r.kernel.c_str(), r.n, r.secs, r.q1, r.q3, r.m_per_s,
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");

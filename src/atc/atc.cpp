@@ -16,8 +16,8 @@ namespace {
  * ceil((threads + 1) / 3) + 1 inverse transforms, a lossless writer
  * 2 * threads + 1 codec frames and 2 forward-transform batches, a lossy
  * writer 2 * threads signatures and 2 * threads chunks. A reading or
- * writing thread then waits only in ThreadPool::wait(), where it runs
- * queued tasks.
+ * writing thread then waits only in parallel::Task::get(), where it
+ * runs queued tasks.
  */
 std::shared_ptr<parallel::ThreadPool>
 makePool(size_t threads)

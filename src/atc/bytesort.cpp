@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/status.hpp"
 
 namespace atc::core {
@@ -343,14 +342,6 @@ TransformEncoder::TransformEncoder(Transform transform, size_t buffer_addrs,
     filling_.addrs.reserve(batch_addrs_);
 }
 
-TransformEncoder::~TransformEncoder()
-{
-    // Pool tasks write into the pending batches' arrays.
-    for (Batch &batch : pending_)
-        if (pool_ != nullptr && batch.transformed.valid())
-            pool_->wait(batch.transformed);
-}
-
 void
 TransformEncoder::write(const uint64_t *addrs, size_t n)
 {
@@ -370,15 +361,17 @@ TransformEncoder::write(const uint64_t *addrs, size_t n)
 void
 TransformEncoder::launch()
 {
-    Batch &batch = pending_.emplace_back(std::move(filling_));
-    size_t n = batch.addrs.size();
-    batch.planes.resize(8 * n);
-    batch.transformed = parallel::launch(
-        pool_, [transform = transform_, capacity = capacity_, n,
-                addrs = batch.addrs.data(), planes = batch.planes.data()] {
+    Batch batch = std::move(filling_);
+    batch.planes.resize(8 * batch.addrs.size());
+    pending_.emplace_back(
+        pool_, [transform = transform_, capacity = capacity_,
+                batch = std::move(batch)]() mutable {
+            size_t n = batch.addrs.size();
             for (size_t off = 0; off < n; off += capacity)
-                forward(transform, addrs + off, std::min(capacity, n - off),
-                        planes + 8 * off);
+                forward(transform, batch.addrs.data() + off,
+                        std::min(capacity, n - off),
+                        batch.planes.data() + 8 * off);
+            return std::move(batch);
         });
     drain(pool_ != nullptr ? 1 : 0);
     filling_ = std::exchange(spare_, {});
@@ -390,8 +383,8 @@ void
 TransformEncoder::drain(size_t keep)
 {
     while (pending_.size() > keep) {
-        Batch &batch = pending_.front();
-        parallel::await(pool_, batch.transformed);
+        Batch batch = std::move(pending_.front().get());
+        pending_.pop_front();
         size_t n = batch.addrs.size();
         for (size_t off = 0; off < n; off += capacity_) {
             size_t len = std::min(capacity_, n - off);
@@ -400,7 +393,6 @@ TransformEncoder::drain(size_t keep)
             out_.write(batch.planes.data() + 8 * off, 8 * len);
         }
         spare_ = std::move(batch);
-        pending_.pop_front();
     }
 }
 
@@ -422,14 +414,6 @@ TransformDecoder::TransformDecoder(Transform transform, util::ByteSource &in,
     : transform_(transform), in_(in), max_buffer_(max_buffer), pool_(pool),
       depth_(ringDepth(pool))
 {
-}
-
-TransformDecoder::~TransformDecoder()
-{
-    // Pool tasks write into the ring's arrays.
-    for (Slot &slot : ring_)
-        if (slot.inverted.valid())
-            pool_->wait(slot.inverted);
 }
 
 bool
@@ -461,19 +445,6 @@ TransformDecoder::readBuffer(Slot &slot)
 }
 
 void
-TransformDecoder::launch(Slot &slot)
-{
-    auto task = [transform = transform_, planes = slot.planes.data(),
-                 n = slot.addrs.size(), out = slot.addrs.data()] {
-        invert(transform, planes, n, out);
-    };
-    if (pool_ != nullptr)
-        slot.inverted = pool_->async(task);
-    else
-        task();
-}
-
-void
 TransformDecoder::topUp()
 {
     while (!done_ && ring_.size() < 1 + depth_) {
@@ -485,11 +456,15 @@ TransformDecoder::topUp()
                 ring_.pop_back();
                 return;
             }
-            launch(slot);
+            slot.inverted = parallel::Task<void>(
+                pool_, [transform = transform_, planes = slot.planes.data(),
+                        n = slot.addrs.size(), out = slot.addrs.data()] {
+                    invert(transform, planes, n, out);
+                });
         } catch (...) {
             // Buffers before this one are still served first; the
             // error surfaces when the reader reaches it.
-            slot.failed = std::current_exception();
+            slot.inverted = parallel::Task<void>(std::current_exception());
             done_ = true;
         }
     }
@@ -509,16 +484,7 @@ TransformDecoder::refill()
     if (ring_.empty())
         return false;
     Slot &front = ring_.front();
-    if (front.failed)
-        std::rethrow_exception(front.failed);
-    if (front.inverted.valid()) {
-        try {
-            parallel::await(pool_, front.inverted);
-        } catch (...) {
-            front.failed = std::current_exception();
-            throw;
-        }
-    }
+    front.inverted.get();
     if (depth_ == 0)
         front.planes = {}; // without a ring, hold just the addresses
     current_ = true;

@@ -20,13 +20,12 @@
  *
  * Encoding with a thread pool: the encoder cuts its input into batches
  * of whole buffers (at least 2^17 addresses each) and forward-transforms
- * each batch as one pool task into the batch's own plane array, while
- * the caller fills the next batch — one batch in flight. The caller
- * writes every buffer's header and planes to the sink in order, so the
- * bytes do not depend on the pool; when it must wait for a batch it
- * runs queued pool tasks meanwhile (ThreadPool::wait()). A batch's
- * arrays are recycled, so a stream allocates them once. Without a pool
- * each batch is transformed on the caller as soon as it fills. Batches
+ * each batch as one parallel::Task, which owns the batch and its plane
+ * array, while the caller fills the next batch — one batch in flight.
+ * The caller writes every buffer's header and planes to the sink in
+ * order, so the bytes do not depend on the pool. A batch's arrays are
+ * recycled, so a stream allocates them once. Without a pool each batch
+ * is transformed on the caller as soon as it fills. Batches
  * of one buffer would queue every transform behind the codec frames of
  * the buffer before it; much larger ones would hold more addresses in
  * flight than the codec window needs. The caller writes a batch only
@@ -36,12 +35,12 @@
  *
  * Decoding with a thread pool: the decoder's caller still parses every
  * buffer header and reads every plane from its source, in order, but
- * the inverse transform of each buffer runs as a pool task while the
- * caller reads the buffers after it — one buffer ahead of the one being
- * served per three decoding threads (the pool's workers plus the
- * caller). A caller that must wait for a buffer runs queued pool tasks
- * meanwhile (ThreadPool::wait()). The ring's plane and address arrays
- * are recycled from buffer to buffer, so a pass allocates them once.
+ * the inverse transform of each buffer runs as a parallel::Task while
+ * the caller reads the buffers after it — one buffer ahead of the one
+ * being served per three decoding threads (the pool's workers plus the
+ * caller). A failed buffer fails every later read with its error. The
+ * ring's plane and address arrays are recycled from buffer to buffer,
+ * so a pass allocates them once.
  * Without a pool every buffer is read and inverse-transformed on the
  * caller's thread when the reader reaches it.
  */
@@ -52,15 +51,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
-#include <future>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "util/bytestream.hpp"
-
-namespace atc::parallel {
-class ThreadPool;
-} // namespace atc::parallel
 
 namespace atc::core {
 
@@ -128,10 +122,6 @@ class TransformEncoder
                      util::ByteSink &out,
                      parallel::ThreadPool *pool = nullptr);
 
-    /** Waits out the forward transforms still running on the pool;
-     *  their buffers are dropped. */
-    ~TransformEncoder();
-
     TransformEncoder(const TransformEncoder &) = delete;
     TransformEncoder &operator=(const TransformEncoder &) = delete;
 
@@ -155,7 +145,6 @@ class TransformEncoder
     {
         std::vector<uint64_t> addrs;
         std::vector<uint8_t> planes;
-        std::future<void> transformed; ///< pending task, if any
     };
 
     void launch();
@@ -168,8 +157,9 @@ class TransformEncoder
     parallel::ThreadPool *pool_;
     /** The batch being filled; launched when it holds batch_addrs_. */
     Batch filling_;
-    /** Launched batches, in order, not yet written to out_. */
-    std::deque<Batch> pending_;
+    /** Launched batches, in order, not yet written to out_; an
+     *  abandoned encoder waits them out and drops them. */
+    std::deque<parallel::Task<Batch>> pending_;
     /** The last batch written, whose arrays the next batch reuses. */
     Batch spare_;
     uint64_t count_ = 0;
@@ -193,9 +183,6 @@ class TransformDecoder
                      uint64_t max_buffer = kMaxBufferAddrs,
                      parallel::ThreadPool *pool = nullptr);
 
-    /** Waits out the inverse transforms still running on the pool. */
-    ~TransformDecoder();
-
     TransformDecoder(const TransformDecoder &) = delete;
     TransformDecoder &operator=(const TransformDecoder &) = delete;
 
@@ -215,20 +202,18 @@ class TransformDecoder
 
   private:
     /** One transform buffer of the ring: its planes as read, and its
-     *  addresses once inverse-transformed (or the error that stopped
-     *  it, kept so that a retry reports it again). */
+     *  addresses once inverted — the task that writes them, or the
+     *  error that stopped the buffer. */
     struct Slot
     {
         std::vector<uint8_t> planes;
         std::vector<uint64_t> addrs;
-        std::future<void> inverted; ///< pending pool task, if any
-        std::exception_ptr failed;
+        parallel::Task<void> inverted; ///< declared last: joins first
     };
 
     bool refill();
     void topUp();
     bool readBuffer(Slot &slot);
-    void launch(Slot &slot);
 
     Transform transform_;
     util::ByteSource &in_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <future>
 
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -31,60 +30,15 @@ expectedRawBytes(uint64_t count, uint64_t buffer_addrs)
     return bytes + 1;
 }
 
-/**
- * One block of a readahead window: already resident (a cache hit), or
- * still decoding — on a pool, or deferred to get() on the caller's
- * thread when there is none.
- */
+/** @return @p block, added to @p cache under @p key when @p populate. */
 template <typename T>
-struct Pending
+typename BlockCache<T>::Ptr
+keep(BlockCache<T> &cache, bool populate, uint64_t key,
+     std::vector<T> block)
 {
-    uint64_t key = 0;
-    typename BlockCache<T>::Ptr ready;
-    std::future<std::vector<T>> decoded;
-    /** The decode's error, kept: a future yields it only once, and a
-     *  retried read must see the same failure, not resume past it. */
-    std::exception_ptr failed;
-
-    /** Wait for the block (rethrowing its decode error), running
-     *  queued tasks of @p pool meanwhile; a fresh decode is added to
-     *  @p cache only when @p populate. */
-    const typename BlockCache<T>::Ptr &
-    get(BlockCache<T> &cache, bool populate, parallel::ThreadPool *pool)
-    {
-        if (failed)
-            std::rethrow_exception(failed);
-        if (!ready) {
-            std::vector<T> block;
-            try {
-                block = parallel::await(pool, decoded);
-            } catch (...) {
-                failed = std::current_exception();
-                throw;
-            }
-            ready = populate ? cache.put(key, std::move(block))
-                             : std::make_shared<const std::vector<T>>(
-                                   std::move(block));
-        }
-        return ready;
-    }
-};
-
-/**
- * Wait out the pooled decodes still pending in @p slots, helping the
- * pool meanwhile. They may read a store the index only borrows, which
- * the caller is free to release once the cursor is gone. (Without a
- * pool, decodes are deferred and simply never run.)
- */
-template <typename Slots>
-void
-settle(Slots &slots, parallel::ThreadPool *pool)
-{
-    if (pool == nullptr)
-        return;
-    for (auto &p : slots)
-        if (p.decoded.valid())
-            pool->wait(p.decoded);
+    return populate ? cache.put(key, std::move(block))
+                    : std::make_shared<const std::vector<T>>(
+                          std::move(block));
 }
 
 /** @return the interval record containing record offset @p rec. */
@@ -300,7 +254,10 @@ AtcIndex::bufferRawOffset(uint64_t b) const
  * (comp::decodeSeekableFrame), before it is cached or served. A pass
  * from frame 0 (@p full) never adds to the cache; any other pass does.
  * A lossy chunk's frames are decoded once per chunk, whose decoded
- * records the chunk cache keeps, so they skip the frame cache.
+ * records the chunk cache keeps, so they skip the frame cache. A
+ * decode may read a store the index only borrows, which the caller is
+ * free to release once the cursor is gone, so the window's handles
+ * wait out their pooled decodes when the source dies.
  */
 class AtcCursor::FrameSource : public util::ByteSource
 {
@@ -313,8 +270,6 @@ class AtcCursor::FrameSource : public util::ByteSource
           ahead_(pool != nullptr ? parallel::windowDepth(pool) + 1 : 0),
           next_(first), end_(end), full_(full)
     {}
-
-    ~FrameSource() override { settle(window_, pool_); }
 
     FrameSource(const FrameSource &) = delete;
     FrameSource &operator=(const FrameSource &) = delete;
@@ -369,8 +324,7 @@ class AtcCursor::FrameSource : public util::ByteSource
             topUp();
             if (window_.empty())
                 return false;
-            block_ = window_.front().get(index_->frameCache(), !full_,
-                                         pool_);
+            block_ = window_.front().get();
             pos_ = 0;
             if (block_->empty())
                 retire();
@@ -404,41 +358,41 @@ class AtcCursor::FrameSource : public util::ByteSource
     {
         while (window_.size() < 1 + ahead_ && next_ < end_) {
             size_t f = next_++;
-            Pending<uint8_t> p;
-            p.key = BlockCache<uint8_t>::frameKey(chunk_, f);
+            uint64_t key = BlockCache<uint8_t>::frameKey(chunk_, f);
             try {
                 if (!src_) {
                     src_ = index_->store().openChunk(chunk_);
                     src_->skip(layout_.comp_starts[f]);
                 }
                 // Lossy chunks are cached whole, never by frame.
+                BlockCache<uint8_t>::Ptr hit;
                 if (index_->mode() == Mode::Lossless)
-                    p.ready = index_->frameCache().get(p.key);
-                if (p.ready) {
+                    hit = index_->frameCache().get(key);
+                if (hit) {
                     src_->skip(layout_.comp_starts[f + 1] -
                                layout_.comp_starts[f]);
+                    window_.emplace_back(std::move(hit));
                 } else {
-                    p.decoded = parallel::launch(
+                    window_.emplace_back(
                         pool_,
-                        [index = index_, frame = layout_.frames[f],
+                        [index = index_, key, populate = !full_,
+                         frame = layout_.frames[f],
                          payload = comp::fetchIndexedFramePayload(
                              *src_, layout_, f)]() {
                             std::vector<uint8_t> block;
                             comp::decodeSeekableFrame(
                                 *index->codec().codec, payload.data, frame,
                                 block);
-                            return block;
+                            return keep(index->frameCache(), populate, key,
+                                        std::move(block));
                         });
                 }
             } catch (...) {
                 // Surface a bad header when its frame is reached, not
                 // while frames before it are still being served.
-                std::promise<std::vector<uint8_t>> failed;
-                failed.set_exception(std::current_exception());
-                p.decoded = failed.get_future();
+                window_.emplace_back(std::current_exception());
                 next_ = end_;
             }
-            window_.push_back(std::move(p));
         }
     }
 
@@ -458,36 +412,90 @@ class AtcCursor::FrameSource : public util::ByteSource
      *  so a cursor that is built and then seeked reads nothing. */
     std::unique_ptr<util::ByteSource> src_;
     /** Front: the frame being read; then up to ahead_ more. */
-    std::deque<Pending<uint8_t>> window_;
+    std::deque<parallel::Task<BlockCache<uint8_t>::Ptr>> window_;
     /** The front frame's bytes once resolved; null when exhausted. */
     BlockCache<uint8_t>::Ptr block_;
     size_t pos_ = 0;
 };
 
 /**
- * The lossy chunk supply: the distinct chunks of interval record i,
- * being regenerated, and of the windowDepth(pool) records behind it,
- * decoding on the pool ahead of the interval that needs them (without
- * a pool, just record i's, decoded on demand). A chunk leaves the
- * window once no record in that span refers to it; the shared cache is
- * read first and, when @p populate, filled as chunks are used. Each
- * chunk decodes as one task, through a FrameSource of its own.
+ * A lossy pass: regenerates interval records [first, end) from their
+ * chunks, translating imitated intervals. Its chunk window holds the
+ * distinct chunks of the record being read and of the windowDepth(pool)
+ * records behind it, decoding on the pool ahead of the interval that
+ * needs them (without a pool, just the current record's, decoded on
+ * demand). A chunk leaves the window once no record in that span
+ * refers to it; the shared cache is read first and, when @p populate,
+ * filled as chunks decode. Each chunk decodes as one task, through a
+ * FrameSource of its own.
  */
-class AtcCursor::ChunkWindow
+class AtcCursor::LossyPass
 {
   public:
-    ChunkWindow(std::shared_ptr<const AtcIndex> index,
-                parallel::ThreadPool *pool, size_t end_record,
-                bool populate)
+    LossyPass(std::shared_ptr<const AtcIndex> index,
+              parallel::ThreadPool *pool, size_t first, size_t end,
+              bool populate)
         : index_(std::move(index)), pool_(pool),
-          depth_(parallel::windowDepth(pool)), end_(end_record),
+          depth_(parallel::windowDepth(pool)), next_(first), end_(end),
           populate_(populate)
     {}
 
-    ~ChunkWindow() { settle(slots_, pool_); }
+    LossyPass(const LossyPass &) = delete;
+    LossyPass &operator=(const LossyPass &) = delete;
 
-    ChunkWindow(const ChunkWindow &) = delete;
-    ChunkWindow &operator=(const ChunkWindow &) = delete;
+    /** Produce up to @p n regenerated records; 0 at the pass's end. */
+    size_t
+    read(uint64_t *out, size_t n)
+    {
+        size_t got = 0;
+        while (got < n) {
+            if (pos_ == interval_.size()) {
+                if (!nextInterval())
+                    break;
+                continue; // an empty interval record is possible
+            }
+            size_t take = std::min(n - got, interval_.size() - pos_);
+            std::memcpy(out + got, interval_.data() + pos_,
+                        take * sizeof(uint64_t));
+            got += take;
+            pos_ += take;
+        }
+        return got;
+    }
+
+  private:
+    /** A chunk of the window: its id and its decoded records. */
+    struct Slot
+    {
+        uint32_t id;
+        parallel::Task<BlockCache<uint64_t>::Ptr> chunk;
+    };
+
+    /** Regenerate record next_ into interval_; false at the end. */
+    bool
+    nextInterval()
+    {
+        if (next_ >= end_)
+            return false;
+        const IntervalRecord &rec = index_->info().records[next_];
+        // Asked every interval, so the window keeps its readahead
+        // moving even through a run of intervals sharing one chunk.
+        BlockCache<uint64_t>::Ptr held = fetch(next_);
+        ++next_;
+        const std::vector<uint64_t> &chunk = *held;
+        ATC_CHECK(chunk.size() == rec.length,
+                  "interval record length mismatch");
+        interval_.resize(rec.length);
+        if (rec.kind == IntervalRecord::Kind::Chunk ||
+            rec.trans.plane_mask == 0) {
+            std::copy(chunk.begin(), chunk.end(), interval_.begin());
+        } else {
+            for (size_t i = 0; i < chunk.size(); ++i)
+                interval_[i] = rec.trans.apply(chunk[i]);
+        }
+        pos_ = 0;
+        return true;
+    }
 
     /** @return the decoded chunk of interval record @p i. */
     BlockCache<uint64_t>::Ptr
@@ -495,46 +503,38 @@ class AtcCursor::ChunkWindow
     {
         const std::vector<IntervalRecord> &records = index_->info().records;
         size_t stop = std::max(i + 1, std::min(end_, i + 1 + depth_));
-        auto upcoming = [&](uint64_t id) {
+        auto upcoming = [&](uint32_t id) {
             for (size_t r = i; r < stop; ++r)
                 if (records[r].chunk_id == id)
                     return true;
             return false;
         };
-        std::erase_if(slots_, [&](Pending<uint64_t> &p) {
-            if (upcoming(p.key))
-                return false;
-            if (pool_ != nullptr && p.decoded.valid())
-                pool_->wait(p.decoded); // see settle()
-            return true;
-        });
-        BlockCache<uint64_t> &cache = index_->chunkCache();
+        std::erase_if(slots_,
+                      [&](const Slot &s) { return !upcoming(s.id); });
         for (size_t r = i; r < stop; ++r)
             if (find(records[r].chunk_id) == nullptr)
-                slots_.push_back(schedule(cache, records[r].chunk_id));
-        return find(records[i].chunk_id)->get(cache, populate_, pool_);
+                slots_.push_back(schedule(records[r].chunk_id));
+        return find(records[i].chunk_id)->chunk.get();
     }
 
-  private:
-    Pending<uint64_t> *
-    find(uint64_t id)
+    Slot *
+    find(uint32_t id)
     {
-        for (Pending<uint64_t> &p : slots_)
-            if (p.key == id)
-                return &p;
+        for (Slot &s : slots_)
+            if (s.id == id)
+                return &s;
         return nullptr;
     }
 
-    Pending<uint64_t>
-    schedule(BlockCache<uint64_t> &cache, uint32_t id)
+    Slot
+    schedule(uint32_t id)
     {
-        Pending<uint64_t> p;
-        p.key = id;
-        p.ready = cache.get(id);
-        if (!p.ready)
-            p.decoded = parallel::launch(
-                pool_, [index = index_, id]() { return decode(index, id); });
-        return p;
+        if (BlockCache<uint64_t>::Ptr hit = index_->chunkCache().get(id))
+            return {id, parallel::Task<BlockCache<uint64_t>::Ptr>(hit)};
+        return {id, {pool_, [index = index_, id, populate = populate_] {
+                         return keep(index->chunkCache(), populate, id,
+                                     decode(index, id));
+                     }}};
     }
 
     /**
@@ -563,9 +563,12 @@ class AtcCursor::ChunkWindow
     std::shared_ptr<const AtcIndex> index_;
     parallel::ThreadPool *pool_;
     size_t depth_;
+    size_t next_; ///< next interval record to regenerate
     size_t end_;
     bool populate_;
-    std::vector<Pending<uint64_t>> slots_;
+    std::vector<Slot> slots_;
+    std::vector<uint64_t> interval_;
+    size_t pos_ = 0;
 };
 
 AtcCursor::AtcCursor(std::shared_ptr<const AtcIndex> index,
@@ -631,20 +634,6 @@ AtcCursor::startLossless(uint64_t rec)
         rec - pos_, "container truncated while seeking");
 }
 
-std::unique_ptr<LossyDecoder>
-AtcCursor::lossyDecoder(std::unique_ptr<ChunkWindow> &window,
-                        parallel::ThreadPool *pool, size_t end_record,
-                        bool populate) const
-{
-    // All cursors over one index decode chunks through the shared
-    // cache, so a working set warmed by any of them serves all.
-    window = std::make_unique<ChunkWindow>(index_, pool, end_record,
-                                           populate);
-    return std::make_unique<LossyDecoder>(
-        &index_->info().records,
-        [w = window.get()](size_t i) { return w->fetch(i); });
-}
-
 void
 AtcCursor::startLossy(uint64_t rec)
 {
@@ -657,10 +646,11 @@ AtcCursor::startLossy(uint64_t rec)
                                      : recordContaining(starts, rec);
     // As in startLossless, only a full pass decodes ahead; it is also
     // the one pass that leaves the cache alone (see the file comment).
+    // All cursors over one index decode chunks through the shared
+    // cache, so a working set warmed by any of them serves all.
     parallel::ThreadPool *pool = i == 0 ? pool_ : nullptr;
-    lossy_.reset(); // it reads through the window about to be replaced
-    lossy_ = lossyDecoder(chunks_, pool, records, pool == nullptr);
-    lossy_->seekRecord(i);
+    lossy_ = std::make_unique<LossyPass>(index_, pool, i, records,
+                                         pool == nullptr);
     pos_ = rec == index_->size() ? rec : starts[i];
 }
 
@@ -736,18 +726,13 @@ AtcCursor::rangeLossy(uint64_t begin, uint64_t end,
 {
     // Unlike seek(), extraction is record-exact: decode the intervals
     // covering the range (whole chunks — the lossy unit of decode) and
-    // slice, through a decoder of its own so the cursor's stream is
-    // left untouched.
+    // slice, through a pass of its own so the cursor's stream is left
+    // untouched.
     const std::vector<uint64_t> &starts = index_->recordStarts();
     size_t i0 = recordContaining(starts, begin);
     size_t i1 = recordContaining(starts, end - 1);
-    std::unique_ptr<ChunkWindow> window;
-    std::unique_ptr<LossyDecoder> decoder =
-        lossyDecoder(window, pool_, i1 + 1, true);
-    decoder->seekRecord(i0);
-    auto read = [&decoder](uint64_t *o, size_t n) {
-        return decoder->read(o, n);
-    };
+    LossyPass pass(index_, pool_, i0, i1 + 1, true);
+    auto read = [&pass](uint64_t *o, size_t n) { return pass.read(o, n); };
     discardRecords(read, begin - starts[i0],
                    "container truncated inside the range");
     out.resize(static_cast<size_t>(end - begin));

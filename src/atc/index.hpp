@@ -42,11 +42,13 @@
  * caller parses each transform buffer's header and reads its planes
  * in order, and the inverse transforms of the buffers
  * after the one being served run as pool tasks (TransformDecoder, see
- * bytesort.hpp). A caller that must wait for a block or a buffer runs
- * queued pool tasks meanwhile (ThreadPool::wait()), so it decodes
- * alongside the workers instead of idling. A pass started by a seek
- * may read only a few records, so it decodes on demand on the caller's
- * thread, as every pass of a cursor without a pool does.
+ * bytesort.hpp). Every window holds parallel::Task handles (see
+ * thread_pool.hpp): a caller that must wait for a block or a buffer
+ * runs queued pool tasks meanwhile, so it decodes alongside the
+ * workers instead of idling, and a failed block fails every later
+ * read with its error. A pass started by a seek may read only a few
+ * records, so it decodes on demand on the caller's thread, as every
+ * pass of a cursor without a pool does.
  *
  * Cache policy: a pass that starts at record 0 is a full scan, which
  * reads the shared decoded-block cache without adding to it (a scan
@@ -291,14 +293,11 @@ class AtcCursor : public trace::TraceCursor
 
   private:
     class FrameSource;
-    class ChunkWindow;
+    class LossyPass;
 
     void start(uint64_t rec);
     void startLossless(uint64_t rec);
     void startLossy(uint64_t rec);
-    std::unique_ptr<LossyDecoder> lossyDecoder(
-        std::unique_ptr<ChunkWindow> &window, parallel::ThreadPool *pool,
-        size_t end_record, bool populate) const;
     void rangeLossless(uint64_t begin, uint64_t end,
                        std::vector<uint64_t> &out);
     void rangeLossy(uint64_t begin, uint64_t end,
@@ -314,9 +313,8 @@ class AtcCursor : public trace::TraceCursor
     std::unique_ptr<FrameSource> frames_;
     std::unique_ptr<TransformDecoder> transform_;
 
-    // Lossy: the interval regenerator, fed by its chunk window.
-    std::unique_ptr<ChunkWindow> chunks_;
-    std::unique_ptr<LossyDecoder> lossy_;
+    // Lossy: the interval regenerator and its chunk window.
+    std::unique_ptr<LossyPass> lossy_;
 };
 
 } // namespace atc::core

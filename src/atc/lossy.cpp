@@ -1,10 +1,6 @@
 #include "atc/lossy.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/status.hpp"
 
 namespace atc::core {
@@ -78,11 +74,10 @@ LossyEncoder::launchInterval()
     std::vector<uint64_t> addrs = std::move(buffer_);
     buffer_ = std::vector<uint64_t>();
     buffer_.reserve(params_.interval_len);
-    intervals_.push_back(parallel::launch(
-        pool_, [addrs = std::move(addrs)]() mutable {
-            IntervalSignature sig = signatureOf(addrs.data(), addrs.size());
-            return Interval{std::move(addrs), std::move(sig)};
-        }));
+    intervals_.emplace_back(pool_, [addrs = std::move(addrs)]() mutable {
+        IntervalSignature sig = signatureOf(addrs.data(), addrs.size());
+        return Interval{std::move(addrs), std::move(sig)};
+    });
     drainIntervals(parallel::windowDepth(pool_));
 }
 
@@ -90,7 +85,7 @@ void
 LossyEncoder::drainIntervals(size_t keep)
 {
     while (intervals_.size() > keep) {
-        Interval interval = parallel::await(pool_, intervals_.front());
+        Interval interval = std::move(intervals_.front().get());
         intervals_.pop_front();
         decide(std::move(interval));
     }
@@ -158,17 +153,16 @@ LossyEncoder::emitChunk(Interval interval)
     // The task compresses inline on whichever thread runs it (no
     // nested pool), into bytes the caller writes to the store in id
     // order.
-    chunks_.emplace_back(
-        id, parallel::launch(pool_, [params = pipeline_,
-                                     addrs = std::move(interval.addrs)] {
-            obs::StageTimer t(lossyMetrics().chunk_compress_us);
-            std::vector<uint8_t> bytes;
-            util::VectorSink sink(bytes);
-            LosslessWriter writer(params, sink);
-            writer.write(addrs.data(), addrs.size());
-            writer.finish();
-            return bytes;
-        }));
+    chunks_.emplace_back(pool_, [params = pipeline_,
+                                 addrs = std::move(interval.addrs)] {
+        obs::StageTimer t(lossyMetrics().chunk_compress_us);
+        std::vector<uint8_t> bytes;
+        util::VectorSink sink(bytes);
+        LosslessWriter writer(params, sink);
+        writer.write(addrs.data(), addrs.size());
+        writer.finish();
+        return bytes;
+    });
     drainChunks(parallel::windowDepth(pool_));
 }
 
@@ -176,9 +170,9 @@ void
 LossyEncoder::drainChunks(size_t keep)
 {
     while (chunks_.size() > keep) {
-        uint32_t id = chunks_.front().first;
-        std::vector<uint8_t> bytes =
-            parallel::await(pool_, chunks_.front().second);
+        auto id = static_cast<uint32_t>(stats_.chunks_created -
+                                        chunks_.size());
+        std::vector<uint8_t> bytes = std::move(chunks_.front().get());
         chunks_.pop_front();
         auto sink = store_.createChunk(id);
         sink->write(bytes.data(), bytes.size());
@@ -196,68 +190,6 @@ LossyEncoder::finish()
         launchInterval();
     drainIntervals(0);
     drainChunks(0);
-}
-
-LossyDecoder::LossyDecoder(const std::vector<IntervalRecord> *records,
-                           ChunkFetch fetch)
-    : records_(records), fetch_(std::move(fetch))
-{
-    ATC_ASSERT(records_ != nullptr && fetch_);
-}
-
-void
-LossyDecoder::seekRecord(size_t record_idx)
-{
-    ATC_ASSERT(record_idx <= records_->size());
-    record_idx_ = record_idx;
-    interval_.clear();
-    pos_ = 0;
-}
-
-bool
-LossyDecoder::nextInterval()
-{
-    if (record_idx_ >= records_->size())
-        return false;
-    const IntervalRecord &rec = (*records_)[record_idx_];
-    // Asked every interval, so the fetch can keep its readahead moving
-    // even through a run of intervals sharing one chunk.
-    ChunkPtr held = fetch_(record_idx_);
-    ++record_idx_;
-    const std::vector<uint64_t> &chunk = *held;
-    ATC_CHECK(chunk.size() == rec.length,
-              "interval record length mismatch");
-
-    interval_.resize(rec.length);
-    if (rec.kind == IntervalRecord::Kind::Chunk ||
-        rec.trans.plane_mask == 0) {
-        std::copy(chunk.begin(), chunk.end(), interval_.begin());
-    } else {
-        for (size_t i = 0; i < chunk.size(); ++i)
-            interval_[i] = rec.trans.apply(chunk[i]);
-    }
-    pos_ = 0;
-    return true;
-}
-
-size_t
-LossyDecoder::read(uint64_t *out, size_t n)
-{
-    size_t got = 0;
-    while (got < n) {
-        if (pos_ == interval_.size()) {
-            if (!nextInterval())
-                break;
-            continue; // an empty interval record is possible
-        }
-        size_t avail = interval_.size() - pos_;
-        size_t take = (n - got) < avail ? (n - got) : avail;
-        std::memcpy(out + got, interval_.data() + pos_,
-                    take * sizeof(uint64_t));
-        got += take;
-        pos_ += take;
-    }
-    return got;
 }
 
 } // namespace atc::core

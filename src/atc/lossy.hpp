@@ -16,16 +16,14 @@
  * as pool tasks: each stage keeps an ordered window of
  * parallel::windowDepth(pool) tasks, and the order-dependent decision
  * between them runs on the caller as signatures resolve, so the
- * container is the same for every pool size. A caller waiting on
- * either window runs queued pool tasks meanwhile (parallel::await()).
- * Each chunk task compresses its interval inline, without a pool.
+ * container is the same for every pool size. Both windows hold
+ * parallel::Task handles, so a caller waiting on either runs queued
+ * pool tasks meanwhile. Each chunk task compresses its interval
+ * inline, without a pool.
  *
- * The decoder regenerates the address stream from the interval
- * records, taking each interval's decompressed chunk from a
- * caller-supplied fetch. It keeps no cache of its own: an AtcCursor's
- * chunk window supplies the chunks, through the AtcIndex's shared
- * cache, and decodes each one as a lossless stream through the
- * cursor's frame engine (see index.hpp).
+ * Decoding is AtcCursor's: it regenerates the address stream from the
+ * interval records, through a chunk window over the AtcIndex's shared
+ * cache (see index.hpp).
  */
 
 #ifndef ATC_ATC_LOSSY_HPP_
@@ -33,16 +31,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <future>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "atc/block_cache.hpp"
 #include "atc/container.hpp"
 #include "atc/histogram.hpp"
 #include "atc/lossless.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace atc::core {
 
@@ -153,57 +147,13 @@ class LossyEncoder
     ChunkStore &store_;
     parallel::ThreadPool *pool_;
     std::vector<uint64_t> buffer_;
-    std::deque<std::future<Interval>> intervals_;
-    std::deque<std::pair<uint32_t, std::future<std::vector<uint8_t>>>>
-        chunks_;
+    std::deque<parallel::Task<Interval>> intervals_;
+    /** Compressed chunks not yet stored, oldest (lowest id) first. */
+    std::deque<parallel::Task<std::vector<uint8_t>>> chunks_;
     std::deque<TableEntry> table_;
     std::vector<IntervalRecord> records_;
     LossyStats stats_;
     bool finished_ = false;
-};
-
-/** Streaming regenerator for lossy traces. */
-class LossyDecoder
-{
-  public:
-    /** A decompressed chunk, shared with the cache that may hold it. */
-    using ChunkPtr = BlockCache<uint64_t>::Ptr;
-
-    /** Supplies the decompressed chunk of interval record
-     *  @p record_idx. */
-    using ChunkFetch = std::function<ChunkPtr(size_t record_idx)>;
-
-    /**
-     * @param records interval trace (e.g. the one held by an AtcIndex;
-     *                must outlive the decoder — imitation translations
-     *                run to 2 KiB per record, so cursors sharing one
-     *                index do not copy it)
-     * @param fetch   supplies every interval's chunk
-     */
-    LossyDecoder(const std::vector<IntervalRecord> *records,
-                 ChunkFetch fetch);
-
-    /**
-     * Produce up to @p n regenerated addresses — the primary entry.
-     * @return addresses produced; 0 means end of trace
-     */
-    size_t read(uint64_t *out, size_t n);
-
-    /**
-     * Reposition so the next read() starts at the beginning of
-     * interval record @p record_idx (the record count positions at end
-     * of trace).
-     */
-    void seekRecord(size_t record_idx);
-
-  private:
-    bool nextInterval();
-
-    const std::vector<IntervalRecord> *records_;
-    ChunkFetch fetch_;
-    size_t record_idx_ = 0;
-    std::vector<uint64_t> interval_;
-    size_t pos_ = 0;
 };
 
 } // namespace atc::core

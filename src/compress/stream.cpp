@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/crc32.hpp"
 #include "util/status.hpp"
 
@@ -267,16 +266,6 @@ StreamCompressor::StreamCompressor(const Codec &codec, util::ByteSink &sink,
     buffer_.reserve(block_size_);
 }
 
-StreamCompressor::~StreamCompressor()
-{
-    // finish() is the caller's job (it can throw); an abandoned stream
-    // only has to outlast the pooled encodes that borrow codec_.
-    // Deferred ones never run.
-    if (pool_ != nullptr)
-        for (auto &frame : pending_)
-            frame.wait();
-}
-
 void
 StreamCompressor::write(const uint8_t *data, size_t n)
 {
@@ -299,13 +288,13 @@ StreamCompressor::emitBlock()
     std::vector<uint8_t> raw = std::move(buffer_);
     buffer_ = std::vector<uint8_t>();
     buffer_.reserve(block_size_);
-    pending_.push_back(parallel::launch(
+    pending_.emplace_back(
         pool_, [&codec = codec_, raw = std::move(raw)] {
             EncodedFrame frame;
             frame.bytes =
                 encodeFrame(codec, raw.data(), raw.size(), frame.entry);
             return frame;
-        }));
+        });
     drain(parallel::windowDepth(pool_));
 }
 
@@ -313,7 +302,7 @@ void
 StreamCompressor::drain(size_t keep)
 {
     while (pending_.size() > keep) {
-        EncodedFrame frame = parallel::await(pool_, pending_.front());
+        EncodedFrame frame = std::move(pending_.front().get());
         pending_.pop_front();
         sink_.write(frame.bytes.data(), frame.bytes.size());
         index_.push_back(frame.entry);

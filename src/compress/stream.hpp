@@ -38,16 +38,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <vector>
 
 #include "compress/codec.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/bytestream.hpp"
-
-namespace atc::parallel {
-class ThreadPool;
-} // namespace atc::parallel
 
 namespace atc::comp {
 
@@ -154,12 +150,12 @@ FramePayload fetchIndexedFramePayload(util::ByteSource &src,
  * Accumulates bytes and emits codec frames into a sink: the one place
  * a stream is sliced into blocks, its frames serialized, and its
  * terminator and frame index written. Each block is encoded (and its
- * CRC-32 taken) into a self-contained frame by a task launched on the
+ * CRC-32 taken) into a self-contained frame by a parallel::Task on the
  * optional pool (inline without one); the encoded frames wait in a
  * window of parallel::windowDepth(pool) tasks and reach the sink in
- * block order, so the bytes are the same for every pool size. A
- * caller waiting for the oldest frame runs queued pool tasks meanwhile
- * (parallel::await()).
+ * block order, so the bytes are the same for every pool size. An
+ * abandoned compressor waits out its pooled encodes (they borrow the
+ * codec) and drops their frames.
  */
 class StreamCompressor : public util::ByteSink
 {
@@ -175,10 +171,6 @@ class StreamCompressor : public util::ByteSink
     StreamCompressor(const Codec &codec, util::ByteSink &sink,
                      size_t block_size = kDefaultBlockSize,
                      parallel::ThreadPool *pool = nullptr);
-
-    /** Waits out pooled encodes still in flight (they borrow the
-     *  codec); their frames are dropped. */
-    ~StreamCompressor() override;
 
     /** Buffer input, emitting a frame whenever a block fills. */
     void write(const uint8_t *data, size_t n) override;
@@ -205,7 +197,7 @@ class StreamCompressor : public util::ByteSink
     size_t block_size_;
     parallel::ThreadPool *pool_;
     std::vector<uint8_t> buffer_;
-    std::deque<std::future<EncodedFrame>> pending_;
+    std::deque<parallel::Task<EncodedFrame>> pending_;
     std::vector<FrameIndexEntry> index_;
     uint64_t raw_bytes_ = 0;
     bool finished_ = false;

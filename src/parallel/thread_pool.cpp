@@ -19,7 +19,7 @@ ThreadPool::ThreadPool(size_t threads, size_t queue_capacity)
     workers_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         workers_.emplace_back([this] {
-            Task task;
+            Queued task;
             while (tasks_.pop(task))
                 run(task, false);
         });
@@ -27,7 +27,7 @@ ThreadPool::ThreadPool(size_t threads, size_t queue_capacity)
 }
 
 void
-ThreadPool::run(Task &task, bool on_caller)
+ThreadPool::run(Queued &task, bool on_caller)
 {
     struct Metrics {
         obs::Histogram &queue_wait;
@@ -62,13 +62,13 @@ ThreadPool::~ThreadPool()
 bool
 ThreadPool::submit(std::function<void()> task)
 {
-    return tasks_.push(Task{std::move(task), obs::nowNs()});
+    return tasks_.push(Queued{std::move(task), obs::nowNs()});
 }
 
 bool
 ThreadPool::runOne()
 {
-    Task task;
+    Queued task;
     if (!tasks_.tryPop(task))
         return false;
     run(task, true);

@@ -1,31 +1,34 @@
 /**
  * @file
- * Fixed-size thread pool over a bounded MPMC task channel.
+ * Fixed-size thread pool over a bounded MPMC task channel, and Task<T>,
+ * the one handle every pooled stage keeps its tasks in.
  *
  * submit() enqueues a task, blocking when the queue is full — bounded
  * submission is the backpressure mechanism that keeps a fast producer
  * (e.g. a trace generator) from buffering unbounded work. async() wraps
- * submit() with a std::future for the task's result; callers that need
- * ordered reassembly keep their futures in a deque and resolve them in
- * submission order.
+ * submit() with a std::future for the task's result.
  *
- * launch() is the one way the read engine and the writer run a task
- * "on a pool or inline": on the pool when there is one, else deferred
- * to the future's get() on the caller's thread. Both keep the futures
- * of a bounded window (windowDepth()) and resolve them in order, so
- * one code path serves every thread count, 0 included.
+ * Task<T> is how the writer (codec frames, forward transforms, lossy
+ * signatures and chunks) and the read engine (frames, inverse
+ * transforms, lossy chunks) run a stage "on a pool or inline": built
+ * from (pool, fn), fn runs on the pool when there is one, else it is
+ * deferred to get() on the caller's thread. Each stage keeps the tasks
+ * of a bounded window (windowDepth()) and resolves them in order, so
+ * one code path serves every thread count, 0 included. A Task may
+ * also be built already resolved, from a value (a cache hit) or from
+ * an error (a bad header, surfaced when the reader reaches it).
  *
- * A caller that waits on its own tasks' results need not idle: wait()
- * runs queued tasks on the calling thread (runOne()) until the future
- * it waits for is ready, and await() does so before it takes the
- * result. The pooled read engine (atc/index.hpp) and every drain of
- * the writer (codec frames, forward transforms, lossy signatures and
- * chunks) wait this way, so their caller decodes or encodes alongside
- * the workers. AtcReader and AtcWriter size the queue to hold every
- * window they keep, so submitting never blocks there either. Any
- * queued task may run on a helping caller, so a pool that callers
- * help must hold only tasks that finish on their own
- * — not, say, the serve daemon's long-lived drain loops (job_queue.hpp).
+ * get() need not idle: it runs queued tasks on the calling thread
+ * (runOne()) until its own task is done (ThreadPool::wait()), so the
+ * caller decodes or encodes alongside the workers. It rethrows the
+ * task's error on that call and on every later one, so a retried read
+ * reports the same failure instead of resuming past it. Destroying a
+ * Task waits (helping the same way) for a task still pending on a
+ * pool, so a task may borrow what its owner holds; a deferred task
+ * that was never read never runs. AtcReader and AtcWriter size the
+ * queue to hold every window they keep, so submitting never blocks
+ * there. Any queued task may run on a helping caller, so a pool that
+ * callers help must hold only tasks that finish on their own.
  *
  * Destruction closes the task channel, runs the tasks already queued,
  * and joins the workers; abandoned futures never deadlock because
@@ -36,9 +39,11 @@
 #define ATC_PARALLEL_THREAD_POOL_HPP_
 
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -124,50 +129,114 @@ class ThreadPool
     // one can record queue latency (pool.queue_wait_us) before running
     // it; execution time lands in pool.worker_busy_us, or in
     // pool.caller_busy_us for a task a waiting caller ran (runOne()).
-    // Note the serve daemon's attachWorkers drain loops are single
-    // long-lived tasks, so for the daemon busy time covers the whole
-    // drain, not one request (the serve layer has its own per-request
-    // histograms).
-    struct Task {
+    struct Queued {
         std::function<void()> fn;
         uint64_t enqueue_ns = 0;
     };
 
-    static void run(Task &task, bool on_caller);
+    static void run(Queued &task, bool on_caller);
 
-    Channel<Task> tasks_;
+    Channel<Queued> tasks_;
     std::vector<std::thread> workers_;
 };
 
 /**
- * Run @p fn on @p pool, or — without one — on the caller's thread when
- * its future is read (a deferred std::async).
- */
-template <typename F>
-auto
-launch(ThreadPool *pool, F fn) -> std::future<std::invoke_result_t<F>>
-{
-    if (pool != nullptr)
-        return pool->async(std::move(fn));
-    return std::async(std::launch::deferred, std::move(fn));
-}
-
-/**
- * Resolve @p future of a task launch()ed on @p pool. With a pool the
- * caller runs queued tasks until it is ready (ThreadPool::wait());
- * without one, get() runs the deferred task here.
+ * A move-only handle on one task of a pooled stage (see the file
+ * comment): run on a pool, deferred to get() without one, or already
+ * resolved to a value or an error.
  */
 template <typename T>
-T
-await(ThreadPool *pool, std::future<T> &future)
+class Task
 {
-    if (pool != nullptr)
-        pool->wait(future);
-    return future.get();
-}
+    /** What get() hands back (void tasks keep nothing). */
+    using Stored = std::conditional_t<std::is_void_v<T>, bool, T>;
 
-/** @return how many launched tasks an ordered window over @p pool
- *  keeps in flight: 2 per worker, or 0 (run each at once) without. */
+  public:
+    /** An empty handle, resolved with no value (nothing to wait for). */
+    Task() = default;
+
+    /** Run @p fn on @p pool, or — without one — on the caller's thread
+     *  in get(). */
+    template <typename F>
+    Task(ThreadPool *pool, F fn)
+        : pool_(pool),
+          future_(pool != nullptr
+                      ? pool->async(std::move(fn))
+                      : std::async(std::launch::deferred, std::move(fn)))
+    {}
+
+    /** A task resolved to @p value. */
+    explicit Task(Stored value)
+        requires(!std::is_void_v<T>)
+        : value_(std::move(value))
+    {}
+
+    /** A task failed with @p error; get() rethrows it. */
+    explicit Task(std::exception_ptr error) : error_(std::move(error)) {}
+
+    Task(Task &&) noexcept = default;
+
+    /** Waits for the task this handle held before taking @p other's. */
+    Task &
+    operator=(Task &&other) noexcept
+    {
+        if (this != &other) {
+            join();
+            pool_ = other.pool_;
+            future_ = std::move(other.future_);
+            value_ = std::move(other.value_);
+            error_ = std::move(other.error_);
+        }
+        return *this;
+    }
+
+    /** Waits for a task still pending on a pool. */
+    ~Task() { join(); }
+
+    /**
+     * Wait for the task, running queued pool tasks meanwhile, and
+     * return its result (held by the handle, so callers may move from
+     * it). Rethrows the task's error on every call.
+     */
+    std::add_lvalue_reference_t<T>
+    get()
+    {
+        if (future_.valid()) {
+            if (pool_ != nullptr)
+                pool_->wait(future_);
+            try {
+                if constexpr (std::is_void_v<T>)
+                    future_.get();
+                else
+                    value_.emplace(future_.get());
+            } catch (...) {
+                error_ = std::current_exception();
+            }
+        }
+        if (error_)
+            std::rethrow_exception(error_);
+        if constexpr (!std::is_void_v<T>) {
+            ATC_ASSERT(value_.has_value());
+            return *value_;
+        }
+    }
+
+  private:
+    void
+    join()
+    {
+        if (pool_ != nullptr && future_.valid())
+            pool_->wait(future_);
+    }
+
+    ThreadPool *pool_ = nullptr;
+    std::future<T> future_;
+    std::optional<Stored> value_;
+    std::exception_ptr error_;
+};
+
+/** @return how many tasks an ordered window over @p pool keeps in
+ *  flight: 2 per worker, or 0 (run each at once) without. */
 inline size_t
 windowDepth(const ThreadPool *pool)
 {

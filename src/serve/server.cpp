@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
-#include "parallel/job_queue.hpp"
 
 namespace atc::serve {
 
@@ -228,18 +227,18 @@ TraceServer::start()
     if (!nb.ok())
         return nb;
 
-    pool_ = std::make_unique<parallel::ThreadPool>(
-        parallel::resolveThreads(opt_.threads));
-    size_t attached = parallel::attachWorkers(
-        *pool_, jobs_, pool_->size(),
-        [this](const Job &job) { handleJob(job); });
-    if (attached != pool_->size())
-        return util::Status::error("could not park the pool workers");
+    size_t threads = parallel::resolveThreads(opt_.threads);
+    for (size_t i = 0; i < threads; ++i)
+        workers_.emplace_back([this] {
+            Job job;
+            while (jobs_.pop(job))
+                handleJob(job);
+        });
 
     start_tp_ = std::chrono::steady_clock::now();
     io_thread_ = std::thread([this] { ioLoop(); });
     logf(LogLevel::kInfo, "listening port=%u containers=%zu threads=%zu",
-         unsigned(port_), containers_.size(), pool_->size());
+         unsigned(port_), containers_.size(), workers_.size());
     return util::Status();
 }
 
@@ -279,8 +278,8 @@ TraceServer::stop()
     if (io_thread_.joinable())
         io_thread_.join();
     jobs_.close();
-    if (pool_)
-        pool_->shutdown();
+    for (std::thread &worker : workers_)
+        worker.join();
     // Workers are joined: in-flight jobs are done, the last session
     // references drop here and the descriptors close.
     sessions_.clear();
@@ -926,7 +925,7 @@ TraceServer::statText() const
     std::string out;
     appendStat(out, "server.protocol_version", kProtocolVersion);
     appendStat(out, "server.containers", containers_.size());
-    appendStat(out, "server.threads", pool_ ? pool_->size() : 0);
+    appendStat(out, "server.threads", workers_.size());
     appendStat(out, "server.queue_capacity",
                std::max<size_t>(1, opt_.queue_capacity));
     appendStat(out, "server.queue_depth", s.queue_depth);

@@ -11,17 +11,17 @@
  *
  * Architecture (the job-server pattern):
  *
- *   acceptor/poll thread ──parse──▶ bounded Channel<Job> ──▶ pool
- *                                                            workers
+ *   acceptor/poll thread ──parse──▶ bounded Channel<Job> ──▶ worker
+ *                                                            threads
  *
  * A single I/O thread polls the listener and every client socket,
  * accumulates bytes, slices frames, parses them into typed requests,
- * and *admits* them into the bounded job channel. ThreadPool workers
- * (parked in a drain loop via parallel::attachWorkers) execute
- * requests — each OPEN handle owns a private AtcCursor over the
- * container's shared index, so concurrent clients share decoded
- * blocks through the index's BlockCache while keeping their own seek
- * state — and write responses directly to the session socket.
+ * and *admits* them into the bounded job channel. The server's own
+ * worker threads drain the channel and execute requests — each OPEN
+ * handle owns a private AtcCursor over the container's shared index,
+ * so concurrent clients share decoded blocks through the index's
+ * BlockCache while keeping their own seek state — and write responses
+ * directly to the session socket.
  *
  * Admission control is what keeps the daemon fair: each session may
  * have at most max_inflight_per_client heavy requests (SEEK /
@@ -31,7 +31,7 @@
  * count as admission_deferred in STAT); a pending queue past
  * max_pending_per_client pauses *reading* that session's socket, so
  * the flood backs up into the client's TCP window. A greedy scanner
- * therefore occupies a bounded slice of the worker pool and the job
+ * therefore occupies a bounded slice of the workers and the job
  * channel no matter how hard it pipelines, and seek-heavy clients keep
  * their latency (the serve_latency bench reports exactly this p50/p99
  * under a hostile scanner; tests/serve_test.cpp proves the bound).
@@ -174,7 +174,7 @@ class TraceServer
                               const std::string &dir);
 
     /** Open every registered container (an even cache_bytes share
-     *  each), bind, spawn the I/O thread, park the workers. */
+     *  each), bind, spawn the I/O thread and the workers. */
     util::Status start();
 
     /** @return the bound port (valid after start()). */
@@ -182,7 +182,7 @@ class TraceServer
 
     /**
      * Request asynchronous shutdown. Callable from any thread —
-     * including a pool worker executing the SHUTDOWN opcode — it only
+     * including a worker executing the SHUTDOWN opcode — it only
      * signals; the teardown runs in stop()/the destructor.
      */
     void requestStop();
@@ -197,7 +197,7 @@ class TraceServer
 
     /** Full teardown: signal, join the I/O thread, drain and release
      *  the workers, close every session. Idempotent. Must not be
-     *  called from a pool worker (use requestStop() there). */
+     *  called from a worker (use requestStop() there). */
     void stop();
 
     /** @return a snapshot of the server counters. */
@@ -285,10 +285,9 @@ class TraceServer
     Socket wake_rd_, wake_wr_;
     std::map<int, std::shared_ptr<Session>> sessions_; // io thread only
 
-    // Declaration order matters: the channel must outlive the pool
-    // (workers drain it until pool shutdown joins them).
+    // Workers drain jobs_ until stop() closes it, then are joined.
     parallel::Channel<Job> jobs_;
-    std::unique_ptr<parallel::ThreadPool> pool_;
+    std::vector<std::thread> workers_;
     std::thread io_thread_;
 
     /** Set by start(); statText() derives uptime from it. */

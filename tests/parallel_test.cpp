@@ -15,7 +15,10 @@
  * empty/truncated chunk files), and
  * the caller helping its pool: runOne(), shutdown while a caller
  * helps, and a pooled full read that completes with the pool's only
- * worker parked.
+ * worker parked. The Task cases pin the handle every pooled stage
+ * uses: an error repeated on every get(), resolved handles without a
+ * pool, a destructor that waits out a running task, a deferred task
+ * that never runs unread, and a get() that runs its own task.
  */
 
 #include <atomic>
@@ -186,6 +189,90 @@ TEST(ThreadPool, ShutdownWhileACallerHelpsRunsEveryTask)
     EXPECT_EQ(ran.load(), 1 + 32 + 1);
     EXPECT_FALSE(pool.runOne());
     EXPECT_THROW(pool.async([] {}), util::Error);
+}
+
+// ------------------------------------------------------------------ task
+
+TEST(Task, ErrorIsRethrownOnEveryGet)
+{
+    parallel::ThreadPool pool(2);
+    std::atomic<int> runs{0};
+    parallel::ThreadPool *none = nullptr;
+    for (parallel::ThreadPool *p : {&pool, none}) {
+        runs = 0;
+        parallel::Task<int> task(p, [&runs]() -> int {
+            ++runs;
+            util::raise("task failure");
+        });
+        EXPECT_THROW(task.get(), util::Error);
+        EXPECT_THROW(task.get(), util::Error) << "the error is kept";
+        EXPECT_EQ(runs.load(), 1) << "a retry does not rerun the task";
+    }
+}
+
+TEST(Task, ResolvedTasksNeedNoPool)
+{
+    parallel::Task<int> value(42);
+    EXPECT_EQ(value.get(), 42);
+    EXPECT_EQ(value.get(), 42);
+    parallel::Task<void> failed(
+        std::make_exception_ptr(std::runtime_error("bad header")));
+    EXPECT_THROW(failed.get(), std::runtime_error);
+    EXPECT_THROW(failed.get(), std::runtime_error);
+}
+
+TEST(Task, DestroyingAHandleWaitsForItsBlockedTask)
+{
+    parallel::ThreadPool pool(2);
+    std::latch gate(1);
+    std::atomic<bool> started{false};
+    std::atomic<bool> finished{false};
+    std::thread releaser;
+    {
+        parallel::Task<void> task(&pool, [&] {
+            started = true;
+            gate.wait();
+            finished = true;
+        });
+        while (!started)
+            std::this_thread::yield();
+        releaser = std::thread([&gate] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            gate.count_down();
+        });
+    }
+    EXPECT_TRUE(finished.load()) << "the handle died before its task";
+    releaser.join();
+}
+
+TEST(Task, DeferredTaskNeverReadNeverRuns)
+{
+    std::atomic<bool> ran{false};
+    {
+        parallel::Task<int> task(nullptr, [&ran] {
+            ran = true;
+            return 1;
+        });
+    }
+    EXPECT_FALSE(ran.load());
+
+    std::thread::id ran_on;
+    parallel::Task<void> read(nullptr, [&ran_on] {
+        ran_on = std::this_thread::get_id();
+    });
+    read.get();
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(Task, GetRunsTheTaskOnTheCallerWhenTheOnlyWorkerIsBlocked)
+{
+    parallel::ThreadPool pool(1, 8);
+    std::latch gate(1);
+    parkTheWorker(pool, gate);
+    parallel::Task<std::thread::id> task(
+        &pool, [] { return std::this_thread::get_id(); });
+    EXPECT_EQ(task.get(), std::this_thread::get_id());
+    gate.count_down();
 }
 
 // --------------------------------------------------------- test fixtures

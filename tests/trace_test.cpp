@@ -1,18 +1,16 @@
 /**
  * @file
  * Tests for the trace substrate: generators, the synthetic SPEC-like
- * suite, raw trace I/O and statistics.
+ * suite and statistics.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 
 #include "trace/generators.hpp"
 #include "trace/stats.hpp"
 #include "trace/suite.hpp"
-#include "trace/trace_io.hpp"
 
 namespace atc {
 namespace {
@@ -219,31 +217,6 @@ TEST(Suite, UnstableClassKeepsCreatingAddresses)
     for (size_t i = 20000; i < t.size(); ++i)
         fresh += !first.count(t[i]);
     EXPECT_GT(fresh, 5000u);
-}
-
-TEST(TraceIo, RawRoundTripMemory)
-{
-    std::vector<uint64_t> addrs{0, 1, ~0ull, 0x123456789ABCDEFull};
-    auto bytes = trace::toBytes(addrs);
-    EXPECT_EQ(bytes.size(), addrs.size() * 8);
-    EXPECT_EQ(trace::fromBytes(bytes), addrs);
-}
-
-TEST(TraceIo, RejectsRaggedByteImage)
-{
-    std::vector<uint8_t> bytes(12, 0);
-    EXPECT_THROW(trace::fromBytes(bytes), util::Error);
-}
-
-TEST(TraceIo, FileRoundTrip)
-{
-    std::string path = testing::TempDir() + "/atc_trace_io_test.bin";
-    std::vector<uint64_t> addrs;
-    for (int i = 0; i < 1000; ++i)
-        addrs.push_back(i * 977);
-    trace::saveRawFile(addrs, path);
-    EXPECT_EQ(trace::loadRawFile(path), addrs);
-    std::remove(path.c_str());
 }
 
 TEST(Stats, BasicProperties)
