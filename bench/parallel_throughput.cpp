@@ -316,12 +316,10 @@ main(int argc, char **argv)
         // Random-access sweep over the lossless container, via the
         // shared index + cursor API (no streaming reader in the way).
         auto index = core::AtcIndex::openOrThrow(lossless_ref);
-        std::unique_ptr<parallel::ThreadPool> pool;
+        std::shared_ptr<parallel::ThreadPool> pool;
         if (workers > 0)
-            pool = std::make_unique<parallel::ThreadPool>(workers);
-        core::CursorOptions copt;
-        copt.pool = pool.get();
-        auto cursor = index->cursor(copt);
+            pool = std::make_shared<parallel::ThreadPool>(workers);
+        auto cursor = std::make_unique<core::AtcCursor>(index, pool);
 
         // Seek latency: scattered seeks, 1000-record read each.
         constexpr size_t kSeeks = 48;

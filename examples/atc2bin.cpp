@@ -18,10 +18,6 @@
  *         budget of the shared decoded-block cache backing seeks and
  *         ranges (default 256m, 0 disables); repeated --range specs
  *         over one working set decode each covering frame/chunk once
- *   --io {mmap,stdio}
- *         chunk-file read path: mmap maps regular files and decodes
- *         borrowed bytes zero-copy (default), stdio forces the
- *         buffered-read fallback every input supports
  *   --metrics-json PATH
  *         before exiting, dump the obs registry snapshot (decode stage
  *         timings, cache and I/O counters) to PATH as JSON (see
@@ -42,7 +38,6 @@
 
 #include "atc/atc.hpp"
 #include "obs/metrics.hpp"
-#include "util/mmap.hpp"
 
 namespace {
 
@@ -157,12 +152,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--cache") == 0) {
             if (i + 1 >= argc || !parseSize(argv[++i], cache_bytes))
                 bad_args = true;
-        } else if (std::strcmp(argv[i], "--io") == 0) {
-            util::IoMode io;
-            if (i + 1 >= argc || !util::parseIoMode(argv[++i], io))
-                bad_args = true;
-            else
-                util::setDefaultIoMode(io);
         } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
             bad_args = true; // unknown option, not a directory
         } else {
@@ -172,7 +161,7 @@ main(int argc, char **argv)
     if (dir == nullptr || bad_args) {
         std::fprintf(stderr,
                      "usage: %s [-j N] "
-                     "[--cache BYTES[k|m|g]] [--io mmap|stdio] "
+                     "[--cache BYTES[k|m|g]] "
                      "[--metrics-json PATH] "
                      "[--range BEGIN:END]... <dirname>\n",
                      argv[0]);

@@ -5,21 +5,15 @@
  * The chunk suffix is auto-detected; pass it explicitly only when
  * several containers share one directory.
  *
- * Usage: atcinfo [--frames] [--metrics] [--io mmap|stdio] <dirname>
- *        [suffix]
+ * Usage: atcinfo [--frames] [--metrics] <dirname> [suffix]
  *   --frames  also print each chunk's frame index: frame count and
  *             compressed/decompressed extents, straight from the
  *             AtcIndex scan (no payload is decoded).
- *   --metrics after the probe, print the active io source mode and the
- *             full obs registry snapshot in the shared atc_metrics
- *             text encoding (cache.*, io.* — including the zero-copy
- *             counters io.mmap_opens/io.view_bytes —, codec.*;
- *             see docs/metrics.md) instead of the one-line cache
- *             summary.
- *   --io {mmap,stdio}
- *             chunk-file read path for the scan and probe: mmap
- *             (default) decodes borrowed mapped bytes, stdio forces
- *             the buffered-read fallback.
+ *   --metrics after the probe, print the full obs registry snapshot
+ *             in the shared atc_metrics text encoding (cache.*, io.*
+ *             — including the zero-copy counters io.mmap_opens/
+ *             io.view_bytes —, codec.*; see docs/metrics.md) instead
+ *             of the one-line cache summary.
  */
 
 #include <algorithm>
@@ -33,7 +27,6 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "obs/metrics.hpp"
-#include "util/mmap.hpp"
 
 int
 main(int argc, char **argv)
@@ -50,12 +43,8 @@ main(int argc, char **argv)
             frames = true;
         } else if (std::strcmp(argv[i], "--metrics") == 0) {
             metrics = true;
-        } else if (std::strcmp(argv[i], "--io") == 0) {
-            util::IoMode io;
-            if (i + 1 >= argc || !util::parseIoMode(argv[++i], io))
-                bad_args = true;
-            else
-                util::setDefaultIoMode(io);
+        } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
+            bad_args = true; // unknown option, not a directory
         } else if (dir.empty()) {
             dir = argv[i];
         } else {
@@ -64,8 +53,8 @@ main(int argc, char **argv)
     }
     if (dir.empty() || bad_args) {
         std::fprintf(stderr,
-                     "usage: %s [--frames] [--metrics] "
-                     "[--io mmap|stdio] <dirname> [suffix]\n",
+                     "usage: %s [--frames] [--metrics] <dirname> "
+                     "[suffix]\n",
                      argv[0]);
         return 2;
     }
@@ -141,8 +130,6 @@ main(int argc, char **argv)
         // encoding (the same bytes the serve METRICS op returns);
         // otherwise just the one-line cache summary.
         if (metrics) {
-            std::printf("io mode:    %s\n",
-                        util::ioModeName(util::defaultIoMode()));
             std::printf("metrics:\n%s",
                         obs::snapshotToText(
                             obs::Registry::global().snapshot())

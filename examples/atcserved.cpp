@@ -20,9 +20,6 @@
  *   --log-level L    structured stderr logging: off (default), info
  *                    (session lifecycle + non-ok requests), debug
  *                    (every request)
- *   --io {mmap,stdio} chunk-file read path for the served containers:
- *                    mmap decodes borrowed mapped bytes zero-copy
- *                    (default), stdio forces buffered reads
  *   --metrics-json PATH on exit, dump the obs registry snapshot to
  *                    PATH as JSON (see docs/metrics.md)
  *
@@ -38,7 +35,6 @@
 
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
-#include "util/mmap.hpp"
 
 namespace {
 
@@ -58,8 +54,7 @@ usage(const char *argv0)
                  " [--cache BYTES]\n"
                  "          [--max-inflight N] [--max-range N]"
                  " [--log-level off|info|debug]\n"
-                 "          [--io mmap|stdio] [--metrics-json PATH]"
-                 " NAME=DIR [NAME=DIR ...]\n",
+                 "          [--metrics-json PATH] NAME=DIR [NAME=DIR ...]\n",
                  argv0);
     return 2;
 }
@@ -106,13 +101,6 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 return usage(argv[0]);
             metrics_json = argv[++i];
-        } else if (std::strcmp(argv[i], "--io") == 0) {
-            util::IoMode io;
-            if (i + 1 >= argc || !util::parseIoMode(argv[++i], io)) {
-                std::fprintf(stderr, "--io must be mmap or stdio\n");
-                return 2;
-            }
-            util::setDefaultIoMode(io);
         } else if (std::strcmp(argv[i], "--log-level") == 0) {
             if (i + 1 >= argc)
                 return usage(argv[0]);

@@ -16,11 +16,6 @@
  *   c           lossless compression
  *   k           lossy compression (default, as in the paper's example)
  *   codec-spec  registry spec, e.g. bwc, lzh, bwc:block=900k
- *   --io {mmap,stdio}
- *               how the container's chunk files are read back (e.g.
- *               by the lossy writer's decision probes): mmap maps
- *               regular files and decodes borrowed bytes zero-copy
- *               (default), stdio forces the buffered-read path
  *   --metrics-json PATH
  *               after closing the container, dump the obs registry
  *               snapshot (pipeline stage timings, I/O and pool
@@ -39,7 +34,6 @@
 
 #include "atc/atc.hpp"
 #include "obs/metrics.hpp"
-#include "util/mmap.hpp"
 
 namespace {
 
@@ -48,7 +42,6 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [-j N] [--block BYTES] [--buffer ADDRS] "
-                 "[--io mmap|stdio] "
                  "[--metrics-json PATH] <dirname> [c|k] [codec-spec]\n",
                  argv0);
     return 2;
@@ -117,11 +110,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--buffer") == 0) {
             if (i + 1 >= argc || !parseSize(argv[++i], buffer_addrs))
                 return usage(argv[0]);
-        } else if (std::strcmp(argv[i], "--io") == 0) {
-            util::IoMode io;
-            if (i + 1 >= argc || !util::parseIoMode(argv[++i], io))
-                return usage(argv[0]);
-            util::setDefaultIoMode(io);
         } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
             if (!parseThreads(argc, argv, i, threads))
                 return usage(argv[0]);

@@ -19,8 +19,7 @@
  *
  *        cache_study --sample DIR [--plan SPEC] [--sets 64,256]
  *                    [--ways N] [--block-shift N] [--threads N]
- *                    [--fetch range|seek] [--io mmap|stdio]
- *                    [--reference] [--json PATH]
+ *                    [--fetch range|seek] [--reference] [--json PATH]
  *        cache_study --sample --connect HOST:PORT --name NAME ...
  *
  *    `--sample DIR --connect ... --name ...` uses the daemon for the
@@ -46,7 +45,6 @@
 #include "study/sample_study.hpp"
 #include "trace/pipeline.hpp"
 #include "trace/suite.hpp"
-#include "util/mmap.hpp"
 
 namespace {
 
@@ -186,11 +184,6 @@ parseSampleArgs(int argc, char **argv)
         } else if (a == "--depth") {
             args.opt.pipeline_depth =
                 std::strtoul(next().c_str(), nullptr, 10);
-        } else if (a == "--io") {
-            util::IoMode io;
-            if (!util::parseIoMode(next(), io))
-                die("--io wants mmap or stdio");
-            util::setDefaultIoMode(io);
         } else if (a == "--fetch") {
             std::string mode = next();
             if (mode == "range")

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 
+#include "util/mmap.hpp"
 #include "util/status.hpp"
 
 namespace atc::core {
@@ -9,9 +10,8 @@ namespace atc::core {
 namespace fs = std::filesystem;
 
 DirectoryStore::DirectoryStore(const std::string &dir,
-                               const std::string &suffix,
-                               util::IoMode io)
-    : dir_(dir), suffix_(suffix), io_(io)
+                               const std::string &suffix)
+    : dir_(dir), suffix_(suffix)
 {
     std::error_code ec;
     fs::create_directories(dir_, ec);
@@ -50,7 +50,7 @@ DirectoryStore::openChunk(uint32_t id)
                        " (truncated or partially written container?)");
     ATC_CHECK(size > 0, "chunk file " + path +
                             " is empty (truncated container?)");
-    return util::openFileSource(path, io_);
+    return util::openFileSource(path);
 }
 
 std::unique_ptr<util::ByteSink>
@@ -62,7 +62,7 @@ DirectoryStore::createInfo()
 std::unique_ptr<util::ByteSource>
 DirectoryStore::openInfo()
 {
-    return util::openFileSource(infoPath(), io_);
+    return util::openFileSource(infoPath());
 }
 
 uint64_t

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "util/bytestream.hpp"
-#include "util/mmap.hpp"
 
 namespace atc::core {
 
@@ -55,11 +54,8 @@ class DirectoryStore : public ChunkStore
     /**
      * @param dir    directory path; created if absent
      * @param suffix file suffix, e.g. "bwc" (paper: "bz2")
-     * @param io     read-side source policy; defaults to the
-     *               process-wide mode set by the CLI `--io` flag
      */
-    DirectoryStore(const std::string &dir, const std::string &suffix,
-                   util::IoMode io = util::defaultIoMode());
+    DirectoryStore(const std::string &dir, const std::string &suffix);
 
     std::unique_ptr<util::ByteSink> createChunk(uint32_t id) override;
     std::unique_ptr<util::ByteSource> openChunk(uint32_t id) override;
@@ -73,13 +69,9 @@ class DirectoryStore : public ChunkStore
     /** @return path of the INFO file. */
     std::string infoPath() const;
 
-    /** @return the read-side source policy this store opens with. */
-    util::IoMode ioMode() const { return io_; }
-
   private:
     std::string dir_;
     std::string suffix_;
-    util::IoMode io_;
 };
 
 /** In-memory store for tests and size measurements. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
@@ -207,9 +208,9 @@ AtcIndex::openOrThrow(std::unique_ptr<ChunkStore> store,
 }
 
 std::unique_ptr<AtcCursor>
-AtcIndex::cursor(const CursorOptions &copt) const
+AtcIndex::cursor() const
 {
-    return std::make_unique<AtcCursor>(shared_from_this(), copt);
+    return std::make_unique<AtcCursor>(shared_from_this(), nullptr);
 }
 
 uint32_t
@@ -449,13 +450,13 @@ class AtcCursor::LossyPass
     {
         size_t got = 0;
         while (got < n) {
-            if (pos_ == interval_.size()) {
+            if (pos_ == current_.size()) {
                 if (!nextInterval())
                     break;
                 continue; // an empty interval record is possible
             }
-            size_t take = std::min(n - got, interval_.size() - pos_);
-            std::memcpy(out + got, interval_.data() + pos_,
+            size_t take = std::min(n - got, current_.size() - pos_);
+            std::memcpy(out + got, current_.data() + pos_,
                         take * sizeof(uint64_t));
             got += take;
             pos_ += take;
@@ -471,7 +472,9 @@ class AtcCursor::LossyPass
         parallel::Task<BlockCache<uint64_t>::Ptr> chunk;
     };
 
-    /** Regenerate record next_ into interval_; false at the end. */
+    /** Make record next_ the current interval; false at the end. A
+     *  stored chunk or an untranslated imitation is served straight
+     *  from its decoded chunk, a translated one from interval_. */
     bool
     nextInterval()
     {
@@ -485,14 +488,16 @@ class AtcCursor::LossyPass
         const std::vector<uint64_t> &chunk = *held;
         ATC_CHECK(chunk.size() == rec.length,
                   "interval record length mismatch");
-        interval_.resize(rec.length);
         if (rec.kind == IntervalRecord::Kind::Chunk ||
             rec.trans.plane_mask == 0) {
-            std::copy(chunk.begin(), chunk.end(), interval_.begin());
+            current_ = chunk;
         } else {
+            interval_.resize(rec.length);
             for (size_t i = 0; i < chunk.size(); ++i)
                 interval_[i] = rec.trans.apply(chunk[i]);
+            current_ = interval_;
         }
+        held_ = std::move(held); // keeps current_'s chunk alive
         pos_ = 0;
         return true;
     }
@@ -567,21 +572,15 @@ class AtcCursor::LossyPass
     size_t end_;
     bool populate_;
     std::vector<Slot> slots_;
-    std::vector<uint64_t> interval_;
-    size_t pos_ = 0;
+    BlockCache<uint64_t>::Ptr held_; ///< chunk of the current interval
+    std::vector<uint64_t> interval_; ///< a translated imitation
+    std::span<const uint64_t> current_;
+    size_t pos_ = 0; ///< next record of current_ to serve
 };
 
 AtcCursor::AtcCursor(std::shared_ptr<const AtcIndex> index,
-                     const CursorOptions &copt)
-    : index_(std::move(index)), pool_(copt.pool)
-{
-    start(0);
-}
-
-AtcCursor::AtcCursor(std::shared_ptr<const AtcIndex> index,
                      std::shared_ptr<parallel::ThreadPool> pool)
-    : index_(std::move(index)), pool_owner_(std::move(pool)),
-      pool_(pool_owner_.get())
+    : index_(std::move(index)), pool_(std::move(pool))
 {
     start(0);
 }
@@ -620,7 +619,7 @@ AtcCursor::startLossless(uint64_t rec)
     // Only a full pass is known to read on: a seek may read a handful
     // of records, so it decodes on demand and queues nothing ahead. A
     // full pass decodes frames and inverse-transforms buffers ahead.
-    parallel::ThreadPool *pool = rec == 0 ? pool_ : nullptr;
+    parallel::ThreadPool *pool = rec == 0 ? pool_.get() : nullptr;
     frames_ = std::make_unique<FrameSource>(index_, 0, pool, f,
                                             layout.frames.size(), rec == 0);
     // Discard the tail of the frame that precedes the buffer start,
@@ -648,7 +647,7 @@ AtcCursor::startLossy(uint64_t rec)
     // the one pass that leaves the cache alone (see the file comment).
     // All cursors over one index decode chunks through the shared
     // cache, so a working set warmed by any of them serves all.
-    parallel::ThreadPool *pool = i == 0 ? pool_ : nullptr;
+    parallel::ThreadPool *pool = i == 0 ? pool_.get() : nullptr;
     lossy_ = std::make_unique<LossyPass>(index_, pool, i, records,
                                          pool == nullptr);
     pos_ = rec == index_->size() ? rec : starts[i];
@@ -707,7 +706,7 @@ AtcCursor::rangeLossless(uint64_t begin, uint64_t end,
     size_t f0 = layout.frameContaining(raw0);
     size_t f1 = layout.frameContaining(raw1 - 1);
 
-    FrameSource frames(index_, 0, pool_, f0, f1 + 1, false);
+    FrameSource frames(index_, 0, pool_.get(), f0, f1 + 1, false);
     frames.skip(raw0 - layout.raw_starts[f0]);
     TransformDecoder transform(pipeline.transform, frames,
                                pipeline.buffer_addrs);
@@ -731,7 +730,7 @@ AtcCursor::rangeLossy(uint64_t begin, uint64_t end,
     const std::vector<uint64_t> &starts = index_->recordStarts();
     size_t i0 = recordContaining(starts, begin);
     size_t i1 = recordContaining(starts, end - 1);
-    LossyPass pass(index_, pool_, i0, i1 + 1, true);
+    LossyPass pass(index_, pool_.get(), i0, i1 + 1, true);
     auto read = [&pass](uint64_t *o, size_t n) { return pass.read(o, n); };
     discardRecords(read, begin - starts[i0],
                    "container truncated inside the range");

@@ -67,11 +67,10 @@
  *    index; see IndexOptions::cache_bytes.
  *  - AtcCursor: confined to one thread at a time; concurrent use of
  *    *different* cursors over one AtcIndex is supported and tested.
- *  - A cursor keeps its AtcIndex alive (shared ownership). A pool
- *    passed through CursorOptions is borrowed and must outlive the
- *    cursor; cursors minted by AtcReader::cursor() share the reader's
- *    pool instead, so they may outlive the reader. A pooled cursor must
- *    not be used from a task running on its own pool.
+ *  - A cursor keeps its AtcIndex and its pool alive (shared
+ *    ownership), so cursors minted by AtcReader::cursor() may outlive
+ *    the reader. A pooled cursor must not be used from a task running
+ *    on its own pool.
  */
 
 #ifndef ATC_ATC_INDEX_HPP_
@@ -97,18 +96,6 @@ class ThreadPool;
 namespace atc::core {
 
 class AtcCursor;
-
-/** Knobs of a cursor minted by AtcIndex::cursor(). */
-struct CursorOptions
-{
-    /** Borrowed pool; when set, full passes and readRange() decode
-     *  through a readahead window on it, and the cursor's caller runs
-     *  queued tasks of it while waiting (see the file comment), so it
-     *  must hold only tasks that finish on their own. A submit to a
-     *  full queue waits for a worker; AtcReader sizes its pool's queue
-     *  to hold a whole pass's readahead. Must outlive the cursor. */
-    parallel::ThreadPool *pool = nullptr;
-};
 
 /** Knobs of the snapshot built by AtcIndex::open(). */
 struct IndexOptions
@@ -157,11 +144,10 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
         std::unique_ptr<ChunkStore> store, const IndexOptions &iopt = {});
 
     /**
-     * Mint a new cursor positioned at record 0. Any number of cursors
-     * may coexist; each is independent.
+     * Mint a new cursor without a pool, positioned at record 0. Any
+     * number of cursors may coexist; each is independent.
      */
-    std::unique_ptr<AtcCursor> cursor(
-        const CursorOptions &copt = {}) const;
+    std::unique_ptr<AtcCursor> cursor() const;
 
     /** @return the parsed INFO (records included in lossy mode). */
     const ContainerInfo &info() const { return info_; }
@@ -267,10 +253,15 @@ class AtcIndex : public std::enable_shared_from_this<AtcIndex>
 class AtcCursor : public trace::TraceCursor
 {
   public:
-    AtcCursor(std::shared_ptr<const AtcIndex> index,
-              const CursorOptions &copt);
-
-    /** A cursor that shares ownership of @p pool (may be null). */
+    /**
+     * A cursor at record 0 that shares ownership of @p pool (may be
+     * null). With a pool, full passes and readRange() decode through a
+     * readahead window on it, and the cursor's caller runs queued tasks
+     * of it while waiting (see the file comment), so the pool must
+     * hold only tasks that finish on their own. A submit to a full
+     * queue waits for a worker; AtcReader sizes its pool's queue to
+     * hold a whole pass's readahead.
+     */
     AtcCursor(std::shared_ptr<const AtcIndex> index,
               std::shared_ptr<parallel::ThreadPool> pool);
 
@@ -304,8 +295,7 @@ class AtcCursor : public trace::TraceCursor
                     std::vector<uint64_t> &out);
 
     std::shared_ptr<const AtcIndex> index_;
-    std::shared_ptr<parallel::ThreadPool> pool_owner_;
-    parallel::ThreadPool *pool_;
+    std::shared_ptr<parallel::ThreadPool> pool_;
     uint64_t pos_ = 0;
 
     // Lossless: decoded frames from the current position onward, and

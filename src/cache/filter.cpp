@@ -1,8 +1,5 @@
 #include "cache/filter.hpp"
 
-#include <algorithm>
-#include <future>
-
 #include "obs/metrics.hpp"
 #include "util/status.hpp"
 
@@ -10,14 +7,12 @@ namespace atc::cache {
 
 namespace {
 
-// Stage accounting for the filter front-end: wall time on the caller
-// thread (sharded or not), access/miss volume, and how many batches
-// actually fanned out.
+// Stage accounting for the filter front-end: wall time and
+// access/miss volume.
 struct FilterMetrics {
     obs::Counter &filter_us;
     obs::Counter &accesses;
     obs::Counter &misses;
-    obs::Counter &sharded_batches;
 };
 
 FilterMetrics &
@@ -28,14 +23,9 @@ filterMetrics()
         r.counter("cache.filter_us"),
         r.counter("cache.filter.accesses"),
         r.counter("cache.filter.misses"),
-        r.counter("cache.filter.sharded_batches"),
     };
     return m;
 }
-
-/** Below this batch size the fan-out overhead beats the win; the
- *  shard replicas still run (inline) so state stays consistent. */
-constexpr size_t kMinParallelBatch = 8192;
 
 } // namespace
 
@@ -85,135 +75,22 @@ CacheFilter::accessTagged(uint64_t byte_addr, bool is_instr, bool is_write,
 }
 
 void
-FilterStage::shard(parallel::ThreadPool &pool, size_t shards)
-{
-    ATC_CHECK(!started_, "shard() must precede the first write()");
-    if (has_l2_ || l1_.policy == ReplPolicy::RANDOM)
-        return; // not decomposable by L1 set index — stay serial
-    size_t count = shards != 0 ? shards : pool.size();
-    count = std::min<size_t>(std::max<size_t>(count, 1), l1_.sets);
-    if (count <= 1)
-        return;
-    pool_ = &pool;
-    shards_.clear();
-    for (size_t s = 0; s < count; ++s)
-        shards_.emplace_back(l1_);
-    shard_idx_.resize(count);
-    block_shift_ = 0;
-    while ((1u << block_shift_) < l1_.block_bytes)
-        ++block_shift_;
-    set_mask_ = l1_.sets - 1;
-}
-
-void
-FilterStage::writeSharded(const uint64_t *vals, size_t n)
-{
-    // Partition input positions by owning shard (cheap, caller
-    // thread), replay each shard's subsequence through its replica —
-    // recording per-position verdicts into disjoint slots — then emit
-    // the misses in input order: the identical stream, assembled from
-    // per-set simulations that ran concurrently.
-    size_t count = shards_.size();
-    for (auto &idx : shard_idx_)
-        idx.clear();
-    for (size_t i = 0; i < n; ++i) {
-        uint32_t set = static_cast<uint32_t>(vals[i] >> block_shift_) &
-                       set_mask_;
-        shard_idx_[set % count].push_back(static_cast<uint32_t>(i));
-    }
-    is_miss_.assign(n, 0);
-    miss_vals_.resize(n);
-
-    auto runShard = [this, vals](size_t s) {
-        CacheFilter &f = shards_[s];
-        for (uint32_t i : shard_idx_[s]) {
-            if (auto miss = f.access(vals[i], is_instr_)) {
-                is_miss_[i] = 1;
-                miss_vals_[i] = *miss;
-            }
-        }
-    };
-
-    if (n >= kMinParallelBatch) {
-        filterMetrics().sharded_batches.inc();
-        std::vector<std::future<void>> done;
-        done.reserve(count - 1);
-        for (size_t s = 1; s < count; ++s)
-            done.push_back(pool_->async([&runShard, s] { runShard(s); }));
-        runShard(0);
-        // Drain every future before touching the verdicts (and before
-        // the deque unwinds on error) — the tasks borrow this stage.
-        std::exception_ptr error;
-        for (auto &f : done) {
-            try {
-                f.get();
-            } catch (...) {
-                if (!error)
-                    error = std::current_exception();
-            }
-        }
-        if (error)
-            std::rethrow_exception(error);
-    } else {
-        for (size_t s = 0; s < count; ++s)
-            runShard(s);
-    }
-
-    batch_.clear();
-    for (size_t i = 0; i < n; ++i) {
-        if (is_miss_[i])
-            batch_.push_back(miss_vals_[i]);
-    }
-}
-
-void
 FilterStage::write(const uint64_t *vals, size_t n)
 {
-    started_ = true;
     FilterMetrics &m = filterMetrics();
     obs::StageTimer t(m.filter_us);
-    if (!shards_.empty()) {
-        writeSharded(vals, n);
-    } else {
-        // Batch the surviving misses so the downstream stage sees
-        // spans, not single values.
-        batch_.clear();
-        for (size_t i = 0; i < n; ++i) {
-            if (auto miss = filter_.access(vals[i], is_instr_))
-                batch_.push_back(*miss);
-        }
+    // Batch the surviving misses so the downstream stage sees spans,
+    // not single values.
+    batch_.clear();
+    for (size_t i = 0; i < n; ++i) {
+        if (auto miss = filter_.access(vals[i], is_instr_))
+            batch_.push_back(*miss);
     }
     t.stop();
     m.accesses.add(static_cast<int64_t>(n));
     m.misses.add(static_cast<int64_t>(batch_.size()));
     if (!batch_.empty())
         down_.write(batch_.data(), batch_.size());
-}
-
-CacheStats
-FilterStage::icacheStats() const
-{
-    if (shards_.empty())
-        return filter_.icacheStats();
-    CacheStats sum;
-    for (const CacheFilter &f : shards_) {
-        sum.accesses += f.icacheStats().accesses;
-        sum.misses += f.icacheStats().misses;
-    }
-    return sum;
-}
-
-CacheStats
-FilterStage::dcacheStats() const
-{
-    if (shards_.empty())
-        return filter_.dcacheStats();
-    CacheStats sum;
-    for (const CacheFilter &f : shards_) {
-        sum.accesses += f.dcacheStats().accesses;
-        sum.misses += f.dcacheStats().misses;
-    }
-    return sum;
 }
 
 } // namespace atc::cache

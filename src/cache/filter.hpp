@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/cache_model.hpp"
-#include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
 
 namespace atc::cache {
@@ -91,14 +90,6 @@ class CacheFilter
  * addresses and forwards the missing block addresses to a downstream
  * sink (paper Figure 8: generator -> filter -> compressor as one
  * chain). close() propagates downstream, sealing the pipeline.
- *
- * shard() parallelizes the filtering across a thread pool by L1 set
- * index. Cache sets under a deterministic per-set policy (LRU/FIFO)
- * evolve independently — the access subsequence hitting one set is the
- * same whether it was replayed through a global filter or a shard
- * replica — so per-access verdicts, and therefore the emitted miss
- * stream (reassembled in input order), are identical to the serial
- * stage's at any worker count.
  */
 class FilterStage : public trace::TraceSink
 {
@@ -111,58 +102,30 @@ class FilterStage : public trace::TraceSink
     explicit FilterStage(trace::TraceSink &down,
                          const CacheConfig &l1 = CacheConfig::paperL1(),
                          bool is_instr = false)
-        : down_(down), filter_(l1), l1_(l1), is_instr_(is_instr)
+        : down_(down), filter_(l1), is_instr_(is_instr)
     {}
 
     /** As above, with a unified L2 behind the L1s. */
     FilterStage(trace::TraceSink &down, const CacheConfig &l1,
                 const CacheConfig &l2, bool is_instr = false)
-        : down_(down), filter_(l1, l2), l1_(l1), is_instr_(is_instr),
-          has_l2_(true)
+        : down_(down), filter_(l1, l2), is_instr_(is_instr)
     {}
-
-    /**
-     * Split the filter by L1 set index across @p pool. No-op (stays
-     * serial) when the configuration is not decomposable: an L2 uses a
-     * different set mask, and RANDOM replacement draws from one RNG
-     * stream shared across sets. Must be called before the first
-     * write(); @p pool must outlive the stage.
-     * @param shards replica count; 0 = pool size (capped at L1 sets)
-     */
-    void shard(parallel::ThreadPool &pool, size_t shards = 0);
 
     void write(const uint64_t *vals, size_t n) override;
 
     void close() override { down_.close(); }
 
-    /** @return I-cache statistics, aggregated across shard replicas. */
-    CacheStats icacheStats() const;
+    /** @return I-cache statistics. */
+    const CacheStats &icacheStats() const { return filter_.icacheStats(); }
 
-    /** @return D-cache statistics, aggregated across shard replicas. */
-    CacheStats dcacheStats() const;
-
-    /** @return shard replica count; 0 while serial. */
-    size_t shardCount() const { return shards_.size(); }
+    /** @return D-cache statistics. */
+    const CacheStats &dcacheStats() const { return filter_.dcacheStats(); }
 
   private:
-    void writeSharded(const uint64_t *vals, size_t n);
-
     trace::TraceSink &down_;
-    CacheFilter filter_; // serial mode; unused once sharded
-    CacheConfig l1_;
+    CacheFilter filter_;
     bool is_instr_;
-    bool has_l2_ = false;
-    bool started_ = false;
     std::vector<uint64_t> batch_;
-
-    // Sharded mode: shard s owns the sets with index ≡ s (mod count).
-    parallel::ThreadPool *pool_ = nullptr;
-    std::vector<CacheFilter> shards_;
-    uint32_t block_shift_ = 0;
-    uint32_t set_mask_ = 0;
-    std::vector<std::vector<uint32_t>> shard_idx_; // input positions
-    std::vector<uint8_t> is_miss_;                 // per input position
-    std::vector<uint64_t> miss_vals_;
 };
 
 } // namespace atc::cache

@@ -1,38 +1,38 @@
 /**
  * @file
  * Fixed-size thread pool over a bounded MPMC task channel, and Task<T>,
- * the one handle every pooled stage keeps its tasks in.
+ * the one handle through which any code puts work on a pool.
  *
  * submit() enqueues a task, blocking when the queue is full — bounded
  * submission is the backpressure mechanism that keeps a fast producer
- * (e.g. a trace generator) from buffering unbounded work. async() wraps
- * submit() with a std::future for the task's result.
+ * (e.g. a trace generator) from buffering unbounded work.
  *
  * Task<T> is how the writer (codec frames, forward transforms, lossy
- * signatures and chunks) and the read engine (frames, inverse
- * transforms, lossy chunks) run a stage "on a pool or inline": built
- * from (pool, fn), fn runs on the pool when there is one, else it is
- * deferred to get() on the caller's thread. Each stage keeps the tasks
- * of a bounded window (windowDepth()) and resolves them in order, so
- * one code path serves every thread count, 0 included. A Task may
- * also be built already resolved, from a value (a cache hit) or from
- * an error (a bad header, surfaced when the reader reaches it).
+ * signatures and chunks), the read engine (frames, inverse
+ * transforms, lossy chunks) and the sampling study (per-worker window
+ * runs) run a stage "on a pool or inline": built from (pool, fn), fn
+ * runs on the pool when there is one, else it is deferred to get() on
+ * the caller's thread. Each stage keeps the tasks of a bounded window
+ * (windowDepth()) and resolves them in order, so one code path serves
+ * every thread count, 0 included. A Task may also be built already
+ * resolved, from a value (a cache hit) or from an error (a bad header,
+ * surfaced when the reader reaches it).
  *
  * get() need not idle: it runs queued tasks on the calling thread
- * (runOne()) until its own task is done (ThreadPool::wait()), so the
- * caller decodes or encodes alongside the workers. It rethrows the
- * task's error on that call and on every later one, so a retried read
- * reports the same failure instead of resuming past it. Destroying a
- * Task waits (helping the same way) for a task still pending on a
- * pool, so a task may borrow what its owner holds; a deferred task
- * that was never read never runs. AtcReader and AtcWriter size the
- * queue to hold every window they keep, so submitting never blocks
- * there. Any queued task may run on a helping caller, so a pool that
- * callers help must hold only tasks that finish on their own.
+ * (runOne()) until its own task is done, so the caller decodes or
+ * encodes alongside the workers. It rethrows the task's error on that
+ * call and on every later one, so a retried read reports the same
+ * failure instead of resuming past it. Destroying a Task waits
+ * (helping the same way) for a task still pending on a pool, so a
+ * task may borrow what its owner holds; a deferred task that was never
+ * read never runs. AtcReader and AtcWriter size the queue to hold
+ * every window they keep, so submitting never blocks there. Any queued
+ * task may run on a helping caller, so a pool that callers help must
+ * hold only tasks that finish on their own.
  *
  * Destruction closes the task channel, runs the tasks already queued,
- * and joins the workers; abandoned futures never deadlock because
- * workers block only on the channel, never on callers.
+ * and joins the workers; a Task still held after that never deadlocks,
+ * because its task either ran or was refused at submission.
  */
 
 #ifndef ATC_PARALLEL_THREAD_POOL_HPP_
@@ -82,44 +82,10 @@ class ThreadPool
     bool submit(std::function<void()> task);
 
     /**
-     * Enqueue @p fn and expose its result (or exception) as a future.
-     * @throws util::Error when the pool is shutting down
-     */
-    template <typename F>
-    auto
-    async(F fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        // packaged_task is move-only; std::function requires copyable
-        // targets, so the task rides in a shared_ptr.
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::move(fn));
-        std::future<R> future = task->get_future();
-        if (!submit([task] { (*task)(); }))
-            util::raise("thread pool is shut down");
-        return future;
-    }
-
-    /**
      * Run the oldest queued task on the calling thread, if any.
      * @return false when the queue was empty
      */
     bool runOne();
-
-    /** Block until @p future is ready, running queued tasks on the
-     *  calling thread while any are queued. */
-    template <typename T>
-    void
-    wait(const std::future<T> &future)
-    {
-        while (future.wait_for(std::chrono::seconds(0)) !=
-               std::future_status::ready) {
-            if (!runOne()) {
-                future.wait(); // the rest is running on the workers
-                return;
-            }
-        }
-    }
 
     /** Close the queue, finish queued tasks, and join (idempotent). */
     void shutdown();
@@ -155,15 +121,25 @@ class Task
     /** An empty handle, resolved with no value (nothing to wait for). */
     Task() = default;
 
-    /** Run @p fn on @p pool, or — without one — on the caller's thread
-     *  in get(). */
+    /**
+     * Run @p fn on @p pool, or — without one — on the caller's thread
+     * in get().
+     * @throws util::Error when @p pool is shut down
+     */
     template <typename F>
-    Task(ThreadPool *pool, F fn)
-        : pool_(pool),
-          future_(pool != nullptr
-                      ? pool->async(std::move(fn))
-                      : std::async(std::launch::deferred, std::move(fn)))
-    {}
+    Task(ThreadPool *pool, F fn) : pool_(pool)
+    {
+        if (pool == nullptr) {
+            future_ = std::async(std::launch::deferred, std::move(fn));
+            return;
+        }
+        // packaged_task is move-only; std::function requires copyable
+        // targets, so the task rides in a shared_ptr.
+        auto task = std::make_shared<std::packaged_task<T()>>(std::move(fn));
+        future_ = task->get_future();
+        if (!pool->submit([task] { (*task)(); }))
+            util::raise("thread pool is shut down");
+    }
 
     /** A task resolved to @p value. */
     explicit Task(Stored value)
@@ -202,8 +178,7 @@ class Task
     get()
     {
         if (future_.valid()) {
-            if (pool_ != nullptr)
-                pool_->wait(future_);
+            join();
             try {
                 if constexpr (std::is_void_v<T>)
                     future_.get();
@@ -222,11 +197,20 @@ class Task
     }
 
   private:
+    /** Wait for a task pending on the pool, running queued tasks on
+     *  the calling thread while any are queued. */
     void
     join()
     {
-        if (pool_ != nullptr && future_.valid())
-            pool_->wait(future_);
+        if (pool_ == nullptr || !future_.valid())
+            return;
+        while (future_.wait_for(std::chrono::seconds(0)) !=
+               std::future_status::ready) {
+            if (!pool_->runOne()) {
+                future_.wait(); // the rest is running on the workers
+                return;
+            }
+        }
     }
 
     ThreadPool *pool_ = nullptr;

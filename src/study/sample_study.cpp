@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <map>
 
 #include "atc/index.hpp"
@@ -132,7 +131,7 @@ runLocalChunk(const core::AtcIndex &index, const SamplePlan &plan,
               std::vector<WindowResult> &out)
 {
     std::unique_ptr<core::AtcCursor> cursor =
-        index.cursor(core::CursorOptions{});
+        index.cursor();
     std::vector<uint64_t> records;
     for (size_t i = first; i < last; ++i) {
         const SampleWindow &w = plan.windows()[i];
@@ -264,30 +263,30 @@ fanOut(size_t n, const StudyOptions &opt,
     for (size_t w = 0; w < workers; ++w)
         worker_sims.push_back(makeSims(opt));
 
-    std::vector<std::future<Status>> futures;
-    futures.reserve(workers);
+    // Each task borrows run and worker_sims, and its handle joins it
+    // on every way out of this frame, a refused submit included.
+    std::vector<parallel::Task<Status>> tasks;
+    tasks.reserve(workers);
     size_t per = n / workers;
     size_t extra = n % workers;
     size_t first = 0;
-    for (size_t w = 0; w < workers; ++w) {
-        size_t count = per + (w < extra ? 1 : 0);
-        size_t last = first + count;
-        futures.push_back(pool->async([&run, &worker_sims, w, first,
-                                       last]() -> Status {
-            return run(worker_sims[w], first, last);
-        }));
-        first = last;
-    }
-
-    Status result;
-    for (std::future<Status> &f : futures) {
-        Status st;
-        try {
-            st = f.get();
-        } catch (const std::exception &e) {
-            st = Status::error(std::string("sample study worker: ") +
-                               e.what());
+    Status result = util::toStatus([&] {
+        for (size_t w = 0; w < workers; ++w) {
+            size_t last = first + per + (w < extra ? 1 : 0);
+            tasks.emplace_back(pool, [&run, &worker_sims, w, first,
+                                      last]() -> Status {
+                try {
+                    return run(worker_sims[w], first, last);
+                } catch (const std::exception &e) {
+                    return Status::error(
+                        std::string("sample study worker: ") + e.what());
+                }
+            });
+            first = last;
         }
+    });
+    for (parallel::Task<Status> &task : tasks) {
+        const Status &st = task.get();
         if (!st.ok() && result.ok())
             result = st;
     }
@@ -501,7 +500,7 @@ runFullReference(std::shared_ptr<const core::AtcIndex> index,
     double t0 = nowSeconds();
 
     std::unique_ptr<core::AtcCursor> cursor =
-        index->cursor(core::CursorOptions{});
+        index->cursor();
     std::vector<uint64_t> buf(1u << 16);
     for (;;) {
         size_t got = cursor->read(buf.data(), buf.size());

@@ -1,6 +1,5 @@
 #include "util/mmap.hpp"
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 
@@ -18,13 +17,12 @@ namespace atc::util {
 namespace {
 
 // Mapping accounting, alongside the stdio io.read_* family: opens and
-// fallbacks tell which source mode actually served a run, view_bytes
-// is the zero-copy traffic that never went through read().
+// fallbacks tell which source actually served a run, view_bytes is the
+// zero-copy traffic that never went through read().
 struct MmapMetrics {
     obs::Counter &opens;
     obs::Counter &mapped_bytes;
     obs::Counter &fallbacks;
-    obs::Counter &stdio_opens;
     obs::Counter &view_bytes;
 };
 
@@ -34,47 +32,12 @@ mmapMetrics()
     auto &r = obs::Registry::global();
     static MmapMetrics m{
         r.counter("io.mmap_opens"),   r.counter("io.mmap_bytes"),
-        r.counter("io.mmap_fallbacks"), r.counter("io.stdio_opens"),
-        r.counter("io.view_bytes"),
+        r.counter("io.mmap_fallbacks"), r.counter("io.view_bytes"),
     };
     return m;
 }
 
-std::atomic<IoMode> g_default_io_mode{IoMode::kMmap};
-
 } // namespace
-
-IoMode
-defaultIoMode()
-{
-    return g_default_io_mode.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultIoMode(IoMode mode)
-{
-    g_default_io_mode.store(mode, std::memory_order_relaxed);
-}
-
-const char *
-ioModeName(IoMode mode)
-{
-    return mode == IoMode::kStdio ? "stdio" : "mmap";
-}
-
-bool
-parseIoMode(const std::string &text, IoMode &out)
-{
-    if (text == "mmap") {
-        out = IoMode::kMmap;
-        return true;
-    }
-    if (text == "stdio") {
-        out = IoMode::kStdio;
-        return true;
-    }
-    return false;
-}
 
 std::shared_ptr<const MappedFile>
 MappedFile::map(const std::string &path)
@@ -150,21 +113,12 @@ MmapSource::view(size_t n)
 }
 
 std::unique_ptr<ByteSource>
-openFileSource(const std::string &path, IoMode mode)
-{
-    if (mode != IoMode::kStdio) {
-        if (auto mapped = MappedFile::map(path))
-            return std::make_unique<MmapSource>(std::move(mapped));
-        mmapMetrics().fallbacks.inc();
-    }
-    mmapMetrics().stdio_opens.inc();
-    return std::make_unique<FileSource>(path);
-}
-
-std::unique_ptr<ByteSource>
 openFileSource(const std::string &path)
 {
-    return openFileSource(path, defaultIoMode());
+    if (auto mapped = MappedFile::map(path))
+        return std::make_unique<MmapSource>(std::move(mapped));
+    mmapMetrics().fallbacks.inc();
+    return std::make_unique<FileSource>(path);
 }
 
 } // namespace atc::util

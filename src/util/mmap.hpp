@@ -28,25 +28,6 @@
 
 namespace atc::util {
 
-/** File-source selection policy (the CLI `--io` knob). */
-enum class IoMode : uint8_t
-{
-    kMmap = 0, ///< map regular files, fall back to stdio (default)
-    kStdio,    ///< always read through buffered stdio
-};
-
-/** Process-wide default consulted by DirectoryStore and the factory. */
-IoMode defaultIoMode();
-
-/** Set the process-wide default (CLI `--io` plumbing). */
-void setDefaultIoMode(IoMode mode);
-
-/** @return "mmap" or "stdio". */
-const char *ioModeName(IoMode mode);
-
-/** Parse "mmap"/"stdio" into @p out; false on anything else. */
-bool parseIoMode(const std::string &text, IoMode &out);
-
 /** Read-only memory mapping of one regular file. */
 class MappedFile
 {
@@ -120,15 +101,10 @@ class MmapSource : public ByteSource
 };
 
 /**
- * Open @p path for reading under @p mode: kMmap maps the file and
- * falls back to stdio when mapping fails (counted in
- * io.mmap_fallbacks); kStdio always returns a FileSource. Throws
- * Error when the file cannot be opened at all.
+ * Open @p path for reading: map it, falling back to a FileSource when
+ * mapping fails (counted in io.mmap_fallbacks). Throws Error when the
+ * file cannot be opened at all.
  */
-std::unique_ptr<ByteSource> openFileSource(const std::string &path,
-                                           IoMode mode);
-
-/** As above, under the process-wide default mode. */
 std::unique_ptr<ByteSource> openFileSource(const std::string &path);
 
 } // namespace atc::util

@@ -765,10 +765,8 @@ TEST(SeekHot, CacheResidentWorkingSetDecodesZeroFrames)
     // index (that is what "shared" buys), and from a pooled cursor
     // (a pass started by a seek queues no frames ahead).
     auto cursor2 = index->cursor();
-    parallel::ThreadPool pool(4);
-    core::CursorOptions copt;
-    copt.pool = &pool;
-    auto pooled = index->cursor(copt);
+    auto pooled = std::make_unique<core::AtcCursor>(
+        index, std::make_shared<parallel::ThreadPool>(4));
     CountingCodec::decodes = 0;
     for (int round = 0; round < 3; ++round) {
         for (uint64_t off : offsets) {
@@ -818,10 +816,8 @@ TEST(PooledRange, LossyRangeSpanningManyChunksUsesPoolStaysExact)
     auto index = opened.value();
     ASSERT_GE(index->info().chunk_count, 4u);
 
-    parallel::ThreadPool pool(4);
-    core::CursorOptions copt;
-    copt.pool = &pool;
-    auto pooled = index->cursor(copt);
+    auto pooled = std::make_unique<core::AtcCursor>(
+        index, std::make_shared<parallel::ThreadPool>(4));
 
     // Cold: the distinct covering chunks decode on the pool, several
     // at once (proved by the codec seeing two decodes in flight),

@@ -2,7 +2,8 @@
  * @file
  * Tests for the zero-copy source layer: MappedFile, MmapSource, the
  * openFileSource fallback policy, and byte parity of mmap-backed
- * container reads against the buffered stdio path in both modes.
+ * container reads against the buffered FileSource path, lossless and
+ * lossy.
  */
 
 #include <gtest/gtest.h>
@@ -31,16 +32,34 @@ using namespace atc;
 
 namespace {
 
-/** Scoped override of the process-wide io mode. */
-struct IoModeGuard
+/** A directory store that reads every file through a buffered
+ *  FileSource, never a mapping. */
+class FileSourceStore : public core::DirectoryStore
 {
-    util::IoMode saved;
-    explicit IoModeGuard(util::IoMode mode) : saved(util::defaultIoMode())
+  public:
+    using core::DirectoryStore::DirectoryStore;
+
+    std::unique_ptr<util::ByteSource>
+    openChunk(uint32_t id) override
     {
-        util::setDefaultIoMode(mode);
+        return std::make_unique<util::FileSource>(chunkPath(id));
     }
-    ~IoModeGuard() { util::setDefaultIoMode(saved); }
+
+    std::unique_ptr<util::ByteSource>
+    openInfo() override
+    {
+        return std::make_unique<util::FileSource>(infoPath());
+    }
 };
+
+/** @return a store over @p dir, mapped or (@p buffered) not. */
+std::unique_ptr<core::ChunkStore>
+openStore(const std::string &dir, bool buffered)
+{
+    if (buffered)
+        return std::make_unique<FileSourceStore>(dir, "bwc");
+    return std::make_unique<core::DirectoryStore>(dir, "bwc");
+}
 
 std::string
 writeBytes(const std::string &name, const std::vector<uint8_t> &bytes)
@@ -70,10 +89,10 @@ syntheticTrace(size_t n)
 }
 
 std::vector<uint64_t>
-readAll(const std::string &dir, util::IoMode mode)
+readAll(const std::string &dir, bool buffered)
 {
-    IoModeGuard guard(mode);
-    core::AtcReader reader(dir);
+    auto store = openStore(dir, buffered);
+    core::AtcReader reader(*store);
     std::vector<uint64_t> out;
     uint64_t v;
     while (reader.decode(&v))
@@ -146,37 +165,28 @@ TEST(MmapSource, ViewReadSkipSemantics)
     fs::remove(path);
 }
 
-TEST(OpenFileSource, StdioModeAndUnmappableInputsFallBack)
+TEST(OpenFileSource, UnmappableInputsFallBack)
 {
     std::vector<uint8_t> bytes{1, 2, 3, 4, 5};
     std::string path = writeBytes("atc_mmap_fallback.bin", bytes);
 
-    // kStdio forces the buffered path: no borrowed views available.
-    auto stdio_src = util::openFileSource(path, util::IoMode::kStdio);
-    EXPECT_EQ(stdio_src->view(2), nullptr);
-    uint8_t buf[5] = {};
-    stdio_src->readExact(buf, 5);
-    EXPECT_EQ(buf[4], 5);
-
-    // kMmap on a regular file serves views.
-    auto mmap_src = util::openFileSource(path, util::IoMode::kMmap);
+    // A regular file is mapped and serves views.
+    auto mmap_src = util::openFileSource(path);
     EXPECT_NE(mmap_src->view(5), nullptr);
     fs::remove(path);
 
 #if !defined(_WIN32)
-    // An unmappable special file falls back to stdio cleanly instead
-    // of failing: reads work, views are refused.
-    auto dev = util::openFileSource("/dev/null", util::IoMode::kMmap);
+    // An unmappable special file falls back to FileSource cleanly
+    // instead of failing: reads work, views are refused.
+    auto dev = util::openFileSource("/dev/null");
     EXPECT_EQ(dev->view(1), nullptr);
+    uint8_t buf[1] = {};
     EXPECT_EQ(dev->read(buf, 1), 0u);
 #endif
 
-    // A missing file is an error in both modes, not a silent fallback.
+    // A missing file is an error, not a silent fallback.
     std::string missing = testing::TempDir() + "/atc_mmap_missing.bin";
-    EXPECT_THROW(util::openFileSource(missing, util::IoMode::kMmap),
-                 util::Error);
-    EXPECT_THROW(util::openFileSource(missing, util::IoMode::kStdio),
-                 util::Error);
+    EXPECT_THROW(util::openFileSource(missing), util::Error);
 }
 
 #if !defined(_WIN32)
@@ -215,7 +225,7 @@ TEST(MappedFile, SparseFileBeyondTwoGiB)
 }
 #endif
 
-TEST(MmapParity, ContainersDecodeIdenticallyInBothModes)
+TEST(MmapParity, ContainersDecodeIdenticallyMappedAndBuffered)
 {
     auto trace = syntheticTrace(30000);
     for (bool lossy : {false, true}) {
@@ -232,9 +242,9 @@ TEST(MmapParity, ContainersDecodeIdenticallyInBothModes)
             writer.close();
         }
 
-        auto mmap_out = readAll(dir, util::IoMode::kMmap);
-        auto stdio_out = readAll(dir, util::IoMode::kStdio);
-        EXPECT_EQ(mmap_out, stdio_out) << (lossy ? "lossy" : "lossless");
+        auto mmap_out = readAll(dir, false);
+        auto file_out = readAll(dir, true);
+        EXPECT_EQ(mmap_out, file_out) << (lossy ? "lossy" : "lossless");
         EXPECT_EQ(mmap_out.size(), trace.size());
         if (!lossy)
             EXPECT_EQ(mmap_out, trace);
@@ -242,7 +252,7 @@ TEST(MmapParity, ContainersDecodeIdenticallyInBothModes)
     }
 }
 
-TEST(MmapParity, RandomAccessCursorMatchesStdio)
+TEST(MmapParity, RandomAccessCursorMatchesFileSource)
 {
     auto trace = syntheticTrace(40000);
     std::string dir = testing::TempDir() + "/atc_mmap_cursor_parity";
@@ -257,11 +267,9 @@ TEST(MmapParity, RandomAccessCursorMatchesStdio)
         writer.close();
     }
 
-    for (util::IoMode mode :
-         {util::IoMode::kMmap, util::IoMode::kStdio}) {
-        IoModeGuard guard(mode);
-        auto index = core::AtcIndex::openOrThrow(
-            std::make_unique<core::DirectoryStore>(dir, "bwc", mode));
+    for (bool buffered : {false, true}) {
+        auto index =
+            core::AtcIndex::openOrThrow(openStore(dir, buffered));
         auto cursor = index->cursor();
         std::vector<uint64_t> slice;
         ASSERT_TRUE(cursor->readRange(17000, 19000, slice).ok());
@@ -289,7 +297,7 @@ TEST(MmapParity, ViewBytesCounterRecordsZeroCopyDecodes)
     }
 
     auto before = obs::Registry::global().snapshot();
-    auto out = readAll(dir, util::IoMode::kMmap);
+    auto out = readAll(dir, false);
     auto after = obs::Registry::global().snapshot();
     EXPECT_EQ(out.size(), trace.size());
     EXPECT_GT(after.value("io.mmap_opens"), before.value("io.mmap_opens"));

@@ -25,7 +25,6 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <latch>
 #include <thread>
 
@@ -33,7 +32,6 @@
 
 #include "atc/atc.hpp"
 #include "atc/bytesort.hpp"
-#include "cache/filter.hpp"
 #include "compress/stream.hpp"
 #include "parallel/channel.hpp"
 #include "parallel/thread_pool.hpp"
@@ -110,12 +108,13 @@ TEST(Channel, ManyProducersManyConsumers)
 
 // ------------------------------------------------------------ thread pool
 
-TEST(ThreadPool, AsyncResultsAndExceptions)
+TEST(ThreadPool, TaskResultsAndExceptions)
 {
     parallel::ThreadPool pool(3);
     EXPECT_EQ(pool.size(), 3u);
-    auto ok = pool.async([] { return 6 * 7; });
-    auto bad = pool.async([]() -> int { util::raise("worker failure"); });
+    parallel::Task<int> ok(&pool, [] { return 6 * 7; });
+    parallel::Task<int> bad(&pool,
+                            []() -> int { util::raise("worker failure"); });
     EXPECT_EQ(ok.get(), 42);
     EXPECT_THROW(bad.get(), util::Error);
 }
@@ -155,7 +154,7 @@ TEST(ThreadPool, RunOneRunsAQueuedTaskOnTheCaller)
     EXPECT_FALSE(pool.runOne()) << "the queue is empty";
 
     std::thread::id ran_on;
-    auto result = pool.async([&ran_on] {
+    parallel::Task<int> result(&pool, [&ran_on] {
         ran_on = std::this_thread::get_id();
         return 42;
     });
@@ -177,10 +176,10 @@ TEST(ThreadPool, ShutdownWhileACallerHelpsRunsEveryTask)
             std::this_thread::sleep_for(std::chrono::microseconds(200));
             ++ran;
         });
-    auto last = pool.async([&ran] { ++ran; });
-    // The helper drains the queue through wait() while shutdown()
+    parallel::Task<void> last(&pool, [&ran] { ++ran; });
+    // The helper drains the queue through get() while shutdown()
     // closes it and waits for the parked worker.
-    std::thread helper([&] { pool.wait(last); });
+    std::thread helper([&] { last.get(); });
     std::thread closer([&] { pool.shutdown(); });
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     gate.count_down();
@@ -188,7 +187,7 @@ TEST(ThreadPool, ShutdownWhileACallerHelpsRunsEveryTask)
     closer.join();
     EXPECT_EQ(ran.load(), 1 + 32 + 1);
     EXPECT_FALSE(pool.runOne());
-    EXPECT_THROW(pool.async([] {}), util::Error);
+    EXPECT_THROW(parallel::Task<void>(&pool, [] {}), util::Error);
 }
 
 // ------------------------------------------------------------------ task
@@ -1291,12 +1290,10 @@ TEST(ThreadPool, PooledFullReadCompletesWhileTheOnlyWorkerIsBlocked)
 
     // A queue with room for the pass's whole readahead, as AtcReader
     // gives its pool, so no submit waits for the parked worker.
-    parallel::ThreadPool pool(1, 64);
+    auto pool = std::make_shared<parallel::ThreadPool>(1, 64);
     std::latch gate(1);
-    parkTheWorker(pool, gate);
-    core::CursorOptions copt;
-    copt.pool = &pool;
-    auto cursor = index->cursor(copt);
+    parkTheWorker(*pool, gate);
+    auto cursor = std::make_unique<core::AtcCursor>(index, pool);
     std::vector<uint64_t> out(addrs.size() + 1);
     size_t got = 0;
     while (size_t n = cursor->read(out.data() + got, out.size() - got))
@@ -1376,15 +1373,15 @@ TEST(SeekableDecode, PooledBwcFramesOfEverySizeDecodeByteExact)
             comp::compressAll(bwc, planes.data(), planes.size(), block));
 
     parallel::ThreadPool pool(4, 64);
-    std::vector<std::future<bool>> decoded;
+    std::vector<parallel::Task<bool>> decoded;
     for (int round = 0; round < 4; ++round)
         for (size_t s = 0; s < streams.size(); ++s)
-            decoded.push_back(pool.async([&, s] {
+            decoded.emplace_back(&pool, [&, s] {
                 return comp::decompressAll(bwc, streams[s].data(),
                                            streams[s].size()) == planes;
-            }));
-    for (auto &f : decoded)
-        EXPECT_TRUE(f.get());
+            });
+    for (auto &task : decoded)
+        EXPECT_TRUE(task.get());
 }
 
 // ------------------------------------------------- directory containers
@@ -1412,105 +1409,6 @@ TEST(ParallelAtc, DirectoryContainerInterchangeable)
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.size(), addrs.size());
     fs::remove_all(dir);
-}
-
-// --------------------------------------------------- sharded cache filter
-
-/** Byte addresses spread across many sets, with reuse for hits. */
-std::vector<uint64_t>
-filterTrace(size_t n, uint64_t seed)
-{
-    util::Rng rng(seed);
-    std::vector<uint64_t> addrs;
-    addrs.reserve(n);
-    uint64_t base = 0x2000'0000;
-    for (size_t i = 0; i < n; ++i) {
-        if (rng.below(64) == 0)
-            base = 0x2000'0000 + (rng.below(32) << 20);
-        // Mix of strides and revisits so every set sees hits, misses
-        // and evictions.
-        addrs.push_back(base + rng.below(1 << 16));
-    }
-    return addrs;
-}
-
-std::vector<uint64_t>
-runFilter(const std::vector<uint64_t> &addrs, size_t threads,
-          size_t batch, cache::CacheStats *icache = nullptr,
-          cache::CacheStats *dcache = nullptr)
-{
-    std::vector<uint64_t> misses;
-    trace::VectorTraceSink sink(misses);
-    cache::FilterStage stage(sink);
-    parallel::ThreadPool pool(threads);
-    if (threads > 1) {
-        stage.shard(pool);
-        EXPECT_GT(stage.shardCount(), 1u);
-    }
-    size_t pos = 0;
-    while (pos < addrs.size()) {
-        size_t take = std::min(batch, addrs.size() - pos);
-        stage.write(addrs.data() + pos, take);
-        pos += take;
-    }
-    stage.close();
-    if (icache != nullptr)
-        *icache = stage.icacheStats();
-    if (dcache != nullptr)
-        *dcache = stage.dcacheStats();
-    return misses;
-}
-
-TEST_P(ThreadSweep, ShardedFilterEmitsIdenticalMissStream)
-{
-    // Batches above the fan-out floor: the sharded path really runs.
-    auto addrs = filterTrace(100'000, 31);
-    cache::CacheStats serial_d, sharded_d;
-    auto serial = runFilter(addrs, 1, 50'000, nullptr, &serial_d);
-    auto sharded =
-        runFilter(addrs, GetParam(), 50'000, nullptr, &sharded_d);
-    EXPECT_EQ(serial, sharded);
-    EXPECT_EQ(serial_d.accesses, sharded_d.accesses);
-    EXPECT_EQ(serial_d.misses, sharded_d.misses);
-    ASSERT_GT(serial.size(), 0u);
-}
-
-TEST_P(ThreadSweep, ShardedFilterSmallBatchesStayIdentical)
-{
-    // Below the fan-out floor the replicas run inline — the verdicts
-    // must still match the serial filter exactly.
-    auto addrs = filterTrace(20'000, 32);
-    auto serial = runFilter(addrs, 1, 777);
-    auto sharded = runFilter(addrs, GetParam(), 777);
-    EXPECT_EQ(serial, sharded);
-}
-
-TEST(ShardedFilter, RefusesNonDecomposableConfigs)
-{
-    std::vector<uint64_t> misses;
-    trace::VectorTraceSink sink(misses);
-    parallel::ThreadPool pool(4);
-
-    // An L2 uses a different set mask: shard() must stay serial.
-    cache::CacheConfig l1 = cache::CacheConfig::paperL1();
-    cache::CacheConfig l2 = l1;
-    l2.sets = l1.sets * 8;
-    cache::FilterStage with_l2(sink, l1, l2);
-    with_l2.shard(pool);
-    EXPECT_EQ(with_l2.shardCount(), 0u);
-
-    // RANDOM replacement draws from one RNG stream shared across sets.
-    cache::CacheConfig rnd = l1;
-    rnd.policy = cache::ReplPolicy::RANDOM;
-    cache::FilterStage with_rnd(sink, rnd);
-    with_rnd.shard(pool);
-    EXPECT_EQ(with_rnd.shardCount(), 0u);
-
-    // Both still filter correctly in serial mode.
-    auto addrs = filterTrace(10'000, 33);
-    with_l2.write(addrs.data(), addrs.size());
-    with_rnd.write(addrs.data(), addrs.size());
-    EXPECT_GT(misses.size(), 0u);
 }
 
 // ---------------------------------------------------- pooled lossy encode

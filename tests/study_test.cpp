@@ -11,7 +11,8 @@
  * ratios only slightly vs kRange), and served-backend parity: an
  * in-process TraceServer must yield byte-identical window CRCs and
  * identical merged histograms to the local backend over the same
- * container.
+ * container. A borrowed pool that is already shut down fails the study
+ * with an error Status instead of an exception.
  */
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "study/sample_plan.hpp"
 #include "study/sample_study.hpp"
@@ -372,6 +374,26 @@ TEST(SampleStudy, RejectsBadGeometryAndEmptyPlans)
     StudyOptions none;
     none.sets = {};
     EXPECT_FALSE(study::runSampleStudy(index, plan.value(), none).ok());
+}
+
+TEST(SampleStudy, ShutDownBorrowedPoolIsAnErrorStatus)
+{
+    auto trace = makeTrace(50'000, 5);
+    auto store = writeContainer(trace, makeOptions(core::Mode::Lossless));
+    auto index = core::AtcIndex::openOrThrow(store);
+    auto plan = SamplePlan::build("systematic:windows=8,len=1000",
+                                  index->size());
+    ASSERT_TRUE(plan.ok());
+
+    parallel::ThreadPool pool(2);
+    pool.shutdown();
+    StudyOptions opt;
+    opt.pool = &pool;
+    util::StatusOr<study::StudyResult> run = util::Status::error("unset");
+    EXPECT_NO_THROW(run = study::runSampleStudy(index, plan.value(), opt));
+    ASSERT_FALSE(run.ok());
+    EXPECT_NE(run.status().message().find("shut down"), std::string::npos)
+        << run.status().message();
 }
 
 } // namespace
