@@ -102,21 +102,16 @@ scaledLen(size_t base, size_t floor = 65536)
 }
 
 /**
- * The codec's input as the reader of a filtered trace sees it: the
- * bytesort planes of four suite models, one per behaviour class
- * (462.libquantum, 403.gcc, 429.mcf, 400.perlbench), each filtered by
- * the paper's L1 D-cache (cache::FilterStage) and concatenated, in
- * transform buffers of up to 2^20 addresses (paper geometry). Returns
- * the first @p bytes of the planes. At 1 MiB and more, a BWT block of
- * them holds ~20-40k runs per MiB, as the filtered suite traces do;
- * random low address bits give an order of magnitude more.
+ * The first @p addrs addresses of the `archive` workload's input: four
+ * suite models, one per behaviour class (462.libquantum, 403.gcc,
+ * 429.mcf, 400.perlbench), each filtered by the paper's L1 D-cache
+ * (cache::FilterStage), in equal parts, concatenated.
  */
-inline std::vector<uint8_t>
-suitePlanes(size_t bytes, uint64_t seed = 1)
+inline std::vector<uint64_t>
+suiteTrace(size_t addrs, uint64_t seed = 1)
 {
     static const char *const models[] = {"462.libquantum", "403.gcc",
                                          "429.mcf", "400.perlbench"};
-    const size_t addrs = (bytes + 7) / 8;
     const size_t per_model = (addrs + 3) / 4;
     std::vector<uint64_t> trace;
     for (size_t m = 0; m < 4; ++m) {
@@ -131,6 +126,22 @@ suitePlanes(size_t bytes, uint64_t seed = 1)
                      misses.begin() + per_model);
     }
     trace.resize(addrs);
+    return trace;
+}
+
+/**
+ * The codec's input as the reader of a filtered trace sees it: the
+ * bytesort planes of suiteTrace(), in transform buffers of up to 2^20
+ * addresses (paper geometry). Returns the first @p bytes of the
+ * planes. At 1 MiB and more, a BWT block of them holds ~20-40k runs
+ * per MiB, as the filtered suite traces do; random low address bits
+ * give an order of magnitude more.
+ */
+inline std::vector<uint8_t>
+suitePlanes(size_t bytes, uint64_t seed = 1)
+{
+    std::vector<uint64_t> trace = suiteTrace((bytes + 7) / 8, seed);
+    const size_t addrs = trace.size();
     std::vector<uint8_t> planes(8 * addrs);
     const size_t buffer = size_t(1) << 20;
     for (size_t off = 0; off < addrs; off += buffer)

@@ -4,7 +4,9 @@
  * and on the bytesort planes the writer feeds it), MTF, RLE, the
  * decoder's fused RLE/MTF-to-runs pass, the inverse BWT and the bwc
  * decoder on the planes of filtered suite traces (the `_suite` rows),
- * the byte-plane histograms behind lossy signatures, bytesort, the
+ * the byte-plane histograms behind lossy signatures, bytesort (on
+ * synthetic addresses, and on the filtered suite addresses in the
+ * 64k-address buffers a served request inverts), the
  * cache filter, the stack simulator and the CRC-32 that checks every
  * decoded frame. These are the knobs behind
  * Table 2's throughput numbers and the targets of the hot-loop tuning.
@@ -85,17 +87,25 @@ struct Row
 };
 
 /** Time @p fn over @p n items and record one row: the median thread
- *  CPU time of 7 runs after an untimed warm-up, and its spread. */
-template <typename Fn>
+ *  CPU time of 7 runs after an untimed warm-up, and its spread. Off
+ *  the clock, @p prepare runs before every run (to restore an input
+ *  the kernel consumes) and @p check after it (to check every output
+ *  byte). */
+template <typename Prepare, typename Fn, typename Check>
 void
-runKernel(std::vector<Row> &rows, const char *name, size_t n, Fn &&fn)
+runKernel(std::vector<Row> &rows, const char *name, size_t n,
+          Prepare &&prepare, Fn &&fn, Check &&check)
 {
+    prepare();
     fn(); // warm-up, untimed
+    check();
     std::array<double, 7> runs;
     for (double &run : runs) {
+        prepare();
         double t0 = bench::threadCpuSeconds();
         fn();
         run = bench::threadCpuSeconds() - t0;
+        check();
     }
     std::sort(runs.begin(), runs.end());
     double secs = runs[3];
@@ -103,6 +113,14 @@ runKernel(std::vector<Row> &rows, const char *name, size_t n, Fn &&fn)
                     static_cast<double>(n) / secs / 1e6});
     std::fprintf(stderr, "  %-22s %8.4fs [%.4f, %.4f]  %9.3f M/s\n", name,
                  secs, runs[1], runs[5], rows.back().m_per_s);
+}
+
+/** A row whose @p fn needs no preparation and checks its own output. */
+template <typename Fn>
+void
+runKernel(std::vector<Row> &rows, const char *name, size_t n, Fn &&fn)
+{
+    runKernel(rows, name, n, [] {}, fn, [] {});
 }
 
 } // namespace
@@ -209,22 +227,73 @@ main(int argc, char **argv)
     });
 
     // Bytesort transform round trip. Both directions consume their
-    // input, so each run copies it first.
+    // input, so each run copies it first; the whole output is checked
+    // off the clock.
     std::vector<uint8_t> work(planes.size());
     std::vector<uint64_t> back(addrs.size());
-    runKernel(rows, "bytesort_forward", kAddrs, [&] {
-        std::copy(addrs.begin(), addrs.end(), back.begin());
-        core::bytesortForward(back.data(), addrs.size(), work.data());
-        if (work.front() != planes.front())
-            std::abort();
+    runKernel(
+        rows, "bytesort_forward", kAddrs, [] {},
+        [&] {
+            std::copy(addrs.begin(), addrs.end(), back.begin());
+            core::bytesortForward(back.data(), addrs.size(), work.data());
+        },
+        [&] {
+            if (work != planes)
+                std::abort();
+        });
+    runKernel(
+        rows, "bytesort_inverse", kAddrs, [] {},
+        [&] {
+            std::copy(planes.begin(), planes.end(), work.begin());
+            core::bytesortInverseInPlace(work.data(), addrs.size(),
+                                         back.data());
+        },
+        [&] {
+            if (back != addrs)
+                std::abort();
+        });
+
+    // The same round trip over the filtered suite addresses (as
+    // suitePlanes), in the 64k-address buffers a served READ_RANGE
+    // inverse-transforms. The input is restored off the clock.
+    const size_t kSuiteBuffer = size_t(1) << 16;
+    const std::vector<uint64_t> suite_addrs = bench::suiteTrace(kAddrs);
+    std::vector<uint8_t> suite_planes(8 * kAddrs);
+    auto suiteBuffers = [&](auto &&fn) {
+        for (size_t off = 0; off < kAddrs; off += kSuiteBuffer)
+            fn(off, std::min(kSuiteBuffer, kAddrs - off));
+    };
+    back = suite_addrs;
+    suiteBuffers([&](size_t off, size_t len) {
+        core::bytesortForward(back.data() + off, len,
+                              suite_planes.data() + 8 * off);
     });
-    runKernel(rows, "bytesort_inverse", kAddrs, [&] {
-        std::copy(planes.begin(), planes.end(), work.begin());
-        core::bytesortInverseInPlace(work.data(), addrs.size(),
-                                     back.data());
-        if (back.back() != addrs.back())
-            std::abort();
-    });
+    runKernel(
+        rows, "bytesort_forward_suite", kAddrs,
+        [&] { back = suite_addrs; },
+        [&] {
+            suiteBuffers([&](size_t off, size_t len) {
+                core::bytesortForward(back.data() + off, len,
+                                      work.data() + 8 * off);
+            });
+        },
+        [&] {
+            if (work != suite_planes)
+                std::abort();
+        });
+    runKernel(
+        rows, "bytesort_inverse_suite", kAddrs,
+        [&] { work = suite_planes; },
+        [&] {
+            suiteBuffers([&](size_t off, size_t len) {
+                core::bytesortInverseInPlace(work.data() + 8 * off, len,
+                                             back.data() + off);
+            });
+        },
+        [&] {
+            if (back != suite_addrs)
+                std::abort();
+        });
 
     // Cache-side kernels.
     runKernel(rows, "cache_filter", kAddrs, [&] {

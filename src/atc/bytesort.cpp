@@ -1,6 +1,7 @@
 #include "atc/bytesort.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -11,24 +12,30 @@ namespace atc::core {
 
 namespace {
 
-/** @p start[c] = rank of the first byte c of @p plane in the encoder's
- *  stable sort by that plane. */
-void
-planeStarts(const uint8_t *plane, size_t n, uint32_t start[256])
+/** The little-endian 8 bytes at @p p, at any alignment. */
+inline uint64_t
+load64(const uint8_t *p)
 {
-    uint32_t cnt[256] = {};
-    for (size_t s = 0; s < n; ++s)
-        cnt[plane[s]]++;
-    uint32_t sum = 0;
-    for (int c = 0; c < 256; ++c) {
-        start[c] = sum;
-        sum += cnt[c];
-    }
+    uint64_t v;
+    std::memcpy(&v, p, 8);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
 }
 
+/** Store @p v as 8 little-endian bytes at @p p, at any alignment. */
+inline void
+store64(uint8_t *p, uint64_t v)
+{
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    std::memcpy(p, &v, 8);
+}
+
+/** The K little-endian bytes at @p p, touching no byte past them. */
 template <int K>
 uint64_t
-loadBytes(const uint8_t *p)
+loadExact(const uint8_t *p)
 {
     uint64_t v = 0;
     for (int i = 0; i < K; ++i)
@@ -36,102 +43,284 @@ loadBytes(const uint8_t *p)
     return v;
 }
 
+/** Store the low K bytes of @p v at @p p, touching no byte past them. */
 template <int K>
 void
-storeBytes(uint8_t *p, uint64_t v)
+storeExact(uint8_t *p, uint64_t v)
 {
     for (int i = 0; i < K; ++i)
         p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
+/** Mask of the low K bytes of a word. */
+template <int K>
+constexpr uint64_t kLowBytes = (uint64_t(1) << (8 * K)) - 1;
+
+/**
+ * @return how many leading elements of a packed array of @p end K-byte
+ * elements can be read or written as whole 8-byte words without
+ * reaching past its end; the rest take exact-width access. One-byte
+ * elements gain nothing from words and always take bytes.
+ */
+template <int K>
+size_t
+wordEnd(size_t end)
+{
+    constexpr size_t span = (8 + K - 1) / K; // elements a word touches
+    if constexpr (K == 1)
+        return 0;
+    return end >= span ? end - span + 1 : 0;
+}
+
+/** @return how many of the @p len elements from index @p i lie below
+ *  index @p limit. */
+inline size_t
+below(size_t i, size_t len, size_t limit)
+{
+    return limit > i ? std::min(len, limit - i) : 0;
+}
+
+/**
+ * Count the keys @p keys[Stride * s], s < n (n > 0), into @p cnt and
+ * @return how many runs of equal keys they form. Four accumulators
+ * keep a run of one key from chaining every increment through a
+ * single counter.
+ */
+template <int Stride>
+size_t
+countKeys(const uint8_t *keys, size_t n, uint32_t cnt[256])
+{
+    uint32_t part[4][256] = {};
+    size_t changes = 0;
+    uint8_t prev = keys[0];
+    size_t s = 0;
+    for (; s + 4 <= n; s += 4) {
+        const uint8_t a = keys[Stride * s], b = keys[Stride * (s + 1)],
+                      c = keys[Stride * (s + 2)], d = keys[Stride * (s + 3)];
+        part[0][a]++;
+        part[1][b]++;
+        part[2][c]++;
+        part[3][d]++;
+        changes += (a != prev) + (b != a) + (c != b) + (d != c);
+        prev = d;
+    }
+    for (; s < n; ++s) {
+        const uint8_t a = keys[Stride * s];
+        part[0][a]++;
+        changes += a != prev;
+        prev = a;
+    }
+    for (int c = 0; c < 256; ++c)
+        cnt[c] = part[0][c] + part[1][c] + part[2][c] + part[3][c];
+    return changes + 1;
+}
+
+/** @return the end of the run of key @p c that starts at element @p s
+ *  of @p keys (stride @p Stride, n elements). */
+template <int Stride>
+size_t
+runEnd(const uint8_t *keys, size_t s, size_t n, uint8_t c)
+{
+    if constexpr (Stride == 1) {
+        const uint64_t all = 0x0101010101010101ull * c;
+        for (; s + 8 <= n; s += 8)
+            if (uint64_t diff = load64(keys + s) ^ all)
+                return s + std::countr_zero(diff) / 8;
+    }
+    while (s < n && keys[Stride * s] == c)
+        ++s;
+    return s;
+}
+
+/** @return the start of the run of key @p c that ends just before
+ *  element @p s of the contiguous @p keys. */
+inline size_t
+runBegin(const uint8_t *keys, size_t s, uint8_t c)
+{
+    const uint64_t all = 0x0101010101010101ull * c;
+    for (; s >= 8; s -= 8)
+        if (uint64_t diff = load64(keys + s - 8) ^ all)
+            return s - std::countl_zero(diff) / 8;
+    while (s > 0 && keys[s - 1] == c)
+        --s;
+    return s;
+}
+
+/**
+ * The one stable counting sort behind every bytesort pass, in both
+ * directions. Element s (in sequence order) has key @p keys[Stride * s]
+ * and rank r in the sort by it; @p move(s, r, len, c, end) moves
+ * elements s..s+len-1, all of key c, to or from ranks r..r+len-1,
+ * where @p end is the end of key c's block of ranks.
+ *
+ * The kernel is picked per plane from the run count its histogram
+ * pass returns. A plane of fewer than n/4 runs of equal keys is moved
+ * one run per call: a key's next rank is read once per run, and the
+ * run moves as one contiguous block with no dependency from element to
+ * element. Any other plane moves one element per call through the
+ * classic next[key]++. With @p Backward the elements are visited last
+ * to first, each key's ranks from the end of its block down, for moves
+ * that write over the keys before them.
+ */
+template <int Stride, bool Backward, typename Move>
+void
+sortMoves(const uint8_t *keys, size_t n, Move &&move)
+{
+    uint32_t cnt[256];
+    const bool by_runs = 4 * countKeys<Stride>(keys, n, cnt) < n;
+    uint32_t bound[257]; // key c's ranks are [bound[c], bound[c + 1])
+    bound[0] = 0;
+    for (int c = 0; c < 256; ++c)
+        bound[c + 1] = bound[c] + cnt[c];
+    uint32_t next[256];
+    std::memcpy(next, bound + (Backward ? 1 : 0), sizeof next);
+    if constexpr (!Backward) {
+        if (by_runs) {
+            for (size_t s = 0; s < n;) {
+                const uint8_t c = keys[Stride * s];
+                const size_t e = runEnd<Stride>(keys, s, n, c);
+                move(s, size_t{next[c]}, e - s, c, size_t{bound[c + 1]});
+                next[c] += static_cast<uint32_t>(e - s);
+                s = e;
+            }
+        } else {
+            for (size_t s = 0; s < n; ++s) {
+                const uint8_t c = keys[Stride * s];
+                move(s, size_t{next[c]++}, size_t{1}, c,
+                     size_t{bound[c + 1]});
+            }
+        }
+    } else {
+        static_assert(Stride == 1);
+        if (by_runs) {
+            for (size_t s = n; s > 0;) {
+                const uint8_t c = keys[s - 1];
+                const size_t b = runBegin(keys, s, c);
+                next[c] -= static_cast<uint32_t>(s - b);
+                move(b, size_t{next[c]}, s - b, c, size_t{bound[c + 1]});
+                s = b;
+            }
+        } else {
+            for (size_t s = n; s-- > 0;) {
+                const uint8_t c = keys[s];
+                move(s, size_t{--next[c]}, size_t{1}, c,
+                     size_t{bound[c + 1]});
+            }
+        }
+    }
+}
+
 /**
  * Emit plane j = 8 - K and sort by it: @p from holds bytes j..7 of
  * every address in order j, as K-byte words; their top bytes go to
- * @p plane, and the stable sort by them sends each word's other K - 1
- * bytes, packed, to rank start[byte]++ of order j + 1 at @p to.
+ * @p plane, and the stable sort by them sends each word's other
+ * P = K - 1 bytes, packed, to their rank of order j + 1 at @p to
+ * (which ends where the planes end). A word store there also writes
+ * garbage over the next ranks; the key's later addresses fill those in
+ * rank order, so a store may use a whole word only while the word
+ * stays inside the key's block of ranks.
  */
 template <int K>
 void
 sortWordsToPacked(const uint64_t *from, size_t n, uint8_t *plane,
                   uint8_t *to)
 {
+    constexpr int P = K - 1;
     for (size_t s = 0; s < n; ++s)
-        plane[s] = static_cast<uint8_t>(from[s] >> (8 * (K - 1)));
-    uint32_t start[256];
-    planeStarts(plane, n, start);
-    for (size_t s = 0; s < n; ++s)
-        storeBytes<K - 1>(to + size_t{K - 1} * start[plane[s]]++, from[s]);
+        plane[s] = static_cast<uint8_t>(from[s] >> (8 * P));
+    sortMoves<1, false>(
+        plane, n, [&](size_t s, size_t r, size_t len, uint8_t, size_t end) {
+            const size_t words = below(r, len, wordEnd<P>(end));
+            size_t i = 0;
+            for (; i < words; ++i)
+                store64(to + P * (r + i), from[s + i]);
+            for (; i < len; ++i)
+                storeExact<P>(to + P * (r + i), from[s + i]);
+        });
 }
 
 /**
  * Emit plane j = 8 - K and sort by it, for bytes j..7 held packed, K
- * bytes per address in order j, at @p packed: plane j is written over
- * them from the start, and the stable sort sends each address's other
- * K - 1 bytes to @p to as words. Plane byte s lands on bytes that
- * address s or an earlier one occupied, all read before.
+ * bytes per address in order j, at @p packed (which ends where the
+ * planes end): plane j is written over them from the start, and the
+ * stable sort sends each address's other K - 1 bytes to @p to as
+ * words. A run's plane bytes are written once its addresses are read,
+ * and plane byte s lands on bytes that address s or an earlier one
+ * occupied; a word load of address s reads only bytes from K s on,
+ * none yet overwritten.
  */
 template <int K>
 void
 sortPackedToWords(uint8_t *packed, size_t n, uint64_t *to)
 {
-    uint32_t cnt[256] = {};
-    for (size_t s = 0; s < n; ++s)
-        cnt[packed[size_t{K} * s + K - 1]]++;
-    uint32_t start[256];
-    uint32_t sum = 0;
-    for (int c = 0; c < 256; ++c) {
-        start[c] = sum;
-        sum += cnt[c];
-    }
-    const uint64_t low = (uint64_t(1) << (8 * (K - 1))) - 1;
-    for (size_t s = 0; s < n; ++s) {
-        uint64_t v = loadBytes<K>(packed + size_t{K} * s);
-        uint8_t b = static_cast<uint8_t>(v >> (8 * (K - 1)));
-        packed[s] = b;
-        to[start[b]++] = v & low;
-    }
+    const size_t safe = wordEnd<K>(n);
+    sortMoves<K, false>(
+        packed + K - 1, n,
+        [&](size_t s, size_t r, size_t len, uint8_t c, size_t) {
+            const size_t words = below(s, len, safe);
+            size_t i = 0;
+            for (; i < words; ++i)
+                to[r + i] = load64(packed + K * (s + i)) & kLowBytes<K - 1>;
+            for (; i < len; ++i)
+                to[r + i] =
+                    loadExact<K>(packed + K * (s + i)) & kLowBytes<K - 1>;
+            std::memset(packed + s, c, len);
+        });
 }
 
 /**
  * Undo the encoder's sort by @p plane (plane j = 7 - K) into whole
  * words: @p from packs bytes j+1..7 of every address, K bytes each,
- * in sort order j+1; @p to receives bytes j..7 in order j.
+ * in sort order j+1 (ending where the planes end); @p to receives
+ * bytes j..7 in order j.
  */
 template <int K>
 void
 unsortToWords(const uint8_t *plane, size_t n, const uint8_t *from,
               uint64_t *to)
 {
-    uint32_t start[256];
-    planeStarts(plane, n, start);
-    for (size_t s = 0; s < n; ++s)
-        to[s] = loadBytes<K>(from + size_t{K} * start[plane[s]]++) |
-                static_cast<uint64_t>(plane[s]) << (8 * K);
+    const size_t safe = wordEnd<K>(n);
+    sortMoves<1, false>(
+        plane, n, [&](size_t s, size_t r, size_t len, uint8_t c, size_t) {
+            const uint64_t top = static_cast<uint64_t>(c) << (8 * K);
+            const size_t words = below(r, len, safe);
+            size_t i = 0;
+            for (; i < words; ++i)
+                to[s + i] =
+                    (load64(from + K * (r + i)) & kLowBytes<K>) | top;
+            for (; i < len; ++i)
+                to[s + i] = loadExact<K>(from + K * (r + i)) | top;
+        });
 }
 
 /**
  * Undo the encoder's sort by @p plane (plane j = 8 - K) into K packed
  * bytes per address, written over the planes from @p plane on: @p from
- * holds bytes j+1..7 of every address in order j+1. Running the
- * stable sort's ranks backwards from the end of each byte's range,
- * address s is written to bytes [K s, K s + K) only after plane bytes
- * s..n-1 have been read, so it never overwrites a byte still needed.
+ * holds bytes j+1..7 of every address in order j+1. The moves run
+ * backwards, so address s is written to bytes [K s, K s + K) only
+ * after plane bytes s..n-1 have been read. From s = 8 on, address s is
+ * stored as the 8-byte word that ends at its last byte: the bytes
+ * below its own cover only addresses written later, never a plane
+ * byte still to be read, since K s + K - 8 >= s.
  */
 template <int K>
 void
 unsortToPacked(uint8_t *plane, size_t n, const uint64_t *from)
 {
-    uint32_t end[256];
-    planeStarts(plane, n, end);
-    for (int c = 0; c < 255; ++c)
-        end[c] = end[c + 1];
-    end[255] = static_cast<uint32_t>(n);
-    for (size_t s = n; s-- > 0;) {
-        uint8_t b = plane[s];
-        storeBytes<K>(plane + size_t{K} * s,
-                      from[--end[b]] |
-                          static_cast<uint64_t>(b) << (8 * (K - 1)));
-    }
+    sortMoves<1, true>(
+        plane, n, [&](size_t s, size_t r, size_t len, uint8_t c, size_t) {
+            const uint64_t top = static_cast<uint64_t>(c) << (8 * (K - 1));
+            const size_t bytes = below(s, len, 8);
+            for (size_t i = len; i > bytes;) {
+                --i;
+                store64(plane + K * (s + i) + K - 8,
+                        (from[r + i] | top) << (8 * (8 - K)));
+            }
+            for (size_t i = bytes; i > 0;) {
+                --i;
+                storeExact<K>(plane + K * (s + i), from[r + i] | top);
+            }
+        });
 }
 
 } // namespace
@@ -239,10 +428,11 @@ ringDepth(const parallel::ThreadPool *pool)
     // One buffer ahead per three decoding threads (the workers plus
     // the helping caller), rounded up, keeps pace with the codec. At
     // one per four, 4 threads kept one buffer ahead and the pooled read
-    // waited on it. Re-measured with the eight-chain codec walk (archive
-    // benchmark on a shared 4-vCPU Xeon, 4 threads, medians of 3): 1
-    // ahead read in 521 ms, 2 (this rule) in 440 ms, 3 in 431 ms for
-    // 8 MiB more peak RSS. Each buffer ahead holds its planes and
+    // waited on it. Re-measured with the run-aware kernels, which
+    // halved the inverse (archive benchmark on a shared 4-vCPU VM,
+    // 4 threads, seeds 1-3): 1 ahead read in 262 / 268 / 237 ms, 2
+    // (this rule) in 221 / 224 / 233 ms, 3 in 231 / 252 / 229 ms for
+    // 5-10 MiB more peak RSS. Each buffer ahead holds its planes and
     // addresses, 8 bytes per address apiece.
     if (pool == nullptr)
         return 0;
@@ -436,6 +626,13 @@ TransformDecoder::readBuffer(Slot &slot)
               "corrupt bytesort frame header (buffer length " +
                   std::to_string(n) + " exceeds the buffer size " +
                   std::to_string(max_buffer_) + ")");
+    // Check the claim against the bytes the stream still holds before
+    // sizing the planes by it.
+    ATC_CHECK(n <= in_.remaining() / 8,
+              "corrupt bytesort frame header (buffer length " +
+                  std::to_string(n) + " overruns the " +
+                  std::to_string(in_.remaining()) +
+                  " bytes left in the stream)");
 
     transformMetrics().decode_buffers.inc();
     slot.planes.resize(8 * n);

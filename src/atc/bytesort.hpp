@@ -11,12 +11,38 @@
  * regularity a byte-level compressor then exploits. Both transforms
  * are exactly reversible and linear in time and space.
  *
+ * Kernels: each direction is seven passes of one stable counting sort
+ * by a plane. A pass moves every address's remaining bytes between
+ * whole 64-bit words and a packed array of K bytes per address that
+ * fills the planes not yet emitted (forward) or already consumed
+ * (inverse), so no third array is needed. Both directions share one
+ * kernel set (bytesort.cpp):
+ * - a histogram with four accumulators, which also counts the plane's
+ *   runs of equal keys;
+ * - a run copy: a plane of fewer than n/4 runs is moved run by run,
+ *   reading a key's next rank once per run and copying the run as one
+ *   contiguous block; any other plane moves one address at a time;
+ * - word access: packed addresses move as masked, unaligned 8-byte
+ *   words; only where a word would reach past the end of the 8n plane
+ *   bytes (the last few ranks) do they take exact-width access, so
+ *   callers need no slack bytes.
+ * A word store also writes spare bytes beyond its address, and two
+ * rules keep them harmless. The inverse expands packed addresses in
+ * place from the back and stores the word that ends at an address's
+ * last byte: its spare bytes belong to addresses written after it,
+ * never to a plane byte still to be read. The forward scatter stores
+ * whole words only while they stay inside the key's block of ranks,
+ * whose later ranks it fills in order. The kernel is picked per plane
+ * from its run count, never by an option, and the output is that of
+ * the byte-at-a-time counting sort, byte for byte.
+ *
  * Streaming framing: the trace is cut into buffers of at most B
  * addresses; each buffer is emitted as varint(n) followed by its 8
  * planes; a 0 varint (or end of stream) terminates. The decoder checks
- * every n against the buffer size B it is given (INFO records it), so
- * a crafted length fails as corruption instead of sizing an
- * allocation.
+ * every n against the buffer size B it is given (INFO records it) and
+ * its 8n plane bytes against what its source still holds (a frame
+ * source knows this from the layout scanned at open), so a crafted
+ * length fails as corruption instead of sizing an allocation.
  *
  * Encoding with a thread pool: the encoder cuts its input into batches
  * of whole buffers (at least 2^17 addresses each) and forward-transforms

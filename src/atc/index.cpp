@@ -269,7 +269,8 @@ class AtcCursor::FrameSource : public util::ByteSource
         : index_(std::move(index)), chunk_(chunk),
           layout_(index_->chunkLayout(chunk)), pool_(pool),
           ahead_(pool != nullptr ? parallel::windowDepth(pool) + 1 : 0),
-          next_(first), end_(end), full_(full)
+          next_(first), end_(end), full_(full),
+          left_(layout_.raw_starts[end] - layout_.raw_starts[first])
     {}
 
     FrameSource(const FrameSource &) = delete;
@@ -299,6 +300,10 @@ class AtcCursor::FrameSource : public util::ByteSource
             consume(take);
         }
     }
+
+    /** @return the raw bytes of frames [first, end) not yet served,
+     *  as the layout scanned at open records them. */
+    uint64_t remaining() const override { return left_; }
 
     /**
      * Full passes only, once the transform terminator has been read:
@@ -338,6 +343,7 @@ class AtcCursor::FrameSource : public util::ByteSource
     consume(size_t n)
     {
         pos_ += n;
+        left_ -= n;
         if (pos_ == block_->size())
             retire();
     }
@@ -409,6 +415,7 @@ class AtcCursor::FrameSource : public util::ByteSource
     size_t next_; ///< next frame to queue
     size_t end_;
     bool full_;
+    uint64_t left_; ///< raw bytes of the range not yet served
     /** Chunk source positioned at frame next_; opened on first use,
      *  so a cursor that is built and then seeked reads nothing. */
     std::unique_ptr<util::ByteSource> src_;

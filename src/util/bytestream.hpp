@@ -100,6 +100,14 @@ class ByteSource
     {
         return nullptr;
     }
+
+    /**
+     * @return the bytes this source still holds, or UINT64_MAX when it
+     * cannot tell (the stdio default). A reader checks a length it
+     * read from the stream against this before sizing an allocation
+     * by it.
+     */
+    virtual uint64_t remaining() const { return UINT64_MAX; }
 };
 
 /** Sink that appends to an in-memory vector. */
@@ -163,8 +171,7 @@ class MemorySource : public ByteSource
         return p;
     }
 
-    /** @return bytes not yet consumed. */
-    size_t remaining() const { return size_ - pos_; }
+    uint64_t remaining() const override { return size_ - pos_; }
 
     /** @return whether a read or skip asked for more than remained. */
     bool overran() const { return overran_; }

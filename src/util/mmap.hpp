@@ -92,8 +92,7 @@ class MmapSource : public ByteSource
         return file_;
     }
 
-    /** @return bytes not yet consumed. */
-    size_t remaining() const { return file_->size() - pos_; }
+    uint64_t remaining() const override { return file_->size() - pos_; }
 
   private:
     std::shared_ptr<const MappedFile> file_;

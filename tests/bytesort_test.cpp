@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "atc/bytesort.hpp"
 #include "util/rng.hpp"
@@ -30,6 +31,220 @@ inverse(std::vector<uint8_t> planes, size_t n)
     std::vector<uint64_t> addrs(n);
     core::bytesortInverseInPlace(planes.data(), n, addrs.data());
     return addrs;
+}
+
+/**
+ * The byte-at-a-time reference kernels: the stable counting sort as
+ * the paper states it, one rank start[key]++ per address, with the
+ * partial addresses moved one byte at a time. The word-wide, run-aware
+ * kernels of bytesort.cpp must produce the same bytes.
+ */
+namespace ref {
+
+void
+planeStarts(const uint8_t *plane, size_t n, uint32_t start[256])
+{
+    uint32_t cnt[256] = {};
+    for (size_t s = 0; s < n; ++s)
+        cnt[plane[s]]++;
+    uint32_t sum = 0;
+    for (int c = 0; c < 256; ++c) {
+        start[c] = sum;
+        sum += cnt[c];
+    }
+}
+
+template <int K>
+uint64_t
+loadBytes(const uint8_t *p)
+{
+    uint64_t v = 0;
+    for (int i = 0; i < K; ++i)
+        v |= static_cast<uint64_t>(p[i]) << (8 * i);
+    return v;
+}
+
+template <int K>
+void
+storeBytes(uint8_t *p, uint64_t v)
+{
+    for (int i = 0; i < K; ++i)
+        p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+template <int K>
+void
+sortWordsToPacked(const uint64_t *from, size_t n, uint8_t *plane,
+                  uint8_t *to)
+{
+    for (size_t s = 0; s < n; ++s)
+        plane[s] = static_cast<uint8_t>(from[s] >> (8 * (K - 1)));
+    uint32_t start[256];
+    planeStarts(plane, n, start);
+    for (size_t s = 0; s < n; ++s)
+        storeBytes<K - 1>(to + size_t{K - 1} * start[plane[s]]++, from[s]);
+}
+
+template <int K>
+void
+sortPackedToWords(uint8_t *packed, size_t n, uint64_t *to)
+{
+    uint32_t cnt[256] = {};
+    for (size_t s = 0; s < n; ++s)
+        cnt[packed[size_t{K} * s + K - 1]]++;
+    uint32_t start[256];
+    uint32_t sum = 0;
+    for (int c = 0; c < 256; ++c) {
+        start[c] = sum;
+        sum += cnt[c];
+    }
+    const uint64_t low = (uint64_t(1) << (8 * (K - 1))) - 1;
+    for (size_t s = 0; s < n; ++s) {
+        uint64_t v = loadBytes<K>(packed + size_t{K} * s);
+        uint8_t b = static_cast<uint8_t>(v >> (8 * (K - 1)));
+        packed[s] = b;
+        to[start[b]++] = v & low;
+    }
+}
+
+template <int K>
+void
+unsortToWords(const uint8_t *plane, size_t n, const uint8_t *from,
+              uint64_t *to)
+{
+    uint32_t start[256];
+    planeStarts(plane, n, start);
+    for (size_t s = 0; s < n; ++s)
+        to[s] = loadBytes<K>(from + size_t{K} * start[plane[s]]++) |
+                static_cast<uint64_t>(plane[s]) << (8 * K);
+}
+
+template <int K>
+void
+unsortToPacked(uint8_t *plane, size_t n, const uint64_t *from)
+{
+    uint32_t end[256];
+    planeStarts(plane, n, end);
+    for (int c = 0; c < 255; ++c)
+        end[c] = end[c + 1];
+    end[255] = static_cast<uint32_t>(n);
+    for (size_t s = n; s-- > 0;) {
+        uint8_t b = plane[s];
+        storeBytes<K>(plane + size_t{K} * s,
+                      from[--end[b]] |
+                          static_cast<uint64_t>(b) << (8 * (K - 1)));
+    }
+}
+
+std::vector<uint8_t>
+forward(std::vector<uint64_t> addrs)
+{
+    const size_t n = addrs.size();
+    std::vector<uint8_t> planes(8 * n);
+    if (n == 0)
+        return planes;
+    auto plane = [&](size_t j) { return planes.data() + j * n; };
+    sortWordsToPacked<8>(addrs.data(), n, plane(0), plane(1));
+    sortPackedToWords<7>(plane(1), n, addrs.data());
+    sortWordsToPacked<6>(addrs.data(), n, plane(2), plane(3));
+    sortPackedToWords<5>(plane(3), n, addrs.data());
+    sortWordsToPacked<4>(addrs.data(), n, plane(4), plane(5));
+    sortPackedToWords<3>(plane(5), n, addrs.data());
+    sortWordsToPacked<2>(addrs.data(), n, plane(6), plane(7));
+    return planes;
+}
+
+std::vector<uint64_t>
+inverse(std::vector<uint8_t> planes, size_t n)
+{
+    std::vector<uint64_t> addrs(n);
+    if (n == 0)
+        return addrs;
+    auto plane = [&](size_t j) { return planes.data() + j * n; };
+    unsortToWords<1>(plane(6), n, plane(7), addrs.data());
+    unsortToPacked<3>(plane(5), n, addrs.data());
+    unsortToWords<3>(plane(4), n, plane(5), addrs.data());
+    unsortToPacked<5>(plane(3), n, addrs.data());
+    unsortToWords<5>(plane(2), n, plane(3), addrs.data());
+    unsortToPacked<7>(plane(1), n, addrs.data());
+    unsortToWords<7>(plane(0), n, plane(1), addrs.data());
+    return addrs;
+}
+
+} // namespace ref
+
+/** Byte s of plane j of a crafted n-address buffer. */
+using PlaneShape =
+    std::function<uint8_t(size_t n, size_t j, size_t s, util::Rng &)>;
+
+/**
+ * Planes whose every plane has one shape. The inverse maps any 8n
+ * bytes to n addresses (and the forward maps those back), so a shape
+ * chosen plane by plane reaches every kernel, once per packed width K:
+ * plane j is the key of the passes that move 7 - j and 8 - j bytes.
+ */
+const std::pair<const char *, PlaneShape> kShapes[] = {
+    {"constant", [](size_t, size_t j, size_t, util::Rng &) {
+         return static_cast<uint8_t>(0x40 + j);
+     }},
+    {"long runs ending in the first and last 8",
+     [](size_t n, size_t j, size_t s, util::Rng &) {
+         const size_t head = 1 + j % 7, tail = 1 + (j + 3) % 7;
+         return static_cast<uint8_t>(s < head ? 0x90 : s + tail < n ? 0x10
+                                                                   : 0xF0);
+     }},
+    {"runs of length 1", [](size_t, size_t j, size_t s, util::Rng &) {
+         return static_cast<uint8_t>(s % 3 * 0x51 + j);
+     }},
+    {"runs of length 2", [](size_t, size_t j, size_t s, util::Rng &) {
+         return static_cast<uint8_t>(s / 2 % 3 * 0x51 + j);
+     }},
+    {"runs of length 3", [](size_t, size_t j, size_t s, util::Rng &) {
+         return static_cast<uint8_t>(s / 3 % 3 * 0x51 + j);
+     }},
+    {"short runs in a long one", // run by run, blocks of 1 to 3 ranks
+     [](size_t, size_t j, size_t s, util::Rng &) {
+         const size_t at = s % 64;
+         return static_cast<uint8_t>(at < 1 + (s / 64 + j) % 3 ? 1 + s / 64
+                                                                : 0);
+     }},
+    {"alternating keys", [](size_t, size_t, size_t s, util::Rng &) {
+         return static_cast<uint8_t>(s % 2 ? 0xA5 : 0x5A);
+     }},
+    {"random", [](size_t, size_t, size_t, util::Rng &rng) {
+         return static_cast<uint8_t>(rng.below(256));
+     }},
+    {"suite-like: runs high, random low",
+     [](size_t, size_t j, size_t s, util::Rng &rng) {
+         if (j < 5)
+             return static_cast<uint8_t>(s / 100 + j);
+         return static_cast<uint8_t>(j == 5 ? rng.below(4) * 9
+                                            : rng.below(256));
+     }},
+};
+
+TEST(Bytesort, KernelsMatchTheByteAtATimeReference)
+{
+    std::vector<size_t> sizes;
+    for (size_t n = 1; n <= 17; ++n)
+        sizes.push_back(n);
+    for (size_t n : {255, 4095, 4096, 4097, 65539})
+        sizes.push_back(n);
+    for (const auto &[name, shape] : kShapes) {
+        for (size_t n : sizes) {
+            util::Rng rng(n);
+            // Exactly 8n bytes and n words: a word access past the
+            // end is an ASan report.
+            std::vector<uint8_t> planes(8 * n);
+            for (size_t j = 0; j < 8; ++j)
+                for (size_t s = 0; s < n; ++s)
+                    planes[j * n + s] = shape(n, j, s, rng);
+            const std::vector<uint64_t> addrs = ref::inverse(planes, n);
+            ASSERT_EQ(inverse(planes, n), addrs) << name << ", n " << n;
+            ASSERT_EQ(forward(addrs), planes) << name << ", n " << n;
+            ASSERT_EQ(ref::forward(addrs), planes) << name << ", n " << n;
+        }
+    }
 }
 
 TEST(Bytesort, EmptyBuffer)

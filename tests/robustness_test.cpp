@@ -501,6 +501,47 @@ TEST(Robustness, CraftedBufferLengthIsAnErrorNotAnAbort)
     }
 }
 
+TEST(Robustness, BufferLengthBeyondTheFrameIsAnErrorNotAnAllocation)
+{
+    // A one-record "store" container written with 2^24-address
+    // buffers, whose buffer length is rewritten in place to the full
+    // 2^24 (the frame CRC restamped): the header passes the buffer-size
+    // check, but its 128 MiB of planes are not in the 10-byte frame.
+    // The read must fail on the bytes the stream holds before it sizes
+    // anything by the claim.
+    core::MemoryStore base;
+    core::AtcOptions opt;
+    opt.mode = core::Mode::Lossless;
+    opt.pipeline.codec = "store";
+    opt.pipeline.buffer_addrs = size_t(1) << 24;
+    {
+        core::AtcWriter w(base, opt);
+        w.code(0x10000000);
+        w.close();
+    }
+    std::vector<uint8_t> chunk = base.chunkBytes(0);
+    util::MemorySource header(chunk.data(), chunk.size());
+    util::readVarint(header); // raw size + 1
+    util::readVarint(header); // compressed size
+    const size_t at = chunk.size() - header.remaining();
+    const std::vector<uint8_t> claim = varintOfLength(size_t(1) << 24, 4);
+    std::copy(claim.begin(), claim.end(), chunk.begin() + at);
+    test::restampStoreCrcs(chunk);
+    auto bad = withChunk(base, chunk);
+
+    for (size_t threads : {size_t(0), size_t(2)}) {
+        auto reader = core::AtcReader::open(bad, 0, threads);
+        ASSERT_TRUE(reader.ok()) << reader.status().message();
+        long before = peakRssKib();
+        std::vector<uint64_t> out;
+        util::Status range = reader.value()->cursor()->readRange(0, 1, out);
+        ASSERT_FALSE(range.ok()) << threads;
+        EXPECT_NE(range.message().find("overruns"), std::string::npos)
+            << range.message();
+        EXPECT_LT(peakRssKib() - before, 32 << 10) << "KiB";
+    }
+}
+
 TEST(DeltaTransform, RoundTripStreaming)
 {
     util::Rng rng(3);
