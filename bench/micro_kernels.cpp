@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks for the computational kernels: SA-IS/BWT (on text
  * and on the bytesort planes the writer feeds it), MTF, RLE, the
- * decoder's fused RLE/MTF-to-runs pass, the inverse BWT and the bwc
- * decoder on the planes of filtered suite traces (the `_suite` rows),
+ * decoder's fused RLE/MTF-to-runs pass, the bwc codec's BWT stage
+ * (RLE1 included) and the whole codec each way on the planes of
+ * filtered suite traces (the `_suite` rows),
  * the byte-plane histograms behind lossy signatures, bytesort (on
  * synthetic addresses, and on the filtered suite addresses in the
  * 64k-address buffers a served request inverts), the
@@ -170,26 +171,44 @@ main(int argc, char **argv)
             std::abort();
     });
 
-    // The reader's real codec input: the planes of filtered suite
-    // traces (~20k BWT runs per MiB against ~660k in `planes`), cut
-    // into 1 MiB blocks at any scale, so the inverse walks several
-    // chains per block.
+    // The codec's real input: the planes of filtered suite traces
+    // (~20k BWT runs per MiB against ~660k in `planes`), cut into 1 MiB
+    // blocks at any scale. The two `_suite` BWT rows time the codec's
+    // BWT stage as it runs: RLE1 and the transform of its text, and
+    // the inverse walk (several chains per block) and the expansion.
     const size_t kSuiteBlock = size_t(1) << 20;
     const auto suite = bench::suitePlanes(planes.size());
-    std::vector<comp::BwtResult> suite_bwt;
-    for (size_t off = 0; off < suite.size(); off += kSuiteBlock)
-        suite_bwt.push_back(comp::bwtForward(
-            suite.data() + off, std::min(kSuiteBlock, suite.size() - off)));
-    runKernel(rows, "bwt_inverse_suite", suite.size(), [&] {
-        for (size_t b = 0; b < suite_bwt.size(); ++b) {
+    const size_t suite_blocks =
+        (suite.size() + kSuiteBlock - 1) / kSuiteBlock;
+    auto suiteBlock = [&](size_t b) {
+        return std::make_pair(suite.data() + b * kSuiteBlock,
+                              std::min(kSuiteBlock, suite.size() -
+                                                        b * kSuiteBlock));
+    };
+    std::vector<comp::BwtResult> suite_bwt(suite_blocks);
+    std::vector<uint8_t> rle1_text(comp::rle1Bound(kSuiteBlock));
+    auto forwardSuite = [&] {
+        for (size_t b = 0; b < suite_blocks; ++b) {
+            auto [data, len] = suiteBlock(b);
+            size_t t = comp::rle1Encode(data, len, rle1_text.data());
+            suite_bwt[b] = comp::bwtForward(rle1_text.data(), t);
+        }
+    };
+    std::vector<uint8_t> expanded(kSuiteBlock);
+    auto inverseSuite = [&] {
+        for (size_t b = 0; b < suite_blocks; ++b) {
             const comp::BwtResult &r = suite_bwt[b];
             auto inv = comp::bwtInverse(r.data.data(), r.data.size(),
                                         r.starts);
-            if (!std::equal(inv.begin(), inv.end(),
-                            suite.begin() + b * kSuiteBlock))
+            auto [data, len] = suiteBlock(b);
+            comp::rle1Decode(inv.data(), inv.size(), expanded.data(), len);
+            if (!std::equal(data, data + len, expanded.begin()))
                 std::abort();
         }
-    });
+    };
+    runKernel(rows, "bwt_forward_suite", suite.size(), [] {}, forwardSuite,
+              inverseSuite);
+    runKernel(rows, "bwt_inverse_suite", suite.size(), inverseSuite);
 
     // MTF + RLE over the BWT output — the shape they see in the codec.
     auto mtf = comp::mtfEncode(bwt.data.data(), bwt.data.size());
@@ -342,9 +361,21 @@ main(int argc, char **argv)
             std::abort();
     });
 
-    auto suite_packed = comp::compressAll(codec, suite.data(), suite.size(),
-                                          kSuiteBlock);
-    runKernel(rows, "bwc_decompress_suite", suite.size(), [&] {
+    // The whole codec over the suite planes in 1 MiB blocks, each way;
+    // every decoded byte is compared.
+    std::vector<uint8_t> suite_packed;
+    runKernel(
+        rows, "bwc_encode_suite", suite.size(), [] {},
+        [&] {
+            suite_packed = comp::compressAll(codec, suite.data(),
+                                             suite.size(), kSuiteBlock);
+        },
+        [&] {
+            if (comp::decompressAll(codec, suite_packed.data(),
+                                    suite_packed.size()) != suite)
+                std::abort();
+        });
+    runKernel(rows, "bwc_decode_suite", suite.size(), [&] {
         auto d = comp::decompressAll(codec, suite_packed.data(),
                                      suite_packed.size());
         if (d != suite)

@@ -1,6 +1,7 @@
 #include "atc/atc.hpp"
 
 #include "atc/info.hpp"
+#include "compress/stream.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/status.hpp"
 
@@ -14,8 +15,9 @@ namespace {
  * submit never blocks: a reader's full pass queues up to
  * 2 * threads + 2 frame decodes (lossy: 2 * threads + 1 chunks) and
  * ceil((threads + 1) / 3) + 1 inverse transforms, a lossless writer
- * 2 * threads + 1 codec frames and 2 forward-transform batches, a lossy
- * writer 2 * threads signatures and 2 * threads chunks. A reading or
+ * comp::kFramesPerWorker * threads + 1 codec frames and 2
+ * forward-transform batches, a lossy writer 2 * threads signatures and
+ * 2 * threads chunks. A reading or
  * writing thread then waits only in parallel::Task::get(), where it
  * runs queued tasks.
  */
@@ -24,7 +26,8 @@ makePool(size_t threads)
 {
     if (threads == 0)
         return nullptr;
-    return std::make_shared<parallel::ThreadPool>(threads, 4 * threads + 4);
+    return std::make_shared<parallel::ThreadPool>(
+        threads, (comp::kFramesPerWorker + 2) * threads + 4);
 }
 
 IndexOptions

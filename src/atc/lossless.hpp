@@ -46,7 +46,7 @@ struct LosslessParams
     /** Byte-level codec spec (see comp::CodecSpec). */
     std::string codec = "bwc";
     /** Codec block size; a `block=` spec parameter overrides this. At
-     *  most the codec's maxBlockSize() (bwc: 2^24 - 1). */
+     *  most the codec's maxBlockSize() (bwc: 13,421,772). */
     size_t codec_block = comp::kDefaultBlockSize;
 };
 

@@ -6,6 +6,7 @@
 #include "compress/rle.hpp"
 #include "obs/metrics.hpp"
 #include "util/bitio.hpp"
+#include "util/mmap.hpp"
 
 namespace atc::comp {
 
@@ -42,40 +43,69 @@ decodeStages()
     return m;
 }
 
+/**
+ * Per-thread scratch of both directions, reused from block to block
+ * (the BWT's word array is bwt.cpp's). A thread that encodes and
+ * decodes, such as a caller that helps its pool, holds one set.
+ */
+struct Scratch
+{
+    util::ScratchPages text;       ///< the RLE1 text
+    std::vector<uint64_t> starts;  ///< its start rows
+    std::vector<uint16_t> symbols; ///< zero-run symbols
+    std::vector<BwtRun> runs;      ///< decode: runs of the BWT
+};
+
+Scratch &
+scratch()
+{
+    thread_local Scratch s;
+    return s;
+}
+
 }  // namespace
+
+static_assert(rle1Bound(kMaxBwcBlock) <= kMaxBwtBlock,
+              "the RLE1 text of the largest block must fit the LF rows");
 
 void
 BwcCodec::compressBlock(const uint8_t *data, size_t n,
                         util::ByteSink &out) const
 {
-    ATC_CHECK(n <= kMaxBwcBlock, "bwc block above the 2^24 - 1 byte cap");
+    ATC_CHECK(n <= kMaxBwcBlock, "bwc block above its cap of " +
+                                     std::to_string(kMaxBwcBlock) +
+                                     " bytes");
     CodecStageMetrics &m = encodeStages();
 
+    Scratch &s = scratch();
+
     obs::StageTimer bwt_t(m.bwt_us);
-    BwtResult bwt = bwtForward(data, n);
+    uint8_t *text = s.text.reserve(rle1Bound(n));
+    const size_t len = rle1Encode(data, n, text);
+    s.starts.resize(bwtChainCount(len));
+    uint8_t *bwt = bwtForward(text, len, s.starts.data());
     bwt_t.stop();
-    for (uint64_t row : bwt.starts)
+    util::writeVarint(out, len);
+    for (uint64_t row : s.starts)
         util::writeVarint(out, row);
 
     obs::StageTimer mtf_t(m.mtf_rle_us);
-    std::vector<uint8_t> mtf = mtfEncode(bwt.data.data(), bwt.data.size());
-    bwt.data.clear();
-    bwt.data.shrink_to_fit();
-    std::vector<uint16_t> symbols = rleEncode(mtf.data(), mtf.size());
-    mtf.clear();
-    mtf.shrink_to_fit();
+    MtfCoder mtf;
+    for (size_t i = 0; i < len; ++i)
+        bwt[i] = mtf.encode(bwt[i]);
+    rleEncode(bwt, len, s.symbols);
     mtf_t.stop();
 
     obs::StageTimer entropy_t(m.entropy_us);
     std::vector<uint64_t> freq(kRleAlphabet, 0);
-    for (uint16_t s : symbols)
-        freq[s]++;
+    for (uint16_t sym : s.symbols)
+        freq[sym]++;
     HuffmanEncoder enc(freq);
 
     util::BitWriter bw(out);
     enc.writeTable(bw);
-    for (uint16_t s : symbols)
-        enc.writeSymbol(bw, s);
+    for (uint16_t sym : s.symbols)
+        enc.writeSymbol(bw, sym);
     bw.alignAndFlush();
 }
 
@@ -83,21 +113,24 @@ void
 BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                           std::vector<uint8_t> &out) const
 {
-    // No writer produces a larger block, so only a corrupt frame header
-    // declares one; refuse it before anything is allocated.
+    // No writer produces a larger block, or a longer RLE1 text, so only
+    // a corrupt frame declares one; refuse it before anything is
+    // allocated.
     ATC_CHECK(raw_size <= kMaxBwcBlock,
               "corrupt container: bwc frame of " + std::to_string(raw_size) +
                   " bytes exceeds the block cap of " +
                   std::to_string(kMaxBwcBlock));
+    const uint64_t len = util::readVarint(in);
+    ATC_CHECK(len <= rle1Bound(raw_size),
+              "corrupt container: bwc RLE1 text of " + std::to_string(len) +
+                  " bytes for a block of " + std::to_string(raw_size));
     CodecStageMetrics &m = decodeStages();
 
-    // Per-thread scratch, reused from block to block.
-    thread_local std::vector<uint64_t> starts;
-    thread_local std::vector<uint16_t> symbols;
-    thread_local std::vector<BwtRun> runs;
+    Scratch &s = scratch();
+    std::vector<uint16_t> &symbols = s.symbols;
 
-    starts.resize(bwtChainCount(raw_size));
-    for (uint64_t &row : starts)
+    s.starts.resize(bwtChainCount(len));
+    for (uint64_t &row : s.starts)
         row = util::readVarint(in);
 
     obs::StageTimer entropy_t(m.entropy_us);
@@ -106,9 +139,9 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
     symbols.clear();
     for (;;) {
         int sym = dec.decode(br);
-        // A valid block has at most raw_size + 1 symbols: a zero run of
-        // r takes at most r digits, a literal one symbol, plus the EOB.
-        ATC_CHECK(symbols.size() <= raw_size, "BWC block size mismatch");
+        // A valid block has at most len + 1 symbols: a zero run of r
+        // takes at most r digits, a literal one symbol, plus the EOB.
+        ATC_CHECK(symbols.size() <= len, "BWC block size mismatch");
         symbols.push_back(static_cast<uint16_t>(sym));
         if (sym == kEob)
             break;
@@ -117,13 +150,14 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
     entropy_t.stop();
 
     obs::StageTimer mtf_t(m.mtf_rle_us);
-    mtfRleToRuns(symbols.data(), symbols.size(), raw_size, runs);
+    mtfRleToRuns(symbols.data(), symbols.size(), len, s.runs);
     mtf_t.stop();
 
     obs::StageTimer bwt_t(m.bwt_us);
+    uint8_t *text = s.text.reserve(len);
+    bwtInverseRuns(s.runs.data(), s.runs.size(), len, s.starts.data(), text);
     out.resize(raw_size);
-    bwtInverseRuns(runs.data(), runs.size(), raw_size, starts.data(),
-                   out.data());
+    rle1Decode(text, len, out.data(), raw_size);
     bwt_t.stop();
 }
 

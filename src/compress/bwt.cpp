@@ -3,40 +3,67 @@
 #include <algorithm>
 
 #include "compress/sais.hpp"
+#include "util/mmap.hpp"
 #include "util/status.hpp"
 
 namespace atc::comp {
 
-BwtResult
-bwtForward(const uint8_t *data, size_t n)
-{
-    BwtResult result;
-    if (n == 0)
-        return result;
+namespace {
 
-    std::vector<int32_t> sa = suffixArray(data, n);
+/**
+ * This thread's word array of at least @p n entries: the suffix array
+ * of a forward transform, or the LF array of an inverse. It keeps its
+ * largest size, and a thread that runs both directions (a caller that
+ * helps its pool) holds one.
+ */
+uint32_t *
+words(size_t n)
+{
+    thread_local util::ScratchPages scratch;
+    return reinterpret_cast<uint32_t *>(scratch.reserve(4 * n));
+}
+
+} // namespace
+
+uint8_t *
+bwtForward(const uint8_t *data, size_t n, uint64_t *starts)
+{
+    uint32_t *sa = words(n);
+    suffixArray(data, n, reinterpret_cast<int32_t *>(sa));
+    auto *out = reinterpret_cast<uint8_t *>(sa);
+    if (n == 0)
+        return out;
 
     // Conceptual matrix rows: row 0 is the sentinel suffix (BWT char is
     // the last input byte); rows 1..n are the suffixes in sa order, each
     // contributing the byte preceding it. The row of suffix 0 would
     // contribute the sentinel itself; it is skipped. The rows of the
     // suffixes at multiples of kBwtChainBytes, suffix 0's among them,
-    // are the start rows.
-    result.data.resize(n);
-    result.starts.resize(bwtChainCount(n));
-    uint8_t *bwt = result.data.data();
-    bwt[0] = data[n - 1];
-    size_t out = 1;
+    // are the start rows. The bytes go over sa itself: byte o <= i + 1
+    // is written after entry i is read, into an entry already read;
+    // byte 0 goes last.
+    size_t o = 1;
     for (size_t i = 0; i < n; ++i) {
-        const auto p = static_cast<uint32_t>(sa[i]);
+        const uint32_t p = sa[i];
         if ((p & (kBwtChainBytes - 1)) == 0) {
-            result.starts[p / kBwtChainBytes] = i + 1;
+            starts[p / kBwtChainBytes] = i + 1;
             if (p == 0)
                 continue;
         }
-        bwt[out++] = data[p - 1];
+        out[o++] = data[p - 1];
     }
-    ATC_ASSERT(out == n);
+    ATC_ASSERT(o == n);
+    out[0] = data[n - 1];
+    return out;
+}
+
+BwtResult
+bwtForward(const uint8_t *data, size_t n)
+{
+    BwtResult result;
+    result.starts.resize(bwtChainCount(n));
+    const uint8_t *bwt = bwtForward(data, n, result.starts.data());
+    result.data.assign(bwt, bwt + n);
     return result;
 }
 
@@ -104,10 +131,7 @@ bwtInverseRuns(const BwtRun *runs, size_t count, size_t n,
     // tt[j] = (row after j in text order << 8) | first byte of row j,
     // as bzip2's tt[]; the sentinel's row 0 leads to row `sentinel`.
     const auto sentinel = static_cast<uint32_t>(starts[0]);
-    thread_local std::vector<uint32_t> scratch;
-    if (scratch.size() < n + 1)
-        scratch.resize(n + 1);
-    uint32_t *tt = scratch.data();
+    uint32_t *tt = words(n + 1);
     tt[0] = sentinel << 8;
     uint32_t pos = 0; // string position; its row skips the sentinel's
     for (size_t r = 0; r < count; ++r) {

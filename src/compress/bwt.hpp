@@ -20,6 +20,10 @@
  * k * kBwtChainBytes. The inverse walks the chains between them in
  * lockstep, up to eight at once over the one LF array, so their loads
  * overlap (as libsais's sampled primary indices do).
+ *
+ * The bwc codec transforms a block's RLE1 text (rle.hpp), not its raw
+ * bytes, so there n, the chains and the start rows count positions of
+ * that text, which is at most 1.25 times the block.
  */
 
 #ifndef ATC_COMPRESS_BWT_HPP_
@@ -65,13 +69,25 @@ struct BwtRun
     uint8_t byte;
 };
 
-/** Forward transform of [data, data+n). */
+/**
+ * Forward transform of [data, data+n), with its bwtChainCount(n) start
+ * rows written to @p starts.
+ *
+ * The suffix array is this thread's scratch, kept between calls (the
+ * inverse's LF array shares it), and the transform is written over it.
+ *
+ * @return the n transformed bytes, which the caller may change; valid
+ *         until this thread's next forward or inverse transform
+ */
+uint8_t *bwtForward(const uint8_t *data, size_t n, uint64_t *starts);
+
+/** The same into a fresh BwtResult. */
 BwtResult bwtForward(const uint8_t *data, size_t n);
 
 /**
  * Inverse transform from runs, written to @p out.
  *
- * The LF array is per-thread scratch, kept between calls.
+ * The LF array is this thread's scratch, kept between calls.
  *
  * @param runs   runs of the transformed string, in order
  * @param count  number of runs

@@ -331,12 +331,18 @@ sais(const Char *t, Index *sa, Index n, Index k)
 std::vector<int32_t>
 suffixArray(const uint8_t *data, size_t n)
 {
+    std::vector<int32_t> sa(n);
+    suffixArray(data, n, sa.data());
+    return sa;
+}
+
+void
+suffixArray(const uint8_t *data, size_t n, int32_t *sa)
+{
     ATC_CHECK(n < static_cast<size_t>(std::numeric_limits<Index>::max()),
               "suffix array input too large");
-    std::vector<int32_t> sa(n);
     if (n > 0)
-        sais(data, sa.data(), static_cast<Index>(n), 256);
-    return sa;
+        sais(data, sa, static_cast<Index>(n), 256);
 }
 
 } // namespace atc::comp

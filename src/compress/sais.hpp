@@ -36,6 +36,9 @@ namespace atc::comp {
  */
 std::vector<int32_t> suffixArray(const uint8_t *data, size_t n);
 
+/** The same into @p sa, which has room for @p n entries. */
+void suffixArray(const uint8_t *data, size_t n, int32_t *sa);
+
 } // namespace atc::comp
 
 #endif // ATC_COMPRESS_SAIS_HPP_

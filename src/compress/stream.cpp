@@ -295,7 +295,7 @@ StreamCompressor::emitBlock()
                 encodeFrame(codec, raw.data(), raw.size(), frame.entry);
             return frame;
         });
-    drain(parallel::windowDepth(pool_));
+    drain(pool_ != nullptr ? kFramesPerWorker * pool_->size() : 0);
 }
 
 void

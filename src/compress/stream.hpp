@@ -147,13 +147,30 @@ FramePayload fetchIndexedFramePayload(util::ByteSource &src,
                                       size_t f);
 
 /**
+ * Codec frames a pooled StreamCompressor keeps in flight per worker,
+ * deeper than the 2 of parallel::windowDepth. The writer's caller
+ * helps its pool, and one forward-transform batch it picks up takes
+ * about 25 ms, while a 1 MiB bwc frame takes about 9 ms since RLE1: a
+ * window of 2 per worker drained while the caller ran a batch, and the
+ * workers idled. Writing 12M filtered suite addresses with 3 workers
+ * and the caller (shared 4-vCPU VM, medians of 6 interleaved writes),
+ * 2 per worker wrote 20.0 Maddr/s with 2.21 cores busy, 3 25.9 with
+ * 2.86, 4 24.2 with 2.90, and 6 29.0 with 3.36, the smallest that
+ * keeps more than 3 busy. The archive benchmark's write_maddrs: 18.0
+ * (2), 27.6 (4), 30.6 (6), with the same peak RSS. Readers keep
+ * windowDepth: a window of 4 per worker there too held 13 MiB more
+ * peak RSS on archive (406 against 393 MiB).
+ */
+constexpr size_t kFramesPerWorker = 6;
+
+/**
  * Accumulates bytes and emits codec frames into a sink: the one place
  * a stream is sliced into blocks, its frames serialized, and its
  * terminator and frame index written. Each block is encoded (and its
  * CRC-32 taken) into a self-contained frame by a parallel::Task on the
  * optional pool (inline without one); the encoded frames wait in a
- * window of parallel::windowDepth(pool) tasks and reach the sink in
- * block order, so the bytes are the same for every pool size. An
+ * window of kFramesPerWorker tasks per pool worker and reach the sink
+ * in block order, so the bytes are the same for every pool size. An
  * abandoned compressor waits out its pooled encodes (they borrow the
  * codec) and drops their frames.
  */

@@ -42,9 +42,29 @@ inline constexpr bool kCompiledIn = false;
 inline constexpr bool kCompiledIn = true;
 #endif
 
+/// What one thread's record sites have done with recording on: clock
+/// reads (each timer reads the clock at its start and its stop),
+/// counter and gauge adds, and histogram records. What metrics cost a
+/// piece of work on one thread is these counts, taken before and after
+/// it, times each operation's unit cost; bench/parallel_throughput's
+/// obs_overhead row measures it that way.
+struct RecordTally {
+    uint64_t clock_reads = 0;
+    uint64_t adds = 0;
+    uint64_t records = 0;
+};
+
 namespace detail {
 extern std::atomic<bool> g_enabled;
+inline thread_local RecordTally t_tally;
 }  // namespace detail
+
+/// This thread's record operations so far.
+inline RecordTally
+threadTally()
+{
+    return detail::t_tally;
+}
 
 /// Runtime master switch; true by default. Record sites check it with
 /// one relaxed load. Compile-time ATC_OBS_OFF overrides it to false.
@@ -70,6 +90,7 @@ nowNs()
 {
     if (!enabled())
         return 0;
+    ++detail::t_tally.clock_reads;
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
@@ -98,6 +119,7 @@ class Counter {
     {
         if (!enabled())
             return;
+        ++detail::t_tally.adds;
         cells_[detail::threadSlot() % detail::kShards].v.fetch_add(
             n, std::memory_order_relaxed);
     }
@@ -126,6 +148,7 @@ class Gauge {
     {
         if (!enabled())
             return;
+        ++detail::t_tally.adds;
         v_.fetch_add(n, std::memory_order_relaxed);
     }
     void inc() { add(1); }
@@ -152,6 +175,7 @@ class Histogram {
     {
         if (!enabled())
             return;
+        ++detail::t_tally.records;
         Shard &s = shards_[detail::threadSlot() % kHistShards];
         s.buckets[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
         s.count.fetch_add(1, std::memory_order_relaxed);

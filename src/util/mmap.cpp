@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <new>
 
 #include "obs/metrics.hpp"
 
@@ -119,6 +120,30 @@ openFileSource(const std::string &path)
         return std::make_unique<MmapSource>(std::move(mapped));
     mmapMetrics().fallbacks.inc();
     return std::make_unique<FileSource>(path);
+}
+
+ScratchPages::~ScratchPages()
+{
+    if (data_ != nullptr)
+        ::munmap(data_, size_);
+}
+
+uint8_t *
+ScratchPages::reserve(size_t bytes)
+{
+    if (bytes <= size_)
+        return data_;
+    const size_t page = 4096;
+    const size_t size = (bytes + page - 1) / page * page;
+    void *p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    if (data_ != nullptr)
+        ::munmap(data_, size_);
+    data_ = static_cast<uint8_t *>(p);
+    size_ = size;
+    return data_;
 }
 
 } // namespace atc::util

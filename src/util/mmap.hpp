@@ -14,6 +14,9 @@
  * Borrowed spans stay valid for the mapping's lifetime, not the
  * source's position — pooled decoders that outlive the read loop pin
  * the mapping via viewKeepalive().
+ *
+ * ScratchPages is the other use of mmap here: the codec's per-thread
+ * scratch arrays in anonymous mappings of their own.
  */
 
 #ifndef ATC_UTIL_MMAP_HPP_
@@ -105,6 +108,34 @@ class MmapSource : public ByteSource
  * file cannot be opened at all.
  */
 std::unique_ptr<ByteSource> openFileSource(const std::string &path);
+
+/**
+ * Grow-only scratch memory in an anonymous mapping of its own, for the
+ * per-thread arrays of the bwc codec. Unlike a vector's, it never sits
+ * in a malloc arena: its pages go back to the system when the thread
+ * that holds it ends, sizes that change from block to block leave no
+ * freed holes behind, and pages never touched take no memory.
+ */
+class ScratchPages
+{
+  public:
+    ScratchPages() = default;
+    ~ScratchPages();
+
+    ScratchPages(const ScratchPages &) = delete;
+    ScratchPages &operator=(const ScratchPages &) = delete;
+
+    /**
+     * @return at least @p bytes of memory; what it held is lost when it
+     *         grows
+     * @throws std::bad_alloc when the system refuses a mapping
+     */
+    uint8_t *reserve(size_t bytes);
+
+  private:
+    uint8_t *data_ = nullptr;
+    size_t size_ = 0;
+};
 
 } // namespace atc::util
 

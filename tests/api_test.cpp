@@ -172,14 +172,16 @@ TEST(CodecSpecContainer, MalformedSpecRejectedAtOpen)
 
 TEST(CodecSpecContainer, BwcBlockAboveTheCapRejectedAtOpen)
 {
-    // The bwc decoder packs rows into 24 bits, so a writer must refuse
-    // a larger block up front rather than write blocks no reader takes.
-    const std::string cap = "16777215";
+    // The bwc decoder packs rows of a block's RLE1 text, up to 1.25
+    // times the block, into 24 bits, so a writer must refuse a larger
+    // block up front rather than write blocks no reader takes.
+    const std::string cap = "13421772";
     for (core::Mode mode : {core::Mode::Lossless, core::Mode::Lossy}) {
         auto opt = smallOptions(mode);
         for (auto [spec, block] :
              {std::pair<const char *, size_t>{"bwc", size_t(1) << 24},
-              {"bwc:block=32m", 4096}}) {
+              {"bwc:block=32m", 4096},
+              {"bwc:block=13421773", 4096}}) {
             core::MemoryStore store;
             opt.pipeline.codec = spec;
             opt.pipeline.codec_block = block;
@@ -191,7 +193,7 @@ TEST(CodecSpecContainer, BwcBlockAboveTheCapRejectedAtOpen)
         }
         // The cap itself is a legal block.
         core::MemoryStore store;
-        opt.pipeline.codec = "bwc:block=16777215";
+        opt.pipeline.codec = "bwc:block=13421772";
         EXPECT_TRUE(core::AtcWriter::open(store, opt).ok());
     }
 }

@@ -14,9 +14,11 @@
 #include "compress/bwc.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lzh.hpp"
+#include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "compress/stream.hpp"
 #include "reference_bwc.hpp"
+#include "store_frames.hpp"
 #include "util/bitio.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -266,11 +268,12 @@ throwsErrorWith(Fn &&fn, const std::string &part)
 
 TEST(Bwc, ZeroRunBombIsASizeMismatchNotAnAllocation)
 {
-    // A hand-built block: primary 1, a Huffman table over RUNA and EOB,
-    // then 40 RUNA digits (a run of 2^40 - 1 zeros) and EOB, for a
-    // frame that declares 4096 bytes.
+    // A hand-built block: an RLE1 text of 4096 bytes, primary 1, a
+    // Huffman table over RUNA and EOB, then 40 RUNA digits (a run of
+    // 2^40 - 1 zeros) and EOB, for a frame that declares 4096 bytes.
     std::vector<uint8_t> block;
     util::VectorSink sink(block);
+    util::writeVarint(sink, 4096);
     util::writeVarint(sink, 1);
     std::vector<uint64_t> freq(comp::kRleAlphabet, 0);
     freq[comp::kRunA] = 40;
@@ -297,17 +300,21 @@ TEST(Bwc, ZeroRunBombIsASizeMismatchNotAnAllocation)
 
 TEST(Bwc, BlockCapIsRefusedWhenTheCodecIsBuilt)
 {
+    // A block's RLE1 text can be 1.25 times the block, and the text's
+    // rows must fit 24 bits.
     const std::string cap = std::to_string(comp::kMaxBwcBlock);
-    EXPECT_EQ(comp::kMaxBwcBlock, (size_t(1) << 24) - 1);
+    EXPECT_EQ(comp::kMaxBwcBlock, 13'421'772u);
+    EXPECT_EQ(comp::rle1Bound(comp::kMaxBwcBlock), comp::kMaxBwtBlock);
     auto &registry = comp::CodecRegistry::instance();
-    for (const char *spec : {"bwc:block=16m", "bwc:block=16777216"}) {
+    for (const char *spec :
+         {"bwc:block=16m", "bwc:block=16777215", "bwc:block=13421773"}) {
         auto cc = registry.create(spec);
         ASSERT_FALSE(cc.ok()) << spec;
         EXPECT_NE(cc.status().message().find(cap), std::string::npos)
             << cc.status().message();
         EXPECT_TRUE(throwsErrorWith([&] { comp::makeCodec(spec); }, cap));
     }
-    EXPECT_TRUE(registry.create("bwc:block=16777215").ok());
+    EXPECT_TRUE(registry.create("bwc:block=13421772").ok());
     EXPECT_TRUE(registry.create("lzh:block=16m").ok());
     EXPECT_TRUE(registry.create("store:block=1g").ok());
 
@@ -365,17 +372,19 @@ TEST(Bwc, FrameAboveTheCapIsACorruptContainer)
 /** A bwc frame cut into its fields. */
 struct BwcFrame
 {
-    std::vector<uint64_t> starts;
-    std::vector<uint8_t> tail; ///< Huffman table and coded symbols
+    uint64_t text_len = 0;       ///< length of the block's RLE1 text
+    std::vector<uint64_t> starts; ///< one per 2^17 bytes of that text
+    std::vector<uint8_t> tail;    ///< Huffman table and coded symbols
 };
 
-/** Split @p frame of an n-byte block, reading @p chains start rows. */
+/** Split @p frame into its fields. */
 BwcFrame
-splitFrame(const std::vector<uint8_t> &frame, size_t chains)
+splitFrame(const std::vector<uint8_t> &frame)
 {
     util::MemorySource src(frame.data(), frame.size());
     BwcFrame f;
-    for (size_t k = 0; k < chains; ++k)
+    f.text_len = util::readVarint(src);
+    for (size_t k = 0; k < comp::bwtChainCount(f.text_len); ++k)
         f.starts.push_back(util::readVarint(src));
     size_t used = frame.size() - src.remaining();
     f.tail.assign(frame.begin() + used, frame.end());
@@ -387,10 +396,27 @@ joinFrame(const BwcFrame &f)
 {
     std::vector<uint8_t> out;
     util::VectorSink sink(out);
+    util::writeVarint(sink, f.text_len);
     for (uint64_t row : f.starts)
         util::writeVarint(sink, row);
     sink.write(f.tail.data(), f.tail.size());
     return out;
+}
+
+/** The RLE1 text a frame carries, decoded by the reference. */
+std::vector<uint8_t>
+textOf(const BwcFrame &f)
+{
+    util::MemorySource src(f.tail.data(), f.tail.size());
+    util::BitReader br(src);
+    auto dec = comp::HuffmanDecoder::readTable(br, comp::kRleAlphabet);
+    std::vector<uint16_t> symbols;
+    do {
+        symbols.push_back(static_cast<uint16_t>(dec.decode(br)));
+    } while (symbols.back() != comp::kEob);
+    br.align();
+    EXPECT_EQ(src.remaining(), 0u);
+    return ref::decode(symbols, f.text_len, f.starts);
 }
 
 std::vector<uint8_t>
@@ -412,12 +438,187 @@ bwcDecode(const std::vector<uint8_t> &frame, size_t n)
     return out;
 }
 
+/** Text-like bytes with no run of 4, so the RLE1 text is the block. */
+std::vector<uint8_t>
+noRunsOf4(size_t n, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<uint8_t> data(n);
+    for (size_t i = 0; i < n; ++i) {
+        do {
+            data[i] = static_cast<uint8_t>('a' + rng.below(26));
+        } while (i >= 3 && data[i] == data[i - 1] &&
+                 data[i] == data[i - 2] && data[i] == data[i - 3]);
+    }
+    return data;
+}
+
+/** Runs of each length in @p lens, with literal bytes between and
+ *  adjacent runs of different bytes. */
+std::vector<uint8_t>
+runsOf(std::initializer_list<size_t> lens, uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<uint8_t> data;
+    uint8_t byte = 0;
+    for (size_t len : lens) {
+        for (int k = 0; k < 3; ++k) {
+            byte = static_cast<uint8_t>(byte + 1 + rng.below(255));
+            data.insert(data.end(), len, byte);
+            data.push_back(static_cast<uint8_t>(byte ^ 0x80));
+            byte ^= 0x80;
+        }
+    }
+    return data;
+}
+
+TEST(Bwc, Rle1MatchesTheReference)
+{
+    // Runs below, at and around the group of 4 bytes and a count, one
+    // full group (259), one byte past it, and a run of 1000 (three
+    // groups and a rest of 223); then random bytes and suite planes.
+    std::vector<std::vector<uint8_t>> blocks = {
+        {}, {7}, {7, 7, 7, 7},
+        runsOf({1, 3, 4, 5, 259, 260, 1000}, 1),
+        runsOf({1000, 4, 260, 3, 259, 5, 1}, 2),
+        runsOf({262, 263, 518, 519, 2}, 3),
+        makeData(0, 100000, 4), makeData(2, 100000, 5),
+        bench::suitePlanes(1 << 20, 6),
+    };
+    for (size_t b = 0; b < blocks.size(); ++b) {
+        const std::vector<uint8_t> &data = blocks[b];
+        const std::vector<uint8_t> want = ref::rle1Encode(data);
+        ASSERT_LE(want.size(), comp::rle1Bound(data.size())) << b;
+        ASSERT_TRUE(ref::rle1Decode(want) == data) << b;
+
+        std::vector<uint8_t> text(comp::rle1Bound(data.size()) + 1);
+        text.resize(comp::rle1Encode(data.data(), data.size(), text.data()));
+        EXPECT_TRUE(text == want) << "block " << b;
+        std::vector<uint8_t> back(data.size());
+        comp::rle1Decode(want.data(), want.size(), back.data(), back.size());
+        EXPECT_TRUE(back == data) << "block " << b;
+
+        // The codec transforms that text, and decodes it back.
+        auto frame = bwcFrameOf(data);
+        BwcFrame f = splitFrame(frame);
+        EXPECT_EQ(f.text_len, want.size()) << "block " << b;
+        EXPECT_TRUE(textOf(f) == want) << "block " << b;
+        EXPECT_TRUE(bwcDecode(frame, data.size()) == data) << "block " << b;
+    }
+
+    // Any text decodes as the reference state machine reads it, not
+    // only an encoder's: here low-entropy random bytes, whose counts
+    // are followed by more of the run's byte.
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+        auto text = makeData(2, 4000, seed);
+        text.push_back(3); // no text ends on 4 equal bytes
+        const std::vector<uint8_t> want = ref::rle1Decode(text);
+        std::vector<uint8_t> got(want.size());
+        comp::rle1Decode(text.data(), text.size(), got.data(), got.size());
+        EXPECT_TRUE(got == want) << "seed " << seed;
+        EXPECT_TRUE(throwsErrorWith(
+            [&] {
+                comp::rle1Decode(text.data(), text.size(), got.data(),
+                                 got.size() - 1);
+            },
+            "size mismatch"));
+    }
+}
+
+TEST(Bwc, Rle1RunsCrossingBlockEdges)
+{
+    // 4 KiB blocks over runs of 1000, 259 and 5 bytes: runs are cut at
+    // every block edge, and each block codes its own part alone.
+    std::vector<uint8_t> data;
+    for (int k = 0; k < 12; ++k) {
+        auto part = runsOf({1000, 259, 5, 1000}, 10 + k);
+        data.insert(data.end(), part.begin(), part.end());
+    }
+    const size_t block = 4096;
+    auto stream = comp::compressAll(comp::codecByName("bwc"), data.data(),
+                                    data.size(), block);
+    EXPECT_TRUE(comp::decompressAll(comp::codecByName("bwc"), stream.data(),
+                                    stream.size()) == data);
+    const comp::StreamLayout layout = test::layoutOf(stream);
+    ASSERT_EQ(layout.frames.size(), (data.size() + block - 1) / block);
+    for (size_t f = 0; f < layout.frames.size(); ++f) {
+        const size_t at = test::payloadStart(layout, f);
+        std::vector<uint8_t> frame(
+            stream.begin() + at,
+            stream.begin() + at + layout.frames[f].comp_size);
+        std::vector<uint8_t> raw(
+            data.begin() + f * block,
+            data.begin() + std::min(data.size(), (f + 1) * block));
+        EXPECT_TRUE(textOf(splitFrame(frame)) == ref::rle1Encode(raw))
+            << "frame " << f;
+    }
+}
+
+TEST(Bwc, Rle1CountBombIsASizeMismatchNotAnAllocation)
+{
+    // A hand-built block whose RLE1 text is all groups of 259 bytes
+    // (4 bytes and a count of 255): 1.25 MiB of text, the longest a
+    // 1 MiB frame may declare, that would expand to 68 MB. The counts
+    // are checked against the 1 MiB the frame declares.
+    const size_t raw = size_t(1) << 20;
+    std::vector<uint8_t> text;
+    while (text.size() < comp::rle1Bound(raw))
+        text.insert(text.end(), {'a', 'a', 'a', 'a', 255});
+    ASSERT_EQ(text.size(), comp::rle1Bound(raw));
+    auto bwt = comp::bwtForward(text.data(), text.size());
+    std::vector<uint8_t> block;
+    util::VectorSink sink(block);
+    util::writeVarint(sink, text.size());
+    for (uint64_t row : bwt.starts)
+        util::writeVarint(sink, row);
+    comp::MtfCoder mtf;
+    for (uint8_t &b : bwt.data)
+        b = mtf.encode(b);
+    auto symbols = comp::rleEncode(bwt.data.data(), bwt.data.size());
+    std::vector<uint64_t> freq(comp::kRleAlphabet, 0);
+    for (uint16_t sym : symbols)
+        freq[sym]++;
+    comp::HuffmanEncoder enc(freq);
+    util::BitWriter bw(sink);
+    enc.writeTable(bw);
+    for (uint16_t sym : symbols)
+        enc.writeSymbol(bw, sym);
+    bw.alignAndFlush();
+
+    long before = peakRssKib();
+    std::vector<uint8_t> out;
+    EXPECT_TRUE(throwsErrorWith(
+        [&] {
+            util::MemorySource src(block.data(), block.size());
+            comp::BwcCodec().decompressBlock(src, raw, out);
+        },
+        "size mismatch"));
+    EXPECT_LE(out.size(), raw);
+    EXPECT_LT(peakRssKib() - before, 64 << 10) << "KiB";
+}
+
+TEST(Bwc, TextLengthAboveItsBoundIsRefused)
+{
+    // A frame may declare at most raw + raw / 4 bytes of RLE1 text;
+    // one more is refused before anything is read or allocated.
+    auto data = makeData(3, 4096, 8);
+    BwcFrame f = splitFrame(bwcFrameOf(data));
+    f.text_len = comp::rle1Bound(data.size()) + 1;
+    std::vector<uint8_t> out;
+    EXPECT_TRUE(throwsErrorWith(
+        [&] { bwcDecode(joinFrame(f), data.size()); },
+        "corrupt container: bwc RLE1 text of 5121 bytes"));
+}
+
 TEST(Bwc, FramesCarryOneStartRowPer128KiB)
 {
-    // Around the chain length S = 2^17: a frame opens with exactly
-    // ceil(n / S) start rows, then the Huffman table. The symbols
-    // behind them decode through the reference with those rows. The
-    // block's CRC-32 is not in the frame but in the stream's index.
+    // Around the chain length S = 2^17 of RLE1 text: a frame opens with
+    // the text's length and exactly ceil(text_len / S) start rows, then
+    // the Huffman table. The symbols behind them decode through the
+    // reference with those rows to the reference's RLE1 text. Blocks
+    // with no run of 4 have a text as long as the block; the suite
+    // planes' is about a quarter of theirs. The block's CRC-32 is not
+    // in the frame but in the stream's index.
     constexpr size_t S = comp::kBwtChainBytes;
     const std::pair<size_t, size_t> cases[] = {
         {S - 1, 1}, {S, 1},        {S + 1, 2},       {2 * S + 1, 3},
@@ -426,31 +627,26 @@ TEST(Bwc, FramesCarryOneStartRowPer128KiB)
     for (auto [n, chains] : cases) {
         for (bool planes : {false, true}) {
             auto data = planes ? bench::suitePlanes(n, n + 1)
-                               : makeData(3, n, n);
+                               : noRunsOf4(n, n);
             auto frame = bwcFrameOf(data);
-            BwcFrame f = splitFrame(frame, chains);
+            BwcFrame f = splitFrame(frame);
+            const std::vector<uint8_t> want = ref::rle1Encode(data);
+            ASSERT_EQ(f.text_len, want.size());
+            if (!planes) {
+                EXPECT_EQ(f.starts.size(), chains) << n;
+            }
             for (uint64_t row : f.starts) {
                 EXPECT_GE(row, 1u);
-                EXPECT_LE(row, n);
+                EXPECT_LE(row, f.text_len);
             }
-            util::MemorySource src(f.tail.data(), f.tail.size());
-            util::BitReader br(src);
-            auto dec = comp::HuffmanDecoder::readTable(br, comp::kRleAlphabet);
-            std::vector<uint16_t> symbols;
-            do {
-                symbols.push_back(static_cast<uint16_t>(dec.decode(br)));
-            } while (symbols.back() != comp::kEob);
-            br.align();
-            EXPECT_EQ(src.remaining(), 0u);
-            EXPECT_TRUE(ref::decode(symbols, n, f.starts) == data)
+            EXPECT_TRUE(textOf(f) == want)
                 << n << (planes ? " planes" : " text");
             EXPECT_TRUE(bwcDecode(frame, n) == data)
                 << n << (planes ? " planes" : " text");
 
             auto stream = comp::compressAll(comp::codecByName("bwc"),
                                             data.data(), n, n);
-            util::MemorySource scan(stream.data(), stream.size());
-            comp::StreamLayout layout = comp::scanSeekableStream(scan);
+            comp::StreamLayout layout = test::layoutOf(stream);
             ASSERT_EQ(layout.frames.size(), 1u);
             EXPECT_EQ(layout.frames[0].comp_size, frame.size());
             EXPECT_EQ(layout.frames[0].crc, util::crc32(data.data(), n));
@@ -464,13 +660,15 @@ TEST(Bwc, FramesCarryOneStartRowPer128KiB)
 
 TEST(Bwc, CorruptStartRowsAreErrors)
 {
-    // A block of three chains. Each corruption must fail as a
-    // util::Error, before the walk reads out of range (the sanitizer
-    // build checks that part).
+    // A block whose RLE1 text has three chains. Each corruption must
+    // fail as a util::Error, before the walk reads out of range (the
+    // sanitizer build checks that part).
     const size_t n = 2 * comp::kBwtChainBytes + 17;
-    auto data = bench::suitePlanes(n, 7);
+    auto data = noRunsOf4(n, 7);
     auto frame = bwcFrameOf(data);
-    BwcFrame good = splitFrame(frame, 3);
+    BwcFrame good = splitFrame(frame);
+    ASSERT_EQ(good.text_len, n);
+    ASSERT_EQ(good.starts.size(), 3u);
     ASSERT_TRUE(bwcDecode(joinFrame(good), n) == data);
     auto refused = [&](const BwcFrame &f, const std::string &why) {
         return throwsErrorWith([&] { bwcDecode(joinFrame(f), n); }, why);
@@ -480,7 +678,7 @@ TEST(Bwc, CorruptStartRowsAreErrors)
     zero.starts[1] = 0;
     EXPECT_TRUE(refused(zero, "start row out of range"));
     BwcFrame above = good;
-    above.starts[2] = n + 1;
+    above.starts[2] = good.text_len + 1;
     EXPECT_TRUE(refused(above, "start row out of range"));
     BwcFrame swapped = good;
     std::swap(swapped.starts[1], swapped.starts[2]);
@@ -684,6 +882,22 @@ TEST(Stream, TruncatedStreamThrows)
     EXPECT_THROW(comp::decompressAll(comp::codecByName("bwc"),
                                      compressed.data(), compressed.size()),
                  util::Error);
+}
+
+TEST(Bwc, AllRunsOf4AtTheCapFillTheLfRows)
+{
+    // The worst case: a block at the cap, all runs of 4, has the
+    // longest text, 1.25 times the block, which is kMaxBwtBlock. Last in
+    // the file: its scratch raises this process's peak RSS, which the
+    // bomb tests above measure.
+    std::vector<uint8_t> data(comp::kMaxBwcBlock);
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = (i / 4) % 2 != 0 ? 'y' : 'x';
+    auto frame = bwcFrameOf(data);
+    BwcFrame f = splitFrame(frame);
+    EXPECT_EQ(f.text_len, comp::kMaxBwtBlock);
+    EXPECT_EQ(f.starts.size(), comp::bwtChainCount(comp::kMaxBwtBlock));
+    EXPECT_TRUE(bwcDecode(frame, data.size()) == data);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <fstream>
 #include <iterator>
@@ -116,6 +117,48 @@ TEST(ObsRegistry, DisabledModeDropsRecordsAndSnapshotsEmpty)
     } else {
         EXPECT_TRUE(snap.empty());
     }
+}
+
+TEST(ObsRegistry, ThreadTallyCountsRecordOperationsWhileEnabled)
+{
+    // The obs_overhead bench multiplies these counts by unit costs, so
+    // each operation counts once, on its own thread, and only with
+    // recording on.
+    EnabledGuard guard;
+    obs::Registry reg;
+    obs::Counter &c = reg.counter("test.count");
+    obs::Gauge &g = reg.gauge("test.level");
+    obs::Histogram &h = reg.histogram("test.lat_us");
+    auto delta = [](const obs::RecordTally &a, const obs::RecordTally &b) {
+        return std::array<uint64_t, 3>{b.clock_reads - a.clock_reads,
+                                       b.adds - a.adds,
+                                       b.records - a.records};
+    };
+    const uint64_t on = obs::kCompiledIn ? 1 : 0;
+
+    obs::RecordTally t0 = obs::threadTally();
+    c.add(3);
+    g.add(1);
+    h.record(7);
+    { obs::StageTimer timer(c); }
+    EXPECT_EQ(delta(t0, obs::threadTally()),
+              (std::array<uint64_t, 3>{2 * on, 3 * on, on}));
+
+    t0 = obs::threadTally();
+    std::thread other([&] {
+        c.inc();
+        h.record(1);
+    });
+    other.join();
+    EXPECT_EQ(delta(t0, obs::threadTally()),
+              (std::array<uint64_t, 3>{0, 0, 0}));
+
+    obs::setEnabled(false);
+    c.add(3);
+    h.record(7);
+    { obs::StageTimer timer(c); }
+    EXPECT_EQ(delta(t0, obs::threadTally()),
+              (std::array<uint64_t, 3>{0, 0, 0}));
 }
 
 TEST(ObsRegistry, ConcurrentRecordVsSnapshotChurn)

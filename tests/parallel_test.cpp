@@ -7,7 +7,7 @@
  * counts (the shared block cache off, so only the readahead window
  * feeds the pool), the pooled full scan's cache policy, mid-stream
  * cancellation without deadlock, cursors outliving their reader,
- * rejection of pre-v6 containers, seekable-framing corruption probes
+ * rejection of pre-v7 containers, seekable-framing corruption probes
  * (mismatched compressed lengths, truncated/corrupt frame index), a
  * structural proof that lossless decode overlaps frame decodes, and
  * the integrity satellites (per-frame CRC verification, a missing
@@ -32,11 +32,13 @@
 
 #include "atc/atc.hpp"
 #include "atc/bytesort.hpp"
+#include "compress/bwt.hpp"
 #include "compress/stream.hpp"
 #include "parallel/channel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "trace/pipeline.hpp"
 #include "util/crc32.hpp"
+#include "store_frames.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -519,22 +521,39 @@ expectPinned(const core::MemoryStore &store, FilePin info,
     }
 }
 
+/** The longest RLE1 text among the bwc frames of chunk @p id: each
+ *  frame's payload opens with its length. */
+uint64_t
+longestText(const core::MemoryStore &store, uint32_t id)
+{
+    const std::vector<uint8_t> bytes = store.chunkBytes(id);
+    const comp::StreamLayout layout = test::layoutOf(bytes);
+    uint64_t longest = 0;
+    for (size_t f = 0; f < layout.frames.size(); ++f) {
+        util::MemorySource src(bytes.data() + test::payloadStart(layout, f),
+                               layout.frames[f].comp_size);
+        longest = std::max(longest, util::readVarint(src));
+    }
+    return longest;
+}
+
 TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
 {
-    // Frozen sizes and CRC-32s of reference containers. The identity
-    // sweeps above compare two runs of one code path, which could
-    // drift together; these constants cannot. Since v6 each frame's
-    // CRC-32 sits in its stream's frame index, not in the bwc block;
-    // bwc frames carry one start row per 2^17 bytes (v4), and the
-    // INFO payload is framed like a chunk stream (v5).
+    // Frozen sizes and CRC-32s of reference containers, recorded from
+    // the serial writer. The identity sweeps above compare two runs of
+    // one code path, which could drift together; these constants
+    // cannot. Since v7 a bwc block is RLE1-coded before its BWT and
+    // carries one start row per 2^17 bytes of that text; since v6 each
+    // frame's CRC-32 sits in its stream's frame index, and since v5 the
+    // INFO payload is framed like a chunk stream.
     auto bwc_trace = makeTrace(60'000, 101);
     auto bwc_opt = makeOptions(core::Mode::Lossless, bwc_trace.size());
     auto big_trace = makeTrace(60'000, 102);
     auto big_opt = makeOptions(core::Mode::Lossless, big_trace.size(),
                                "bwc:block=64k");
-    auto chains_trace = makeTrace(120'000, 105);
+    auto chains_trace = makeTrace(240'000, 105);
     auto chains_opt = makeOptions(core::Mode::Lossless, chains_trace.size(),
-                                  "bwc:block=256k");
+                                  "bwc:block=1m");
     auto lossy_trace = makeTrace(70'000, 103);
     auto lossy_opt = makeOptions(core::Mode::Lossy, lossy_trace.size());
     lossy_opt.lossy.interval_len = 9973; // 7 full intervals + 189
@@ -543,16 +562,18 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
     for (size_t threads : {size_t(0), size_t(1), size_t(2), size_t(8)}) {
         // 30 frames of 16 KiB, the last one 4897 bytes.
         expectPinned(writeParallel(bwc_trace, bwc_opt, threads),
-                     {189, 0x0b19f67fu}, {{99384, 0x6ae38470u}},
+                     {190, 0x60e695e8u}, {{100570, 0x86ecb62bu}},
                      threads);
         // 8 frames of 64 KiB, the last one 21281 bytes.
         expectPinned(writeParallel(big_trace, big_opt, threads),
-                     {199, 0x8e534c8bu}, {{93567, 0xf2e12324u}},
+                     {200, 0x1fbe2bc0u}, {{94541, 0x5ddc1a9fu}},
                      threads);
-        // 4 frames of 256 KiB, the last one 173601 bytes: two start
-        // rows in each.
-        expectPinned(writeParallel(chains_trace, chains_opt, threads),
-                     {199, 0x1f621c67u}, {{178987, 0xc809583eu}},
+        // 2 frames, of 1 MiB and 871456 bytes, whose RLE1 texts run
+        // past 2^17 bytes: more than one start row in a frame.
+        core::MemoryStore chains = writeParallel(chains_trace, chains_opt,
+                                                 threads);
+        EXPECT_GT(longestText(chains, 0), comp::kBwtChainBytes);
+        expectPinned(chains, {199, 0xdcf74b9eu}, {{355722, 0x5bac5f54u}},
                      threads);
         core::MemoryStore lossy;
         {
@@ -562,10 +583,10 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
             EXPECT_EQ(writer.lossyStats().intervals, 8u);
             EXPECT_EQ(writer.lossyStats().imitated, 5u);
         }
-        expectPinned(lossy, {3529, 0x13b4f166u},
-                     {{15581, 0xc0d2067bu},
-                      {15617, 0x5d8da252u},
-                      {545, 0x18ee71b8u}},
+        expectPinned(lossy, {3532, 0xa67d4a32u},
+                     {{15815, 0x2deb26bcu},
+                      {15851, 0xe96c463eu},
+                      {549, 0x9a7e77beu}},
                      threads);
     }
 }
@@ -958,7 +979,7 @@ TEST(Integrity, TruncatedContainerReportsCount)
 
 TEST(ContainerVersions, UnsupportedVersionsRejected)
 {
-    // The version byte follows the 4-byte magic. Only v6 is read, so
+    // The version byte follows the 4-byte magic. Only v7 is read, so
     // any other version must fail open loudly.
     auto addrs = makeTrace(5'000, 71);
     auto store = writeSerial(
@@ -966,7 +987,7 @@ TEST(ContainerVersions, UnsupportedVersionsRejected)
     ASSERT_EQ(store.infoBytes().at(4), core::kContainerVersion);
     for (uint8_t version :
          {uint8_t(1), uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(5),
-          uint8_t(7)}) {
+          uint8_t(6), uint8_t(8)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -986,19 +1007,20 @@ TEST(ContainerVersions, UnsupportedVersionsRejected)
     }
 }
 
-TEST(ContainerVersions, V3ToV5PreamblesAreRefusedAtOpen)
+TEST(ContainerVersions, V3ToV6PreamblesAreRefusedAtOpen)
 {
     // A v3 reader took a bwc frame's second start row for the start of
     // its Huffman table, a v4 reader reads INFO's payload as legacy
-    // frames, and a v5 reader reads a block CRC where v6 keeps the
-    // first start row. Each preamble is refused before any frame is
-    // read.
-    EXPECT_EQ(core::kContainerVersion, 6u);
+    // frames, a v5 reader reads a block CRC where v6 keeps the first
+    // start row, and a v6 reader takes v7's RLE1 text length for the
+    // first start row and inverts the RLE1 text as the block. Each
+    // preamble is refused before any frame is read.
+    EXPECT_EQ(core::kContainerVersion, 7u);
     auto addrs = makeTrace(40'000, 72);
     auto store = writeSerial(addrs, makeOptions(core::Mode::Lossless,
                                                 addrs.size(),
                                                 "bwc:block=256k"));
-    for (uint8_t version : {uint8_t(3), uint8_t(4), uint8_t(5)}) {
+    for (uint8_t version : {uint8_t(3), uint8_t(4), uint8_t(5), uint8_t(6)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -1013,7 +1035,7 @@ TEST(ContainerVersions, V3ToV5PreamblesAreRefusedAtOpen)
         ASSERT_FALSE(reader.ok());
         EXPECT_NE(reader.status().message().find(
                       "unsupported ATC container version " +
-                      std::to_string(version) + " (only v6 is read)"),
+                      std::to_string(version) + " (only v7 is read)"),
                   std::string::npos)
             << reader.status().message();
     }

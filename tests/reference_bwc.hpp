@@ -2,13 +2,17 @@
  * @file
  * Reference bwc decoder for the tests: the byte-at-a-time three-stage
  * form (zero-run RLE -> MTF -> LF inverse BWT), each stage writing a
- * full byte array. The library decodes from runs instead
- * (comp::mtfRleToRuns, comp::bwtInverseRuns); tests compare the two.
+ * full byte array, and bzip2's RLE1 in both directions as a byte-wise
+ * state machine. The library decodes from runs instead
+ * (comp::mtfRleToRuns, comp::bwtInverseRuns) and runs RLE1 eight bytes
+ * at a time (comp::rle1Encode, comp::rle1Decode); tests compare the
+ * two.
  */
 
 #ifndef ATC_TESTS_REFERENCE_BWC_HPP_
 #define ATC_TESTS_REFERENCE_BWC_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -117,6 +121,49 @@ decode(const std::vector<uint16_t> &symbols, size_t n,
     std::vector<uint8_t> mtf = rleDecode(symbols);
     ATC_CHECK(mtf.size() == n, "BWC block size mismatch");
     return bwtInverse(mtfDecode(mtf), starts);
+}
+
+/**
+ * bzip2's RLE1, one run at a time: a run of 4 to kRle1MaxRun equal
+ * bytes becomes 4 bytes and a count (run - 4); a longer run is cut
+ * into groups of kRle1MaxRun from its start.
+ */
+inline std::vector<uint8_t>
+rle1Encode(const std::vector<uint8_t> &data)
+{
+    std::vector<uint8_t> out;
+    for (size_t i = 0; i < data.size();) {
+        size_t run = 1;
+        while (i + run < data.size() && data[i + run] == data[i] &&
+               run < comp::kRle1MaxRun)
+            ++run;
+        out.insert(out.end(), std::min<size_t>(run, 4), data[i]);
+        if (run >= 4)
+            out.push_back(static_cast<uint8_t>(run - 4));
+        i += run;
+    }
+    return out;
+}
+
+/** RLE1 text back to bytes: after 4 equal bytes, the next is a count. */
+inline std::vector<uint8_t>
+rle1Decode(const std::vector<uint8_t> &text)
+{
+    std::vector<uint8_t> out;
+    int same = 0;
+    uint8_t last = 0;
+    for (uint8_t b : text) {
+        if (same == 4) {
+            out.insert(out.end(), b, last);
+            same = 0;
+            continue;
+        }
+        same = same > 0 && b == last ? same + 1 : 1;
+        last = b;
+        out.push_back(b);
+    }
+    ATC_CHECK(same < 4, "RLE1 text ends without its count");
+    return out;
 }
 
 /** Expand runs back to the string they describe. */

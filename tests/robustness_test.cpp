@@ -13,6 +13,7 @@
 #include "atc/atc.hpp"
 #include "atc/index.hpp"
 #include "cache/filter.hpp"
+#include "compress/bwt.hpp"
 #include "store_frames.hpp"
 #include "trace/suite.hpp"
 #include "util/rng.hpp"
@@ -289,40 +290,50 @@ withChunk(const core::MemoryStore &base, const std::vector<uint8_t> &chunk)
 
 TEST(Robustness, CorruptStartRowsFailAsOneStatus)
 {
-    // The first frame of 256 KiB has two start rows. Rewrite them in
-    // place (same varint lengths, so the framing still agrees), or cut
-    // the chunk after the primary index: the read must fail as one
-    // Status before it returns a record.
+    // The first frame of 256 KiB has an RLE1 text of two chains, so two
+    // start rows. Rewrite them or the text's length in place (same
+    // varint lengths, so the framing still agrees), or cut the chunk
+    // after the primary index: the read must fail as one Status before
+    // it returns a record.
     auto base = makeContainer(core::Mode::Lossless, 40'000, 5, 256 << 10);
     const std::vector<uint8_t> chunk = base.chunkBytes(0);
     util::MemorySource src(chunk.data(), chunk.size());
     const uint64_t n = util::readVarint(src) - 1; // raw size + 1
     util::readVarint(src);                         // compressed size
     ASSERT_EQ(n, 256u << 10);
+    const size_t at_len = chunk.size() - src.remaining();
+    const uint64_t text_len = util::readVarint(src);
+    ASSERT_EQ(comp::bwtChainCount(text_len), 2u);
     const size_t at0 = chunk.size() - src.remaining();
     const uint64_t start0 = util::readVarint(src);
     const size_t at1 = chunk.size() - src.remaining();
     const uint64_t start1 = util::readVarint(src);
     const size_t end = chunk.size() - src.remaining();
-    // This seed's rows take three bytes each, as n + 1 does.
+    // This seed's length and rows take three bytes each, as the bound
+    // n + n / 4 + 1 does.
+    ASSERT_EQ(at0 - at_len, 3u);
     ASSERT_EQ(at1 - at0, 3u);
     ASSERT_EQ(end - at1, 3u);
 
-    auto patched = [&](uint64_t row0, uint64_t row1) {
+    auto patched = [&](uint64_t len, uint64_t row0, uint64_t row1) {
         std::vector<uint8_t> bad = chunk;
-        auto v0 = varintOfLength(row0, 3), v1 = varintOfLength(row1, 3);
-        std::copy(v0.begin(), v0.end(), bad.begin() + at0);
-        std::copy(v1.begin(), v1.end(), bad.begin() + at1);
+        for (auto [at, value] : {std::pair{at_len, len}, std::pair{at0, row0},
+                                 std::pair{at1, row1}}) {
+            auto v = varintOfLength(value, 3);
+            std::copy(v.begin(), v.end(), bad.begin() + at);
+        }
         return bad;
     };
     const std::pair<std::vector<uint8_t>, const char *> cases[] = {
-        {patched(start0, 0), "start row out of range"},
-        {patched(start0, n + 1), "start row out of range"},
-        {patched(start1, start0), "corrupt BWT stream"},
+        {patched(text_len, start0, 0), "start row out of range"},
+        {patched(text_len, start0, text_len + 1), "start row out of range"},
+        {patched(text_len, start1, start0), "corrupt BWT stream"},
+        {patched(n + n / 4 + 1, start0, start1),
+         "corrupt container: bwc RLE1 text"},
         {std::vector<uint8_t>(chunk.begin(), chunk.begin() + at1),
          "truncated"},
     };
-    ASSERT_TRUE(patched(start0, start1) == chunk);
+    ASSERT_TRUE(patched(text_len, start0, start1) == chunk);
     for (const auto &[bytes, why] : cases) {
         auto bad = withChunk(base, bytes);
         for (size_t threads : {size_t(0), size_t(2)}) {
