@@ -3,8 +3,9 @@
  * Microbenchmarks for the computational kernels: SA-IS/BWT (on text
  * and on the bytesort planes the writer feeds it), MTF, RLE, the
  * decoder's fused RLE/MTF-to-runs pass, the bwc codec's BWT stage
- * (RLE1 included) and the whole codec each way on the planes of
- * filtered suite traces (the `_suite` rows),
+ * (RLE1 included), its Huffman decode (in 32 KiB and 1 MiB blocks)
+ * and the whole codec each way on the planes of filtered suite traces
+ * (the `_suite` rows; decode also in 32 KiB blocks),
  * the byte-plane histograms behind lossy signatures, bytesort (on
  * synthetic addresses, and on the filtered suite addresses in the
  * 64k-address buffers a served request inverts), the
@@ -44,9 +45,11 @@
 #include "cache/stack_sim.hpp"
 #include "compress/bwt.hpp"
 #include "compress/codec.hpp"
+#include "compress/huffman.hpp"
 #include "compress/mtf.hpp"
 #include "compress/rle.hpp"
 #include "compress/stream.hpp"
+#include "util/bitio.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
 
@@ -381,6 +384,73 @@ main(int argc, char **argv)
         if (d != suite)
             std::abort();
     });
+
+    // The same decode in the 32 KiB blocks of a sampling container,
+    // where per-block costs (the code table, the inverse walk's start)
+    // weigh most.
+    const size_t kSmallBlock = size_t(32) << 10;
+    std::vector<uint8_t> small_packed = comp::compressAll(
+        codec, suite.data(), suite.size(), kSmallBlock);
+    runKernel(rows, "bwc_decode_suite_32k", suite.size(), [&] {
+        auto d = comp::decompressAll(codec, small_packed.data(),
+                                     small_packed.size());
+        if (d != suite)
+            std::abort();
+    });
+
+    // Huffman decoding alone, table read included: the symbols of the
+    // suite planes' bwc blocks (RLE1, BWT, MTF, zero runs), each block
+    // coded with its own table as the codec does, decoded to EOB and
+    // compared symbol by symbol off the clock.
+    for (size_t block : {kSmallBlock, kSuiteBlock}) {
+        std::vector<std::vector<uint16_t>> symbols;
+        std::vector<std::vector<uint8_t>> coded;
+        std::vector<uint8_t> text(comp::rle1Bound(block));
+        for (size_t off = 0; off < suite.size(); off += block) {
+            const size_t len = std::min(block, suite.size() - off);
+            const size_t t = comp::rle1Encode(suite.data() + off, len,
+                                              text.data());
+            auto bwt = comp::bwtForward(text.data(), t);
+            auto mtf = comp::mtfEncode(bwt.data.data(), t);
+            symbols.push_back(comp::rleEncode(mtf.data(), t));
+            std::vector<uint64_t> freq(comp::kRleAlphabet, 0);
+            for (uint16_t sym : symbols.back())
+                freq[sym]++;
+            comp::HuffmanEncoder enc(freq);
+            coded.emplace_back();
+            util::VectorSink sink(coded.back());
+            util::BitWriter bw(sink);
+            enc.writeTable(bw);
+            for (uint16_t sym : symbols.back())
+                enc.writeSymbol(bw, sym);
+            bw.alignAndFlush();
+        }
+        std::vector<std::vector<uint16_t>> decoded(symbols.size());
+        runKernel(
+            rows,
+            block == kSmallBlock ? "huffman_decode_suite_32k"
+                                 : "huffman_decode_suite_1m",
+            suite.size(), [] {},
+            [&] {
+                for (size_t b = 0; b < coded.size(); ++b) {
+                    util::MemorySource src(coded[b]);
+                    util::BitReader br(src);
+                    auto dec = comp::HuffmanDecoder::readTable(
+                        br, comp::kRleAlphabet);
+                    std::vector<uint16_t> &out = decoded[b];
+                    out.clear();
+                    int sym;
+                    do {
+                        sym = dec.decode(br);
+                        out.push_back(static_cast<uint16_t>(sym));
+                    } while (sym != comp::kEob);
+                }
+            },
+            [&] {
+                if (decoded != symbols)
+                    std::abort();
+            });
+    }
 
     std::FILE *json = std::fopen(json_path.c_str(), "w");
     if (!json) {

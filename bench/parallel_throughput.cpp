@@ -130,7 +130,6 @@ stageDelta(const atc::obs::Snapshot &before,
                 cd("codec.encode.mtf_rle_us") +
                 cd("codec.encode.entropy_us") +
                 cd("codec.decode.bwt_us") +
-                cd("codec.decode.mtf_rle_us") +
                 cd("codec.decode.entropy_us");
     s.io_s = cd("io.read_us") + cd("io.write_us");
     s.queue_wait_s = hd("channel.push_wait_us") +

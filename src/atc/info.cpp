@@ -50,7 +50,7 @@ IntervalRecord
 readRecord(util::ByteSource &src)
 {
     IntervalRecord rec;
-    uint8_t kind;
+    uint8_t kind = 0;
     src.readExact(&kind, 1);
     ATC_CHECK(kind <= 1, "corrupt interval record");
     rec.kind = static_cast<IntervalRecord::Kind>(kind);

@@ -9,16 +9,17 @@
  * trace (chunk/imitate records with byte translations).
  *
  * The version byte stays in the preamble so that containers written by
- * older releases fail loudly: readers accept v7 only. Every stream of
- * a v7 container, the INFO payload included, uses the one framing of
+ * older releases fail loudly: readers accept v8 only. Every stream of
+ * a v8 container, the INFO payload included, uses the one framing of
  * compress/stream.hpp (each frame header records the compressed byte
  * length, and the stream ends with a frame index that holds each
  * frame's CRC-32), and every bwc frame carries its start rows (see
  * compress/bwc.hpp). v1 (no CRC trailer), v2 (legacy chunk framing),
  * v3 (a bwc frame with the primary index only), v4 (a legacy-framed
  * INFO payload with no checksum), v5 (one CRC-32 per codec block
- * and per stream, none per frame) and v6 (bwc blocks without RLE1) are
- * rejected as "unsupported ATC container version".
+ * and per stream, none per frame), v6 (bwc blocks without RLE1) and v7
+ * (flat 5-bit Huffman tables, bwc start rows every 2^17 text bytes)
+ * are rejected as "unsupported ATC container version".
  */
 
 #ifndef ATC_ATC_INFO_HPP_
@@ -43,13 +44,16 @@ enum class Mode : uint8_t
 };
 
 /**
- * The one container version writers emit and readers accept. Since v7
- * a bwc block is RLE1-coded before its BWT, and its frame opens with
- * the RLE1 text's length; its start rows, one per 2^17 bytes of that
- * text, follow. v6 keeps a CRC-32 per frame in each stream's frame
- * index, and since v5 the INFO payload is framed like a chunk stream.
+ * The one container version writers emit and readers accept. Since v8
+ * the bwc and lzh Huffman tables are bzip2's (an in-use map, then
+ * delta-coded lengths), and a bwc frame's start rows split its RLE1
+ * text into at most 16 chains of at least 2^12 bytes. Since v7 a bwc
+ * block is RLE1-coded before its BWT, and its frame opens with the
+ * RLE1 text's length. v6 keeps a CRC-32 per frame in each stream's
+ * frame index, and since v5 the INFO payload is framed like a chunk
+ * stream.
  */
-constexpr uint8_t kContainerVersion = 7;
+constexpr uint8_t kContainerVersion = 8;
 
 /** Everything a reader learns from a container's INFO stream. */
 struct ContainerInfo

@@ -12,19 +12,25 @@ namespace atc::comp {
 
 namespace {
 
-// Stage-split codec accounting: aggregate micros per pipeline stage,
-// both directions. Handles cached once; hot loops pay one relaxed
-// add per block per stage.
-struct CodecStageMetrics {
+// Stage-split codec accounting: aggregate micros per pipeline stage.
+// The decoder fuses MTF + RLE into its entropy stage, so it has two.
+// Handles cached once; hot loops pay one relaxed add per block per
+// stage.
+struct EncodeStageMetrics {
     obs::Counter &bwt_us;
     obs::Counter &mtf_rle_us;
     obs::Counter &entropy_us;
 };
 
-CodecStageMetrics &
+struct DecodeStageMetrics {
+    obs::Counter &bwt_us;
+    obs::Counter &entropy_us;
+};
+
+EncodeStageMetrics &
 encodeStages()
 {
-    static CodecStageMetrics m{
+    static EncodeStageMetrics m{
         obs::Registry::global().counter("codec.encode.bwt_us"),
         obs::Registry::global().counter("codec.encode.mtf_rle_us"),
         obs::Registry::global().counter("codec.encode.entropy_us"),
@@ -32,12 +38,11 @@ encodeStages()
     return m;
 }
 
-CodecStageMetrics &
+DecodeStageMetrics &
 decodeStages()
 {
-    static CodecStageMetrics m{
+    static DecodeStageMetrics m{
         obs::Registry::global().counter("codec.decode.bwt_us"),
-        obs::Registry::global().counter("codec.decode.mtf_rle_us"),
         obs::Registry::global().counter("codec.decode.entropy_us"),
     };
     return m;
@@ -52,7 +57,7 @@ struct Scratch
 {
     util::ScratchPages text;       ///< the RLE1 text
     std::vector<uint64_t> starts;  ///< its start rows
-    std::vector<uint16_t> symbols; ///< zero-run symbols
+    std::vector<uint16_t> symbols; ///< encode: zero-run symbols
     std::vector<BwtRun> runs;      ///< decode: runs of the BWT
 };
 
@@ -75,7 +80,7 @@ BwcCodec::compressBlock(const uint8_t *data, size_t n,
     ATC_CHECK(n <= kMaxBwcBlock, "bwc block above its cap of " +
                                      std::to_string(kMaxBwcBlock) +
                                      " bytes");
-    CodecStageMetrics &m = encodeStages();
+    EncodeStageMetrics &m = encodeStages();
 
     Scratch &s = scratch();
 
@@ -124,34 +129,21 @@ BwcCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
     ATC_CHECK(len <= rle1Bound(raw_size),
               "corrupt container: bwc RLE1 text of " + std::to_string(len) +
                   " bytes for a block of " + std::to_string(raw_size));
-    CodecStageMetrics &m = decodeStages();
+    DecodeStageMetrics &m = decodeStages();
 
     Scratch &s = scratch();
-    std::vector<uint16_t> &symbols = s.symbols;
-
     s.starts.resize(bwtChainCount(len));
     for (uint64_t &row : s.starts)
         row = util::readVarint(in);
 
+    // The Huffman decode feeds the zero-run and MTF decode one symbol
+    // at a time; the rest of the frame is the bit stream.
     obs::StageTimer entropy_t(m.entropy_us);
-    util::BitReader br(in);
-    HuffmanDecoder dec = HuffmanDecoder::readTable(br, kRleAlphabet);
-    symbols.clear();
-    for (;;) {
-        int sym = dec.decode(br);
-        // A valid block has at most len + 1 symbols: a zero run of r
-        // takes at most r digits, a literal one symbol, plus the EOB.
-        ATC_CHECK(symbols.size() <= len, "BWC block size mismatch");
-        symbols.push_back(static_cast<uint16_t>(sym));
-        if (sym == kEob)
-            break;
-    }
-    br.align();
+    util::readBitStream(in, [&](util::BitReader &br) {
+        const HuffmanDecoder dec = HuffmanDecoder::readTable(br, kRleAlphabet);
+        mtfRleToRuns([&] { return dec.decode(br); }, len, s.runs);
+    });
     entropy_t.stop();
-
-    obs::StageTimer mtf_t(m.mtf_rle_us);
-    mtfRleToRuns(symbols.data(), symbols.size(), len, s.runs);
-    mtf_t.stop();
 
     obs::StageTimer bwt_t(m.bwt_us);
     uint8_t *text = s.text.reserve(len);

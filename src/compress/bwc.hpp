@@ -13,21 +13,25 @@
  *   varint: text_len, the length of the block's RLE1 text, at most
  *        raw_size + raw_size / 4
  *   C varints: the BWT start rows of that text, the rows of text
- *        positions k * 2^17 for k = 0 .. C - 1, where
- *        C = ceil(text_len / 2^17) (the first is the primary index)
- *   huffman table (258 x 5 bits) + coded symbols, byte-aligned at end
+ *        positions k * L for k = 0 .. C - 1, where
+ *        L = bwtChainBytes(text_len) = max(2^12,
+ *        pow2ceil(ceil(text_len / 16))) and C = ceil(text_len / L),
+ *        at most 16 (the first is the primary index)
+ *   huffman table (in-use map + delta-coded lengths, huffman.hpp) +
+ *        coded symbols, byte-aligned; the frame ends with them
  *
  * Decoding costs time per RLE symbol except in the final two passes:
- * the Huffman symbols become runs of the BWT string in one pass
- * (mtfRleToRuns), the runs fill the packed LF array, the walk writes
- * the RLE1 text (bwtInverseRuns, up to eight chains at once from the
- * start rows), and rle1Decode expands it into the caller's buffer,
- * checking every count against the bytes still to come. The RLE1
- * text, BWT, start, symbol, run and LF arrays are per-thread scratch
- * in both directions. The packed array holds text positions in 24
- * bits, and a text can be 1.25 times its block, so a block is capped
- * at kMaxBwcBlock = 4 * (2^24 - 1) / 5 bytes, which both directions
- * enforce.
+ * the Huffman decode feeds its symbols one at a time into the pass
+ * that turns them into runs of the BWT string (mtfRleToRuns), the runs
+ * fill the packed LF array, the walk writes the RLE1 text
+ * (bwtInverseRuns, every chain at once from the start rows, so a
+ * 32 KiB text walks eight), and rle1Decode expands it into the
+ * caller's buffer, checking every count against the bytes still to
+ * come. The RLE1 text, BWT, start, run and LF arrays are per-thread
+ * scratch in both directions. The packed array holds text positions
+ * in 24 bits, and a text can be 1.25 times its block, so a block is
+ * capped at kMaxBwcBlock = 4 * (2^24 - 1) / 5 bytes, which both
+ * directions enforce.
  */
 
 #ifndef ATC_COMPRESS_BWC_HPP_

@@ -1,6 +1,7 @@
 #include "compress/bwt.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "compress/sais.hpp"
 #include "util/mmap.hpp"
@@ -38,15 +39,17 @@ bwtForward(const uint8_t *data, size_t n, uint64_t *starts)
     // the last input byte); rows 1..n are the suffixes in sa order, each
     // contributing the byte preceding it. The row of suffix 0 would
     // contribute the sentinel itself; it is skipped. The rows of the
-    // suffixes at multiples of kBwtChainBytes, suffix 0's among them,
+    // suffixes at multiples of the chain length, suffix 0's among them,
     // are the start rows. The bytes go over sa itself: byte o <= i + 1
     // is written after entry i is read, into an entry already read;
     // byte 0 goes last.
+    const size_t chain = bwtChainBytes(n);
+    const int shift = std::countr_zero(chain);
     size_t o = 1;
     for (size_t i = 0; i < n; ++i) {
         const uint32_t p = sa[i];
-        if ((p & (kBwtChainBytes - 1)) == 0) {
-            starts[p / kBwtChainBytes] = i + 1;
+        if ((p & (chain - 1)) == 0) {
+            starts[p >> shift] = i + 1;
             if (p == 0)
                 continue;
         }
@@ -68,13 +71,6 @@ bwtForward(const uint8_t *data, size_t n)
 }
 
 namespace {
-
-/**
- * Chains the inverse walks in lockstep, at most: a 1 MiB block has
- * eight. On a shared 4-vCPU Xeon, eight walked 1 MiB blocks of
- * filtered suite planes ~1.3x as fast as four and ~4x as fast as one.
- */
-constexpr size_t kBwtLanes = 8;
 
 /**
  * Rows [row, row + len) of the conceptual matrix end in byte @p c.
@@ -147,46 +143,42 @@ bwtInverseRuns(const BwtRun *runs, size_t count, size_t n,
         pos += len;
     }
 
-    // Chain k walks forward from the row of text position
-    // k * kBwtChainBytes and writes the bytes up to the next chain's
-    // position, where it must end on that chain's start row; the last
-    // chain must end on the sentinel's row 0. No walk may pass row 0
-    // before that. tt[0] leads back to row `sentinel`, so these checks
-    // hold if and only if the LF mapping is one cycle through the start
-    // rows in order: the one walk from `sentinel`, cut into chains. Up
-    // to kBwtLanes chains walk in lockstep; their loads are independent.
-    const size_t last_len = n - (chains - 1) * kBwtChainBytes;
-    for (size_t first = 0; first < chains; first += kBwtLanes) {
-        const size_t lanes = std::min(kBwtLanes, chains - first);
-        uint32_t row[kBwtLanes];
-        uint8_t *dst[kBwtLanes];
-        for (size_t j = 0; j < lanes; ++j) {
-            row[j] = static_cast<uint32_t>(starts[first + j]);
-            dst[j] = out + (first + j) * kBwtChainBytes;
-        }
-        bool passed_zero = false;
-        auto walk = [&](size_t from, size_t to, size_t walking) {
-            for (size_t k = from; k < to; ++k) {
-                for (size_t j = 0; j < walking; ++j) {
-                    passed_zero |= row[j] == 0;
-                    uint32_t e = tt[row[j]];
-                    dst[j][k] = static_cast<uint8_t>(e);
-                    row[j] = e >> 8;
-                }
+    // Chain k walks forward from the row of text position k * chain
+    // and writes the bytes up to the next chain's position, where it
+    // must end on that chain's start row; the last chain must end on
+    // the sentinel's row 0. No walk may pass row 0 before that. tt[0]
+    // leads back to row `sentinel`, so these checks hold if and only if
+    // the LF mapping is one cycle through the start rows in order: the
+    // one walk from `sentinel`, cut into chains. All chains walk in
+    // lockstep; their loads are independent.
+    static_assert(bwtChainCount(kMaxBwtBlock) == kBwtMaxChains);
+    const size_t chain = bwtChainBytes(n);
+    const size_t last_len = n - (chains - 1) * chain;
+    uint32_t row[kBwtMaxChains];
+    uint8_t *dst[kBwtMaxChains];
+    for (size_t j = 0; j < chains; ++j) {
+        row[j] = static_cast<uint32_t>(starts[j]);
+        dst[j] = out + j * chain;
+    }
+    bool passed_zero = false;
+    auto walk = [&](size_t from, size_t to, size_t walking) {
+        for (size_t k = from; k < to; ++k) {
+            for (size_t j = 0; j < walking; ++j) {
+                passed_zero |= row[j] == 0;
+                uint32_t e = tt[row[j]];
+                dst[j][k] = static_cast<uint8_t>(e);
+                row[j] = e >> 8;
             }
-        };
-        // Only the block's last chain can be shorter; it walks in the
-        // last lane, which drops out once it is done.
-        const bool last = first + lanes == chains;
-        walk(0, last ? last_len : kBwtChainBytes, lanes);
-        if (last && lanes > 1)
-            walk(last_len, kBwtChainBytes, lanes - 1);
-        ATC_CHECK(!passed_zero, "corrupt BWT stream (LF is not one cycle)");
-        for (size_t j = 0; j < lanes; ++j) {
-            size_t next = first + j + 1;
-            ATC_CHECK(row[j] == (next < chains ? starts[next] : 0),
-                      "corrupt BWT stream (LF is not one cycle)");
         }
+    };
+    // Only the last chain can be shorter; it walks in the last lane,
+    // which drops out once it is done.
+    walk(0, last_len, chains);
+    walk(last_len, chain, chains - 1);
+    ATC_CHECK(!passed_zero, "corrupt BWT stream (LF is not one cycle)");
+    for (size_t j = 0; j < chains; ++j) {
+        ATC_CHECK(row[j] == (j + 1 < chains ? starts[j + 1] : 0),
+                  "corrupt BWT stream (LF is not one cycle)");
     }
 }
 

@@ -63,7 +63,9 @@ class Codec
 
     /**
      * Decompress one block previously written by compressBlock.
-     * @param in       source positioned at the block representation
+     * @param in       source holding exactly the block representation
+     *                 (the frame's bytes); bwc and lzh borrow the rest
+     *                 of it as their bit stream (util::BitReader)
      * @param raw_size original block size (from the stream framing)
      * @param out      receives exactly raw_size bytes
      */

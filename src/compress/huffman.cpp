@@ -143,27 +143,63 @@ HuffmanEncoder::buildCodes()
     }
 }
 
+namespace {
+
+/** Groups of 16 symbols in an in-use map of @p alphabet symbols. */
+constexpr int
+groupsOf(int alphabet)
+{
+    return (alphabet + 15) / 16;
+}
+
+} // namespace
+
 void
 HuffmanEncoder::writeTable(util::BitWriter &bw) const
 {
-    for (uint8_t l : lengths_)
-        bw.writeBits(l, 5);
+    const int alphabet = static_cast<int>(lengths_.size());
+    ATC_ASSERT(alphabet <= kMaxAlphabet);
+    auto groupBits = [&](int g) {
+        uint32_t bits = 0;
+        for (int i = 0; i < 16; ++i) {
+            const int sym = 16 * g + i;
+            bits = bits << 1 | (sym < alphabet && lengths_[sym] > 0);
+        }
+        return bits;
+    };
+    for (int g = 0; g < groupsOf(alphabet); ++g)
+        bw.writeBit(groupBits(g) != 0);
+    for (int g = 0; g < groupsOf(alphabet); ++g) {
+        if (uint32_t bits = groupBits(g))
+            bw.writeBits(bits, 16);
+    }
+    int cur = -1;
+    for (uint8_t l : lengths_) {
+        if (l == 0)
+            continue;
+        if (cur < 0) {
+            cur = l;
+            bw.writeBits(l, 5);
+        }
+        for (; cur < l; ++cur)
+            bw.writeBits(0b10, 2);
+        for (; cur > l; --cur)
+            bw.writeBits(0b11, 2);
+        bw.writeBit(0);
+    }
+    ATC_ASSERT(cur > 0);
 }
 
-HuffmanDecoder::HuffmanDecoder(const std::vector<uint8_t> &lengths)
+HuffmanDecoder::HuffmanDecoder(const uint8_t *lengths, size_t n)
 {
-    for (size_t i = 0; i < lengths.size(); ++i) {
+    ATC_ASSERT(n <= kMaxAlphabet);
+    for (size_t i = 0; i < n; ++i) {
         ATC_CHECK(lengths[i] <= kMaxCodeLen, "huffman length out of range");
-        if (lengths[i] > 0) {
-            count_[lengths[i]]++;
-            sorted_symbols_.push_back(static_cast<uint16_t>(i));
-        }
+        count_[lengths[i]]++;
+        if (lengths[i] > 0)
+            max_symbol_ = static_cast<int>(i);
     }
-    std::sort(sorted_symbols_.begin(), sorted_symbols_.end(),
-              [&](uint16_t a, uint16_t b) {
-                  return lengths[a] != lengths[b] ? lengths[a] < lengths[b]
-                                                  : a < b;
-              });
+    count_[0] = 0;
 
     uint32_t code = 0;
     int32_t index = 0;
@@ -177,26 +213,78 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<uint8_t> &lengths)
         kraft += static_cast<uint64_t>(count_[l]) << (kMaxCodeLen - l);
     }
     ATC_CHECK(kraft <= (1ull << kMaxCodeLen), "invalid huffman table");
+
+    // Symbols by (length, symbol): a counting sort.
+    int32_t next[kMaxCodeLen + 2];
+    std::copy(first_index_, first_index_ + kMaxCodeLen + 2, next);
+    for (size_t i = 0; i < n; ++i) {
+        if (lengths[i] > 0)
+            sorted_symbols_[next[lengths[i]]++] = static_cast<uint16_t>(i);
+    }
+
+    // Every code of kLookupBits or fewer owns the entries its bits
+    // prefix; the Kraft check above keeps them inside the table.
+    for (int l = 1; l <= kLookupBits; ++l) {
+        for (int k = 0; k < count_[l]; ++k) {
+            const uint16_t sym = sorted_symbols_[first_index_[l] + k];
+            const int span = kLookupBits - l;
+            const uint32_t from = (first_code_[l] + k) << span;
+            std::fill_n(lookup_ + from, 1u << span,
+                        static_cast<uint16_t>(l * kLenUnit + sym));
+        }
+    }
 }
 
 HuffmanDecoder
 HuffmanDecoder::readTable(util::BitReader &br, int alphabet)
 {
-    std::vector<uint8_t> lengths(alphabet);
-    for (int i = 0; i < alphabet; ++i)
-        lengths[i] = static_cast<uint8_t>(br.readBits(5));
-    return HuffmanDecoder(lengths);
+    ATC_ASSERT(alphabet >= 1 && alphabet <= kMaxAlphabet);
+    const int groups = groupsOf(alphabet);
+    const uint32_t in_use = br.readBits(groups);
+    uint32_t maps[groupsOf(kMaxAlphabet)] = {};
+    for (int g = 0; g < groups; ++g) {
+        if (in_use >> (groups - 1 - g) & 1)
+            maps[g] = br.readBits(16);
+    }
+    ATC_CHECK(std::any_of(maps, maps + groups,
+                          [](uint32_t m) { return m != 0; }),
+              "corrupt huffman table (empty in-use map)");
+    ATC_CHECK(alphabet % 16 == 0 ||
+                  (maps[groups - 1] & ((1u << (16 - alphabet % 16)) - 1)) == 0,
+              "corrupt huffman table (a symbol past the alphabet)");
+
+    uint8_t lengths[kMaxAlphabet] = {};
+    auto inRange = [](int l) { return l >= 1 && l <= kMaxCodeLen; };
+    int cur = static_cast<int>(br.readBits(5));
+    ATC_CHECK(inRange(cur), "corrupt huffman table (length out of range)");
+    for (int sym = 0; sym < alphabet; ++sym) {
+        if (!(maps[sym / 16] >> (15 - sym % 16) & 1))
+            continue;
+        // Steps "10" and "11" up to the "0" that ends the symbol.
+        for (br.refill(); br.peek(1); br.refill()) {
+            cur += br.peek(2) == 3 ? -1 : 1;
+            br.consume(2);
+            ATC_CHECK(inRange(cur),
+                      "corrupt huffman table (length out of range)");
+        }
+        br.consume(1);
+        lengths[sym] = static_cast<uint8_t>(cur);
+    }
+    return HuffmanDecoder(lengths, alphabet);
 }
 
 int
-HuffmanDecoder::decode(util::BitReader &br) const
+HuffmanDecoder::decodeLong(util::BitReader &br) const
 {
-    uint32_t code = 0;
-    for (int l = 1; l <= kMaxCodeLen; ++l) {
-        code = (code << 1) | br.readBit();
-        uint32_t offset = code - first_code_[l];
-        if (code >= first_code_[l] && offset < count_[l])
+    // No code of kLookupBits or fewer bits matched (decode() refilled).
+    const auto bits = static_cast<uint32_t>(br.peek(kMaxCodeLen));
+    for (int l = kLookupBits + 1; l <= kMaxCodeLen; ++l) {
+        const uint32_t code = bits >> (kMaxCodeLen - l);
+        const uint32_t offset = code - first_code_[l];
+        if (code >= first_code_[l] && offset < count_[l]) {
+            br.consume(l);
             return sorted_symbols_[first_index_[l] + offset];
+        }
     }
     util::raise("invalid huffman code in stream");
 }

@@ -1,5 +1,6 @@
 #include "compress/lzh.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "compress/huffman.hpp"
@@ -153,9 +154,14 @@ LzhCodec::compressBlock(const uint8_t *data, size_t n,
     HuffmanEncoder ll_enc(ll_freq);
     HuffmanEncoder d_enc(d_freq);
 
+    // Without a match there is no distance to code, and no table.
+    const bool matches = std::any_of(ll_freq.begin() + kLenBase,
+                                     ll_freq.end(),
+                                     [](uint64_t f) { return f > 0; });
     util::BitWriter bw(out);
     ll_enc.writeTable(bw);
-    d_enc.writeTable(bw);
+    if (matches)
+        d_enc.writeTable(bw);
     for (const Token &t : tokens) {
         if (t.is_match) {
             Bucket lb = bucketOf(t.length - kMinMatch);
@@ -176,38 +182,40 @@ void
 LzhCodec::decompressBlock(util::ByteSource &in, size_t raw_size,
                           std::vector<uint8_t> &out) const
 {
-    util::BitReader br(in);
-    HuffmanDecoder ll_dec = HuffmanDecoder::readTable(br, kLitLenAlphabet);
-    HuffmanDecoder d_dec = HuffmanDecoder::readTable(br, kNumDistBuckets);
-
     // Every literal and match is checked against the output still to
     // come, so a crafted block cannot grow `out` past the frame's
     // declared size, however many tokens it holds.
     out.clear();
-    for (;;) {
-        int sym = ll_dec.decode(br);
-        if (sym == kEobSym)
-            break;
-        if (sym < 256) {
-            ATC_CHECK(out.size() < raw_size, "LZH block size mismatch");
-            out.push_back(static_cast<uint8_t>(sym));
-            continue;
+    util::readBitStream(in, [&](util::BitReader &br) {
+        const HuffmanDecoder ll_dec =
+            HuffmanDecoder::readTable(br, kLitLenAlphabet);
+        const bool matches = ll_dec.maxSymbol() >= kLenBase;
+        const HuffmanDecoder d_dec =
+            matches ? HuffmanDecoder::readTable(br, kNumDistBuckets)
+                    : HuffmanDecoder(std::vector<uint8_t>{});
+        for (;;) {
+            int sym = ll_dec.decode(br);
+            if (sym == kEobSym)
+                break;
+            if (sym < 256) {
+                ATC_CHECK(out.size() < raw_size, "LZH block size mismatch");
+                out.push_back(static_cast<uint8_t>(sym));
+                continue;
+            }
+            int id = sym - kLenBase;
+            int e = id < 2 ? 0 : id / 2 - 1;
+            uint32_t length = bucketBase(id) + br.readBits(e) + kMinMatch;
+            int did = d_dec.decode(br);
+            int de = did < 2 ? 0 : did / 2 - 1;
+            uint32_t dist = bucketBase(did) + br.readBits(de) + 1;
+            ATC_CHECK(dist <= out.size(), "LZH distance beyond output");
+            ATC_CHECK(length <= raw_size - out.size(),
+                      "LZH block size mismatch");
+            size_t from = out.size() - dist;
+            for (uint32_t i = 0; i < length; ++i)
+                out.push_back(out[from + i]);
         }
-        int id = sym - kLenBase;
-        int e = id < 2 ? 0 : id / 2 - 1;
-        uint32_t length =
-            bucketBase(id) + (e > 0 ? br.readBits(e) : 0) + kMinMatch;
-        int did = d_dec.decode(br);
-        int de = did < 2 ? 0 : did / 2 - 1;
-        uint32_t dist = bucketBase(did) + (de > 0 ? br.readBits(de) : 0) + 1;
-        ATC_CHECK(dist <= out.size(), "LZH distance beyond output");
-        ATC_CHECK(length <= raw_size - out.size(),
-                  "LZH block size mismatch");
-        size_t from = out.size() - dist;
-        for (uint32_t i = 0; i < length; ++i)
-            out.push_back(out[from + i]);
-    }
-    br.align();
+    });
     ATC_CHECK(out.size() == raw_size, "LZH block size mismatch");
 }
 

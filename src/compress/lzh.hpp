@@ -9,8 +9,10 @@
  *
  * Block layout (after the stream framing's size header; the block's
  * CRC-32 is in the stream's frame index):
- *   litlen huffman table (273 x 5 bits), dist table (32 x 5 bits)
- *   token stream, terminated by EOB, byte-aligned at end
+ *   litlen huffman table (273 symbols; in-use map + delta-coded
+ *   lengths, huffman.hpp), then the dist table (32 symbols) if the
+ *   litlen table has a length symbol in use; token stream, terminated
+ *   by EOB, byte-aligned; the frame ends with it
  */
 
 #ifndef ATC_COMPRESS_LZH_HPP_

@@ -19,7 +19,8 @@
  * Decoding never writes the MTF bytes out: mtfRleToRuns undoes the
  * zero-run coding and the move-to-front in one pass straight to the
  * runs of the BWT string, so a run of zeros costs one step however
- * long it is.
+ * long it is, and it takes its symbols from the Huffman decoder one at
+ * a time, so they are never written out either.
  *
  * Alphabet (width kAlphabet = 258):
  *   0       RUNA (run digit, weight 1)
@@ -33,9 +34,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "compress/bwt.hpp"
+#include "util/status.hpp"
 
 namespace atc::comp {
 
@@ -94,15 +97,71 @@ std::vector<uint16_t> rleEncode(const uint8_t *data, size_t n);
  * the string's runs (a fresh MTF state, as mtfEncode starts from).
  * Adjacent runs hold different bytes.
  *
- * Every run is checked against what remains of @p raw_size before it
- * is recorded, so a corrupt zero run cannot grow past the block.
+ * The symbols come one at a time from @p next, so the bwc decoder
+ * feeds its Huffman decode straight in and no symbol array is written.
+ * The pass stops after the EOB. Every run is checked against what
+ * remains of @p raw_size before it is recorded, so a corrupt zero run
+ * cannot grow past the block, and the number of symbols it asks for is
+ * at most 2 * raw_size + 1.
  *
- * @param symbols  encoded stream, ending in its only EOB
- * @param count    number of symbols
+ * @param next     returns the next symbol (a uint16_t or int)
  * @param raw_size length of the BWT string, at most kMaxBwtBlock
  * @param runs     cleared, then receives the runs
- * @throws util::Error on a missing EOB, symbols after it, an invalid
- *         symbol, or runs that do not add up to @p raw_size
+ * @throws util::Error on an invalid symbol, or runs that do not add up
+ *         to @p raw_size
+ */
+template <typename NextSymbol>
+void
+mtfRleToRuns(NextSymbol &&next, size_t raw_size, std::vector<BwtRun> &runs)
+{
+    ATC_CHECK(raw_size <= kMaxBwtBlock, "RLE block above the 2^24 - 1 byte cap");
+    runs.clear();
+    uint8_t order[256];
+    for (int i = 0; i < 256; ++i)
+        order[i] = static_cast<uint8_t>(i);
+
+    // A pending zero run repeats order[0], the byte of the last run
+    // (byte 0 before the first one). Since run >= weight - 1, bounding
+    // run by what is left of the block also bounds the weight's shift.
+    size_t pos = 0;
+    uint32_t run = 0;
+    uint32_t weight = 1;
+    for (;;) {
+        const auto sym = static_cast<unsigned>(next());
+        if (sym <= kRunB) {
+            run += weight << sym;
+            weight <<= 1;
+            ATC_CHECK(run <= raw_size - pos,
+                      "BWC block size mismatch (zero run overruns it)");
+            continue;
+        }
+        if (run != 0) {
+            if (runs.empty())
+                runs.push_back({0, order[0]});
+            runs.back().len += run;
+            pos += run;
+            run = 0;
+            weight = 1;
+        }
+        if (sym == kEob) {
+            ATC_CHECK(pos == raw_size, "BWC block size mismatch");
+            return;
+        }
+        ATC_CHECK(sym <= 256, "invalid RLE symbol");
+        ATC_CHECK(pos < raw_size,
+                  "BWC block size mismatch (literal past its end)");
+        const size_t rank = sym - 1;
+        const uint8_t value = order[rank];
+        std::memmove(order + 1, order, rank);
+        order[0] = value;
+        runs.push_back({1, value});
+        ++pos;
+    }
+}
+
+/**
+ * The same over @p count symbols at @p symbols.
+ * @throws util::Error also on a missing EOB or symbols after it
  */
 void mtfRleToRuns(const uint16_t *symbols, size_t count, size_t raw_size,
                   std::vector<BwtRun> &runs);

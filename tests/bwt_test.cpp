@@ -444,21 +444,29 @@ letters(size_t n, uint64_t seed)
     return s;
 }
 
-/** Block sizes around the chain length and the chains each takes. */
-constexpr size_t kS = comp::kBwtChainBytes;
+/** The shortest chain, 2^12 bytes: texts up to 16 of them use it. */
+constexpr size_t kS = comp::bwtChainBytes(1);
+
+/** Text lengths around the chain lengths and the chains each takes. */
 constexpr std::pair<size_t, size_t> kChainCases[] = {
     {kS - 1, 1},
     {kS, 1},
-    {kS + 1, 2},      // a one-byte second chain
+    {kS + 1, 2},           // a one-byte second chain
     {2 * kS + 1, 3},
-    {8 * kS, 8},      // one full group of lanes
-    {8 * kS + 5, 9},  // a second group of one 5-byte chain
-    {24 * kS + 7, 25} // over 3 MiB: three full groups and one more
+    {8 * kS, 8},           // 32 KiB: eight chains of 2^12
+    {8 * kS + 5, 9},       // and a ninth of 5 bytes
+    {16 * kS, 16},         // 64 KiB: the most chains of 2^12
+    {16 * kS + 1, 9},      // one more byte doubles the chain length
+    {(size_t(1) << 20), 16},
+    {12 * (size_t(1) << 18) + 7, 13} // over 3 MiB: chains of 2^18
 };
 
 TEST(BwcDecode, ChainBoundariesMatchTheReferenceOnTextAndSuitePlanes)
 {
     EXPECT_EQ(comp::bwtChainCount(0), 0u);
+    EXPECT_EQ(kS, 4096u);
+    EXPECT_EQ(comp::bwtChainBytes(comp::kMaxBwtBlock), size_t(1) << 20);
+    EXPECT_EQ(comp::bwtChainCount(comp::kMaxBwtBlock), 16u);
     for (auto [n, chains] : kChainCases) {
         for (bool planes : {false, true}) {
             auto data = planes ? bench::suitePlanes(n, n) : letters(n, n);

@@ -18,6 +18,7 @@
 #include "compress/rle.hpp"
 #include "compress/stream.hpp"
 #include "reference_bwc.hpp"
+#include "reference_huffman.hpp"
 #include "store_frames.hpp"
 #include "util/bitio.hpp"
 #include "util/crc32.hpp"
@@ -403,18 +404,17 @@ joinFrame(const BwcFrame &f)
     return out;
 }
 
-/** The RLE1 text a frame carries, decoded by the reference. */
+/** The RLE1 text a frame carries, decoded by the references. */
 std::vector<uint8_t>
 textOf(const BwcFrame &f)
 {
     util::MemorySource src(f.tail.data(), f.tail.size());
-    util::BitReader br(src);
-    auto dec = comp::HuffmanDecoder::readTable(br, comp::kRleAlphabet);
+    ref::BitReader br(src);
+    ref::HuffmanDecoder dec(ref::readLengths(br, comp::kRleAlphabet));
     std::vector<uint16_t> symbols;
     do {
         symbols.push_back(static_cast<uint16_t>(dec.decode(br)));
     } while (symbols.back() != comp::kEob);
-    br.align();
     EXPECT_EQ(src.remaining(), 0u);
     return ref::decode(symbols, f.text_len, f.starts);
 }
@@ -610,19 +610,21 @@ TEST(Bwc, TextLengthAboveItsBoundIsRefused)
         "corrupt container: bwc RLE1 text of 5121 bytes"));
 }
 
-TEST(Bwc, FramesCarryOneStartRowPer128KiB)
+TEST(Bwc, FramesCarryOneStartRowPerChain)
 {
-    // Around the chain length S = 2^17 of RLE1 text: a frame opens with
-    // the text's length and exactly ceil(text_len / S) start rows, then
-    // the Huffman table. The symbols behind them decode through the
-    // reference with those rows to the reference's RLE1 text. Blocks
-    // with no run of 4 have a text as long as the block; the suite
-    // planes' is about a quarter of theirs. The block's CRC-32 is not
-    // in the frame but in the stream's index.
-    constexpr size_t S = comp::kBwtChainBytes;
+    // Around the chain lengths L = max(2^12, pow2ceil(ceil(n / 16))) of
+    // an RLE1 text of n bytes: a frame opens with the text's length and
+    // exactly ceil(n / L) start rows, then the Huffman table. The
+    // symbols behind them decode through the reference with those rows
+    // to the reference's RLE1 text. Blocks with no run of 4 have a text
+    // as long as the block; the suite planes' is about a quarter of
+    // theirs. The block's CRC-32 is not in the frame but in the
+    // stream's index.
+    constexpr size_t S = 4096, M = size_t(1) << 18;
     const std::pair<size_t, size_t> cases[] = {
-        {S - 1, 1}, {S, 1},        {S + 1, 2},       {2 * S + 1, 3},
-        {8 * S, 8}, {8 * S + 5, 9}, {24 * S + 7, 25},
+        {S - 1, 1},      {S, 1},         {S + 1, 2},
+        {2 * S + 1, 3},  {8 * S, 8},     {8 * S + 5, 9},
+        {16 * S, 16},    {16 * S + 1, 9}, {12 * M + 7, 13},
     };
     for (auto [n, chains] : cases) {
         for (bool planes : {false, true}) {
@@ -663,7 +665,7 @@ TEST(Bwc, CorruptStartRowsAreErrors)
     // A block whose RLE1 text has three chains. Each corruption must
     // fail as a util::Error, before the walk reads out of range (the
     // sanitizer build checks that part).
-    const size_t n = 2 * comp::kBwtChainBytes + 17;
+    const size_t n = 2 * comp::bwtChainBytes(1) + 17;
     auto data = noRunsOf4(n, 7);
     auto frame = bwcFrameOf(data);
     BwcFrame good = splitFrame(frame);
@@ -690,6 +692,45 @@ TEST(Bwc, CorruptStartRowsAreErrors)
     cut.starts.resize(1);
     cut.tail.clear();
     EXPECT_TRUE(refused(cut, "truncated"));
+}
+
+TEST(Codecs, BitStreamsEndExactlyAtTheirFrameEnd)
+{
+    // Every cut of a bwc or lzh frame's last bytes leaves its bit
+    // stream short, and a byte after it is left over: each fails as one
+    // Status, decoded from a heap copy of exactly the frame's bytes (so
+    // a read past them is a sanitizer error), never as a crash.
+    auto data = makeData(3, 40'000, 21);
+    for (const char *name : {"bwc", "lzh"}) {
+        const comp::Codec &codec = comp::codecByName(name);
+        std::vector<uint8_t> frame;
+        util::VectorSink sink(frame);
+        codec.compressBlock(data.data(), data.size(), sink);
+        auto decode = [&](const std::vector<uint8_t> &bytes) {
+            return util::toStatus([&] {
+                std::vector<uint8_t> exact(bytes), out;
+                comp::FrameIndexEntry e{data.size(), exact.size(),
+                                        util::crc32(data.data(),
+                                                    data.size())};
+                comp::decodeSeekableFrame(codec, exact.data(), e, out);
+            });
+        };
+        EXPECT_TRUE(decode(frame).ok()) << name;
+        for (size_t cut : {size_t(1), size_t(2), size_t(9)}) {
+            util::Status st = decode(
+                std::vector<uint8_t>(frame.begin(), frame.end() - cut));
+            EXPECT_NE(st.message().find("frame overruns its declared "
+                                        "compressed length"),
+                      std::string::npos)
+                << name << " cut " << cut << ": " << st.message();
+        }
+        std::vector<uint8_t> longer = frame;
+        longer.push_back(0);
+        util::Status st = decode(longer);
+        EXPECT_NE(st.message().find("bytes left after the end"),
+                  std::string::npos)
+            << name << ": " << st.message();
+    }
 }
 
 TEST(Lzh, DetectsCorruption)

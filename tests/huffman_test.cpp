@@ -9,6 +9,7 @@
 #include <map>
 
 #include "compress/huffman.hpp"
+#include "reference_huffman.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -97,6 +98,51 @@ TEST(HuffmanLengths, NearOptimalOnUniformInput)
         EXPECT_EQ(l, 8); // 256 equal symbols -> exactly 8 bits
 }
 
+/** A table and @p symbols coded with @p lengths, as the codecs write
+ *  them. */
+std::vector<uint8_t>
+encodeWith(const std::vector<uint8_t> &lengths, const std::vector<int> &symbols)
+{
+    comp::HuffmanEncoder enc(lengths);
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    util::BitWriter bw(sink);
+    enc.writeTable(bw);
+    for (int sym : symbols)
+        enc.writeSymbol(bw, sym);
+    bw.alignAndFlush();
+    return out;
+}
+
+/** The library's decode of @p count symbols of @p alphabet; the stream
+ *  must end with them. */
+std::vector<int>
+decodeAll(const std::vector<uint8_t> &bytes, int alphabet, size_t count)
+{
+    std::vector<int> got;
+    util::MemorySource src(bytes);
+    util::readBitStream(src, [&](util::BitReader &br) {
+        auto dec = comp::HuffmanDecoder::readTable(br, alphabet);
+        for (size_t i = 0; i < count; ++i)
+            got.push_back(dec.decode(br));
+    });
+    return got;
+}
+
+/** The bit-at-a-time reference's decode of the same. */
+std::vector<int>
+referenceDecodeAll(const std::vector<uint8_t> &bytes, int alphabet,
+                   size_t count)
+{
+    std::vector<int> got;
+    util::MemorySource src(bytes);
+    ref::BitReader br(src);
+    ref::HuffmanDecoder dec(ref::readLengths(br, alphabet));
+    for (size_t i = 0; i < count; ++i)
+        got.push_back(dec.decode(br));
+    return got;
+}
+
 class HuffmanRoundTrip : public testing::TestWithParam<int>
 {
 };
@@ -117,20 +163,8 @@ TEST_P(HuffmanRoundTrip, EncodeDecode)
         symbols.push_back(sym);
     }
 
-    comp::HuffmanEncoder enc(freq);
-    std::vector<uint8_t> out;
-    util::VectorSink sink(out);
-    util::BitWriter bw(sink);
-    enc.writeTable(bw);
-    for (int sym : symbols)
-        enc.writeSymbol(bw, sym);
-    bw.alignAndFlush();
-
-    util::MemorySource src(out);
-    util::BitReader br(src);
-    comp::HuffmanDecoder dec = comp::HuffmanDecoder::readTable(br, alphabet);
-    for (int sym : symbols)
-        EXPECT_EQ(dec.decode(br), sym);
+    auto out = encodeWith(comp::huffmanLengths(freq), symbols);
+    EXPECT_EQ(decodeAll(out, alphabet, symbols.size()), symbols);
 }
 
 INSTANTIATE_TEST_SUITE_P(Alphabets, HuffmanRoundTrip,
@@ -152,6 +186,219 @@ TEST(HuffmanDecoder, RejectsInvalidStreamCode)
     util::MemorySource src(data);
     util::BitReader br(src);
     EXPECT_THROW(dec.decode(br), util::Error);
+}
+
+/** Random lengths of a prefix code over @p alphabet symbols, complete
+ *  or not, with codes up to kMaxCodeLen bits. */
+std::vector<uint8_t>
+randomLengths(util::Rng &rng, int alphabet)
+{
+    std::vector<uint8_t> lengths(alphabet, 0);
+    uint64_t kraft = 0; // scaled by 2^kMaxCodeLen
+    auto weight = [](int l) { return uint64_t(1) << (comp::kMaxCodeLen - l); };
+    for (auto &l : lengths) {
+        if (rng.below(3) == 0)
+            continue;
+        l = static_cast<uint8_t>(1 + rng.below(comp::kMaxCodeLen));
+        kraft += weight(l);
+    }
+    if (kraft == 0) {
+        lengths[rng.below(alphabet)] = 1;
+        return lengths;
+    }
+    while (kraft > weight(0)) {
+        auto &l = lengths[rng.below(alphabet)];
+        if (l == 0 || l == comp::kMaxCodeLen)
+            continue;
+        kraft -= weight(l + 1);
+        ++l;
+    }
+    return lengths;
+}
+
+TEST(HuffmanDecoder, MatchesTheBitAtATimeReference)
+{
+    // Random canonical tables, most with codes longer than the lookup,
+    // over the codecs' alphabets and others: the table-driven decoder
+    // and the reference read the same symbols from the same bytes.
+    util::Rng rng(17);
+    int long_codes = 0;
+    for (int round = 0; round < 200; ++round) {
+        const int alphabet =
+            round % 4 == 0 ? 258 : 1 + static_cast<int>(rng.below(300));
+        const auto lengths = randomLengths(rng, alphabet);
+        std::vector<int> in_use;
+        for (int s = 0; s < alphabet; ++s) {
+            if (lengths[s] > 0)
+                in_use.push_back(s);
+            long_codes += lengths[s] > comp::HuffmanDecoder::kLookupBits;
+        }
+        std::vector<int> symbols(1 + rng.below(3000));
+        for (int &sym : symbols)
+            sym = in_use[rng.below(in_use.size())];
+        const auto bytes = encodeWith(lengths, symbols);
+        ASSERT_EQ(referenceDecodeAll(bytes, alphabet, symbols.size()),
+                  symbols)
+            << round;
+        ASSERT_EQ(decodeAll(bytes, alphabet, symbols.size()), symbols)
+            << round;
+    }
+    EXPECT_GT(long_codes, 1000);
+}
+
+TEST(HuffmanDecoder, OneSymbolCode)
+{
+    // One symbol in use has the one-bit code 0; a 1 is no code.
+    for (int sym : {0, 7, 257}) {
+        std::vector<uint8_t> lengths(258, 0);
+        lengths[sym] = 1;
+        const std::vector<int> symbols(1000, sym);
+        auto bytes = encodeWith(lengths, symbols);
+        EXPECT_EQ(referenceDecodeAll(bytes, 258, symbols.size()), symbols);
+        EXPECT_EQ(decodeAll(bytes, 258, symbols.size()), symbols);
+        bytes.back() |= 1; // a padding bit becomes a 1
+        util::Status st = util::toStatus(
+            [&] { decodeAll(bytes, 258, symbols.size() + 1); });
+        EXPECT_NE(st.message().find("invalid huffman code"),
+                  std::string::npos)
+            << st.message();
+    }
+}
+
+TEST(HuffmanDecoder, TablesAreBzip2Sized)
+{
+    // 51 of 258 symbols in use, in 4 groups: 17 group bits, 4 maps of
+    // 16, 5 bits of first length, and 1 + 2|delta| bits a length.
+    std::vector<uint8_t> lengths(258, 0);
+    for (int s = 0; s < 51; ++s)
+        lengths[s] = static_cast<uint8_t>(6 + s % 3);
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    util::BitWriter bw(sink);
+    comp::HuffmanEncoder(lengths).writeTable(bw);
+    size_t bits = 17 + 4 * 16 + 5;
+    for (int s = 0; s < 51; ++s)
+        bits += 1 + 2 * std::abs(lengths[s] - (s ? lengths[s - 1] : 6));
+    EXPECT_EQ(bw.bitCount(), bits);
+    EXPECT_LT(bits, 258u * 5 / 2);
+}
+
+/** Hand-written table bits: the in-use map of @p used over 258
+ *  symbols, a 5-bit first length and the given steps ("1" + direction
+ *  bit, or "0" to end a symbol). */
+std::vector<uint8_t>
+tableBits(const std::vector<int> &used, uint32_t first,
+          const std::string &steps)
+{
+    std::vector<uint8_t> out;
+    util::VectorSink sink(out);
+    util::BitWriter bw(sink);
+    for (int g = 0; g < 17; ++g) {
+        bool any = false;
+        for (int s : used)
+            any |= s / 16 == g;
+        bw.writeBit(any);
+    }
+    for (int g = 0; g < 17; ++g) {
+        uint32_t map = 0;
+        for (int s : used)
+            map |= s / 16 == g ? 1u << (15 - s % 16) : 0;
+        if (map)
+            bw.writeBits(map, 16);
+    }
+    bw.writeBits(first, 5);
+    for (char c : steps)
+        bw.writeBit(c == '1');
+    bw.alignAndFlush();
+    return out;
+}
+
+/** Read a table of 258 symbols that is all of @p bytes (a heap copy
+ *  of their size, so a read past them is a sanitizer error). */
+util::Status
+readTableOf(const std::vector<uint8_t> &bytes)
+{
+    return util::toStatus([&] {
+        std::vector<uint8_t> exact(bytes);
+        util::MemorySource src(exact);
+        util::readBitStream(src, [](util::BitReader &br) {
+            comp::HuffmanDecoder::readTable(br, 258);
+        });
+    });
+}
+
+TEST(HuffmanDecoder, CorruptTablesFailAsOneStatus)
+{
+    EXPECT_TRUE(readTableOf(tableBits({0, 1}, 1, "00")).ok());
+
+    const std::pair<std::vector<uint8_t>, const char *> cases[] = {
+        // Three codes of length 1 break the Kraft inequality.
+        {tableBits({0, 1, 2}, 1, "000"), "invalid huffman table"},
+        // 24 codes of 1..24 bits fit; a 25th of 24 bits does not.
+        {tableBits({0, 1}, 1, "0100"), "ok"},
+        {tableBits({}, 1, ""), "empty in-use map"},
+        {tableBits({0}, 0, "0"), "length out of range"},
+        {tableBits({0}, 25, "0"), "length out of range"},
+        {tableBits({0, 1}, 24, "0100"), "length out of range"},
+        {tableBits({0, 1}, 1, "0110"), "length out of range"},
+    };
+    for (const auto &[bytes, why] : cases) {
+        util::Status st = readTableOf(bytes);
+        if (std::string(why) == "ok") {
+            EXPECT_TRUE(st.ok()) << st.message();
+            continue;
+        }
+        ASSERT_FALSE(st.ok()) << why;
+        EXPECT_NE(st.message().find(why), std::string::npos) << st.message();
+    }
+
+    // A map that names symbols past the alphabet of 258.
+    std::vector<uint8_t> past = tableBits({256, 258}, 1, "00");
+    EXPECT_NE(readTableOf(past).message().find("past the alphabet"),
+              std::string::npos);
+
+    // Every cut of a table runs into the end of its bytes.
+    std::vector<uint8_t> whole = tableBits({0, 40, 257}, 2, "01000");
+    for (size_t cut = 0; cut < whole.size(); ++cut) {
+        util::Status st = readTableOf(
+            std::vector<uint8_t>(whole.begin(), whole.begin() + cut));
+        EXPECT_FALSE(st.ok()) << cut;
+    }
+}
+
+TEST(HuffmanDecoder, StreamsEndExactlyWithTheirBytes)
+{
+    // Symbols with codes up to 20 bits, decoded from exactly the
+    // stream's bytes: a cut inside the last symbol reads past the end,
+    // and a byte after the stream is left over. Each fails as one
+    // Status.
+    util::Rng rng(3);
+    std::vector<uint64_t> freq(258);
+    for (size_t i = 0; i < freq.size(); ++i)
+        freq[i] = 1 + (uint64_t(1) << (i % 20));
+    const auto lengths = comp::huffmanLengths(freq);
+    std::vector<int> symbols(500);
+    for (int &sym : symbols)
+        sym = static_cast<int>(rng.below(258));
+    symbols.back() = 0; // the longest code
+    ASSERT_GT(lengths[0], 16);
+    const auto bytes = encodeWith(lengths, symbols);
+
+    auto decodeFrom = [&](std::vector<uint8_t> exact) {
+        return util::toStatus(
+            [&] { decodeAll(exact, 258, symbols.size()); });
+    };
+    EXPECT_TRUE(decodeFrom(bytes).ok());
+    for (size_t cut : {size_t(1), size_t(2)}) {
+        util::Status st = decodeFrom(
+            std::vector<uint8_t>(bytes.begin(), bytes.end() - cut));
+        EXPECT_NE(st.message().find("truncated"), std::string::npos)
+            << cut << ": " << st.message();
+    }
+    std::vector<uint8_t> longer = bytes;
+    longer.push_back(0);
+    EXPECT_NE(decodeFrom(longer).message().find("bytes left"),
+              std::string::npos);
 }
 
 TEST(HuffmanEncoder, CanonicalCodesAreOrdered)

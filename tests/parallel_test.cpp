@@ -542,8 +542,10 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
     // Frozen sizes and CRC-32s of reference containers, recorded from
     // the serial writer. The identity sweeps above compare two runs of
     // one code path, which could drift together; these constants
-    // cannot. Since v7 a bwc block is RLE1-coded before its BWT and
-    // carries one start row per 2^17 bytes of that text; since v6 each
+    // cannot. Since v8 the Huffman tables are an in-use map and
+    // delta-coded lengths, and a bwc frame carries a start row per
+    // chain of its RLE1 text (up to 16 chains of at least 2^12 bytes);
+    // since v7 a bwc block is RLE1-coded before its BWT; since v6 each
     // frame's CRC-32 sits in its stream's frame index, and since v5 the
     // INFO payload is framed like a chunk stream.
     auto bwc_trace = makeTrace(60'000, 101);
@@ -562,18 +564,18 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
     for (size_t threads : {size_t(0), size_t(1), size_t(2), size_t(8)}) {
         // 30 frames of 16 KiB, the last one 4897 bytes.
         expectPinned(writeParallel(bwc_trace, bwc_opt, threads),
-                     {190, 0x60e695e8u}, {{100570, 0x86ecb62bu}},
+                     {42, 0xdb42e31cu}, {{97982, 0x0558bc32u}},
                      threads);
         // 8 frames of 64 KiB, the last one 21281 bytes.
         expectPinned(writeParallel(big_trace, big_opt, threads),
-                     {200, 0x1fbe2bc0u}, {{94541, 0x5ddc1a9fu}},
+                     {52, 0x3cfe9f9fu}, {{94001, 0xf81bff4du}},
                      threads);
         // 2 frames, of 1 MiB and 871456 bytes, whose RLE1 texts run
-        // past 2^17 bytes: more than one start row in a frame.
+        // past 64 KiB: 16 start rows in a frame.
         core::MemoryStore chains = writeParallel(chains_trace, chains_opt,
                                                  threads);
-        EXPECT_GT(longestText(chains, 0), comp::kBwtChainBytes);
-        expectPinned(chains, {199, 0xdcf74b9eu}, {{355722, 0x5bac5f54u}},
+        EXPECT_EQ(comp::bwtChainCount(longestText(chains, 0)), 16u);
+        expectPinned(chains, {51, 0x2dc7c3adu}, {{355643, 0x558e8ff7u}},
                      threads);
         core::MemoryStore lossy;
         {
@@ -583,10 +585,10 @@ TEST(PinnedBytes, ContainersMatchTheFrozenReferenceAtEveryThreadCount)
             EXPECT_EQ(writer.lossyStats().intervals, 8u);
             EXPECT_EQ(writer.lossyStats().imitated, 5u);
         }
-        expectPinned(lossy, {3532, 0xa67d4a32u},
-                     {{15815, 0x2deb26bcu},
-                      {15851, 0xe96c463eu},
-                      {549, 0x9a7e77beu}},
+        expectPinned(lossy, {3469, 0x7a5a9a2cu},
+                     {{15439, 0xe03d91a4u},
+                      {15475, 0xc7b5ccd8u},
+                      {477, 0xd36fc80au}},
                      threads);
     }
 }
@@ -979,7 +981,7 @@ TEST(Integrity, TruncatedContainerReportsCount)
 
 TEST(ContainerVersions, UnsupportedVersionsRejected)
 {
-    // The version byte follows the 4-byte magic. Only v7 is read, so
+    // The version byte follows the 4-byte magic. Only v8 is read, so
     // any other version must fail open loudly.
     auto addrs = makeTrace(5'000, 71);
     auto store = writeSerial(
@@ -987,7 +989,7 @@ TEST(ContainerVersions, UnsupportedVersionsRejected)
     ASSERT_EQ(store.infoBytes().at(4), core::kContainerVersion);
     for (uint8_t version :
          {uint8_t(1), uint8_t(2), uint8_t(3), uint8_t(4), uint8_t(5),
-          uint8_t(6), uint8_t(8)}) {
+          uint8_t(6), uint8_t(7), uint8_t(9)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -1007,20 +1009,23 @@ TEST(ContainerVersions, UnsupportedVersionsRejected)
     }
 }
 
-TEST(ContainerVersions, V3ToV6PreamblesAreRefusedAtOpen)
+TEST(ContainerVersions, V3ToV7PreamblesAreRefusedAtOpen)
 {
     // A v3 reader took a bwc frame's second start row for the start of
     // its Huffman table, a v4 reader reads INFO's payload as legacy
     // frames, a v5 reader reads a block CRC where v6 keeps the first
-    // start row, and a v6 reader takes v7's RLE1 text length for the
-    // first start row and inverts the RLE1 text as the block. Each
-    // preamble is refused before any frame is read.
-    EXPECT_EQ(core::kContainerVersion, 7u);
+    // start row, a v6 reader takes v7's RLE1 text length for the first
+    // start row and inverts the RLE1 text as the block, and a v7 reader
+    // expects one start row per 2^17 text bytes and a flat 5-bit table
+    // where v8 has a row per chain and an in-use map. Each preamble is
+    // refused before any frame is read.
+    EXPECT_EQ(core::kContainerVersion, 8u);
     auto addrs = makeTrace(40'000, 72);
     auto store = writeSerial(addrs, makeOptions(core::Mode::Lossless,
                                                 addrs.size(),
                                                 "bwc:block=256k"));
-    for (uint8_t version : {uint8_t(3), uint8_t(4), uint8_t(5), uint8_t(6)}) {
+    for (uint8_t version :
+         {uint8_t(3), uint8_t(4), uint8_t(5), uint8_t(6), uint8_t(7)}) {
         core::MemoryStore old;
         {
             auto info = store.infoBytes();
@@ -1035,7 +1040,7 @@ TEST(ContainerVersions, V3ToV6PreamblesAreRefusedAtOpen)
         ASSERT_FALSE(reader.ok());
         EXPECT_NE(reader.status().message().find(
                       "unsupported ATC container version " +
-                      std::to_string(version) + " (only v7 is read)"),
+                      std::to_string(version) + " (only v8 is read)"),
                   std::string::npos)
             << reader.status().message();
     }
@@ -1141,7 +1146,7 @@ TEST_P(SeekableIntegrity, TruncatedFrameIndexRejected)
     // sizes.
     auto chunk = store.chunkBytes(0);
     ASSERT_GT(chunk.size(), 12u);
-    chunk.resize(chunk.size() - 10);
+    chunk.erase(chunk.end() - 10, chunk.end());
 
     auto bad = withChunk0(store, chunk);
     util::Status failure = drainExpectFailure(bad);

@@ -73,7 +73,7 @@ mtfDecode(const std::vector<uint8_t> &ranks)
  * LF-mapping inverse BWT over a byte array, walked backwards from the
  * sentinel's row, one chain. @p starts are the encoder's start rows:
  * starts[0] is the primary index, and the walk checks that it passes
- * starts[k] at text position k * kBwtChainBytes.
+ * starts[k] at text position k * bwtChainBytes(n).
  */
 inline std::vector<uint8_t>
 bwtInverse(const std::vector<uint8_t> &data,
@@ -99,12 +99,13 @@ bwtInverse(const std::vector<uint8_t> &data,
     for (size_t i = 0; i <= n; ++i)
         lf[i] = i == primary ? 0 : base[data[i - (i > primary)]]++;
     std::vector<uint8_t> out(n);
+    const size_t chain = comp::bwtChainBytes(n);
     // Before out[k] is written, `row` is the row of suffix k + 1.
     uint32_t row = lf[primary];
     for (size_t k = n; k-- > 0;) {
         ATC_CHECK(row != primary, "corrupt BWT stream");
-        if ((k + 1) % comp::kBwtChainBytes == 0 && k + 1 < n)
-            ATC_CHECK(row == starts[(k + 1) / comp::kBwtChainBytes],
+        if ((k + 1) % chain == 0 && k + 1 < n)
+            ATC_CHECK(row == starts[(k + 1) / chain],
                       "corrupt BWT stream (start row mismatch)");
         out[k] = data[row - (row > primary)];
         row = lf[row];

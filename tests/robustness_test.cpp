@@ -290,11 +290,11 @@ withChunk(const core::MemoryStore &base, const std::vector<uint8_t> &chunk)
 
 TEST(Robustness, CorruptStartRowsFailAsOneStatus)
 {
-    // The first frame of 256 KiB has an RLE1 text of two chains, so two
-    // start rows. Rewrite them or the text's length in place (same
-    // varint lengths, so the framing still agrees), or cut the chunk
-    // after the primary index: the read must fail as one Status before
-    // it returns a record.
+    // The first frame of 256 KiB has an RLE1 text of several chains, so
+    // as many start rows. Rewrite the first two or the text's length in
+    // place (same varint lengths, so the framing still agrees), or cut
+    // the chunk after the primary index: the read must fail as one
+    // Status before it returns a record.
     auto base = makeContainer(core::Mode::Lossless, 40'000, 5, 256 << 10);
     const std::vector<uint8_t> chunk = base.chunkBytes(0);
     util::MemorySource src(chunk.data(), chunk.size());
@@ -303,7 +303,7 @@ TEST(Robustness, CorruptStartRowsFailAsOneStatus)
     ASSERT_EQ(n, 256u << 10);
     const size_t at_len = chunk.size() - src.remaining();
     const uint64_t text_len = util::readVarint(src);
-    ASSERT_EQ(comp::bwtChainCount(text_len), 2u);
+    ASSERT_GE(comp::bwtChainCount(text_len), 2u);
     const size_t at0 = chunk.size() - src.remaining();
     const uint64_t start0 = util::readVarint(src);
     const size_t at1 = chunk.size() - src.remaining();

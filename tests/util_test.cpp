@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 
+#include "reference_huffman.hpp"
 #include "util/bitio.hpp"
 #include "util/bytestream.hpp"
 #include "util/crc32.hpp"
@@ -187,7 +188,7 @@ TEST(BitIo, SingleBits)
     util::MemorySource src(out);
     util::BitReader br(src);
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(br.readBit(), static_cast<uint32_t>(i & 1));
+        EXPECT_EQ(br.readBits(1), static_cast<uint32_t>(i & 1));
 }
 
 TEST(BitIo, MultiBitFieldsMsbFirst)
@@ -207,7 +208,7 @@ TEST(BitIo, MultiBitFieldsMsbFirst)
     EXPECT_EQ(br.readBits(17), 0x1FFFFu);
 }
 
-TEST(BitIo, AlignSkipsToByteBoundary)
+TEST(BitIo, AlignPadsToAByteBoundary)
 {
     std::vector<uint8_t> out;
     util::VectorSink sink(out);
@@ -216,12 +217,69 @@ TEST(BitIo, AlignSkipsToByteBoundary)
     bw.alignAndFlush();
     bw.writeBits(0xAB, 8);
     bw.alignAndFlush();
+    EXPECT_EQ(out, (std::vector<uint8_t>{0x20, 0xAB}));
+}
 
-    util::MemorySource src(out);
+TEST(BitIo, WriterMatchesTheBitAtATimeWriter)
+{
+    // Random fields of 0 to 32 bits with random alignments: the same
+    // bytes as the reference that writes one bit per step.
+    util::Rng rng(9);
+    for (int round = 0; round < 50; ++round) {
+        std::vector<uint8_t> got, want;
+        util::VectorSink got_sink(got), want_sink(want);
+        util::BitWriter bw(got_sink);
+        ref::BitWriter rw(want_sink);
+        const int fields = static_cast<int>(rng.below(2000));
+        for (int i = 0; i < fields; ++i) {
+            const int nbits = static_cast<int>(rng.below(33));
+            const auto value = static_cast<uint32_t>(rng.next());
+            bw.writeBits(value, nbits);
+            rw.writeBits(value, nbits);
+            if (rng.below(100) == 0) {
+                bw.alignAndFlush();
+                rw.alignAndFlush();
+            }
+        }
+        bw.alignAndFlush();
+        rw.alignAndFlush();
+        ASSERT_EQ(got, want) << round;
+        EXPECT_EQ(bw.bitCount(), 8 * got.size());
+    }
+}
+
+TEST(BitIo, ReaderEndsExactlyWithItsBytes)
+{
+    // 20 bits in 3 bytes: using a bit of the fourth is a read past the
+    // source, and stopping before the third leaves a byte.
+    const std::vector<uint8_t> bytes{0xDE, 0xAD, 0xB0};
+    auto readBits = [&](int nbits) {
+        std::vector<uint8_t> exact(bytes);
+        util::MemorySource src(exact);
+        uint32_t v = 0;
+        util::Status st = util::toStatus([&] {
+            util::readBitStream(src, [&](util::BitReader &br) {
+                v = br.readBits(nbits);
+            });
+        });
+        EXPECT_TRUE(!src.overran() || !st.ok());
+        return std::make_pair(st, v);
+    };
+    EXPECT_EQ(readBits(20).second, 0xDEADBu);
+    EXPECT_TRUE(readBits(24).first.ok());
+    EXPECT_NE(readBits(25).first.message().find("truncated"),
+              std::string::npos);
+    EXPECT_NE(readBits(16).first.message().find("bytes left"),
+              std::string::npos);
+
+    // Reading on through the zeros past the end stops within a window.
+    std::vector<uint8_t> exact(bytes);
+    util::MemorySource src(exact);
     util::BitReader br(src);
-    br.readBits(3);
-    br.align();
-    EXPECT_EQ(br.readBits(8), 0xABu);
+    EXPECT_THROW(
+        for (int i = 0; i < 1000; ++i) br.readBits(32), util::Error);
+    EXPECT_TRUE(br.overran());
+    EXPECT_TRUE(src.overran());
 }
 
 TEST(BitIo, BitCountTracksPadding)
