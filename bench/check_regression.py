@@ -18,7 +18,7 @@ they produce evidence for:
   so regressing it silently would gut the subsystem), and its merged
   miss-ratio estimate must stay within --sample-miss-error-max of the
   full-reference ratio. The decoded-fraction gate is skipped when the
-  bench reports decoded_frac < 0 (observability compiled out — no
+  bench reports decoded_frac < 0 (observability disabled — no
   evidence either way); the error gate always applies.
 
 * Matrix gate (``--matrix fresh.json [--matrix-baseline base.json]``):

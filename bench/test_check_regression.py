@@ -199,7 +199,7 @@ class SampleGateTest(unittest.TestCase):
         self.assertIn("miss-ratio error", failures[0])
 
     def test_obs_disabled_skips_fraction_gate_only(self):
-        # decoded_frac -1 means observability was compiled out: no
+        # decoded_frac -1 means observability was disabled: no
         # decode evidence either way, but the error gate still applies.
         self.assertEqual(self.sweep(-1.0, 0.01), [])
         self.assertEqual(len(self.sweep(-1.0, 0.2)), 1)

@@ -4,12 +4,8 @@
  * and log2-bucketed latency histograms, designed so that record sites
  * on hot paths cost a relaxed atomic add (or nothing at all).
  *
- * Two kill switches:
- *  - compile-time: configure with -DATC_OBS_OFF=ON and every record
- *    site compiles down to a branch on `false` that the optimizer
- *    deletes; `snapshot()` is always empty.
- *  - runtime: `obs::setEnabled(false)` makes record sites return
- *    after one relaxed atomic load; timers skip their clock reads.
+ * One kill switch: `obs::setEnabled(false)` makes record sites return
+ * after one relaxed atomic load; timers skip their clock reads.
  *
  * Counters shard their cells across cache-line-padded atomics indexed
  * by a per-thread slot, so concurrent increments from pool workers
@@ -36,12 +32,6 @@
 
 namespace atc::obs {
 
-#ifdef ATC_OBS_OFF
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 /// What one thread's record sites have done with recording on: clock
 /// reads (each timer reads the clock at its start and its stop),
 /// counter and gauge adds, and histogram records. What metrics cost a
@@ -67,14 +57,11 @@ threadTally()
 }
 
 /// Runtime master switch; true by default. Record sites check it with
-/// one relaxed load. Compile-time ATC_OBS_OFF overrides it to false.
+/// one relaxed load.
 inline bool
 enabled()
 {
-    if constexpr (!kCompiledIn)
-        return false;
-    else
-        return detail::g_enabled.load(std::memory_order_relaxed);
+    return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
 inline void

@@ -157,14 +157,6 @@ class Channel
         not_empty_.notify_all();
     }
 
-    /** @return true once close() has been called. */
-    bool
-    closed() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return closed_;
-    }
-
     /** @return items currently queued. */
     size_t
     size() const

@@ -66,6 +66,12 @@ ThreadPool::submit(std::function<void()> task)
 }
 
 bool
+ThreadPool::trySubmit(std::function<void()> task)
+{
+    return tasks_.tryPush(Queued{std::move(task), obs::nowNs()});
+}
+
+bool
 ThreadPool::runOne()
 {
     Queued task;

@@ -5,7 +5,9 @@
  *
  * submit() enqueues a task, blocking when the queue is full — bounded
  * submission is the backpressure mechanism that keeps a fast producer
- * (e.g. a trace generator) from buffering unbounded work.
+ * (e.g. a trace generator) from buffering unbounded work. trySubmit()
+ * refuses instead of blocking; the serving daemon admits requests
+ * with it and parks what the queue cannot take.
  *
  * Task<T> is how the writer (codec frames, forward transforms, lossy
  * signatures and chunks), the read engine (frames, inverse
@@ -80,6 +82,17 @@ class ThreadPool
      * @return false if the pool is shutting down (task dropped)
      */
     bool submit(std::function<void()> task);
+
+    /**
+     * Enqueue @p task without blocking: the admission primitive of a
+     * caller that must never stall (the server's poll loop parks the
+     * request itself instead).
+     * @return false when the queue is full or shut down (task dropped)
+     */
+    bool trySubmit(std::function<void()> task);
+
+    /** @return tasks queued and not yet picked up. */
+    size_t queued() const { return tasks_.size(); }
 
     /**
      * Run the oldest queued task on the calling thread, if any.

@@ -1,6 +1,5 @@
 #include "serve/server.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdarg>
@@ -18,6 +17,19 @@ namespace atc::serve {
 
 namespace {
 
+/** Depth of the request pool's queue. Admission parks requests per
+ *  session once it fills, so the value bounds server-side queueing
+ *  delay, not correctness. */
+constexpr size_t kQueueCapacity = 256;
+
+/** Parsed-but-unadmitted requests tolerated per session before the
+ *  server stops reading that session's socket (TCP backpressure). */
+constexpr size_t kMaxPendingPerClient = 64;
+
+/** Bound on waiting for a client to drain its socket before the
+ *  session is declared dead and disconnected. */
+constexpr int kWriteTimeoutMs = 30'000;
+
 /** Heavy requests decode records and are subject to admission
  *  control; everything else is bookkeeping. */
 bool
@@ -30,7 +42,7 @@ isHeavy(Op op)
  *  admission/completion frequency; histograms record micros. */
 struct ServeObs
 {
-    obs::Gauge &queue_depth;    ///< jobs admitted, not yet picked up
+    obs::Gauge &queue_depth;    ///< requests admitted, not yet picked up
     obs::Gauge &inflight;       ///< heavy requests admitted, unreleased
     obs::Histogram &queue_wait_us; ///< parse -> worker pickup
     obs::Histogram &decode_us;     ///< cursor seek/read inside a worker
@@ -89,7 +101,7 @@ appendStat(std::string &out, const std::string &key, uint64_t value)
 
 /**
  * Per-connection state. Ownership: the I/O thread's sessions_ map
- * holds one reference; every in-flight Job holds another, so the
+ * holds one reference; every admitted request holds another, so the
  * socket cannot close under an executing request. Field groups and
  * their guards are annotated below.
  */
@@ -135,10 +147,7 @@ struct TraceServer::Session
     }
 };
 
-TraceServer::TraceServer(ServeOptions opt)
-    : opt_(opt),
-      jobs_(std::max<size_t>(1, opt.queue_capacity))
-{}
+TraceServer::TraceServer(ServeOptions opt) : opt_(opt) {}
 
 TraceServer::~TraceServer()
 {
@@ -227,18 +236,12 @@ TraceServer::start()
     if (!nb.ok())
         return nb;
 
-    size_t threads = parallel::resolveThreads(opt_.threads);
-    for (size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this] {
-            Job job;
-            while (jobs_.pop(job))
-                handleJob(job);
-        });
-
+    pool_ = std::make_unique<parallel::ThreadPool>(opt_.threads,
+                                                   kQueueCapacity);
     start_tp_ = std::chrono::steady_clock::now();
     io_thread_ = std::thread([this] { ioLoop(); });
     logf(LogLevel::kInfo, "listening port=%u containers=%zu threads=%zu",
-         unsigned(port_), containers_.size(), workers_.size());
+         unsigned(port_), containers_.size(), pool_->size());
     return util::Status();
 }
 
@@ -277,10 +280,9 @@ TraceServer::stop()
         return;
     if (io_thread_.joinable())
         io_thread_.join();
-    jobs_.close();
-    for (std::thread &worker : workers_)
-        worker.join();
-    // Workers are joined: in-flight jobs are done, the last session
+    if (pool_)
+        pool_->shutdown();
+    // The pool is joined: admitted requests are done, the last session
     // references drop here and the descriptors close.
     sessions_.clear();
     listener_.close();
@@ -320,7 +322,7 @@ TraceServer::pollOnce()
         // Backpressure: a session with too many unadmitted requests is
         // not read — the flood backs up into its TCP window instead of
         // this process's memory.
-        if (session->pendingSize() >= opt_.max_pending_per_client)
+        if (session->pendingSize() >= kMaxPendingPerClient)
             continue;
         fds.push_back({session->sock.fd(), POLLIN, 0});
         polled.push_back(session);
@@ -376,7 +378,7 @@ TraceServer::readSession(const std::shared_ptr<Session> &session)
         ssize_t r = ::recv(session->sock.fd(), buf, sizeof(buf), 0);
         if (r > 0) {
             session->inbuf.insert(session->inbuf.end(), buf, buf + r);
-            // One read burst may overshoot max_pending_per_client by
+            // One read burst may overshoot kMaxPendingPerClient by
             // however many tiny frames fit the burst; the *next* poll
             // pass pauses the socket, so the overshoot is bounded by
             // sizeof(buf) / min-frame-size parsed requests.
@@ -516,11 +518,12 @@ void
 TraceServer::admitLocked(Session &session)
 {
     while (!session.pending.empty()) {
-        Request &req = session.pending.front();
-        if (isHeavy(req.op)) {
+        const Request &req = session.pending.front();
+        bool heavy = isHeavy(req.op);
+        uint64_t rec = req.records();
+        if (heavy) {
             if (session.inflight >= opt_.max_inflight_per_client)
                 break;
-            uint64_t rec = req.records();
             // A single in-budget request must always be able to run;
             // the records budget only gates *additional* pipelined
             // work on top of it.
@@ -528,38 +531,34 @@ TraceServer::admitLocked(Session &session)
                 session.inflight_records + rec >
                     opt_.max_inflight_records_per_client)
                 break;
-            Job job{session.shared_from_this(), req};
-            if (!jobs_.tryPush(std::move(job)))
-                break; // global queue full; retried on next wakeup
+        }
+        if (!pool_->trySubmit(
+                [this, self = session.shared_from_this(), req] {
+                    handleRequest(*self, req);
+                }))
+            break; // pool queue full; retried on next wakeup
+        if (heavy) {
             session.inflight += 1;
             session.inflight_records += rec;
             counters_.inflight_heavy.fetch_add(
                 1, std::memory_order_relaxed);
             serveObs().inflight.inc();
-            serveObs().queue_depth.inc();
-        } else {
-            Job job{session.shared_from_this(), req};
-            if (!jobs_.tryPush(std::move(job)))
-                break;
-            serveObs().queue_depth.inc();
         }
+        serveObs().queue_depth.inc();
         session.pending.pop_front();
     }
 }
 
 void
-TraceServer::admitSession(const std::shared_ptr<Session> &session)
-{
-    std::lock_guard<std::mutex> lock(session->adm_mu);
-    admitLocked(*session);
-}
-
-void
 TraceServer::admitAll()
 {
-    for (auto &entry : sessions_)
-        if (!entry.second->closed.load())
-            admitSession(entry.second);
+    for (auto &entry : sessions_) {
+        Session &session = *entry.second;
+        if (session.closed.load())
+            continue;
+        std::lock_guard<std::mutex> lock(session.adm_mu);
+        admitLocked(session);
+    }
 }
 
 void
@@ -590,10 +589,8 @@ TraceServer::countRequest(Op op)
 }
 
 void
-TraceServer::handleJob(const Job &job)
+TraceServer::handleRequest(Session &session, const Request &req)
 {
-    Session &session = *job.session;
-    const Request &req = job.req;
     serveObs().queue_depth.dec();
     if (req.arrival_ns != 0) {
         uint64_t now = obs::nowNs();
@@ -670,7 +667,7 @@ TraceServer::handleJob(const Job &job)
          wireName(status),
          static_cast<unsigned long long>(total_us));
     if (isHeavy(req.op))
-        finishHeavy(job.session, req.records());
+        finishHeavy(session, req.records());
     else
         wakeIo(); // a drained slot may unblock globally-parked work
     if (req.op == Op::Shutdown)
@@ -831,18 +828,17 @@ TraceServer::executeClose(Session &session, const Request &req,
 }
 
 void
-TraceServer::finishHeavy(const std::shared_ptr<Session> &session,
-                         uint64_t records)
+TraceServer::finishHeavy(Session &session, uint64_t records)
 {
     {
-        std::lock_guard<std::mutex> lock(session->adm_mu);
-        session->inflight -= 1;
-        session->inflight_records -= records;
+        std::lock_guard<std::mutex> lock(session.adm_mu);
+        session.inflight -= 1;
+        session.inflight_records -= records;
         // Fast path: admit this session's own parked work without an
         // I/O-thread round trip.
-        admitLocked(*session);
+        admitLocked(session);
     }
-    // The freed channel slot may unblock *other* sessions parked on a
+    // The freed queue slot may unblock *other* sessions parked on a
     // full queue, and a shrunken pending queue may resume a paused
     // socket — both decisions belong to the I/O thread.
     wakeIo();
@@ -860,7 +856,7 @@ TraceServer::sendFrame(Session &session,
     std::string err;
     obs::LatencyTimer write_t(serveObs().write_us);
     IoResult r = session.sock.writeFull(frame.data(), frame.size(),
-                                        &err, opt_.write_timeout_ms);
+                                        &err, kWriteTimeoutMs);
     write_t.stop();
     if (r == IoResult::kOk) {
         counters_.bytes_sent.fetch_add(frame.size(),
@@ -906,7 +902,7 @@ TraceServer::stats() const
     out.records_served =
         counters_.records_served.load(std::memory_order_relaxed);
     out.bytes_sent = counters_.bytes_sent.load(std::memory_order_relaxed);
-    out.queue_depth = jobs_.size();
+    out.queue_depth = pool_ ? pool_->queued() : 0;
     out.inflight_heavy =
         counters_.inflight_heavy.load(std::memory_order_relaxed);
     if (started_.load() &&
@@ -925,9 +921,8 @@ TraceServer::statText() const
     std::string out;
     appendStat(out, "server.protocol_version", kProtocolVersion);
     appendStat(out, "server.containers", containers_.size());
-    appendStat(out, "server.threads", workers_.size());
-    appendStat(out, "server.queue_capacity",
-               std::max<size_t>(1, opt_.queue_capacity));
+    appendStat(out, "server.threads", pool_ ? pool_->size() : 0);
+    appendStat(out, "server.queue_capacity", kQueueCapacity);
     appendStat(out, "server.queue_depth", s.queue_depth);
     appendStat(out, "server.max_inflight_per_client",
                opt_.max_inflight_per_client);

@@ -9,41 +9,53 @@
  * of range/seek clients over the length-prefixed binary protocol of
  * serve/protocol.hpp.
  *
- * Architecture (the job-server pattern):
+ * Architecture:
  *
- *   acceptor/poll thread ──parse──▶ bounded Channel<Job> ──▶ worker
- *                                                            threads
+ *   poll thread ──parse──▶ admission ──trySubmit──▶ parallel::ThreadPool
+ *   (listener, sockets)    (per session)            (request workers)
  *
  * A single I/O thread polls the listener and every client socket,
  * accumulates bytes, slices frames, parses them into typed requests,
- * and *admits* them into the bounded job channel. The server's own
- * worker threads drain the channel and execute requests — each OPEN
- * handle owns a private AtcCursor over the container's shared index,
- * so concurrent clients share decoded blocks through the index's
- * BlockCache while keeping their own seek state — and write responses
- * directly to the session socket.
+ * and *admits* them as tasks on the server's one ThreadPool (queue
+ * depth 256, reported as server.queue_capacity). Its workers execute
+ * the requests — each OPEN handle owns a private AtcCursor over the
+ * container's shared index, so concurrent clients share decoded blocks
+ * through the index's BlockCache while keeping their own seek state —
+ * and write responses directly to the session socket. Admission never
+ * blocks: when the pool's queue is full the request stays parked and
+ * is retried on the next wakeup.
  *
  * Admission control is what keeps the daemon fair: each session may
  * have at most max_inflight_per_client heavy requests (SEEK /
  * READ_RANGE) executing, pinning at most
  * max_inflight_records_per_client decoded records between them.
  * Requests beyond the budget wait in a per-session pending queue (and
- * count as admission_deferred in STAT); a pending queue past
- * max_pending_per_client pauses *reading* that session's socket, so
- * the flood backs up into the client's TCP window. A greedy scanner
- * therefore occupies a bounded slice of the workers and the job
- * channel no matter how hard it pipelines, and seek-heavy clients keep
- * their latency (the serve_latency bench reports exactly this p50/p99
- * under a hostile scanner; tests/serve_test.cpp proves the bound).
+ * count as admission_deferred in STAT); a pending queue of 64 requests
+ * pauses *reading* that session's socket, so the flood backs up into
+ * the client's TCP window. A greedy scanner therefore occupies a
+ * bounded slice of the workers and the pool's queue no matter how hard
+ * it pipelines, and seek-heavy clients keep their latency (the
+ * serve_latency bench reports exactly this p50/p99 under a hostile
+ * scanner; tests/serve_test.cpp proves the bound).
  *
  * Thread-safety: the I/O thread owns session read buffers and the
  * poll set; admission state is mutex-guarded per session (workers
  * release budget on completion and wake the I/O thread through a
  * self-pipe to admit more); socket writes serialize on a per-session
- * mutex; handle tables are mutex-guarded per session with per-handle
- * locks around cursor use. A session is reference-counted by its
- * in-flight jobs, so teardown never races an executing request — the
- * descriptor closes when the last reference drops.
+ * mutex, and a client that does not drain its socket for 30 s is
+ * disconnected; handle tables are mutex-guarded per session with
+ * per-handle locks around cursor use. A session is reference-counted
+ * by its admitted requests, so teardown never races an executing
+ * request — the descriptor closes when the last reference drops.
+ *
+ * Handle cursors hold no pool, so a cold READ_RANGE decodes its frames
+ * on the one worker that runs it. Giving them the server's pool could
+ * deadlock: a cursor waiting on a frame task helps by running any
+ * queued task (Task::get()), so a worker holding a handle's mutex
+ * could pick up the next pipelined request on that same handle and
+ * block on the mutex it already holds; and a frame submit from a
+ * worker can block on a queue full of requests. Fanning cold ranges
+ * out needs a design of its own.
  */
 
 #ifndef ATC_SERVE_SERVER_HPP_
@@ -63,7 +75,6 @@
 
 #include "atc/block_cache.hpp"
 #include "atc/index.hpp"
-#include "parallel/channel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/socket.hpp"
@@ -87,17 +98,12 @@ struct ServeOptions
     /** Worker threads executing requests; 0 = hardware concurrency. */
     size_t threads = 0;
 
-    /** Depth of the global request channel. Admission parks requests
-     *  per session once this fills, so the value bounds server-side
-     *  queueing delay, not correctness. */
-    size_t queue_capacity = 256;
-
     /** Global decoded-block cache budget, partitioned evenly across
      *  the served containers' AtcIndex instances (0 disables). */
     size_t cache_bytes = core::kDefaultDecodedCacheBytes;
 
     /** Max heavy requests (SEEK/READ_RANGE) of one session executing
-     *  or queued in the job channel at once. */
+     *  or queued on the pool at once. */
     uint32_t max_inflight_per_client = 4;
 
     /** Max decoded records one session may pin across its in-flight
@@ -108,14 +114,6 @@ struct ServeOptions
     /** Hard per-request ceiling on requested records; beyond it the
      *  request fails with kTooLarge (clients must split). */
     uint64_t max_range_records = 1u << 22;
-
-    /** Parsed-but-unadmitted requests tolerated per session before the
-     *  server stops reading that session's socket (TCP backpressure). */
-    size_t max_pending_per_client = 64;
-
-    /** Bound on waiting for a client to drain its socket before the
-     *  session is declared dead and disconnected. */
-    int write_timeout_ms = 30'000;
 
     /** Structured stderr logging verbosity: one line per session
      *  lifecycle event and per non-ok request at kInfo, every request
@@ -174,7 +172,8 @@ class TraceServer
                               const std::string &dir);
 
     /** Open every registered container (an even cache_bytes share
-     *  each), bind, spawn the I/O thread and the workers. */
+     *  each), bind, create the request pool and spawn the I/O
+     *  thread. */
     util::Status start();
 
     /** @return the bound port (valid after start()). */
@@ -195,9 +194,10 @@ class TraceServer
      *  requested, false on timeout. */
     bool waitFor(int timeout_ms);
 
-    /** Full teardown: signal, join the I/O thread, drain and release
-     *  the workers, close every session. Idempotent. Must not be
-     *  called from a worker (use requestStop() there). */
+    /** Full teardown: signal, join the I/O thread, shut the pool down
+     *  (its queued requests still run), close every session.
+     *  Idempotent. Must not be called from a worker (use requestStop()
+     *  there). */
     void stop();
 
     /** @return a snapshot of the server counters. */
@@ -235,11 +235,6 @@ class TraceServer
     };
 
     struct Session;
-    struct Job
-    {
-        std::shared_ptr<Session> session;
-        Request req;
-    };
 
     // I/O-thread internals (all called on io_thread_ unless noted).
     void ioLoop();
@@ -250,13 +245,12 @@ class TraceServer
     /** Admission loop; requires @p session.adm_mu held. Callable from
      *  the I/O thread and from workers releasing budget. */
     void admitLocked(Session &session);
-    void admitSession(const std::shared_ptr<Session> &session);
     void admitAll();
     void reapSessions();
     void wakeIo();
 
     // Worker-side request execution.
-    void handleJob(const Job &job);
+    void handleRequest(Session &session, const Request &req);
     void executeOpen(Session &session, const Request &req,
                      std::vector<uint8_t> &frame);
     void executeSeek(Session &session, const Request &req,
@@ -265,8 +259,7 @@ class TraceServer
                           std::vector<uint8_t> &frame);
     void executeClose(Session &session, const Request &req,
                       std::vector<uint8_t> &frame);
-    void finishHeavy(const std::shared_ptr<Session> &session,
-                     uint64_t records);
+    void finishHeavy(Session &session, uint64_t records);
     void sendFrame(Session &session, const std::vector<uint8_t> &frame);
     void countRequest(Op op);
 
@@ -285,9 +278,9 @@ class TraceServer
     Socket wake_rd_, wake_wr_;
     std::map<int, std::shared_ptr<Session>> sessions_; // io thread only
 
-    // Workers drain jobs_ until stop() closes it, then are joined.
-    parallel::Channel<Job> jobs_;
-    std::vector<std::thread> workers_;
+    // Runs every admitted request; created by start(), shut down (its
+    // queued requests run, its workers joined) by stop().
+    std::unique_ptr<parallel::ThreadPool> pool_;
     std::thread io_thread_;
 
     /** Set by start(); statText() derives uptime from it. */

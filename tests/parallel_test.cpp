@@ -167,6 +167,31 @@ TEST(ThreadPool, RunOneRunsAQueuedTaskOnTheCaller)
     gate.count_down();
 }
 
+TEST(ThreadPool, TrySubmitRefusesAFullOrShutQueueWithoutRunningTheTask)
+{
+    parallel::ThreadPool pool(1, 1);
+    std::latch gate(1);
+    parkTheWorker(pool, gate);
+    EXPECT_EQ(pool.queued(), 0u);
+
+    std::atomic<int> ran{0};
+    std::atomic<bool> refused_ran{false};
+    EXPECT_TRUE(pool.trySubmit([&ran] { ++ran; }));
+    EXPECT_EQ(pool.queued(), 1u) << "the parked task is counted";
+    EXPECT_FALSE(pool.trySubmit([&refused_ran] { refused_ran = true; }))
+        << "the queue holds one task";
+    EXPECT_EQ(pool.queued(), 1u);
+
+    gate.count_down();
+    pool.shutdown();
+    EXPECT_EQ(ran.load(), 1);
+    EXPECT_FALSE(refused_ran.load()) << "a refused task never runs";
+    EXPECT_EQ(pool.queued(), 0u);
+    EXPECT_FALSE(pool.trySubmit([&refused_ran] { refused_ran = true; }))
+        << "a shut-down pool refuses";
+    EXPECT_FALSE(refused_ran.load());
+}
+
 TEST(ThreadPool, ShutdownWhileACallerHelpsRunsEveryTask)
 {
     std::atomic<int> ran{0};

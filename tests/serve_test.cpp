@@ -720,8 +720,6 @@ TEST(Serve, StatExposesCountersAndCacheStats)
 
 TEST(Serve, MetricsOpRoundTripsTheRegistrySnapshot)
 {
-    if (!obs::kCompiledIn)
-        GTEST_SKIP() << "built with ATC_OBS_OFF";
     auto trace = makeTrace(20'000, 29);
     auto store =
         writeContainer(trace, makeOptions(core::Mode::Lossless));

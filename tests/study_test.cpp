@@ -244,7 +244,7 @@ TEST(SampleStudy, DeterministicAcrossWorkerCounts)
 TEST(SampleStudy, DecodesAFractionOfTheFullPass)
 {
     if (!obs::enabled())
-        GTEST_SKIP() << "observability compiled out";
+        GTEST_SKIP() << "observability disabled";
     auto trace = makeTrace(200'000, 31);
     auto store = writeContainer(trace, makeOptions(core::Mode::Lossless));
     // Tiny cache so the full pass cannot ride the sampled run's blocks.
