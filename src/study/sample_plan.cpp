@@ -1,7 +1,11 @@
 #include "study/sample_plan.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 
 #include "compress/codec.hpp"
 #include "util/rng.hpp"
@@ -42,12 +46,16 @@ parseStart(const std::string &text)
 {
     if (text.empty())
         return Status::error("sample plan: empty window start");
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    uint64_t mult = 1;
-    if (end == text.c_str())
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
         return Status::error("sample plan: bad window start '" + text +
                              "'");
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    uint64_t mult = 1;
+    if (errno == ERANGE)
+        return Status::error("sample plan: window start '" + text +
+                             "' is out of range");
     if (*end) {
         switch (*end) {
           case 'k': case 'K': mult = 1ull << 10; break;
@@ -61,6 +69,9 @@ parseStart(const std::string &text)
             return Status::error("sample plan: bad window start '" +
                                  text + "'");
     }
+    if (v > UINT64_MAX / mult)
+        return Status::error("sample plan: window start '" + text +
+                             "' is out of range");
     return static_cast<uint64_t>(v) * mult;
 }
 
@@ -136,14 +147,16 @@ SamplePlan::build(const std::string &spec_string, uint64_t trace_records)
                 "sample plan: window length " + numString(wlen) +
                 " (warmup+len) exceeds the trace (" +
                 numString(trace_records) + " records)");
+        // A plan never fetches more records than the trace holds, which
+        // also bounds what it allocates. Divide: the product can wrap.
+        if (p.windows > trace_records / wlen)
+            return Status::error(
+                "sample plan: " + numString(p.windows) + " " + spec.name +
+                " windows of " + numString(wlen) +
+                " records fetch more than the trace (" +
+                numString(trace_records) + " records)");
 
         if (spec.name == "systematic") {
-            if (p.windows * wlen > trace_records)
-                return Status::error(
-                    "sample plan: " + numString(p.windows) +
-                    " systematic windows of " + numString(wlen) +
-                    " records cover more than the trace (" +
-                    numString(trace_records) + " records)");
             uint64_t stride = trace_records / p.windows;
             for (uint64_t i = 0; i < p.windows; ++i)
                 plan.windows_.push_back(
@@ -201,7 +214,7 @@ SamplePlan::build(const std::string &spec_string, uint64_t trace_records)
         }
         std::string canonical_at;
         for (uint64_t s : starts) {
-            if (s + wlen > trace_records)
+            if (wlen > trace_records || s > trace_records - wlen)
                 return Status::error(
                     "sample plan: window at " + numString(s) +
                     " runs past the trace (" +

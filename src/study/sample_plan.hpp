@@ -14,7 +14,9 @@
  *      the SMARTS-style periodic design. Requires W*(U+L) <= trace.
  *  - uniform:windows=W,len=L,warmup=U,seed=S
  *      W window starts drawn uniformly (deterministic in S), sorted
- *      ascending for seek locality; windows may overlap.
+ *      ascending for seek locality; windows may overlap, but a plan
+ *      still fetches no more records than the trace holds:
+ *      W*(U+L) <= trace.
  *  - explicit:at=A+B+C,len=L,warmup=U
  *      caller-chosen starts, '+'-separated (each may carry a k/m/g
  *      suffix).

@@ -1,9 +1,11 @@
 #include "study/sample_study.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <optional>
 
 #include "atc/index.hpp"
 #include "obs/metrics.hpp"
@@ -123,19 +125,50 @@ simulateWindow(const std::vector<uint64_t> &records,
     sm.fetched_records.add(static_cast<int64_t>(records.size()));
 }
 
-/** Windows [first, last) of the plan, handled by one local worker. */
+/**
+ * Hands one study's window indices out, one at a time, to whichever
+ * worker asks next, so a worker whose windows decode cheaply takes
+ * more of them instead of idling while another works through a costly
+ * stretch of the trace. Every study call owns its own dealer.
+ */
+class WindowDealer
+{
+  public:
+    explicit WindowDealer(size_t n) : n_(n) {}
+
+    /** @return the next undealt window index, or nullopt once every
+     *  window is dealt or the dealer is closed. */
+    std::optional<size_t>
+    next()
+    {
+        size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n_)
+            return std::nullopt;
+        return i;
+    }
+
+    /** Deal nothing more: a worker failed, so the study has. */
+    void close() { next_.store(n_, std::memory_order_relaxed); }
+
+  private:
+    const size_t n_;
+    std::atomic<size_t> next_{0};
+};
+
+/** One local worker: take a window, fetch it, simulate it, until the
+ *  dealer runs dry. */
 Status
-runLocalChunk(const core::AtcIndex &index, const SamplePlan &plan,
-              const StudyOptions &opt, size_t first, size_t last,
-              std::vector<cache::StackSimulator> &merged,
-              std::vector<WindowResult> &out)
+runLocalWorker(const core::AtcIndex &index, const SamplePlan &plan,
+               const StudyOptions &opt, WindowDealer &dealer,
+               std::vector<cache::StackSimulator> &merged,
+               std::vector<WindowResult> &out)
 {
     std::unique_ptr<core::AtcCursor> cursor =
         index.cursor();
     std::vector<uint64_t> records;
-    for (size_t i = first; i < last; ++i) {
-        const SampleWindow &w = plan.windows()[i];
-        WindowResult &res = out[i];
+    while (std::optional<size_t> i = dealer.next()) {
+        const SampleWindow &w = plan.windows()[*i];
+        WindowResult &res = out[*i];
         res.window = w;
         records.clear();
         {
@@ -174,15 +207,16 @@ runLocalChunk(const core::AtcIndex &index, const SamplePlan &plan,
 }
 
 /**
- * Windows [first, last) of the plan, handled by one served worker on
- * its own connection with up to @p depth requests pipelined.
+ * One served worker on its own connection: keep up to
+ * opt.pipeline_depth requests in flight, refilling each free slot
+ * from the dealer, until it runs dry and every reply is in.
  */
 Status
-runServedChunk(const std::string &host, uint16_t port,
-               const std::string &name, const SamplePlan &plan,
-               const StudyOptions &opt, size_t first, size_t last,
-               std::vector<cache::StackSimulator> &merged,
-               std::vector<WindowResult> &out)
+runServedWorker(const std::string &host, uint16_t port,
+                const std::string &name, const SamplePlan &plan,
+                const StudyOptions &opt, WindowDealer &dealer,
+                std::vector<cache::StackSimulator> &merged,
+                std::vector<WindowResult> &out)
 {
     auto client = serve::ServeClient::connect(host, port);
     if (!client.ok())
@@ -194,12 +228,14 @@ runServedChunk(const std::string &host, uint16_t port,
 
     size_t depth = std::max<size_t>(1, opt.pipeline_depth);
     std::map<uint32_t, size_t> inflight;  // request id -> window index
-    size_t next = first;
     StudyMetrics &sm = StudyMetrics::get();
 
-    while (next < last || !inflight.empty()) {
-        while (next < last && inflight.size() < depth) {
-            const SampleWindow &w = plan.windows()[next];
+    for (;;) {
+        while (inflight.size() < depth) {
+            std::optional<size_t> i = dealer.next();
+            if (!i)
+                break;
+            const SampleWindow &w = plan.windows()[*i];
             StatusOr<uint32_t> id =
                 opt.fetch == Fetch::kRange
                     ? client.value().sendReadRange(handle, w.begin,
@@ -209,9 +245,10 @@ runServedChunk(const std::string &host, uint16_t port,
                           static_cast<uint32_t>(w.length()));
             if (!id.ok())
                 return id.status();
-            inflight.emplace(id.value(), next);
-            ++next;
+            inflight.emplace(id.value(), *i);
         }
+        if (inflight.empty())
+            break;
         serve::ClientResponse resp;
         {
             obs::StageTimer timer(sm.fetch_us);
@@ -241,9 +278,12 @@ runServedChunk(const std::string &host, uint16_t port,
 }
 
 /**
- * Split @p n windows into per-worker contiguous runs and execute
- * @p run(worker, first, last) on the pool (borrowed or owned).
- * Worker-local merged simulators land in @p worker_sims.
+ * Run @p run(sims, dealer) as min(n, pool size) tasks on the pool
+ * (borrowed, or owned and sized to the study), all dealt the @p n
+ * windows from one dealer local to this call. Worker-local merged
+ * simulators land in @p worker_sims. The first failing worker closes
+ * the dealer, so the rest stop taking windows; the first error in
+ * task order is returned.
  */
 template <typename Run>
 Status
@@ -255,7 +295,7 @@ fanOut(size_t n, const StudyOptions &opt,
     std::unique_ptr<parallel::ThreadPool> owned;
     if (pool == nullptr) {
         owned = std::make_unique<parallel::ThreadPool>(
-            parallel::resolveThreads(opt.threads));
+            std::min(parallel::resolveThreads(opt.threads), n));
         pool = owned.get();
     }
     size_t workers = std::min(n, std::max<size_t>(1, pool->size()));
@@ -263,28 +303,30 @@ fanOut(size_t n, const StudyOptions &opt,
     for (size_t w = 0; w < workers; ++w)
         worker_sims.push_back(makeSims(opt));
 
-    // Each task borrows run and worker_sims, and its handle joins it
-    // on every way out of this frame, a refused submit included.
+    // Each task borrows run, worker_sims and dealer, and its handle
+    // joins it on every way out of this frame, a refused submit
+    // included.
+    WindowDealer dealer(n);
     std::vector<parallel::Task<Status>> tasks;
     tasks.reserve(workers);
-    size_t per = n / workers;
-    size_t extra = n % workers;
-    size_t first = 0;
     Status result = util::toStatus([&] {
-        for (size_t w = 0; w < workers; ++w) {
-            size_t last = first + per + (w < extra ? 1 : 0);
-            tasks.emplace_back(pool, [&run, &worker_sims, w, first,
-                                      last]() -> Status {
+        for (size_t w = 0; w < workers; ++w)
+            tasks.emplace_back(pool, [&run, &worker_sims, &dealer,
+                                      w]() -> Status {
+                Status st;
                 try {
-                    return run(worker_sims[w], first, last);
+                    st = run(worker_sims[w], dealer);
                 } catch (const std::exception &e) {
-                    return Status::error(
+                    st = Status::error(
                         std::string("sample study worker: ") + e.what());
                 }
+                if (!st.ok())
+                    dealer.close();
+                return st;
             });
-            first = last;
-        }
     });
+    if (!result.ok())
+        dealer.close();  // a refused submit: the study has failed
     for (parallel::Task<Status> &task : tasks) {
         const Status &st = task.get();
         if (!st.ok() && result.ok())
@@ -398,10 +440,10 @@ runSampleStudy(std::shared_ptr<const core::AtcIndex> index,
     std::vector<std::vector<cache::StackSimulator>> worker_sims;
     Status st = fanOut(
         plan.windows().size(), opt, worker_sims,
-        [&](std::vector<cache::StackSimulator> &sims, size_t first,
-            size_t last) {
-            return runLocalChunk(*index, plan, opt, first, last, sims,
-                                 result.windows);
+        [&](std::vector<cache::StackSimulator> &sims,
+            WindowDealer &dealer) {
+            return runLocalWorker(*index, plan, opt, dealer, sims,
+                                  result.windows);
         });
     if (!st.ok())
         return st;
@@ -449,10 +491,10 @@ runSampleStudyServed(const std::string &host, uint16_t port,
     std::vector<std::vector<cache::StackSimulator>> worker_sims;
     Status st = fanOut(
         plan.windows().size(), opt, worker_sims,
-        [&](std::vector<cache::StackSimulator> &sims, size_t first,
-            size_t last) {
-            return runServedChunk(host, port, name, plan, opt, first,
-                                  last, sims, result.windows);
+        [&](std::vector<cache::StackSimulator> &sims,
+            WindowDealer &dealer) {
+            return runServedWorker(host, port, name, plan, opt, dealer,
+                                   sims, result.windows);
         });
     if (!st.ok())
         return st;

@@ -4,8 +4,13 @@
  * the paper's §7 payoff: estimate whole-trace LRU miss ratios from
  * many scattered windows without decoding the trace in between.
  *
- * A SampleStudy fans the windows of a SamplePlan out on a ThreadPool.
- * Each worker drives its own window fetcher:
+ * A SampleStudy runs min(windows, pool size) workers on a ThreadPool
+ * and deals the windows of a SamplePlan to them on demand: each worker
+ * takes the next undealt window from a counter local to the call,
+ * fetches and simulates it, and asks again, so a worker whose part of
+ * the trace decodes cheaply takes more windows instead of idling
+ * (windows are not split into fixed contiguous runs). Each worker
+ * drives its own window fetcher:
  *
  *  - local backend: a private core::AtcCursor over one shared
  *    AtcIndex (and therefore one shared decoded-block cache) —
@@ -13,8 +18,8 @@
  *    StudyOptions::fetch is kSeek;
  *  - served backend: its own serve::ServeClient connection to an
  *    atcserved daemon, issuing up to pipeline_depth pipelined
- *    READ_RANGE (or SEEK) requests so window fetches overlap the
- *    network round trip.
+ *    READ_RANGE (or SEEK) requests, each free slot refilled from the
+ *    dealer, so window fetches overlap the network round trip.
  *
  * Every window feeds one cache::StackSimulator per requested set
  * count: the warm-up prefix with statistics suppressed
@@ -34,9 +39,16 @@
  * ratio coincide there; CIs on overlapping uniform windows are
  * approximate. See docs/sampling.md.
  *
- * Thread-safety: run* calls are self-contained; the shared AtcIndex
- * is immutable and its BlockCache internally synchronized, cursors
- * and ServeClients are per-worker. Decoded-byte attribution reads
+ * Results are written by window index and merging is integer
+ * addition, so they are bit-identical whichever worker takes which
+ * window, for any thread count and either backend. The first worker
+ * that fails closes the dealer; the rest finish the window in hand and
+ * stop.
+ *
+ * Thread-safety: run* calls are self-contained (two studies may share
+ * one borrowed pool); the shared AtcIndex is immutable and its
+ * BlockCache internally synchronized, cursors and ServeClients are
+ * per-worker. Decoded-byte attribution reads
  * process-global counters, so concurrent unrelated decode activity in
  * the same process (or against the same daemon) inflates the numbers.
  */
@@ -173,9 +185,9 @@ struct ReferenceResult
 
 /**
  * Run the plan against a local container through @p index. Windows
- * are distributed over the workers in contiguous runs; results are
+ * are dealt to the workers on demand, one at a time; results are
  * deterministic for a given (container, plan, options) regardless of
- * thread count.
+ * thread count. An owned pool gets min(threads, windows) workers.
  */
 util::StatusOr<StudyResult> runSampleStudy(
     std::shared_ptr<const core::AtcIndex> index, const SamplePlan &plan,
@@ -184,9 +196,10 @@ util::StatusOr<StudyResult> runSampleStudy(
 /**
  * Run the plan against an atcserved daemon at @p host : @p port,
  * container @p name. One connection per worker plus a control
- * connection for the METRICS deltas; requests are pipelined
- * pipeline_depth deep. Records, merged statistics, and CRCs are
- * identical to the local backend over the same container.
+ * connection for the METRICS deltas; windows are dealt on demand as
+ * in runSampleStudy, and requests are pipelined pipeline_depth deep.
+ * Records, merged statistics, and CRCs are identical to the local
+ * backend over the same container.
  */
 util::StatusOr<StudyResult> runSampleStudyServed(
     const std::string &host, uint16_t port, const std::string &name,

@@ -11,12 +11,18 @@
  * ratios only slightly vs kRange), and served-backend parity: an
  * in-process TraceServer must yield byte-identical window CRCs and
  * identical merged histograms to the local backend over the same
- * container. A borrowed pool that is already shut down fails the study
- * with an error Status instead of an exception.
+ * container. Windows are dealt to workers on demand: on a trace whose
+ * quarters decode at very different cost, every thread count and both
+ * backends give the serial result; two studies sharing one borrowed
+ * pool each get their own; and a corrupt frame fails the study with
+ * that frame's Status and stops the dealing. Plans whose arithmetic
+ * would wrap are rejected. A borrowed pool that is already shut down
+ * fails the study with an error Status instead of an exception.
  */
 
 #include <algorithm>
 #include <memory>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +33,7 @@
 #include "serve/server.hpp"
 #include "study/sample_plan.hpp"
 #include "study/sample_study.hpp"
+#include "store_frames.hpp"
 #include "util/rng.hpp"
 
 namespace atc {
@@ -61,6 +68,24 @@ makeOptions(core::Mode mode)
     opt.lossy.interval_len = 1000;
     opt.lossy.epsilon = 0.5;
     return opt;
+}
+
+/** Four quarters whose windows cost sharply different amounts to
+ *  decode: one repeated address, a sequential walk, the makeTrace mix,
+ *  and uniformly random words. */
+std::vector<uint64_t>
+makeLopsidedTrace(size_t n, uint64_t seed)
+{
+    std::vector<uint64_t> trace = makeTrace(n, seed);
+    util::Rng rng(seed + 1);
+    const size_t q = n / 4;
+    for (size_t i = 0; i < q; ++i)
+        trace[i] = 0x4000;
+    for (size_t i = q; i < 2 * q; ++i)
+        trace[i] = 0x10000 + 64 * i;
+    for (size_t i = 3 * q; i < n; ++i)
+        trace[i] = rng.next();
+    return trace;
 }
 
 core::MemoryStore
@@ -132,9 +157,10 @@ TEST(SamplePlan, UniformIsDeterministicSortedAndSeeded)
                   b.value().windows()[i].begin);
         differs = differs || a.value().windows()[i].begin !=
                                  c.value().windows()[i].begin;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a.value().windows()[i].begin,
                       a.value().windows()[i - 1].begin);
+        }
         EXPECT_LE(a.value().windows()[i].end(), 50'000u);
     }
     EXPECT_TRUE(differs);
@@ -169,6 +195,23 @@ TEST(SamplePlan, RejectsWhatDoesNotFit)
             .ok());
     EXPECT_FALSE(
         SamplePlan::build("explicit:at=1x,len=10", 1000).ok());
+    // Plans whose arithmetic would wrap: each is one error Status, not
+    // a plan of 2^48 windows or a window past the end of the trace.
+    for (const char *spec :
+         {"systematic:windows=262144g,len=64k,warmup=0",
+          "uniform:windows=1g,len=64,warmup=0",
+          "uniform:windows=17,len=64k,warmup=0",
+          "explicit:at=18446744073709551615,len=2,warmup=0",
+          "explicit:at=18446744073709551616,len=2,warmup=0",
+          "explicit:at=17179869184g,len=2,warmup=0",
+          "explicit:at=-1,len=2,warmup=0",
+          "explicit:at=0,len=2m,warmup=0"}) {
+        auto plan = SamplePlan::build(spec, 1u << 20);
+        ASSERT_FALSE(plan.ok()) << spec;
+        EXPECT_NE(plan.status().message().find("sample plan"),
+                  std::string::npos)
+            << spec << ": " << plan.status().message();
+    }
 }
 
 // ---------------------------------------------------------- the engine
@@ -357,6 +400,150 @@ TEST(SampleStudy, ServedBackendMatchesLocalExactly)
         for (uint32_t w = 1; w <= opt.max_ways; ++w)
             EXPECT_DOUBLE_EQ(local.value().missRatio(s, w),
                              served.value().missRatio(s, w));
+}
+
+TEST(SampleStudy, DealtWindowsMatchSerialOnALopsidedTrace)
+{
+    auto trace = makeLopsidedTrace(80'000, 67);
+    auto store = writeContainer(trace, makeOptions(core::Mode::Lossless));
+    auto index = core::AtcIndex::openOrThrow(store);
+    serve::TraceServer server;
+    ASSERT_TRUE(server.addContainer("t", store).ok());
+    ASSERT_TRUE(server.start().ok());
+
+    // 37 windows: no worker count tried below divides them evenly.
+    auto plan = SamplePlan::build("systematic:windows=37,len=1k,warmup=128",
+                                  index->size());
+    ASSERT_TRUE(plan.ok());
+    StudyOptions serial;
+    serial.threads = 1;
+    auto ref = study::runSampleStudy(index, plan.value(), serial);
+    ASSERT_TRUE(ref.ok()) << ref.status().message();
+
+    for (size_t threads : {1, 3, 4, 8}) {
+        StudyOptions opt;
+        opt.threads = threads;
+        opt.pipeline_depth = 3;
+        auto local = study::runSampleStudy(index, plan.value(), opt);
+        auto served = study::runSampleStudyServed(
+            "127.0.0.1", server.port(), "t", plan.value(), opt);
+        for (const auto *run : {&local, &served}) {
+            ASSERT_TRUE(run->ok())
+                << threads << " threads: " << run->status().message();
+            const study::StudyResult &r = run->value();
+            EXPECT_EQ(r.windowsCrc(), ref.value().windowsCrc()) << threads;
+            EXPECT_EQ(r.histCrc(), ref.value().histCrc()) << threads;
+            ASSERT_EQ(r.windows.size(), ref.value().windows.size());
+            for (size_t i = 0; i < r.windows.size(); ++i) {
+                EXPECT_EQ(r.windows[i].window.begin,
+                          plan.value().windows()[i].begin);
+                EXPECT_EQ(r.windows[i].miss_ratio,
+                          ref.value().windows[i].miss_ratio);
+            }
+        }
+    }
+    server.stop();
+}
+
+TEST(SampleStudy, ConcurrentStudiesOnOneBorrowedPoolKeepTheirOwnDealers)
+{
+    auto trace = makeLopsidedTrace(80'000, 71);
+    auto store = writeContainer(trace, makeOptions(core::Mode::Lossless));
+    auto index = core::AtcIndex::openOrThrow(store);
+    auto plan_a = SamplePlan::build(
+        "systematic:windows=37,len=1k,warmup=128", index->size());
+    auto plan_b = SamplePlan::build("uniform:windows=23,len=1500,seed=3",
+                                    index->size());
+    ASSERT_TRUE(plan_a.ok() && plan_b.ok());
+    StudyOptions serial;
+    serial.threads = 1;
+    auto ref_a = study::runSampleStudy(index, plan_a.value(), serial);
+    auto ref_b = study::runSampleStudy(index, plan_b.value(), serial);
+    ASSERT_TRUE(ref_a.ok() && ref_b.ok());
+
+    parallel::ThreadPool pool(3);
+    StudyOptions shared;
+    shared.pool = &pool;
+    for (int round = 0; round < 4; ++round) {
+        util::StatusOr<study::StudyResult> a = util::Status::error("unset");
+        util::StatusOr<study::StudyResult> b = util::Status::error("unset");
+        std::thread other([&] {
+            b = study::runSampleStudy(index, plan_b.value(), shared);
+        });
+        a = study::runSampleStudy(index, plan_a.value(), shared);
+        other.join();
+        ASSERT_TRUE(a.ok()) << a.status().message();
+        ASSERT_TRUE(b.ok()) << b.status().message();
+        EXPECT_EQ(a.value().windowsCrc(), ref_a.value().windowsCrc());
+        EXPECT_EQ(a.value().histCrc(), ref_a.value().histCrc());
+        EXPECT_EQ(b.value().windowsCrc(), ref_b.value().windowsCrc());
+        EXPECT_EQ(b.value().histCrc(), ref_b.value().histCrc());
+    }
+}
+
+TEST(SampleStudy, CorruptFrameFailsTheStudyAndStopsTheDealing)
+{
+    // "store" frames are their raw bytes, so a flip in the middle of
+    // one frame's payload fails exactly the windows that read it.
+    auto trace = makeTrace(40'000, 73);
+    core::AtcOptions copt = makeOptions(core::Mode::Lossless);
+    copt.pipeline.codec = "store";
+    auto store = writeContainer(trace, copt);
+    std::vector<uint8_t> chunk = store.chunkBytes(0);
+    const comp::StreamLayout layout = test::layoutOf(chunk);
+    const size_t f = layout.frames.size() / 2;
+    chunk[test::payloadStart(layout, f) + layout.frames[f].comp_size / 2] ^=
+        0x10;
+    core::MemoryStore bad;
+    {
+        auto sink = bad.createInfo();
+        sink->write(store.infoBytes().data(), store.infoBytes().size());
+        auto csink = bad.createChunk(0);
+        csink->write(chunk.data(), chunk.size());
+    }
+    auto index = core::AtcIndex::openOrThrow(bad);
+    auto plan = SamplePlan::build("systematic:windows=40,len=500,warmup=0",
+                                  index->size());
+    ASSERT_TRUE(plan.ok());
+    const size_t n = plan.value().windows().size();
+
+    // The first window in plan order that reads the flipped frame, and
+    // the Status a plain read of it fails with.
+    size_t first_bad = n;
+    util::Status expected;
+    for (size_t i = 0; i < n && first_bad == n; ++i) {
+        const study::SampleWindow &w = plan.value().windows()[i];
+        std::vector<uint64_t> records;
+        util::Status st = index->cursor()->readRange(w.begin, w.end(),
+                                                     records);
+        if (!st.ok()) {
+            first_bad = i;
+            expected = st;
+        }
+    }
+    ASSERT_GT(first_bad, 0u);
+    ASSERT_LT(first_bad, n - 1);
+
+    for (size_t threads : {1, 4}) {
+        StudyOptions opt;
+        opt.threads = threads;
+        const int64_t before =
+            obs::Registry::global().snapshot().value("study.windows");
+        auto run = study::runSampleStudy(index, plan.value(), opt);
+        const int64_t dealt =
+            obs::Registry::global().snapshot().value("study.windows") -
+            before;
+        ASSERT_FALSE(run.ok()) << threads;
+        EXPECT_EQ(run.status().message(), expected.message()) << threads;
+        if (!obs::enabled())
+            continue;
+        // One worker stops at the failing window; more workers each
+        // finish at most the window in hand, and none takes another.
+        if (threads == 1) {
+            EXPECT_EQ(dealt, static_cast<int64_t>(first_bad));
+        }
+        EXPECT_LT(dealt, static_cast<int64_t>(n)) << threads;
+    }
 }
 
 TEST(SampleStudy, RejectsBadGeometryAndEmptyPlans)
